@@ -17,7 +17,6 @@ from .bracket import (
     structure_constants,
 )
 from .matrices import (
-    CoordinateVector,
     MJMatrix,
     QuatMatrix,
     apply_J,

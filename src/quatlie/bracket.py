@@ -1,23 +1,29 @@
 """The gl(n,H) bracket, bracket closure of a real span, and structure constants.
 
-The bracket on quaternion matrices is the matrix commutator evaluated in
-exact quaternion arithmetic.  Written on components ``X + J*Y`` it is
+Every hot loop runs on flattened coordinate vectors (``Vec``): a matrix
+is a sparse dict over the 4*n*n real coordinates, row-major over the
+entries with (re z1, im z1, re z2, im z2) per entry.  In those
+coordinates the four units are 1, i, j and -k, and the product of two
+units is a signed unit again, ``e_s * e_t = _SIGN[s][t] * e_(s ^ t)``,
+so :func:`bracket_vec` forms the commutator
 
-    [X1 + J*Y1, X2 + J*Y2]
-        = (X1 X2 - X2 X1 - conj(Y1) Y2 + conj(Y2) Y1)
-        + J*(Y1 X2 - Y2 X1 + conj(X1) Y2 - conj(X2) Y1)
+    [X, Y]_pq = sum_r X_pr Y_rq - Y_pr X_rq
 
-which coincides with the commutator of the 2n x 2n complex images; the
-test suite checks both paths against each other.
+one nonzero coordinate pair at a time, in exact ``Fraction`` arithmetic,
+without building quaternion matrices.  The conjugations are sign flips:
+sigma (z1 + j*z2 -> z1 - j*z2) negates offsets 2 and 3 of every entry,
+tau (complex conjugation of z1 and z2) negates offsets 1 and 3.
+
+:func:`bracket` stays the ``QuatMatrix`` commutator ``x @ y - y @ x``.
+It serves the boundary (generator relations, Serre words, root vectors)
+and is the independent oracle that the tests hold the kernel against.
 
 Closure works over a worklist: every accepted member is bracketed
 against the members accepted before it, and results that enlarge the
 span are queued in turn.  The ambient real dimension 4*n*n bounds the
 number of accepted members, so the loop terminates.  The resulting
 reduced-echelon basis is canonical for the closed subspace, hence
-independent of generator order.  A single closure call runs on one
-thread (insertion into the shared echelon basis is order-sensitive);
-distinct calls are independent because all inputs are immutable.
+independent of generator order.
 """
 
 from __future__ import annotations
@@ -29,7 +35,10 @@ from fractions import Fraction
 
 from .errors import NotClosedError
 from .linalg import LinearSolver, SpanBasis, Vec
-from .matrices import QuatMatrix, apply_sigma, apply_tau, flatten
+from .matrices import QuatMatrix, flatten
+
+# e_s * e_t = _SIGN[s][t] * e_(s ^ t) for the coordinate units (1, i, j, -k)
+_SIGN = ((1, 1, 1, 1), (1, -1, -1, 1), (1, 1, -1, -1), (1, -1, 1, -1))
 
 
 def bracket(x: QuatMatrix, y: QuatMatrix) -> QuatMatrix:
@@ -37,6 +46,53 @@ def bracket(x: QuatMatrix, y: QuatMatrix) -> QuatMatrix:
     if x.n != y.n:
         raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
     return (x @ y) - (y @ x)
+
+
+def _by_row(x: Vec, n: int) -> dict:
+    """Row p -> [(column, unit offset, value)] of a flattened matrix."""
+    rows: dict = {}
+    for idx, val in x.items():
+        cell, s = divmod(idx, 4)
+        p, q = divmod(cell, n)
+        rows.setdefault(p, []).append((q, s, val))
+    return rows
+
+
+def _add_product(out: dict, left: dict, right: dict, n: int, sign: int) -> None:
+    """``out += sign * (left @ right)`` on row-grouped coordinates."""
+    for p, entries in left.items():
+        row_base = 4 * n * p
+        for r, s, v in entries:
+            signs = _SIGN[s]
+            for q, t, w in right.get(r, ()):
+                idx = row_base + 4 * q + (s ^ t)
+                term = v * w if signs[t] == sign else -(v * w)
+                acc = out.get(idx)
+                out[idx] = term if acc is None else acc + term
+
+
+def bracket_vec(x: Vec, y: Vec, n: int) -> Vec:
+    """Commutator of two flattened n x n quaternion matrices, flattened.
+
+    Only nonzero values are kept; for ``Fraction`` inputs every value is
+    a ``Fraction``, as ``SpanBasis.insert`` requires.
+    """
+    rows_x = _by_row(x, n)
+    rows_y = _by_row(y, n)
+    out: dict = {}
+    _add_product(out, rows_x, rows_y, n, 1)
+    _add_product(out, rows_y, rows_x, n, -1)
+    return {idx: val for idx, val in out.items() if val}
+
+
+def sigma_vec(x: Vec) -> Vec:
+    """sigma in coordinates: negate re z2 and im z2 of every entry."""
+    return {idx: -val if idx & 2 else val for idx, val in x.items()}
+
+
+def tau_vec(x: Vec) -> Vec:
+    """tau in coordinates: negate im z1 and im z2 of every entry."""
+    return {idx: -val if idx & 1 else val for idx, val in x.items()}
 
 
 @dataclass
@@ -112,33 +168,40 @@ def close_under_bracket(generators: list[QuatMatrix]) -> ClosureResult:
         raise ValueError("need at least one generator")
     n = generators[0].n
     span = SpanBasis(4 * n * n)
-    members: list[QuatMatrix] = []
-    pending = deque(generators)
+    members: list[Vec] = []
+    pending = deque(flatten(m) for m in generators)
     while pending:
         candidate = pending.popleft()
-        if not span.insert(flatten(candidate)):
+        if not span.insert(candidate):
             continue
         for other in members:
-            pending.append(bracket(other, candidate))
+            pending.append(bracket_vec(other, candidate, n))
         members.append(candidate)
     matrices = [QuatMatrix.unflatten(n, row) for row in span.rows]
     return ClosureResult(span=span, matrices=matrices)
 
 
-def structure_constants(matrices: list[QuatMatrix]) -> StructureConstants:
-    """Bracket table of a bracket-closed list of independent matrices."""
+def structure_constants(
+    matrices: list[QuatMatrix], solver: LinearSolver | None = None
+) -> StructureConstants:
+    """Bracket table of a bracket-closed list of independent matrices.
+
+    ``solver``, when given, must express vectors over the flattened
+    ``matrices`` in this order; otherwise one is built.
+    """
     if not matrices:
         return StructureConstants(dim=0)
     n = matrices[0].n
-    ambient = 4 * n * n
-    solver = LinearSolver([flatten(m) for m in matrices], ambient)
+    vecs = [flatten(m) for m in matrices]
+    if solver is None:
+        solver = LinearSolver(vecs, 4 * n * n)
     sc = StructureConstants(dim=len(matrices))
-    for i, x in enumerate(matrices):
-        for j in range(i + 1, len(matrices)):
-            prod = bracket(x, matrices[j])
-            if prod.is_zero():
+    for i, x in enumerate(vecs):
+        for j in range(i + 1, len(vecs)):
+            prod = bracket_vec(x, vecs[j], n)
+            if not prod:
                 continue
-            coeffs = solver.express(flatten(prod))
+            coeffs = solver.express(prod)
             if coeffs is None:
                 raise NotClosedError(
                     f"bracket of basis elements {i}, {j} leaves the span"
@@ -221,16 +284,20 @@ def check_conjugation_equivariance(matrices: list[QuatMatrix]) -> EquivarianceRe
     Checked on all basis pairs; for a basis of a bracket-closed span this
     pins the identity on the whole algebra by bilinearity.
     """
-    sigmas = [apply_sigma(m) for m in matrices]
-    taus = [apply_tau(m) for m in matrices]
+    if not matrices:
+        return EquivarianceReport(pairs_checked=0, failures=[])
+    n = matrices[0].n
+    vecs = [flatten(m) for m in matrices]
+    sigmas = [sigma_vec(v) for v in vecs]
+    taus = [tau_vec(v) for v in vecs]
     failures = []
     pairs = 0
-    for i, x in enumerate(matrices):
-        for j in range(i + 1, len(matrices)):
+    for i, x in enumerate(vecs):
+        for j in range(i + 1, len(vecs)):
             pairs += 1
-            br = bracket(x, matrices[j])
-            if apply_sigma(br) != bracket(sigmas[i], sigmas[j]):
+            br = bracket_vec(x, vecs[j], n)
+            if sigma_vec(br) != bracket_vec(sigmas[i], sigmas[j], n):
                 failures.append((i, j, "sigma"))
-            if apply_tau(br) != bracket(taus[i], taus[j]):
+            if tau_vec(br) != bracket_vec(taus[i], taus[j], n):
                 failures.append((i, j, "tau"))
     return EquivarianceReport(pairs_checked=pairs, failures=failures)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import serialize
 from .bracket import (
-    bracket,
+    bracket_vec,
     check_conjugation_equivariance,
     close_under_bracket,
     jacobi_check,
@@ -32,7 +32,6 @@ from .quaternify import (
     sigma_grading_check,
     verify_relations,
     verify_serre,
-    worker_count,
 )
 from .realizations import build_named, membership
 from .rootsystem import cartan_matrix, positive_roots
@@ -124,9 +123,8 @@ def cmd_build(args) -> int:
         report = algebra.reports[name]
         instances = getattr(report, "spaces_checked", len(report.failures) or 1)
         manifest.add(f"built.{name}", report.ok, instances, report.failures)
-    manifest.inputs["threads"] = worker_count()
-    # the embedded copy omits timings and invocation details (output path,
-    # thread cap) so identical parameters rebuild byte-identical files
+    # the embedded copy omits timings and the output path so identical
+    # parameters rebuild byte-identical files
     embedded = Manifest(
         command="build", inputs={"type": args.type, "rank": args.rank}
     )
@@ -163,11 +161,12 @@ def _run_check(name: str, algebra, manifest: Manifest) -> None:
     elif name == "structure":
         failures = []
         checked = 0
+        n = algebra.ambient_n
+        vecs = [flatten(m) for m in algebra.basis]
         for i in range(algebra.dim):
             for j in range(i + 1, algebra.dim):
                 checked += 1
-                prod = bracket(algebra.basis[i], algebra.basis[j])
-                coeffs = algebra.solver.express(flatten(prod))
+                coeffs = algebra.solver.express(bracket_vec(vecs[i], vecs[j], n))
                 table = dict(algebra.constants.get(i, j))
                 if coeffs is None:
                     failures.append((i, j, "outside-span"))

@@ -35,22 +35,11 @@ def vec_iadd_scaled(target: Vec, source: Vec, factor: Fraction) -> Vec:
     return target
 
 
-def vec_scaled(source: Vec, factor: Fraction) -> Vec:
-    return {idx: factor * val for idx, val in source.items()} if factor else {}
-
-
 def vec_from_dense(values) -> Vec:
     out = {}
     for idx, val in enumerate(values):
         if val:
             out[idx] = Fraction(val)
-    return out
-
-
-def vec_to_dense(vec: Vec, length: int) -> list[Fraction]:
-    out = [Fraction(0)] * length
-    for idx, val in vec.items():
-        out[idx] = val
     return out
 
 
@@ -135,10 +124,6 @@ def span_of(vectors, ambient_dim: int) -> SpanBasis:
     basis = SpanBasis(ambient_dim)
     basis.extend(vectors)
     return basis
-
-
-def rank_of(vectors, ambient_dim: int) -> int:
-    return span_of(vectors, ambient_dim).rank
 
 
 def independent_span(vectors, ambient_dim: int) -> SpanBasis:

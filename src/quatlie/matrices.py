@@ -27,29 +27,6 @@ from .linalg import SpanBasis, Vec, independent_span
 from .scalars import GR_ZERO, Q_ZERO, Quaternion, quat_J
 
 
-class CoordinateVector:
-    """Sparse flattening of a QuatMatrix into 4*n*n real coordinates."""
-
-    __slots__ = ("length", "coords")
-
-    def __init__(self, length: int, coords: Vec):
-        self.length = length
-        self.coords = coords
-
-    def dense(self) -> list[Fraction]:
-        out = [Fraction(0)] * self.length
-        for idx, val in self.coords.items():
-            out[idx] = val
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoordinateVector)
-            and self.length == other.length
-            and self.coords == other.coords
-        )
-
-
 class QuatMatrix:
     """Immutable square matrix of quaternions."""
 
@@ -169,7 +146,8 @@ class QuatMatrix:
             [[self.rows[q][p].conj() for q in range(n)] for p in range(n)]
         )
 
-    def flatten(self) -> CoordinateVector:
+    def flatten(self) -> Vec:
+        """Sparse coordinate dict (row-major, 4 reals per entry)."""
         coords: Vec = {}
         n = self.n
         for p in range(n):
@@ -181,7 +159,7 @@ class QuatMatrix:
                 for offset, val in enumerate(a.to_coords()):
                     if val:
                         coords[base + offset] = val
-        return CoordinateVector(4 * n * n, coords)
+        return coords
 
     @classmethod
     def unflatten(cls, n: int, coords: Vec) -> "QuatMatrix":
@@ -198,7 +176,7 @@ class QuatMatrix:
 
 def flatten(m: QuatMatrix) -> Vec:
     """Sparse coordinate dict of a matrix (row-major, 4 reals per entry)."""
-    return m.flatten().coords
+    return m.flatten()
 
 
 def apply_sigma(m: QuatMatrix) -> QuatMatrix:

@@ -45,21 +45,21 @@ B/C construction meeting the abstract needs the paper's full text.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bracket import (
     StructureConstants,
     bracket,
+    bracket_vec,
     check_conjugation_equivariance,
     close_under_bracket,
     jacobi_check,
+    structure_constants,
 )
-from .errors import StructuralFailureError
+from .errors import NotClosedError, StructuralFailureError
 from .linalg import LinearSolver, SpanBasis, Vec, kernel_basis, vec_iadd_scaled
 from .matrices import QuatMatrix, apply_J, flatten, sigma_eigenvalue
 from .realizations import ChevalleyGenerators, chevalley_generators
@@ -125,16 +125,6 @@ def closure_realization(type_label: str, rank: int):
         gens.validate()
         return gens, "sl(4,C) half-spin realization of so(6,C) in gl(4,H)"
     raise ValueError(f"unknown type {type_label!r}; expected one of A, B, C, D")
-
-
-def worker_count() -> int:
-    """Parallelism cap from QUATLIE_THREADS; 1 means sequential."""
-    raw = os.environ.get("QUATLIE_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
 
 
 @dataclass
@@ -226,11 +216,11 @@ def generating_set(gens: ChevalleyGenerators) -> list:
     return out
 
 
-def _ad_columns(h: QuatMatrix, matrices: list, span: SpanBasis) -> list:
-    """Coordinates of [h, b_j] over the echelon rows, one column per j."""
+def _ad_columns(h: Vec, span: SpanBasis, n: int) -> list:
+    """Coordinates of [h, b_j] over the echelon rows, one column per row j."""
     cols = []
-    for m in matrices:
-        coeffs = span.coords(flatten(bracket(h, m)))
+    for row in span.rows:
+        coeffs = span.coords(bracket_vec(h, row, n))
         if coeffs is None:
             raise StructuralFailureError("ad(h) left the closure span")
         cols.append({k: c for k, c in enumerate(coeffs) if c})
@@ -265,6 +255,17 @@ def _combine(rows: list, coeffs: Vec) -> Vec:
     for j, c in coeffs.items():
         vec_iadd_scaled(out, rows[j], c)
     return out
+
+
+def _derived_span(rows: list, n: int) -> SpanBasis:
+    """Echelon span of the brackets of all pairs of flattened matrices."""
+    derived = SpanBasis(4 * n * n)
+    for a in range(len(rows)):
+        for b in range(a + 1, len(rows)):
+            prod = bracket_vec(rows[a], rows[b], n)
+            if prod:
+                derived.insert(prod)
+    return derived
 
 
 def _root_vector_table(
@@ -302,13 +303,13 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
     ambient = 4 * n * n
 
     t0 = clock()
-    closure = close_under_bracket(generating_set(gens))
-    span, row_matrices = closure.span, closure.matrices
+    span = close_under_bracket(generating_set(gens)).span
     dim = span.rank
     timings["closure"] = (clock() - t0) * 1000.0
 
     t0 = clock()
-    ad_cols = [_ad_columns(h, row_matrices, span) for h in gens.h]
+    hr_flats = [flatten(h) for h in gens.h]
+    ad_cols = [_ad_columns(h, span, n) for h in hr_flats]
     tree = positive_roots_with_tree(cm)
     pos_weights = [weight_of(node.root, cm) for node in tree]
     nonzero_weights = sorted(
@@ -319,25 +320,16 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
         raise StructuralFailureError("zero weight appeared among the roots")
 
     candidates = [zero] + nonzero_weights
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            kernels = list(
-                pool.map(lambda w: _weight_kernel(ad_cols, w, dim), candidates)
-            )
-    else:
-        kernels = [_weight_kernel(ad_cols, w, dim) for w in candidates]
-
-    spaces: dict[tuple, list] = {}
+    spaces: dict[tuple, list] = {}  # weight -> echelon rows of its block
     total = 0
-    for values, kernel in zip(candidates, kernels):
+    for values in candidates:
         block = SpanBasis(ambient)
-        for coeffs in kernel:
+        for coeffs in _weight_kernel(ad_cols, values, dim):
             block.insert(_combine(span.rows, coeffs))
         if values == zero and block.rank == 0:
             raise StructuralFailureError("empty zero-weight space")
         if block.rank:
-            spaces[values] = [QuatMatrix.unflatten(n, r) for r in block.rows]
+            spaces[values] = block.rows
             total += block.rank
     if total != dim:
         raise StructuralFailureError(
@@ -351,65 +343,52 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
     timings["decomposition"] = (clock() - t0) * 1000.0
 
     t0 = clock()
-    k_matrices = spaces[zero]
-    hr_flats = [flatten(h) for h in gens.h]
+    k_rows = spaces[zero]
     k_span = SpanBasis(ambient)
-    for m in k_matrices:
-        k_span.insert(flatten(m))
+    for row in k_rows:
+        k_span.insert(row)
     for vec in hr_flats:
         if not k_span.contains(vec):
             raise StructuralFailureError("h_r is not inside the zero-weight space")
-    perp_span = SpanBasis(ambient)
-    for a in range(len(k_matrices)):
-        for b in range(a + 1, len(k_matrices)):
-            prod = bracket(k_matrices[a], k_matrices[b])
-            if not prod.is_zero():
-                perp_span.insert(flatten(prod))
+    perp_span = _derived_span(k_rows, n)
     split = SpanBasis(ambient)
     for vec in hr_flats:
         if not split.insert(vec):
             raise StructuralFailureError("h_r vectors are dependent")
     perp_rows_kept = []
     for row in perp_span.rows:
-        if not split.insert(dict(row)):
+        if not split.insert(row):
             raise StructuralFailureError("h_r meets [k, k] nontrivially")
         perp_rows_kept.append(row)
     # h_r + [k, k] spans k for type A and D3; for B2/C2 it misses real
     # diagonal directions and the zero-weight kernel completes the block
     completion_rows = []
     for row in k_span.rows:
-        if split.insert(dict(row)):
+        if split.insert(row):
             completion_rows.append(row)
     if split.rank != k_span.rank:
         raise StructuralFailureError("zero-weight block failed to assemble")
 
-    basis: list[QuatMatrix] = list(gens.h)
-    basis.extend(QuatMatrix.unflatten(n, r) for r in perp_rows_kept)
-    basis.extend(QuatMatrix.unflatten(n, r) for r in completion_rows)
+    basis_rows: list[Vec] = [*hr_flats, *perp_rows_kept, *completion_rows]
     hr_indices = tuple(range(rank))
     hr_perp_indices = tuple(range(rank, rank + len(perp_rows_kept)))
     k_indices = tuple(range(k_span.rank))
     weight_indices: dict[tuple, tuple] = {zero: k_indices}
     weights_in_order: list[Weight] = []
     for values in nonzero_weights:
-        start = len(basis)
-        basis.extend(spaces[values])
-        weight_indices[values] = tuple(range(start, len(basis)))
+        start = len(basis_rows)
+        basis_rows.extend(spaces[values])
+        weight_indices[values] = tuple(range(start, len(basis_rows)))
         weights_in_order.append(Weight(values))
-    if len(basis) != dim:
+    if len(basis_rows) != dim:
         raise StructuralFailureError("adapted basis lost dimensions")
 
-    solver = LinearSolver([flatten(m) for m in basis], ambient)
-    constants = StructureConstants(dim=dim)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            prod = bracket(basis[i], basis[j])
-            if prod.is_zero():
-                continue
-            coeffs = solver.express(flatten(prod))
-            if coeffs is None:
-                raise StructuralFailureError("adapted basis is not bracket-closed")
-            constants.set_entry(i, j, [(k, c) for k, c in enumerate(coeffs) if c])
+    basis = [QuatMatrix.unflatten(n, row) for row in basis_rows]
+    solver = LinearSolver(basis_rows, ambient)
+    try:
+        constants = structure_constants(basis, solver)
+    except NotClosedError as exc:
+        raise StructuralFailureError("adapted basis is not bracket-closed") from exc
     timings["constants"] = (clock() - t0) * 1000.0
 
     algebra = QuaternionLieAlgebra(
@@ -651,47 +630,36 @@ def check_weight_additivity(g: QuaternionLieAlgebra) -> AdditivityReport:
 
 def k_structure(g: QuaternionLieAlgebra):
     """Zero-weight structure: h_r central in k, k = h_r + [k,k] directly."""
-    ambient = 4 * g.ambient_n * g.ambient_n
-    k_mats = [g.basis[i] for i in g.k_indices]
-    hr_mats = [g.basis[i] for i in g.hr_indices]
+    n = g.ambient_n
+    ambient = 4 * n * n
+    k_vecs = [flatten(g.basis[i]) for i in g.k_indices]
+    hr_vecs = [flatten(g.basis[i]) for i in g.hr_indices]
     perp_rows = [flatten(g.basis[i]) for i in g.hr_perp_indices]
     failures = []
     checks = []
 
-    central = all(
-        bracket(h, m).is_zero() for h in hr_mats for m in k_mats
-    )
+    central = not any(bracket_vec(h, m, n) for h in hr_vecs for m in k_vecs)
     checks.append(("hr-central-in-k", central))
     if not central:
         failures.append("hr-central-in-k")
 
-    abelian = all(
-        bracket(a, b).is_zero() for a in hr_mats for b in hr_mats
-    )
+    abelian = not any(bracket_vec(a, b, n) for a in hr_vecs for b in hr_vecs)
     checks.append(("hr-abelian", abelian))
     if not abelian:
         failures.append("hr-abelian")
 
     perp_span = SpanBasis(ambient)
     for row in perp_rows:
-        perp_span.insert(dict(row))
-    derived = SpanBasis(ambient)
-    for a in range(len(k_mats)):
-        for b in range(a + 1, len(k_mats)):
-            prod = bracket(k_mats[a], k_mats[b])
-            if not prod.is_zero():
-                derived.insert(flatten(prod))
-    derived_ok = derived.same_span(perp_span)
+        perp_span.insert(row)
+    derived_ok = _derived_span(k_vecs, n).same_span(perp_span)
     checks.append(("derived-k-equals-hr-perp", derived_ok))
     if not derived_ok:
         failures.append("derived-k-equals-hr-perp")
 
     direct = SpanBasis(ambient)
     direct_ok = True
-    for m in hr_mats:
-        direct_ok = direct.insert(flatten(m)) and direct_ok
-    for row in perp_rows:
-        direct_ok = direct.insert(dict(row)) and direct_ok
+    for row in hr_vecs + perp_rows:
+        direct_ok = direct.insert(row) and direct_ok
     direct_ok = direct_ok and direct.rank == len(g.k_indices)
     checks.append(("k-direct-sum", direct_ok))
     if not direct_ok:

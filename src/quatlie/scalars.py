@@ -9,8 +9,8 @@ complex ``a``, the product of two quaternions in this form is
 and every operation below is evaluated exactly with that rule.  No
 floating point appears anywhere in the package.
 
-Values are immutable by contract (operations return fresh objects and
-instances are hashable), so they are safe to share across workers.
+Values are immutable by contract: operations return fresh objects and
+instances are hashable.
 """
 
 from __future__ import annotations

@@ -2,17 +2,29 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatlie.bracket import (
     StructureConstants,
     bracket,
+    bracket_vec,
     check_conjugation_equivariance,
     close_under_bracket,
     closure,
     jacobi_check,
+    sigma_vec,
     structure_constants,
+    tau_vec,
 )
-from quatlie.matrices import QuatMatrix, apply_J, flatten, mj_embed, mj_extract
+from quatlie.matrices import (
+    QuatMatrix,
+    apply_J,
+    apply_sigma,
+    apply_tau,
+    flatten,
+    mj_embed,
+    mj_extract,
+)
 from quatlie.realizations import build_named, membership
 from quatlie.scalars import Q_J, Q_ONE
 
@@ -80,6 +92,48 @@ def test_bracket_jacobi_identity_on_matrices(rng):
             + bracket(z, bracket(x, y))
         )
         assert total == zero
+
+
+# ---------------------------------------------------------------------------
+# the coordinate kernel against the QuatMatrix commutator
+# ---------------------------------------------------------------------------
+
+nonzero_rational = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+
+@st.composite
+def sparse_matrices(draw, count):
+    """n in 1..4 and ``count`` sparse rational matrices (zero ones included)."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    coords = st.dictionaries(
+        st.integers(min_value=0, max_value=4 * n * n - 1),
+        nonzero_rational,
+        max_size=2 * n * n,
+    )
+    return n, [QuatMatrix.unflatten(n, draw(coords)) for _ in range(count)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(2))
+def test_bracket_vec_matches_matrix_bracket(drawn):
+    n, (x, y) = drawn
+    got = bracket_vec(flatten(x), flatten(y), n)
+    assert got == flatten(bracket(x, y))
+    assert all(type(val) is Fraction and val for val in got.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(1))
+def test_sigma_tau_coordinate_maps(drawn):
+    _, (m,) = drawn
+    assert sigma_vec(flatten(m)) == flatten(apply_sigma(m))
+    assert tau_vec(flatten(m)) == flatten(apply_tau(m))
+
+
+def test_bracket_vec_of_zero_matrices():
+    x = flatten(QuatMatrix.unit(3, 0, 1, Q_J))
+    assert bracket_vec({}, {}, 3) == {}
+    assert bracket_vec(x, {}, 3) == {} and bracket_vec({}, x, 3) == {}
 
 
 def test_closure_requires_a_generator():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -49,6 +50,29 @@ def test_build_byte_deterministic(tmp_path, capsys):
     assert main(["build", "--type", "A", "--rank", "1", "--out", str(second)]) == 0
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
+
+
+# SHA-256 of the algebra file `quatlie build` writes for each type; any
+# change to the closure, the basis, the constants or the embedded
+# manifest changes these digests
+ARTIFACT_SHA256 = {
+    ("A", 1): "b95a9f2e66b02d88a93b7fde304d5c56eb38e0e2c1607c1de4a3d94b98f4a330",
+    ("A", 2): "0ea6175c908d3032ce45c180ea2c01e920f6fd0ed07f983104cb71dab1110828",
+    ("A", 3): "40628abda9f4ce3b45be027524b78d8f12eead32c0f20ce66ddcbdd819a461d6",
+    ("B", 2): "9967822b1c3a3744b7e409c7b3ef0ae78effac4d9c09432fe920466bc6842504",
+    ("C", 2): "728b61701a2df0ae796ad87037e3212e45b7195432a6a0f2791ba8ee36a7e2bf",
+    ("D", 3): "54c35dae8784bbd4366ce699db9031f57496f71970318e61ab4b339669bbc334",
+}
+
+
+@pytest.mark.parametrize("type_label,rank", sorted(ARTIFACT_SHA256))
+def test_build_artifact_sha256_pinned(type_label, rank, tmp_path, capsys):
+    path = tmp_path / f"{type_label}{rank}.json"
+    code = main(["build", "--type", type_label, "--rank", str(rank), "--out", str(path)])
+    capsys.readouterr()
+    assert code == (1 if type_label in "BC" else 0)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == ARTIFACT_SHA256[(type_label, rank)]
 
 
 @pytest.fixture(scope="module")

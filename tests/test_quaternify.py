@@ -392,18 +392,3 @@ def test_weight_accessors(algebras):
     with pytest.raises(KeyError):
         g.index_weight(999)
 
-
-def test_thread_cap_changes_nothing(algebras, monkeypatch):
-    from quatlie.quaternify import worker_count
-
-    monkeypatch.setenv("QUATLIE_THREADS", "not-a-number")
-    assert worker_count() == 1
-    monkeypatch.setenv("QUATLIE_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("QUATLIE_THREADS", "3")
-    assert worker_count() == 3
-    pooled = quaternify("A", 1)
-    reference = algebras("A", 1)
-    assert pooled.dim == reference.dim
-    assert pooled.basis == reference.basis
-    assert pooled.constants.table == reference.constants.table
