@@ -252,3 +252,61 @@ def test_build_b2_reports_structural_failures(tmp_path, capsys):
     assert code == 1
     failing = {c["name"] for c in verdict["checks"] if not c["passed"]}
     assert failing == {"k-structure", "weights.spaces"}
+
+
+# The `verify` manifest of each built artifact, timings left out.  Per
+# type: the instances of each relation family, serre, jacobi, structure,
+# conjugations, grading, k-structure with (dim_k, dim_hr, dim_hr_perp),
+# weights.spaces and weights.additivity.  B2 and C2 keep their two red
+# measured claims.
+RELATION_FAMILIES = (
+    "h.h", "e.f", "h.e", "h.f", "h.Jh", "Jh.h", "Jh.Jh", "Je.f",
+    "e.Jf", "Je.Jf", "h.Je", "Jh.e", "Jh.Je", "h.Jf", "Jh.f", "Jh.Jf",
+)
+VERIFY_PINNED = {
+    ("A", 1): (1, 0, 455, 105, 105, 192, (7, 1, 6), 2, 90),
+    ("A", 2): (4, 16, 6545, 595, 595, 479, (11, 2, 9), 6, 385),
+    ("A", 3): (9, 48, 500, 1953, 1953, 1072, (15, 3, 12), 12, 988),
+    ("B", 2): (4, 16, 500, 1953, 1953, 1073, (15, 2, 12), 8, 988),
+    ("C", 2): (4, 16, 500, 1953, 1953, 1073, (15, 2, 12), 8, 988),
+    ("D", 3): (9, 48, 500, 1953, 1953, 1071, (15, 3, 12), 12, 988),
+}
+SHORT_ROOTS_AT_DIM_8 = [
+    "((1, 0), 'dim', 8)", "((1, 1), 'dim', 8)", "((-1, 0), 'dim', 8)", "((-1, -1), 'dim', 8)",
+]
+
+
+def _check(name, instances, failures=()):
+    return {"name": name, "passed": not failures, "instances": instances, "failures": list(failures)}
+
+
+@pytest.mark.parametrize("type_label,rank", sorted(VERIFY_PINNED))
+def test_verify_manifest_pinned(type_label, rank, tmp_path, capsys):
+    path = tmp_path / f"{type_label}{rank}.json"
+    main(["build", "--type", type_label, "--rank", str(rank), "--out", str(path)])
+    capsys.readouterr()
+    code, doc = run_json(capsys, "verify", "--in", str(path))
+    relations, serre, jacobi, structure, conjugations, grading, dims, spaces, additivity = (
+        VERIFY_PINNED[(type_label, rank)]
+    )
+    red = type_label in "BC"
+    expected = [_check(f"relations.{family}", relations) for family in RELATION_FAMILIES]
+    expected += [
+        _check("serre", serre),
+        _check("jacobi", jacobi),
+        _check("structure", structure),
+        _check("conjugations", conjugations),
+        _check("grading", grading),
+        dict(
+            _check("k-structure", 4, ["k-direct-sum"] if red else []),
+            dim_k=dims[0], dim_hr=dims[1], dim_hr_perp=dims[2],
+        ),
+        _check("weights.spaces", spaces, SHORT_ROOTS_AT_DIM_8 if red else []),
+        _check("weights.additivity", additivity),
+    ]
+    assert code == (1 if red else 0)
+    assert doc["checks"] == expected
+    assert doc["ok"] is not red
+    assert sorted(doc["timings_ms"]) == sorted(
+        ["relations", "serre", "jacobi", "structure", "conjugations", "grading", "k-structure", "weights"]
+    )
