@@ -150,12 +150,17 @@ class StructureConstants:
 @dataclass
 class ClosureResult:
     span: SpanBasis
-    matrices: list[QuatMatrix]
+    n: int
     constants: StructureConstants | None = None
 
     @property
     def dim(self) -> int:
         return self.span.rank
+
+    @property
+    def matrices(self) -> list[QuatMatrix]:
+        """The echelon rows as matrices, unflattened on each access."""
+        return [QuatMatrix.unflatten(self.n, row) for row in self.span.rows]
 
 
 def close_under_bracket(generators: list[QuatMatrix]) -> ClosureResult:
@@ -177,8 +182,7 @@ def close_under_bracket(generators: list[QuatMatrix]) -> ClosureResult:
         for other in members:
             pending.append(bracket_vec(other, candidate, n))
         members.append(candidate)
-    matrices = [QuatMatrix.unflatten(n, row) for row in span.rows]
-    return ClosureResult(span=span, matrices=matrices)
+    return ClosureResult(span=span, n=n)
 
 
 def structure_constants(

@@ -16,23 +16,10 @@ import time
 from dataclasses import dataclass, field
 
 from . import serialize
-from .bracket import (
-    bracket_vec,
-    check_conjugation_equivariance,
-    close_under_bracket,
-    jacobi_check,
-)
+from .bracket import close_under_bracket
 from .errors import MalformedInputError, StructuralFailureError
 from .matrices import apply_J, flatten, is_sigma_submodule
-from .quaternify import (
-    check_root_spaces,
-    check_weight_additivity,
-    k_structure,
-    quaternify,
-    sigma_grading_check,
-    verify_relations,
-    verify_serre,
-)
+from .quaternify import CHECKS, quaternify, run_checks
 from .realizations import build_named, membership
 from .rootsystem import cartan_matrix, positive_roots
 from .freerep import verify_h_independence, verify_ideal_kernel
@@ -40,16 +27,8 @@ from .freerep import verify_h_independence, verify_ideal_kernel
 USAGE_ERROR = 2
 CHECK_ERROR = 1
 
-VERIFY_CHECKS = (
-    "relations",
-    "serre",
-    "jacobi",
-    "structure",
-    "conjugations",
-    "grading",
-    "k-structure",
-    "weights",
-)
+# report details that a `verify` manifest prints beside the verdict
+MANIFEST_DETAIL = ("dim_k", "dim_hr", "dim_hr_perp")
 
 
 @dataclass
@@ -59,13 +38,14 @@ class Manifest:
     checks: list = field(default_factory=list)
     timings_ms: dict = field(default_factory=dict)
 
-    def add(self, name: str, passed: bool, instances: int, failures=()):
+    def add(self, name: str, passed: bool, instances: int, failures=(), **extra):
         self.checks.append(
             {
                 "name": name,
                 "passed": bool(passed),
                 "instances": int(instances),
                 "failures": [str(f) for f in list(failures)[:10]],
+                **extra,
             }
         )
 
@@ -119,10 +99,11 @@ def cmd_build(args) -> int:
     manifest.timings_ms["total"] = (time.perf_counter() - t0) * 1000.0
     manifest.add("build", True, 1)
     manifest.add("dim", algebra.dim > 0, algebra.dim)
-    for name in ("root-spaces", "k-structure"):
-        report = algebra.reports[name]
-        instances = getattr(report, "spaces_checked", len(report.failures) or 1)
-        manifest.add(f"built.{name}", report.ok, instances, report.failures)
+    spaces = algebra.reports["weights.spaces"]
+    manifest.add("built.root-spaces", spaces.ok, spaces.instances_checked, spaces.failures)
+    k = algebra.reports["k-structure"]
+    # the artifact digests pin this instance count, not k-structure's own
+    manifest.add("built.k-structure", k.ok, len(k.failures) or 1, k.failures)
     # the embedded copy omits timings and the output path so identical
     # parameters rebuild byte-identical files
     embedded = Manifest(
@@ -143,70 +124,12 @@ def _load_algebra(path: str):
         raise MalformedInputError(f"cannot load algebra from {path}: {exc}") from exc
 
 
-def _run_check(name: str, algebra, manifest: Manifest) -> None:
-    if name == "relations":
-        for report in verify_relations(algebra):
-            manifest.add(
-                f"relations.{report.family}",
-                report.ok,
-                report.instances_checked,
-                report.failures,
-            )
-    elif name == "serre":
-        report = verify_serre(algebra)
-        manifest.add("serre", report.ok, report.instances_checked, report.failures)
-    elif name == "jacobi":
-        report = jacobi_check(algebra.constants)
-        manifest.add("jacobi", report.ok, report.triples_checked, report.failures)
-    elif name == "structure":
-        failures = []
-        checked = 0
-        n = algebra.ambient_n
-        vecs = [flatten(m) for m in algebra.basis]
-        for i in range(algebra.dim):
-            for j in range(i + 1, algebra.dim):
-                checked += 1
-                coeffs = algebra.solver.express(bracket_vec(vecs[i], vecs[j], n))
-                table = dict(algebra.constants.get(i, j))
-                if coeffs is None:
-                    failures.append((i, j, "outside-span"))
-                    continue
-                derived = {k: c for k, c in enumerate(coeffs) if c}
-                if derived != table:
-                    failures.append((i, j, "table-mismatch"))
-        manifest.add("structure", not failures, checked, failures)
-    elif name == "conjugations":
-        report = check_conjugation_equivariance(algebra.basis)
-        manifest.add("conjugations", report.ok, report.pairs_checked, report.failures)
-    elif name == "grading":
-        report = sigma_grading_check(algebra)
-        manifest.add("grading", report.ok, report.instances_checked, report.failures)
-    elif name == "k-structure":
-        report = k_structure(algebra)
-        manifest.add("k-structure", report.ok, len(report.checks), report.failures)
-        manifest.checks[-1]["dim_k"] = report.dim_k
-        manifest.checks[-1]["dim_hr"] = report.dim_hr
-        manifest.checks[-1]["dim_hr_perp"] = report.dim_hr_perp
-    elif name == "weights":
-        spaces = check_root_spaces(algebra)
-        manifest.add("weights.spaces", spaces.ok, spaces.spaces_checked, spaces.failures)
-        additive = check_weight_additivity(algebra)
-        manifest.add(
-            "weights.additivity",
-            additive.ok,
-            additive.entries_checked,
-            additive.failures,
-        )
-    else:
-        raise ValueError(f"unknown check {name!r}")
-
-
 def cmd_verify(args) -> int:
-    checks = VERIFY_CHECKS if args.checks is None else tuple(args.checks.split(","))
+    checks = tuple(CHECKS) if args.checks is None else tuple(args.checks.split(","))
     for name in checks:
-        if name not in VERIFY_CHECKS:
+        if name not in CHECKS:
             return _usage_fail(
-                f"unknown check {name!r}; choose from {', '.join(VERIFY_CHECKS)}"
+                f"unknown check {name!r}; choose from {', '.join(CHECKS)}"
             )
     manifest = Manifest(
         command="verify", inputs={"in": args.in_path, "checks": list(checks)}
@@ -215,10 +138,10 @@ def cmd_verify(args) -> int:
         algebra = _load_algebra(args.in_path)
     except MalformedInputError as exc:
         return _usage_fail(str(exc))
-    for name in checks:
-        t0 = time.perf_counter()
-        _run_check(name, algebra, manifest)
-        manifest.timings_ms[name] = (time.perf_counter() - t0) * 1000.0
+    reports, manifest.timings_ms = run_checks(algebra, checks)
+    for r in reports:
+        detail = {key: r.detail[key] for key in MANIFEST_DETAIL if key in r.detail}
+        manifest.add(r.name, r.ok, r.instances_checked, r.failures, **detail)
     return _emit(manifest)
 
 
@@ -283,7 +206,7 @@ def cmd_rho_check(args) -> int:
     t0 = time.perf_counter()
     for report in verify_ideal_kernel(cm, args.degree):
         manifest.add(
-            f"family.{report.family}",
+            f"family.{report.name}",
             report.ok,
             report.instances_checked,
             report.failures,

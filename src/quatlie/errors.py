@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the check report shared across the package."""
+
+from dataclasses import dataclass, field
 
 
 class MalformedInputError(ValueError):
@@ -19,3 +21,21 @@ class TruncationOverflowError(RuntimeError):
 
 class StructuralFailureError(RuntimeError):
     """A verified-by-construction identity failed; indicates a bug."""
+
+
+@dataclass
+class CheckReport:
+    """Outcome of one named check: how many instances ran, which failed.
+
+    ``detail`` holds measured facts beside the verdict, such as the
+    dimensions of the zero-weight split.
+    """
+
+    name: str
+    instances_checked: int
+    failures: list
+    detail: dict = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import TruncationOverflowError
+from .errors import CheckReport, TruncationOverflowError
 from .linalg import SpanBasis, Vec
 from .rootsystem import CartanMatrix
 
@@ -124,39 +124,6 @@ def rho_apply_combo(
     return out
 
 
-@dataclass(frozen=True)
-class RhoOperator:
-    """One generator's action on the truncated word space.
-
-    The h operators preserve word length, f operators raise it by one
-    and e operators lower it by one; tagged operators additionally flip
-    the flag.  `sparse_action` materializes the (still sparse) table,
-    keyed by input word.
-    """
-
-    kind: str
-    index: int
-    cartan: CartanMatrix
-    degree_cap: int
-
-    def apply(self, word: FreeWord, overflow: list | None = None) -> Combo:
-        return rho_apply(
-            self.kind, self.index, word, self.cartan, self.degree_cap, overflow
-        )
-
-    def apply_combo(self, combo: Combo, overflow: list | None = None) -> Combo:
-        return rho_apply_combo(
-            self.kind, self.index, combo, self.cartan, self.degree_cap, overflow
-        )
-
-    def sparse_action(self, max_length: int) -> dict:
-        return {
-            word: self.apply(word)
-            for word in all_words(self.cartan.rank, max_length)
-            if self.kind[-1] != "f" or word.length < self.degree_cap
-        }
-
-
 def all_words(rank: int, max_length: int) -> list[FreeWord]:
     """Every word up to the given length, both flags, in a fixed order."""
     out = []
@@ -173,7 +140,9 @@ def all_words(rank: int, max_length: int) -> list[FreeWord]:
 
 # name, left kind, right kind, optional target: (kind, index role, sign, rule)
 # where rule "delta" means delta_ij acting via index i and rule "cji"
-# means the Cartan entry c[j][i] acting via index j.
+# means the Cartan entry c[j][i] acting via index j.  Family (a, b, t)
+# states [a_i, b_j] = t; the matrix check in ``quaternify`` reads the
+# same table.
 FAMILIES = (
     ("h.h", "h", "h", None),
     ("e.f", "e", "f", ("h", "i", 1, "delta")),
@@ -194,15 +163,18 @@ FAMILIES = (
 )
 
 
-@dataclass
-class FamilyReport:
-    family: str
-    instances_checked: int
-    failures: list
+def family_target(target, i: int, j: int, c) -> tuple:
+    """(kind, index, coefficient) of a family's right-hand side at (i, j).
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    ``c`` holds the Cartan entries; the coefficient is 0 where the
+    commutator must vanish.
+    """
+    if target is None:
+        return None, None, Fraction(0)
+    kind, _, sign, rule = target
+    if rule == "delta":
+        return kind, i, Fraction(sign if i == j else 0)
+    return kind, j, Fraction(sign * c[j][i])
 
 
 def _family_defect(
@@ -221,21 +193,14 @@ def _family_defect(
     defect: Combo = dict(left)
     for w, coeff in right.items():
         _add_term(defect, w, -coeff)
-    if target is not None:
-        kind_t, role, sign, rule = target
-        if rule == "delta":
-            coeff = Fraction(sign) if i == j else Fraction(0)
-            index = i
-        else:  # cji
-            coeff = Fraction(sign * cm.entries[j][i])
-            index = j
-        if coeff:
-            for w, val in rho_apply(kind_t, index, word, cm, cap).items():
-                _add_term(defect, w, -coeff * val)
+    kind_t, index, coeff = family_target(target, i, j, cm.entries)
+    if coeff:
+        for w, val in rho_apply(kind_t, index, word, cm, cap).items():
+            _add_term(defect, w, -coeff * val)
     return defect
 
 
-def verify_ideal_kernel(cm: CartanMatrix, degree: int) -> list[FamilyReport]:
+def verify_ideal_kernel(cm: CartanMatrix, degree: int) -> list[CheckReport]:
     """Check that all sixteen relation families act as zero operators.
 
     Every family element is a commutator combination of degree at most
@@ -258,9 +223,7 @@ def verify_ideal_kernel(cm: CartanMatrix, degree: int) -> list[FamilyReport]:
                     )
                     if defect:
                         failures.append((i, j, word.label(), len(defect)))
-        reports.append(
-            FamilyReport(family=name, instances_checked=checked, failures=failures)
-        )
+        reports.append(CheckReport(name, checked, failures))
     return reports
 
 

@@ -232,10 +232,6 @@ def _cmat(rows) -> ComplexMatrix:
     return tuple(tuple(row) for row in rows)
 
 
-def _cmat_zeros(n: int) -> ComplexMatrix:
-    return tuple((GR_ZERO,) * n for _ in range(n))
-
-
 def _cmat_add(x: ComplexMatrix, y: ComplexMatrix) -> ComplexMatrix:
     return tuple(
         tuple(a + b for a, b in zip(rx, ry)) for rx, ry in zip(x, y)

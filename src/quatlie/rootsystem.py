@@ -122,10 +122,6 @@ class Root:
     def __neg__(self) -> "Root":
         return Root(tuple(-a for a in self.coeffs))
 
-    @property
-    def height(self) -> int:
-        return sum(self.coeffs)
-
 
 @dataclass(frozen=True)
 class Weight:

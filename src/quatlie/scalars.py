@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import MalformedInputError
+
 
 def as_fraction(value) -> Fraction:
     """Coerce an int, a ``p/q`` string or a Fraction to an exact rational."""
@@ -36,7 +38,10 @@ def format_rational(value: Fraction) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """Inverse of :func:`format_rational`; round-trips bit-exactly."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except (AttributeError, ValueError, ZeroDivisionError) as exc:
+        raise MalformedInputError(f"not a rational string: {text!r}") from exc
 
 
 class GaussianRational:
@@ -86,9 +91,6 @@ class GaussianRational:
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    def is_real(self) -> bool:
-        return not self.im
 
 
 GR_ZERO = GaussianRational(0, 0)

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 
 from .bracket import StructureConstants
-from .errors import MalformedInputError
+from .errors import MalformedInputError, StructuralFailureError
 from .linalg import LinearSolver, SpanBasis
 from .matrices import MJMatrix, QuatMatrix, flatten
-from .quaternify import QuaternionLieAlgebra
+from .quaternify import QuaternionLieAlgebra, _root_vector_table
 from .realizations import ChevalleyGenerators
-from .rootsystem import CartanMatrix, custom_cartan
+from .rootsystem import CartanMatrix, custom_cartan, positive_roots_with_tree
 from .scalars import (
     GaussianRational,
     Quaternion,
@@ -88,11 +88,16 @@ def constants_to_json(sc: StructureConstants) -> dict:
 
 
 def constants_from_json(data) -> StructureConstants:
-    sc = StructureConstants(dim=data["dim"])
+    dim = data["dim"]
+    sc = StructureConstants(dim=dim)
     grouped: dict[tuple, list] = {}
     for i, j, k, coeff in data["entries"]:
         if not i < j:
             raise MalformedInputError("structure constants must be stored with i < j")
+        if not (0 <= i and j < dim and 0 <= k < dim):
+            raise MalformedInputError(
+                f"structure constant index out of range(dim={dim}): {[i, j, k]}"
+            )
         grouped.setdefault((i, j), []).append((k, parse_rational(coeff)))
     for (i, j), terms in grouped.items():
         sc.set_entry(i, j, terms)
@@ -134,46 +139,89 @@ def algebra_to_json(g: QuaternionLieAlgebra, manifest: dict | None = None) -> di
     return doc
 
 
+def _index_set(values, dim: int, what: str) -> tuple:
+    """Distinct basis indices below ``dim``, or MalformedInputError."""
+    values = tuple(values)
+    if len(set(values)) != len(values) or not all(0 <= i < dim for i in values):
+        raise MalformedInputError(f"{what} must be distinct indices below dim {dim}")
+    return values
+
+
+def _matrices_from_json(items, n: int, what: str) -> list:
+    matrices = [quat_matrix_from_json(m) for m in items]
+    if any(m.n != n for m in matrices):
+        raise MalformedInputError(f"{what} matrices must be {n} x {n}")
+    return matrices
+
+
 def algebra_from_json(data) -> QuaternionLieAlgebra:
     """Rebuild a verified-shape algebra object from its self-describing dump.
 
     No closure or decomposition is re-derived; verification commands run
-    their checks against exactly what the file declares.
+    their checks against exactly what the file declares.  The file's
+    shape is checked first: the artifact version, index ranges, integer
+    weights whose blocks partition the basis, k containing h_r and
+    h_r-perp, and the Cartan matrix, rank, matrix sizes and generators
+    agreeing (the generators must give every root a vector).  Any
+    mismatch raises MalformedInputError.
     """
     if data.get("kind") != "quaternion-lie-algebra":
         raise MalformedInputError("not an algebra file")
-    cartan = custom_cartan(data["cartan"])
+    if data.get("artifact_version") != ARTIFACT_VERSION:
+        raise MalformedInputError(f"artifact_version must be {ARTIFACT_VERSION!r}")
+    rank = data["rank"]
+    try:
+        cartan = custom_cartan(data["cartan"])
+    except ValueError as exc:
+        raise MalformedInputError(f"bad Cartan matrix: {exc}") from exc
+    if cartan.rank != rank:
+        raise MalformedInputError(f"Cartan matrix has rank {cartan.rank}, file says {rank}")
     if data["type"] in ("A", "B", "C", "D"):
         cartan = CartanMatrix(
             type_label=data["type"], rank=cartan.rank, entries=cartan.entries
         )
-    basis = [quat_matrix_from_json(m) for m in data["basis"]]
     n = data["ambient_n"]
+    basis = _matrices_from_json(data["basis"], n, "basis")
+    dim = len(basis)
     ambient = 4 * n * n
     span = SpanBasis(ambient)
     for m in basis:
         span.insert(flatten(m))
-    if span.rank != len(basis):
+    if span.rank != dim:
         raise MalformedInputError("declared basis is linearly dependent")
-    gens = ChevalleyGenerators(
-        type_label=data["type"],
-        rank=data["rank"],
-        ambient_n=n,
-        h=[quat_matrix_from_json(m) for m in data["generators"]["h"]],
-        e=[quat_matrix_from_json(m) for m in data["generators"]["e"]],
-        f=[quat_matrix_from_json(m) for m in data["generators"]["f"]],
-        cartan=cartan,
-    )
-    weight_indices = {
-        tuple(item["weight"]): tuple(item["indices"]) for item in data["weights"]
+    generators = {
+        kind: _matrices_from_json(data["generators"][kind], n, "generator")
+        for kind in ("h", "e", "f")
     }
-    from .quaternify import _root_vector_table
-    from .rootsystem import positive_roots_with_tree, Weight
-
+    if any(len(mats) != rank for mats in generators.values()):
+        raise MalformedInputError(f"expected {rank} generators of each kind")
+    gens = ChevalleyGenerators(
+        type_label=data["type"], rank=rank, ambient_n=n, cartan=cartan, **generators
+    )
+    constants = constants_from_json(data["structure_constants"])
+    if constants.dim != dim:
+        raise MalformedInputError(f"structure constants over dim {constants.dim}, basis has {dim}")
+    weight_indices = {}
+    for item in data["weights"]:
+        weight = tuple(item["weight"])
+        if len(weight) != rank or not all(type(v) is int for v in weight):
+            raise MalformedInputError(f"weight {list(weight)} is not {rank} integers")
+        weight_indices[weight] = _index_set(item["indices"], dim, "weight block")
+    if sorted(i for block in weight_indices.values() for i in block) != list(range(dim)):
+        raise MalformedInputError("weight blocks do not partition the basis indices")
+    k_indices = _index_set(data["k_indices"], dim, "k_indices")
+    hr_indices = _index_set(data["hr_indices"], dim, "hr_indices")
+    hr_perp_indices = _index_set(data["hr_perp_indices"], dim, "hr_perp_indices")
+    if not set(hr_indices) | set(hr_perp_indices) <= set(k_indices):
+        raise MalformedInputError("k_indices must contain hr_indices and hr_perp_indices")
     tree = positive_roots_with_tree(cartan)
+    try:
+        root_vectors = _root_vector_table(gens, tree)
+    except StructuralFailureError as exc:
+        raise MalformedInputError(f"generators do not fit the Cartan matrix: {exc}") from exc
     return QuaternionLieAlgebra(
         type_label=data["type"],
-        rank=data["rank"],
+        rank=rank,
         realization=data["realization"],
         ambient_n=n,
         cartan=cartan,
@@ -181,14 +229,13 @@ def algebra_from_json(data) -> QuaternionLieAlgebra:
         basis=basis,
         span=span,
         solver=LinearSolver([flatten(m) for m in basis], ambient),
-        constants=constants_from_json(data["structure_constants"]),
+        constants=constants,
         pos_roots=[node.root for node in tree],
-        weights=[Weight(w) for w in sorted(weight_indices) if any(w)],
         weight_indices=weight_indices,
-        k_indices=tuple(data["k_indices"]),
-        hr_indices=tuple(data["hr_indices"]),
-        hr_perp_indices=tuple(data["hr_perp_indices"]),
-        root_vectors=_root_vector_table(gens, tree),
+        k_indices=k_indices,
+        hr_indices=hr_indices,
+        hr_perp_indices=hr_perp_indices,
+        root_vectors=root_vectors,
     )
 
 

@@ -147,7 +147,7 @@ def test_criterion_5_relation_suites(algebras):
         reports = verify_relations(g)
         assert len(reports) == 16
         for rep in reports:
-            assert rep.ok, (type_label, rank, rep.family, rep.failures[:3])
+            assert rep.ok, (type_label, rank, rep.name, rep.failures[:3])
     check_time = time.monotonic() - start
     total = check_time + sum(BUILD_SECONDS.values())
     assert total < 120.0, f"took {total:.2f}s incl. builds, budget 120s"
@@ -195,7 +195,7 @@ def test_criterion_8_k_lemma(algebras, type_label, rank):
     label = f"k structure {type_label}{rank}"
     rep = k_structure(g)
     if type_label == "A":
-        assert rep.dim_k == 4 * rank + 3
+        assert rep.detail["dim_k"] == 4 * rank + 3
     n = g.ambient_n
     diagonals = K_COMPLETIONS.get((type_label, rank), [])
     for diag in diagonals:
@@ -231,7 +231,7 @@ def test_criterion_9_rho_verification():
         reports = verify_ideal_kernel(cm, 4)
         assert len(reports) == 16
         for rep in reports:
-            assert rep.ok, (type_label, rank, rep.family, rep.failures[:2])
+            assert rep.ok, (type_label, rank, rep.name, rep.failures[:2])
         indep = verify_h_independence(cm, 4)
         assert indep.ok and indep.rank_h == rank and indep.rank_jh == rank
     singular = custom_cartan([[2, -1], [-4, 2]])
@@ -254,7 +254,7 @@ def test_criterion_10_property_suites(algebras):
         equi = check_conjugation_equivariance(g.basis)
         assert equi.ok
         grading = sigma_grading_check(g)
-        assert grading.ok and grading.homogeneous
+        assert grading.ok and grading.detail["homogeneous"]
     # closure idempotence and generator-order independence over 5 shuffles
     seed = build_named("sl_n_C", 2).basis
     generators = list(seed) + [apply_J(m) for m in seed]

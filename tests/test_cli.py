@@ -130,6 +130,54 @@ def test_verify_detects_structure_constant_mutation(a2_file, tmp_path, capsys):
     )
 
 
+def _drop_weight_block(doc):
+    doc["weights"].pop()
+
+
+def _sc_index_past_dim(doc):
+    doc["structure_constants"]["entries"][0][2] = doc["dim"]
+
+
+def _k_index_past_dim(doc):
+    doc["k_indices"][0] = doc["dim"]
+
+
+def _non_rational_coefficient(doc):
+    doc["structure_constants"]["entries"][0][3] = "x/y"
+
+
+def _cartan_of_wrong_rank(doc):
+    doc["cartan"] = [[2]]
+
+
+def _zero_generator(doc):
+    for row in doc["generators"]["e"][0]["entries"]:
+        for entry in row:
+            entry[:] = ["0", "0", "0", "0"]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _sc_index_past_dim,
+        _k_index_past_dim,
+        _drop_weight_block,
+        _non_rational_coefficient,
+        _cartan_of_wrong_rank,
+        _zero_generator,
+    ],
+)
+def test_verify_rejects_malformed_artifact(mutate, a2_file, tmp_path, capsys):
+    doc = json.loads(a2_file.read_text())
+    mutate(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot load algebra") and captured.err.count("\n") == 1
+
+
 def test_verify_k_structure_reports_dims(tmp_path, capsys):
     path = tmp_path / "a1.json"
     assert main(["build", "--type", "A", "--rank", "1", "--out", str(path)]) == 0
@@ -264,12 +312,12 @@ RELATION_FAMILIES = (
     "e.Jf", "Je.Jf", "h.Je", "Jh.e", "Jh.Je", "h.Jf", "Jh.f", "Jh.Jf",
 )
 VERIFY_PINNED = {
-    ("A", 1): (1, 0, 455, 105, 105, 192, (7, 1, 6), 2, 90),
-    ("A", 2): (4, 16, 6545, 595, 595, 479, (11, 2, 9), 6, 385),
-    ("A", 3): (9, 48, 500, 1953, 1953, 1072, (15, 3, 12), 12, 988),
-    ("B", 2): (4, 16, 500, 1953, 1953, 1073, (15, 2, 12), 8, 988),
-    ("C", 2): (4, 16, 500, 1953, 1953, 1073, (15, 2, 12), 8, 988),
-    ("D", 3): (9, 48, 500, 1953, 1953, 1071, (15, 3, 12), 12, 988),
+    ("A", 1): (1, 0, 455, 105, 105, 102, (7, 1, 6), 2, 90),
+    ("A", 2): (4, 16, 6545, 595, 595, 409, (11, 2, 9), 6, 385),
+    ("A", 3): (9, 48, 500, 1953, 1953, 1024, (15, 3, 12), 12, 988),
+    ("B", 2): (4, 16, 500, 1953, 1953, 1012, (15, 2, 12), 8, 988),
+    ("C", 2): (4, 16, 500, 1953, 1953, 1012, (15, 2, 12), 8, 988),
+    ("D", 3): (9, 48, 500, 1953, 1953, 1024, (15, 3, 12), 12, 988),
 }
 SHORT_ROOTS_AT_DIM_8 = [
     "((1, 0), 'dim', 8)", "((1, 1), 'dim', 8)", "((-1, 0), 'dim', 8)", "((-1, -1), 'dim', 8)",

@@ -8,6 +8,7 @@ from quatlie.freerep import (
     FreeWord,
     all_words,
     rho_apply,
+    rho_apply_combo,
     verify_h_independence,
     verify_ideal_kernel,
 )
@@ -113,11 +114,11 @@ def test_ideal_kernel_families_vanish(type_label, rank):
     reports = verify_ideal_kernel(cm, 3)
     assert len(reports) == 16
     for report in reports:
-        assert report.ok, (report.family, report.failures[:3])
+        assert report.ok, (report.name, report.failures[:3])
 
 
 def test_specific_family_examples_at_degree_four():
-    reports = {r.family: r for r in verify_ideal_kernel(A2, 4)}
+    reports = {r.name: r for r in verify_ideal_kernel(A2, 4)}
     assert reports["Jh.f"].ok  # [Jh_i, f_j] + c_ji Jf_j
     assert reports["Jh.e"].ok  # [Jh_i, e_j] - c_ji Je_j
     assert reports["h.Jh"].ok
@@ -142,16 +143,9 @@ def test_h_independence_singular_cartan_fails():
     assert report.rank_h == 1 and report.rank_jh == 1
 
 
-def test_rho_operator_wrapper():
-    from quatlie.freerep import RhoOperator
-
-    op = RhoOperator("Jh", 0, A2, 3)
+def test_rho_apply_jh_clears_flag():
+    # Jh_0 on J.f1 is +c[0][0] f1 with the flag cleared
     w = FreeWord(True, (0,))
-    assert op.apply(w) == rho_apply("Jh", 0, w, A2, 3)
+    assert rho_apply("Jh", 0, w, A2, 3) == {FreeWord(False, (0,)): Fraction(2)}
     combo = {w: Fraction(2)}
-    assert op.apply_combo(combo) == {FreeWord(False, (0,)): Fraction(4)}
-    table = op.sparse_action(2)
-    assert w in table and table[w] == op.apply(w)
-    raise_op = RhoOperator("f", 0, A2, 2)
-    action = raise_op.sparse_action(2)
-    assert all(word.length < 2 for word in action)
+    assert rho_apply_combo("Jh", 0, combo, A2, 3) == {FreeWord(False, (0,)): Fraction(4)}

@@ -93,7 +93,7 @@ def test_relation_families_all_pass(algebras, type_label, rank):
     reports = verify_relations(algebras(type_label, rank))
     assert len(reports) == 16
     for report in reports:
-        assert report.ok, (report.family, report.failures)
+        assert report.ok, (report.name, report.failures)
         assert report.instances_checked == rank * rank
 
 
@@ -172,7 +172,7 @@ def test_root_spaces_inflate_for_bc(algebras, type_label):
     report = check_root_spaces(g)
     short = [(1, 0), (1, 1), (-1, 0), (-1, -1)]
     assert report.failures == [(coeffs, "dim", 8) for coeffs in short]
-    assert g.reports["root-spaces"].failures == report.failures
+    assert g.reports["weights.spaces"].failures == report.failures
     assert _span(g.basis, n).same_span(_span(build_named("sl_n_H", n).basis, n))
     doubled = {
         values: positions
@@ -213,7 +213,7 @@ def test_weight_blocks_cover_algebra(algebras, type_label, rank):
 def test_k_structure_clean_types(algebras, type_label, rank):
     report = k_structure(algebras(type_label, rank))
     assert report.ok, report.failures
-    assert report.dim_k == report.dim_hr + report.dim_hr_perp
+    assert report.detail["dim_k"] == report.detail["dim_hr"] + report.detail["dim_hr_perp"]
 
 
 @pytest.mark.parametrize("type_label", ["B", "C"])
@@ -221,8 +221,8 @@ def test_k_structure_bc_misses_one_direction(algebras, type_label):
     report = k_structure(algebras(type_label, 2))
     assert not report.ok
     assert report.failures == ["k-direct-sum"]
-    assert report.dim_k == 15
-    assert report.dim_hr + report.dim_hr_perp == 14
+    assert report.detail["dim_k"] == 15
+    assert report.detail["dim_hr"] + report.detail["dim_hr_perp"] == 14
 
 
 def test_b2_defining_realization_closes_to_so_star_10():
@@ -334,7 +334,7 @@ def test_hr_is_abelian_and_central_in_k(algebras):
     for type_label, rank in ALL_TYPES:
         g = algebras(type_label, rank)
         report = k_structure(g)
-        checks = dict(report.checks)
+        checks = dict(report.detail["checks"])
         assert checks["hr-abelian"]
         assert checks["hr-central-in-k"]
 
@@ -348,7 +348,7 @@ def test_hr_is_abelian_and_central_in_k(algebras):
 def test_sigma_grading(algebras, type_label, rank):
     report = sigma_grading_check(algebras(type_label, rank))
     assert report.ok, report.failures[:5]
-    assert report.homogeneous
+    assert report.detail["homogeneous"]
 
 
 def test_grading_examples(algebras):
