@@ -12,10 +12,11 @@ so :func:`bracket_vec` forms the commutator
 one nonzero coordinate pair at a time, in exact ``Fraction`` arithmetic,
 without building quaternion matrices.  The conjugations are sign flips:
 sigma (z1 + j*z2 -> z1 - j*z2) negates offsets 2 and 3 of every entry,
-tau (complex conjugation of z1 and z2) negates offsets 1 and 3.
+tau (complex conjugation of z1 and z2) negates offsets 1 and 3.  A built
+algebra is stored as such rows, and its checks read them as they are.
 
 :func:`bracket` stays the ``QuatMatrix`` commutator ``x @ y - y @ x``.
-It serves the boundary (generator relations, Serre words, root vectors)
+It serves the realization boundary (generator validation, root vectors)
 and is the independent oracle that the tests hold the kernel against.
 
 Closure works over a worklist: every accepted member is bracketed
@@ -88,6 +89,14 @@ def bracket_vec(x: Vec, y: Vec, n: int) -> Vec:
 def sigma_vec(x: Vec) -> Vec:
     """sigma in coordinates: negate re z2 and im z2 of every entry."""
     return {idx: -val if idx & 2 else val for idx, val in x.items()}
+
+
+def sigma_parity(x: Vec):
+    """+1 / -1 when ``x`` is a nonzero sigma eigenvector, None if mixed or zero."""
+    offsets = {idx & 2 for idx in x}
+    if len(offsets) != 1:
+        return None
+    return 1 if offsets == {0} else -1
 
 
 def tau_vec(x: Vec) -> Vec:
@@ -186,20 +195,16 @@ def close_under_bracket(generators: list[QuatMatrix]) -> ClosureResult:
 
 
 def structure_constants(
-    matrices: list[QuatMatrix], solver: LinearSolver | None = None
+    vecs: list[Vec], n: int, solver: LinearSolver | None = None
 ) -> StructureConstants:
-    """Bracket table of a bracket-closed list of independent matrices.
+    """Bracket table of a bracket-closed list of independent flattened matrices.
 
-    ``solver``, when given, must express vectors over the flattened
-    ``matrices`` in this order; otherwise one is built.
+    ``solver``, when given, must express vectors over ``vecs`` in this
+    order; otherwise one is built.
     """
-    if not matrices:
-        return StructureConstants(dim=0)
-    n = matrices[0].n
-    vecs = [flatten(m) for m in matrices]
     if solver is None:
         solver = LinearSolver(vecs, 4 * n * n)
-    sc = StructureConstants(dim=len(matrices))
+    sc = StructureConstants(dim=len(vecs))
     for i, x in enumerate(vecs):
         for j in range(i + 1, len(vecs)):
             prod = bracket_vec(x, vecs[j], n)
@@ -217,7 +222,7 @@ def structure_constants(
 def closure(generators: list[QuatMatrix]) -> ClosureResult:
     """Closure together with the structure constants of its echelon basis."""
     result = close_under_bracket(generators)
-    result.constants = structure_constants(result.matrices)
+    result.constants = structure_constants(result.span.rows, result.n)
     return result
 
 
@@ -282,16 +287,12 @@ class EquivarianceReport:
         return not self.failures
 
 
-def check_conjugation_equivariance(matrices: list[QuatMatrix]) -> EquivarianceReport:
+def check_conjugation_equivariance(vecs: list[Vec], n: int) -> EquivarianceReport:
     """Verify sigma[x,y] == [sigma x, sigma y] and likewise for tau.
 
-    Checked on all basis pairs; for a basis of a bracket-closed span this
-    pins the identity on the whole algebra by bilinearity.
+    Checked on all pairs of the flattened basis ``vecs``; for a basis of a
+    bracket-closed span this pins the identity on the whole algebra.
     """
-    if not matrices:
-        return EquivarianceReport(pairs_checked=0, failures=[])
-    n = matrices[0].n
-    vecs = [flatten(m) for m in matrices]
     sigmas = [sigma_vec(v) for v in vecs]
     taus = [tau_vec(v) for v in vecs]
     failures = []

@@ -210,17 +210,6 @@ def quat_transpose_mj(m: QuatMatrix) -> QuatMatrix:
     )
 
 
-def sigma_eigenvalue(m: QuatMatrix):
-    """+1 / -1 for a homogeneous nonzero matrix, None if mixed or zero."""
-    has_plain = any(not a.z1.is_zero() for row in m.rows for a in row)
-    has_j = any(not a.z2.is_zero() for row in m.rows for a in row)
-    if has_plain and not has_j:
-        return 1
-    if has_j and not has_plain:
-        return -1
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Complex block matrices and the MJ picture
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ Starting from Chevalley generators of a classical simple algebra in a
 faithful matrix realization, the quaternification is built as the real
 bracket closure, inside gl(n, H), of the generator set
 
-    { x, i*x, J x, i*J x : x in {h_k, e_k, f_k} }
+    { x, i*x, J x, J(i*x) : x in {h_k, e_k, f_k} }
 
 (the real span of all complex multiples of the generators and their J
-images).  The pipeline then
+images).  The algebra is kept as flattened coordinate rows (``Vec``, see
+``quatlie.bracket``) from the closure to the stored basis; quaternion
+matrices appear only for the generators and the root vectors.  The
+pipeline then
 
   1. computes the weight decomposition with respect to {h_1..h_l},
      probing exactly the candidate weights coming from the root system
@@ -50,6 +53,7 @@ text.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,12 +65,13 @@ from .bracket import (
     check_conjugation_equivariance,
     close_under_bracket,
     jacobi_check,
+    sigma_parity,
     structure_constants,
 )
 from .errors import CheckReport, NotClosedError, StructuralFailureError
 from .freerep import FAMILIES, family_target
-from .linalg import LinearSolver, SpanBasis, Vec, kernel_basis, vec_iadd_scaled
-from .matrices import QuatMatrix, apply_J, flatten, sigma_eigenvalue
+from .linalg import LinearSolver, SpanBasis, Vec, kernel_basis, span_of, vec_iadd_scaled
+from .matrices import QuatMatrix, apply_J, flatten
 from .realizations import ChevalleyGenerators, chevalley_generators
 from .rootsystem import (
     CartanMatrix,
@@ -139,8 +144,7 @@ class QuaternionLieAlgebra:
     ambient_n: int
     cartan: CartanMatrix
     generators: ChevalleyGenerators
-    basis: list  # QuatMatrix, adapted order
-    span: SpanBasis
+    basis: list  # Vec, flattened adapted basis rows
     solver: LinearSolver
     constants: StructureConstants
     pos_roots: list  # Root
@@ -156,17 +160,6 @@ class QuaternionLieAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def j_images(self):
-        g = self.generators
-        return (
-            [apply_J(m) for m in g.h],
-            [apply_J(m) for m in g.e],
-            [apply_J(m) for m in g.f],
-        )
-
-    def weight_space(self, values) -> list:
-        return [self.basis[i] for i in self.weight_indices[tuple(values)]]
-
     def index_weight(self, index: int):
         for values, indices in self.weight_indices.items():
             if index in indices:
@@ -174,13 +167,20 @@ class QuaternionLieAlgebra:
         raise KeyError(index)
 
 
+def quaternion_line(m: QuatMatrix) -> list:
+    """x, i x, J x and J(i x): a real basis of the quaternion line H x."""
+    m_i = m.scale(Q_I)
+    return [m, m_i, apply_J(m), apply_J(m_i)]
+
+
 def generating_set(gens: ChevalleyGenerators) -> list:
-    """Real generators: every Chevalley generator with its i, J and iJ images."""
-    out = []
-    for m in [*gens.h, *gens.e, *gens.f]:
-        m_i = m.scale(Q_I)
-        out.extend([m, m_i, apply_J(m), apply_J(m_i)])
-    return out
+    """Real generators: the quaternion line of every Chevalley generator."""
+    return [m for x in [*gens.h, *gens.e, *gens.f] for m in quaternion_line(x)]
+
+
+def signed_root_weights(roots: list, cm: CartanMatrix) -> dict:
+    """Signed root -> its weight values, the given positive roots first."""
+    return {r: weight_of(r, cm).values for r in (*roots, *(-r for r in roots))}
 
 
 def _ad_columns(h: Vec, span: SpanBasis, n: int) -> list:
@@ -278,10 +278,8 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
     hr_flats = [flatten(h) for h in gens.h]
     ad_cols = [_ad_columns(h, span, n) for h in hr_flats]
     tree = positive_roots_with_tree(cm)
-    pos_weights = [weight_of(node.root, cm) for node in tree]
-    nonzero_weights = sorted(
-        {w.values for w in pos_weights} | {(-w).values for w in pos_weights}
-    )
+    pos_roots = [node.root for node in tree]
+    nonzero_weights = sorted(set(signed_root_weights(pos_roots, cm).values()))
     zero = tuple(0 for _ in range(rank))
     if zero in nonzero_weights:
         raise StructuralFailureError("zero weight appeared among the roots")
@@ -290,9 +288,8 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
     spaces: dict[tuple, list] = {}  # weight -> echelon rows of its block
     total = 0
     for values in candidates:
-        block = SpanBasis(ambient)
-        for coeffs in _weight_kernel(ad_cols, values, dim):
-            block.insert(_combine(span.rows, coeffs))
+        kernel = _weight_kernel(ad_cols, values, dim)
+        block = span_of([_combine(span.rows, coeffs) for coeffs in kernel], ambient)
         if values == zero and block.rank == 0:
             raise StructuralFailureError("empty zero-weight space")
         if block.rank:
@@ -311,9 +308,7 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
 
     t0 = clock()
     k_rows = spaces[zero]
-    k_span = SpanBasis(ambient)
-    for row in k_rows:
-        k_span.insert(row)
+    k_span = span_of(k_rows, ambient)
     for vec in hr_flats:
         if not k_span.contains(vec):
             raise StructuralFailureError("h_r is not inside the zero-weight space")
@@ -336,22 +331,21 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
     if split.rank != k_span.rank:
         raise StructuralFailureError("zero-weight block failed to assemble")
 
-    basis_rows: list[Vec] = [*hr_flats, *perp_rows_kept, *completion_rows]
+    basis: list[Vec] = [*hr_flats, *perp_rows_kept, *completion_rows]
     hr_indices = tuple(range(rank))
     hr_perp_indices = tuple(range(rank, rank + len(perp_rows_kept)))
     k_indices = tuple(range(k_span.rank))
     weight_indices: dict[tuple, tuple] = {zero: k_indices}
     for values in nonzero_weights:
-        start = len(basis_rows)
-        basis_rows.extend(spaces[values])
-        weight_indices[values] = tuple(range(start, len(basis_rows)))
-    if len(basis_rows) != dim:
+        start = len(basis)
+        basis.extend(spaces[values])
+        weight_indices[values] = tuple(range(start, len(basis)))
+    if len(basis) != dim:
         raise StructuralFailureError("adapted basis lost dimensions")
 
-    basis = [QuatMatrix.unflatten(n, row) for row in basis_rows]
-    solver = LinearSolver(basis_rows, ambient)
+    solver = LinearSolver(basis, ambient)
     try:
-        constants = structure_constants(basis, solver)
+        constants = structure_constants(basis, n, solver)
     except NotClosedError as exc:
         raise StructuralFailureError("adapted basis is not bracket-closed") from exc
     timings["constants"] = (clock() - t0) * 1000.0
@@ -364,10 +358,9 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
         cartan=cm,
         generators=gens,
         basis=basis,
-        span=span,
         solver=solver,
         constants=constants,
-        pos_roots=[node.root for node in tree],
+        pos_roots=pos_roots,
         weight_indices=weight_indices,
         k_indices=k_indices,
         hr_indices=hr_indices,
@@ -394,25 +387,34 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
 # ---------------------------------------------------------------------------
 
 
+def _generator_vecs(gens: ChevalleyGenerators) -> dict:
+    """Kind -> flattened generators, for h, e, f and their J images Jh, Je, Jf."""
+    plain = {"h": gens.h, "e": gens.e, "f": gens.f}
+    ops = {kind: [flatten(m) for m in mats] for kind, mats in plain.items()}
+    for kind, mats in plain.items():
+        ops["J" + kind] = [flatten(apply_J(m)) for m in mats]
+    return ops
+
+
 def verify_relations(g: QuaternionLieAlgebra) -> list[CheckReport]:
     """The four plain and twelve J-tagged generator relation families.
 
     The families are ``freerep.FAMILIES``, the table the word-space check
-    reads, evaluated on the generator matrices and their J images.
+    reads, evaluated on the flattened generators and their J images.
     """
-    gens = g.generators
-    jh, je, jf = g.j_images()
-    ops = {"h": gens.h, "e": gens.e, "f": gens.f, "Jh": jh, "Je": je, "Jf": jf}
+    ops = _generator_vecs(g.generators)
+    n = g.ambient_n
     l = g.rank
-    zero = QuatMatrix.zeros(g.ambient_n)
     reports = []
     for name, kind_a, kind_b, target in FAMILIES:
         failures = []
         for i in range(l):
             for j in range(l):
                 kind_t, index, coeff = family_target(target, i, j, g.cartan.entries)
-                expected = ops[kind_t][index].scale_rational(coeff) if coeff else zero
-                if bracket(ops[kind_a][i], ops[kind_b][j]) != expected:
+                expected = {}
+                if coeff:
+                    expected = {k: v * coeff for k, v in ops[kind_t][index].items()}
+                if bracket_vec(ops[kind_a][i], ops[kind_b][j], n) != expected:
                     failures.append((i, j))
         reports.append(CheckReport(f"relations.{name}", l * l, failures))
     return reports
@@ -420,8 +422,8 @@ def verify_relations(g: QuaternionLieAlgebra) -> list[CheckReport]:
 
 def verify_serre(g: QuaternionLieAlgebra) -> CheckReport:
     """(ad x_i)^(1 - c_ji) applied to x_j vanishes for all J-combinations."""
-    gens = g.generators
-    jh, je, jf = g.j_images()
+    ops = _generator_vecs(g.generators)
+    n = g.ambient_n
     c = g.cartan.entries
     l = g.rank
     failures = []
@@ -431,17 +433,15 @@ def verify_serre(g: QuaternionLieAlgebra) -> CheckReport:
             if i == j:
                 continue
             power = 1 - c[j][i]
-            for side, ops, targets in (
-                ("e", (gens.e[i], je[i]), (gens.e[j], je[j])),
-                ("f", (gens.f[i], jf[i]), (gens.f[j], jf[j])),
-            ):
-                for a, op in enumerate(ops):
-                    for b, target in enumerate(targets):
+            for side in ("e", "f"):
+                pair = (side, "J" + side)
+                for a, op in enumerate(ops[kind][i] for kind in pair):
+                    for b, target in enumerate(ops[kind][j] for kind in pair):
                         checked += 1
                         acc = target
                         for _ in range(power):
-                            acc = bracket(op, acc)
-                        if not acc.is_zero():
+                            acc = bracket_vec(op, acc, n)
+                        if acc:
                             failures.append((i, j, side, a, b))
     return CheckReport("serre", checked, failures)
 
@@ -449,13 +449,12 @@ def verify_serre(g: QuaternionLieAlgebra) -> CheckReport:
 def check_structure(g: QuaternionLieAlgebra) -> CheckReport:
     """The stored structure constants against brackets recomputed on the basis."""
     n = g.ambient_n
-    vecs = [flatten(m) for m in g.basis]
     failures = []
     checked = 0
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             checked += 1
-            coeffs = g.solver.express(bracket_vec(vecs[i], vecs[j], n))
+            coeffs = g.solver.express(bracket_vec(g.basis[i], g.basis[j], n))
             if coeffs is None:
                 failures.append((i, j, "outside-span"))
             elif {k: c for k, c in enumerate(coeffs) if c} != dict(g.constants.get(i, j)):
@@ -466,7 +465,7 @@ def check_structure(g: QuaternionLieAlgebra) -> CheckReport:
 def weight_decomposition(g: QuaternionLieAlgebra) -> dict:
     """Weight -> list of basis matrices, zero weight included."""
     return {
-        values: [g.basis[i] for i in indices]
+        values: [QuatMatrix.unflatten(g.ambient_n, g.basis[i]) for i in indices]
         for values, indices in g.weight_indices.items()
     }
 
@@ -480,51 +479,46 @@ def check_root_spaces(g: QuaternionLieAlgebra) -> CheckReport:
     """
     ambient = 4 * g.ambient_n * g.ambient_n
     failures = []
-    root_weights = {weight_of(r, g.cartan).values for r in g.pos_roots}
-    root_weights |= {(-weight_of(r, g.cartan)).values for r in g.pos_roots}
+    weights = signed_root_weights(g.pos_roots, g.cartan)
+    root_weights = set(weights.values())
     nonzero = {w for w in g.weight_indices if any(w)}
     if nonzero != root_weights:
         failures.append(("weight-set", sorted(nonzero ^ root_weights)))
-    signed_roots = [r for r in g.pos_roots] + [-r for r in g.pos_roots]
-    for root in signed_roots:
-        values = weight_of(root, g.cartan).values
+    for root, values in weights.items():
         indices = g.weight_indices.get(values, ())
         if len(indices) != 4:
             failures.append((root.coeffs, "dim", len(indices)))
             continue
-        vector = g.root_vectors[root.coeffs]
-        quarter = SpanBasis(ambient)
-        for scaled in (
-            vector,
-            vector.scale(Q_I),
-            apply_J(vector),
-            apply_J(vector.scale(Q_I)),
-        ):
-            quarter.insert(flatten(scaled))
-        block = SpanBasis(ambient)
-        for i in indices:
-            block.insert(flatten(g.basis[i]))
+        line = quaternion_line(g.root_vectors[root.coeffs])
+        quarter = span_of([flatten(m) for m in line], ambient)
+        block = span_of([g.basis[i] for i in indices], ambient)
         if quarter.rank != 4 or not block.same_span(quarter):
             failures.append((root.coeffs, "span-mismatch"))
-    return CheckReport("weights.spaces", len(signed_roots), failures)
+    return CheckReport("weights.spaces", len(weights), failures)
+
+
+def _graded_triples(constants: StructureConstants, grade, combine) -> tuple[int, list]:
+    """Entries checked, and the (i, j, k) of the table with a nonzero
+    [x_i, x_j] -> x_k term where ``grade[k] != combine(grade[i], grade[j])``."""
+    checked = 0
+    failures = []
+    for (i, j), terms in constants.table.items():
+        target = combine(grade[i], grade[j])
+        for k, _ in terms:
+            checked += 1
+            if grade[k] != target:
+                failures.append((i, j, k))
+    return checked, failures
 
 
 def check_weight_additivity(g: QuaternionLieAlgebra) -> CheckReport:
     """[g_w, g_v] lands in g_{w+v}, read off the structure constants."""
-    index_weight = {}
-    for values, indices in g.weight_indices.items():
-        for i in indices:
-            index_weight[i] = values
-    failures = []
-    checked = 0
-    for (i, j), terms in g.constants.table.items():
-        wi = index_weight[i]
-        wj = index_weight[j]
-        target = tuple(a + b for a, b in zip(wi, wj))
-        for k, _ in terms:
-            checked += 1
-            if index_weight[k] != target:
-                failures.append((i, j, k))
+    index_weight = {
+        i: values for values, indices in g.weight_indices.items() for i in indices
+    }
+    checked, failures = _graded_triples(
+        g.constants, index_weight, lambda a, b: tuple(map(operator.add, a, b))
+    )
     return CheckReport("weights.additivity", checked, failures)
 
 
@@ -536,23 +530,17 @@ def k_structure(g: QuaternionLieAlgebra) -> CheckReport:
     """
     n = g.ambient_n
     ambient = 4 * n * n
-    k_vecs = [flatten(g.basis[i]) for i in g.k_indices]
-    hr_vecs = [flatten(g.basis[i]) for i in g.hr_indices]
-    perp_rows = [flatten(g.basis[i]) for i in g.hr_perp_indices]
+    k_vecs = [g.basis[i] for i in g.k_indices]
+    hr_vecs = [g.basis[i] for i in g.hr_indices]
+    perp_rows = [g.basis[i] for i in g.hr_perp_indices]
 
     central = not any(bracket_vec(h, m, n) for h in hr_vecs for m in k_vecs)
     abelian = not any(bracket_vec(a, b, n) for a in hr_vecs for b in hr_vecs)
 
-    perp_span = SpanBasis(ambient)
-    for row in perp_rows:
-        perp_span.insert(row)
-    derived_ok = _derived_span(k_vecs, n).same_span(perp_span)
+    derived_ok = _derived_span(k_vecs, n).same_span(span_of(perp_rows, ambient))
 
-    direct = SpanBasis(ambient)
-    direct_ok = True
-    for row in hr_vecs + perp_rows:
-        direct_ok = direct.insert(row) and direct_ok
-    direct_ok = direct_ok and direct.rank == len(g.k_indices)
+    split = hr_vecs + perp_rows
+    direct_ok = span_of(split, ambient).rank == len(split) == len(g.k_indices)
 
     checks = [
         ("hr-central-in-k", central),
@@ -579,26 +567,22 @@ def sigma_grading_check(g: QuaternionLieAlgebra) -> CheckReport:
     Every adapted basis vector must be a sigma eigenvector, and the
     bracket must multiply eigenvalues (so the plain part is a
     subalgebra).  Each real generator from ``generating_set`` must be a
-    sigma eigenvector too, +1 for x and i x and -1 for J x and i J x.
+    sigma eigenvector too, +1 for x and i x and -1 for J x and J(i x).
     sigma = Ad(i 1) is an automorphism (the ``conjugations`` check), so
     every nested bracket of generators then lands in the component given
     by the parity of its J count.
     """
-    eigen = [sigma_eigenvalue(m) for m in g.basis]
+    eigen = [sigma_parity(v) for v in g.basis]
     failures = [("inhomogeneous", i) for i, s in enumerate(eigen) if s is None]
     homogeneous = not failures
     checked = 0
     if homogeneous:
-        for (i, j), terms in g.constants.table.items():
-            product = eigen[i] * eigen[j]
-            for k, _ in terms:
-                checked += 1
-                if eigen[k] != product:
-                    failures.append(("grading", i, j, k))
-    # generating_set yields x, i x, J x, i J x for each Chevalley generator
+        checked, graded = _graded_triples(g.constants, eigen, operator.mul)
+        failures += [("grading", *triple) for triple in graded]
+    # generating_set yields x, i x, J x, J(i x) for each Chevalley generator
     for index, m in enumerate(generating_set(g.generators)):
         checked += 1
-        if sigma_eigenvalue(m) != (1 if index % 4 < 2 else -1):
+        if sigma_parity(flatten(m)) != (1 if index % 4 < 2 else -1):
             failures.append(("parity", index))
     return CheckReport("grading", checked, failures, {"homogeneous": homogeneous})
 
@@ -609,7 +593,7 @@ def _jacobi(g: QuaternionLieAlgebra) -> list[CheckReport]:
 
 
 def _conjugations(g: QuaternionLieAlgebra) -> list[CheckReport]:
-    report = check_conjugation_equivariance(g.basis)
+    report = check_conjugation_equivariance(g.basis, g.ambient_n)
     return [CheckReport("conjugations", report.pairs_checked, report.failures)]
 
 

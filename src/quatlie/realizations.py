@@ -165,17 +165,6 @@ _BUILDERS = {
     "sp_n": (_basis_sp, lambda n: n * (2 * n + 1)),
 }
 
-CLI_NAMES = {
-    "gl-h": "gl_n_H",
-    "sl-h": "sl_n_H",
-    "so-star": "so_star_2n",
-    "sp": "sp_n",
-    "sl-c": "sl_n_C",
-    "so-c": "so_n_C",
-    "u": "u_n",
-    "sk": "sk_n_C",
-}
-
 
 def build_named(name: str, n: int) -> NamedAlgebra:
     if name not in _BUILDERS:
@@ -232,21 +221,6 @@ def _plain_transpose_sum_zero(m: QuatMatrix) -> bool:
         for p in range(n)
         for q in range(n)
     )
-
-
-def is_sl_r_plus_j_gl_r(m: QuatMatrix) -> bool:
-    """Membership in sl(n,R) + J gl(n,R): both components real, plain part traceless.
-
-    A bracket-closed span, invariant under the standard conjugations
-    (both components are real, so tau fixes it pointwise).  Kept as a
-    standalone predicate rather than a named algebra; a variant tau
-    convention exists for it in the literature and is not adopted here.
-    """
-    for row in m.rows:
-        for a in row:
-            if a.z1.im or a.z2.im:
-                return False
-    return m.trace().z1.re == 0
 
 
 # ---------------------------------------------------------------------------

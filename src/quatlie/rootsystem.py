@@ -37,25 +37,6 @@ class CartanMatrix:
         """Value of the root with the given simple-root coefficients on coroot j."""
         return sum(coeffs[k] * self.entries[k][j] for k in range(self.rank))
 
-    def is_singular(self) -> bool:
-        return _int_det(self.entries) == 0
-
-
-def _int_det(entries) -> int:
-    """Determinant by fraction-free expansion; matrices here are tiny."""
-    size = len(entries)
-    if size == 1:
-        return entries[0][0]
-    total = 0
-    sign = 1
-    for col in range(size):
-        minor = tuple(
-            tuple(row[c] for c in range(size) if c != col) for row in entries[1:]
-        )
-        total += sign * entries[0][col] * _int_det(minor)
-        sign = -sign
-    return total
-
 
 def _validate_gcm(entries) -> None:
     size = len(entries)
@@ -74,7 +55,9 @@ def _validate_gcm(entries) -> None:
 
 def custom_cartan(entries) -> CartanMatrix:
     """Generalized Cartan matrix without a type label (used by mutation tests)."""
-    entries = tuple(tuple(int(v) for v in row) for row in entries)
+    entries = tuple(tuple(row) for row in entries)
+    if not all(type(v) is int for row in entries for v in row):
+        raise ValueError("Cartan entries must be integers")
     _validate_gcm(entries)
     return CartanMatrix(type_label=None, rank=len(entries), entries=entries)
 

@@ -2,6 +2,9 @@
 
 All numeric payloads are rational strings of the form ``p/q`` (``/q``
 dropped for integers); nothing is ever rendered through floating point.
+A matrix, a flattened coordinate row in the program, is written as
+``n`` and ``entries``: n rows of n entries, each the list of its four
+coordinates (re z1, im z1, re z2, im z2), zeros included.
 Serialization is deterministic: dictionaries are dumped with sorted
 keys and fixed separators, so rebuilding an algebra from the same
 parameters reproduces the file byte for byte.
@@ -12,71 +15,40 @@ from __future__ import annotations
 import json
 
 from .bracket import StructureConstants
-from .errors import MalformedInputError, StructuralFailureError
-from .linalg import LinearSolver, SpanBasis
-from .matrices import MJMatrix, QuatMatrix, flatten
+from .errors import DegenerateInputError, MalformedInputError, StructuralFailureError
+from .linalg import LinearSolver, Vec
+from .matrices import QuatMatrix, flatten
 from .quaternify import QuaternionLieAlgebra, _root_vector_table
 from .realizations import ChevalleyGenerators
 from .rootsystem import CartanMatrix, custom_cartan, positive_roots_with_tree
-from .scalars import (
-    GaussianRational,
-    Quaternion,
-    format_rational,
-    parse_rational,
-)
+from .scalars import format_rational, parse_rational
 
 ARTIFACT_VERSION = "1"
 
 
-def quaternion_to_json(q: Quaternion) -> list:
-    return [format_rational(v) for v in q.to_coords()]
+def matrix_to_json(vec: Vec, n: int) -> dict:
+    """A flattened n x n matrix in the layout of the module docstring."""
+    coords = [format_rational(vec.get(idx, 0)) for idx in range(4 * n * n)]
+    cells = [coords[c : c + 4] for c in range(0, 4 * n * n, 4)]
+    return {"n": n, "entries": [cells[p * n : p * n + n] for p in range(n)]}
 
 
-def quaternion_from_json(data) -> Quaternion:
-    if len(data) != 4:
-        raise MalformedInputError("quaternion needs exactly 4 rational strings")
-    a, b, c, d = (parse_rational(v) for v in data)
-    return Quaternion.from_coords(a, b, c, d)
-
-
-def gaussian_to_json(z: GaussianRational) -> list:
-    return [format_rational(z.re), format_rational(z.im)]
-
-
-def gaussian_from_json(data) -> GaussianRational:
-    return GaussianRational(parse_rational(data[0]), parse_rational(data[1]))
-
-
-def quat_matrix_to_json(m: QuatMatrix) -> dict:
-    return {
-        "n": m.n,
-        "entries": [[quaternion_to_json(a) for a in row] for row in m.rows],
-    }
-
-
-def quat_matrix_from_json(data) -> QuatMatrix:
-    n = data["n"]
+def matrix_from_json(data, n: int, what: str) -> Vec:
+    """Inverse of :func:`matrix_to_json` for a matrix that must be n x n."""
     entries = data["entries"]
-    if len(entries) != n or any(len(row) != n for row in entries):
-        raise MalformedInputError("matrix entries do not match the declared size")
-    return QuatMatrix(
-        [[quaternion_from_json(a) for a in row] for row in entries]
-    )
-
-
-def mj_matrix_to_json(mj: MJMatrix) -> dict:
-    return {
-        "n": mj.n,
-        "block_a": [[gaussian_to_json(z) for z in row] for row in mj.block_a],
-        "block_b": [[gaussian_to_json(z) for z in row] for row in mj.block_b],
-    }
-
-
-def mj_matrix_from_json(data) -> MJMatrix:
-    return MJMatrix(
-        [[gaussian_from_json(z) for z in row] for row in data["block_a"]],
-        [[gaussian_from_json(z) for z in row] for row in data["block_b"]],
-    )
+    size = _int(data["n"], "matrix size")
+    if size != n or len(entries) != n or any(len(row) != n for row in entries):
+        raise MalformedInputError(f"{what} matrices must be {n} x {n}")
+    vec: Vec = {}
+    for p, row in enumerate(entries):
+        for q, entry in enumerate(row):
+            if not isinstance(entry, list) or len(entry) != 4:
+                raise MalformedInputError("matrix entry needs exactly 4 rational strings")
+            for s, text in enumerate(entry):
+                value = parse_rational(text)
+                if value:
+                    vec[4 * (p * n + q) + s] = value
+    return vec
 
 
 def constants_to_json(sc: StructureConstants) -> dict:
@@ -88,10 +60,14 @@ def constants_to_json(sc: StructureConstants) -> dict:
 
 
 def constants_from_json(data) -> StructureConstants:
-    dim = data["dim"]
+    dim = _int(data["dim"], "structure constant dim")
     sc = StructureConstants(dim=dim)
     grouped: dict[tuple, list] = {}
-    for i, j, k, coeff in data["entries"]:
+    for entry in data["entries"]:
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise MalformedInputError("structure constant entries must be [i, j, k, coeff]")
+        i, j, k = (_int(index, "structure constant index") for index in entry[:3])
+        coeff = entry[3]
         if not i < j:
             raise MalformedInputError("structure constants must be stored with i < j")
         if not (0 <= i and j < dim and 0 <= k < dim):
@@ -118,12 +94,12 @@ def algebra_to_json(g: QuaternionLieAlgebra, manifest: dict | None = None) -> di
         "ambient_n": g.ambient_n,
         "dim": g.dim,
         "cartan": [list(row) for row in g.cartan.entries],
-        "basis": [quat_matrix_to_json(m) for m in g.basis],
+        "basis": [matrix_to_json(vec, g.ambient_n) for vec in g.basis],
         "structure_constants": constants_to_json(g.constants),
         "generators": {
-            "h": [quat_matrix_to_json(m) for m in g.generators.h],
-            "e": [quat_matrix_to_json(m) for m in g.generators.e],
-            "f": [quat_matrix_to_json(m) for m in g.generators.f],
+            "h": [matrix_to_json(flatten(m), g.ambient_n) for m in g.generators.h],
+            "e": [matrix_to_json(flatten(m), g.ambient_n) for m in g.generators.e],
+            "f": [matrix_to_json(flatten(m), g.ambient_n) for m in g.generators.f],
         },
         "positive_roots": roots_to_json(g.pos_roots),
         "weights": [
@@ -139,19 +115,21 @@ def algebra_to_json(g: QuaternionLieAlgebra, manifest: dict | None = None) -> di
     return doc
 
 
+def _int(value, what: str) -> int:
+    """``value`` itself when it is an int (not a bool), else MalformedInputError."""
+    if type(value) is not int:
+        raise MalformedInputError(f"{what} must be an integer")
+    return value
+
+
 def _index_set(values, dim: int, what: str) -> tuple:
-    """Distinct basis indices below ``dim``, or MalformedInputError."""
+    """Distinct int basis indices below ``dim``, or MalformedInputError."""
     values = tuple(values)
-    if len(set(values)) != len(values) or not all(0 <= i < dim for i in values):
+    if len(set(values)) != len(values) or not all(
+        type(i) is int and 0 <= i < dim for i in values
+    ):
         raise MalformedInputError(f"{what} must be distinct indices below dim {dim}")
     return values
-
-
-def _matrices_from_json(items, n: int, what: str) -> list:
-    matrices = [quat_matrix_from_json(m) for m in items]
-    if any(m.n != n for m in matrices):
-        raise MalformedInputError(f"{what} matrices must be {n} x {n}")
-    return matrices
 
 
 def algebra_from_json(data) -> QuaternionLieAlgebra:
@@ -159,38 +137,42 @@ def algebra_from_json(data) -> QuaternionLieAlgebra:
 
     No closure or decomposition is re-derived; verification commands run
     their checks against exactly what the file declares.  The file's
-    shape is checked first: the artifact version, index ranges, integer
-    weights whose blocks partition the basis, k containing h_r and
-    h_r-perp, and the Cartan matrix, rank, matrix sizes and generators
-    agreeing (the generators must give every root a vector).  Any
-    mismatch raises MalformedInputError.
+    shape is checked first: the artifact version, int ranks, sizes and
+    in-range indices, int weights whose blocks partition the basis, k
+    containing h_r and h_r-perp, and the Cartan matrix, rank, matrix
+    sizes and generators agreeing (the generators must give every root
+    a vector).  Any mismatch raises MalformedInputError.
     """
-    if data.get("kind") != "quaternion-lie-algebra":
+    if not isinstance(data, dict) or data.get("kind") != "quaternion-lie-algebra":
         raise MalformedInputError("not an algebra file")
     if data.get("artifact_version") != ARTIFACT_VERSION:
         raise MalformedInputError(f"artifact_version must be {ARTIFACT_VERSION!r}")
-    rank = data["rank"]
+    rank = _int(data["rank"], "rank")
     try:
         cartan = custom_cartan(data["cartan"])
+        if data["type"] in ("A", "B", "C", "D"):
+            cartan = CartanMatrix(
+                type_label=data["type"], rank=cartan.rank, entries=cartan.entries
+            )
+        tree = positive_roots_with_tree(cartan)
     except ValueError as exc:
         raise MalformedInputError(f"bad Cartan matrix: {exc}") from exc
     if cartan.rank != rank:
         raise MalformedInputError(f"Cartan matrix has rank {cartan.rank}, file says {rank}")
-    if data["type"] in ("A", "B", "C", "D"):
-        cartan = CartanMatrix(
-            type_label=data["type"], rank=cartan.rank, entries=cartan.entries
-        )
-    n = data["ambient_n"]
-    basis = _matrices_from_json(data["basis"], n, "basis")
+    n = _int(data["ambient_n"], "ambient_n")
+    basis = [matrix_from_json(m, n, "basis") for m in data["basis"]]
     dim = len(basis)
-    ambient = 4 * n * n
-    span = SpanBasis(ambient)
-    for m in basis:
-        span.insert(flatten(m))
-    if span.rank != dim:
-        raise MalformedInputError("declared basis is linearly dependent")
+    if _int(data["dim"], "dim") != dim:
+        raise MalformedInputError(f"dim {data['dim']} differs from the {dim} basis matrices")
+    try:
+        solver = LinearSolver(basis, 4 * n * n)
+    except DegenerateInputError as exc:
+        raise MalformedInputError("declared basis is linearly dependent") from exc
     generators = {
-        kind: _matrices_from_json(data["generators"][kind], n, "generator")
+        kind: [
+            QuatMatrix.unflatten(n, matrix_from_json(m, n, "generator"))
+            for m in data["generators"][kind]
+        ]
         for kind in ("h", "e", "f")
     }
     if any(len(mats) != rank for mats in generators.values()):
@@ -214,7 +196,6 @@ def algebra_from_json(data) -> QuaternionLieAlgebra:
     hr_perp_indices = _index_set(data["hr_perp_indices"], dim, "hr_perp_indices")
     if not set(hr_indices) | set(hr_perp_indices) <= set(k_indices):
         raise MalformedInputError("k_indices must contain hr_indices and hr_perp_indices")
-    tree = positive_roots_with_tree(cartan)
     try:
         root_vectors = _root_vector_table(gens, tree)
     except StructuralFailureError as exc:
@@ -227,8 +208,7 @@ def algebra_from_json(data) -> QuaternionLieAlgebra:
         cartan=cartan,
         generators=gens,
         basis=basis,
-        span=span,
-        solver=LinearSolver([flatten(m) for m in basis], ambient),
+        solver=solver,
         constants=constants,
         pos_roots=[node.root for node in tree],
         weight_indices=weight_indices,

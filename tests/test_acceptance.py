@@ -207,9 +207,10 @@ def test_criterion_8_k_lemma(algebras, type_label, rank):
         )
         for diag in diagonals
     ]
-    split = [g.basis[i] for i in (*g.hr_indices, *g.hr_perp_indices)] + completions
-    split_span = span_of([flatten(m) for m in split], 4 * n * n)
-    k_span = span_of([flatten(g.basis[i]) for i in g.k_indices], 4 * n * n)
+    split = [g.basis[i] for i in (*g.hr_indices, *g.hr_perp_indices)]
+    split += [flatten(m) for m in completions]
+    split_span = span_of(split, 4 * n * n)
+    k_span = span_of([g.basis[i] for i in g.k_indices], 4 * n * n)
     fills = split_span.rank == len(split) and split_span.same_span(k_span)
     expected = ["k-direct-sum"] if completions else []
     ok = fills and rep.failures == expected
@@ -251,7 +252,7 @@ def test_criterion_10_property_suites(algebras):
             assert jac.exhaustive
         else:
             assert jac.triples_checked >= 500
-        equi = check_conjugation_equivariance(g.basis)
+        equi = check_conjugation_equivariance(g.basis, g.ambient_n)
         assert equi.ok
         grading = sigma_grading_check(g)
         assert grading.ok and grading.detail["homogeneous"]

@@ -221,7 +221,7 @@ def test_jacobi_on_sl2H():
 
 def test_jacobi_on_gl2H():
     basis = build_named("gl_n_H", 2).basis
-    sc = structure_constants(basis)
+    sc = structure_constants([flatten(m) for m in basis], 2)
     report = jacobi_check(sc)
     assert report.ok
 
@@ -252,14 +252,14 @@ def test_jacobi_sampled_above_limit():
 
 def test_equivariance_gl2H():
     basis = build_named("gl_n_H", 2).basis
-    report = check_conjugation_equivariance(basis)
+    report = check_conjugation_equivariance([flatten(m) for m in basis], 2)
     assert report.ok
     assert report.pairs_checked == 16 * 15 // 2
 
 
 def test_equivariance_sl3H():
     basis = build_named("sl_n_H", 3).basis
-    report = check_conjugation_equivariance(basis)
+    report = check_conjugation_equivariance([flatten(m) for m in basis], 3)
     assert report.ok
 
 
@@ -276,4 +276,5 @@ def test_structure_constants_reject_open_span():
     e12 = unit(2, 0, 1)
     e21 = unit(2, 1, 0)
     with pytest.raises(NotClosedError):
-        structure_constants([e12, e21])  # bracket gives h1, outside the span
+        # bracket gives h1, outside the span
+        structure_constants([flatten(e12), flatten(e21)], 2)

@@ -1,9 +1,14 @@
+import contextlib
+import functools
 import hashlib
+import io
 import json
+import operator
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatlie import serialize
 from quatlie.cli import main
@@ -156,6 +161,44 @@ def _zero_generator(doc):
             entry[:] = ["0", "0", "0", "0"]
 
 
+def _top_level_array(doc):
+    return [doc]
+
+
+def _float_k_index(doc):
+    doc["k_indices"][0] = float(doc["k_indices"][0])
+
+
+def _bool_k_index(doc):
+    doc["k_indices"][1] = True  # equal to 1 in Python, but not an index
+
+
+def _float_weight_index(doc):
+    doc["weights"][0]["indices"][0] = float(doc["weights"][0]["indices"][0])
+
+
+def _float_sc_i(doc):
+    entry = doc["structure_constants"]["entries"][0]
+    entry[0] = float(entry[0])
+
+
+def _float_sc_k(doc):
+    entry = doc["structure_constants"]["entries"][0]
+    entry[2] = float(entry[2])
+
+
+def _three_element_sc_entry(doc):
+    doc["structure_constants"]["entries"][0].pop()
+
+
+def _float_rank(doc):
+    doc["rank"] = float(doc["rank"])
+
+
+def _float_ambient_n(doc):
+    doc["ambient_n"] = float(doc["ambient_n"])
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -165,17 +208,100 @@ def _zero_generator(doc):
         _non_rational_coefficient,
         _cartan_of_wrong_rank,
         _zero_generator,
+        _top_level_array,
+        _float_k_index,
+        _bool_k_index,
+        _float_weight_index,
+        _float_sc_i,
+        _float_sc_k,
+        _three_element_sc_entry,
+        _float_rank,
+        _float_ambient_n,
     ],
 )
 def test_verify_rejects_malformed_artifact(mutate, a2_file, tmp_path, capsys):
     doc = json.loads(a2_file.read_text())
-    mutate(doc)
+    doc = mutate(doc) or doc
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", "--in", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot load algebra") and captured.err.count("\n") == 1
+
+
+def _leaf_paths(node, path=()):
+    """Key paths to every scalar and every empty list of a JSON document."""
+    if isinstance(node, dict):
+        return [p for key, value in node.items() for p in _leaf_paths(value, (*path, key))]
+    if isinstance(node, list) and node:
+        return [p for i, value in enumerate(node) for p in _leaf_paths(value, (*path, i))]
+    return [path]
+
+
+def _mutated_copy(a2_file, data, keys, leaf_filter, new_value):
+    """The A2 document with one drawn leaf under one of ``keys`` replaced.
+
+    The top-level key is drawn first, so small fields such as ``rank``
+    are as likely to be hit as the large basis table.
+    """
+    doc = json.loads(a2_file.read_text())
+    key = data.draw(st.sampled_from(keys))
+    leaves = [p for p in _leaf_paths(doc[key], (key,)) if leaf_filter(_lookup(doc, p))]
+    leaf = data.draw(st.sampled_from(leaves))
+    _lookup(doc, leaf[:-1])[leaf[-1]] = data.draw(new_value(_lookup(doc, leaf)))
+    path = a2_file.parent / "mutated-leaf.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _lookup(doc, path):
+    return functools.reduce(operator.getitem, path, doc)
+
+
+def _verify_quietly(path):
+    """Exit code and stderr of `verify` on a file; stdout is discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["verify", "--in", str(path)])
+    return code, err.getvalue()
+
+
+JSON_LEAVES = st.one_of(
+    st.integers(-1, 40),
+    st.integers(-1, 40).map(float),  # equal to an int, but not an int
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(st.integers(-1, 3), max_size=3),
+)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_verify_never_raises_on_a_mutated_leaf(a2_file, data):
+    doc = json.loads(a2_file.read_text())
+    path = _mutated_copy(a2_file, data, sorted(doc), lambda v: True, lambda v: JSON_LEAVES)
+    code, err = _verify_quietly(path)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.count("\n") == 1, err
+
+
+def _other_rational(text):
+    old = serialize.parse_rational(text)
+    new = st.fractions(-4, 4, max_denominator=5).filter(lambda x: x != old)
+    return new.map(serialize.format_rational)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_verify_fails_on_a_changed_coefficient(a2_file, data):
+    keys = ["basis", "structure_constants"]
+    path = _mutated_copy(a2_file, data, keys, lambda v: isinstance(v, str), _other_rational)
+    code, _ = _verify_quietly(path)
+    assert code in (1, 2)
 
 
 def test_verify_k_structure_reports_dims(tmp_path, capsys):

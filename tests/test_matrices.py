@@ -15,9 +15,10 @@ from quatlie.matrices import (
     mj_embed,
     mj_extract,
     quat_transpose_mj,
-    sigma_eigenvalue,
 )
 from quatlie.scalars import GR_I, GR_ONE, GR_ZERO, Q_I, Q_J, Q_K, Q_ONE, Quaternion
+
+from quatlie.bracket import sigma_parity
 
 from conftest import rand_qmatrix
 
@@ -272,7 +273,7 @@ def test_naive_transpose_gives_wrong_antisymmetric_dimension():
 
 
 def test_sigma_eigenvalue():
-    assert sigma_eigenvalue(QuatMatrix([[Q_ONE]])) == 1
-    assert sigma_eigenvalue(QuatMatrix([[Q_J]])) == -1
-    assert sigma_eigenvalue(QuatMatrix([[Q_ONE + Q_J]])) is None
-    assert sigma_eigenvalue(QuatMatrix.zeros(1)) is None
+    assert sigma_parity(flatten(QuatMatrix([[Q_ONE]]))) == 1
+    assert sigma_parity(flatten(QuatMatrix([[Q_J]]))) == -1
+    assert sigma_parity(flatten(QuatMatrix([[Q_ONE + Q_J]]))) is None
+    assert sigma_parity(flatten(QuatMatrix.zeros(1))) is None

@@ -10,10 +10,8 @@ from quatlie.matrices import (
     mj_embed,
 )
 from quatlie.realizations import (
-    CLI_NAMES,
     build_named,
     chevalley_generators,
-    is_sl_r_plus_j_gl_r,
     membership,
 )
 from quatlie.scalars import Q_I, Q_J, Q_ONE
@@ -114,10 +112,6 @@ def test_u_n_basis_choice():
     assert sorted(map(hash, algebra.basis)) == sorted(map(hash, expected))
 
 
-def test_cli_name_table():
-    assert set(CLI_NAMES.values()) == set(DIMS)
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_sl_h_is_sk_plus_j_gl(n):
     # sl(n,H) = sk(n,C) + J gl(n,C) as spans, 2n^2-1 + 2n^2 = 4n^2-1
@@ -140,27 +134,6 @@ def test_sl_h_is_sk_plus_j_gl(n):
     assert count_j == 2 * n * n
     assert left.same_span(right)
     assert left.rank == 4 * n * n - 1
-
-
-def test_sl_r_plus_j_gl_r_closed_and_invariant():
-    n = 3
-    basis = []
-    for p in range(n):
-        for q in range(n):
-            if p != q:
-                basis.append(QuatMatrix.unit(n, p, q, Q_ONE))
-            basis.append(QuatMatrix.unit(n, p, q, Q_J))
-    for p in range(n - 1):
-        basis.append(
-            QuatMatrix.unit_sum(n, [(p, p, Q_ONE), (n - 1, n - 1, -Q_ONE)])
-        )
-    assert len(basis) == (n * n - 1) + n * n
-    assert all(is_sl_r_plus_j_gl_r(m) for m in basis)
-    result = close_under_bracket(basis)
-    assert result.dim == len(basis)
-    assert all(is_sl_r_plus_j_gl_r(m) for m in result.matrices)
-    assert is_sigma_submodule(basis)
-    assert not is_sl_r_plus_j_gl_r(QuatMatrix.unit(n, 0, 1, Q_I))
 
 
 # ---------------------------------------------------------------------------

@@ -5,41 +5,42 @@ import pytest
 from quatlie import serialize
 from quatlie.bracket import structure_constants
 from quatlie.errors import MalformedInputError
-from quatlie.matrices import mj_embed
+from quatlie.matrices import QuatMatrix, flatten
 from quatlie.realizations import build_named
+from quatlie.scalars import format_rational
 
 from conftest import rand_qmatrix, rand_quat
 
 
 def test_quaternion_round_trip(rng):
+    # a matrix entry is the quaternion's four coordinates as rational strings
     for _ in range(30):
         q = rand_quat(rng)
-        data = serialize.quaternion_to_json(q)
-        assert all(isinstance(s, str) for s in data)
-        assert serialize.quaternion_from_json(data) == q
+        doc = serialize.matrix_to_json(flatten(QuatMatrix([[q]])), 1)
+        assert doc["entries"] == [[[format_rational(v) for v in q.to_coords()]]]
+        back = serialize.matrix_from_json(doc, 1, "test")
+        assert QuatMatrix.unflatten(1, back) == QuatMatrix([[q]])
 
 
 def test_quaternion_bad_length():
     with pytest.raises(MalformedInputError):
-        serialize.quaternion_from_json(["1", "2", "3"])
+        serialize.matrix_from_json({"n": 1, "entries": [[["1", "2", "3"]]]}, 1, "test")
 
 
 def test_quat_matrix_round_trip(rng):
     for _ in range(10):
         m = rand_qmatrix(rng, 3)
-        doc = serialize.quat_matrix_to_json(m)
+        doc = serialize.matrix_to_json(flatten(m), 3)
         assert doc["n"] == 3
-        assert serialize.quat_matrix_from_json(doc) == m
-
-
-def test_mj_matrix_round_trip(rng):
-    mj = mj_embed(rand_qmatrix(rng, 2))
-    doc = serialize.mj_matrix_to_json(mj)
-    assert serialize.mj_matrix_from_json(doc) == mj
+        back = serialize.matrix_from_json(doc, 3, "test")
+        assert back == flatten(m)
+        assert QuatMatrix.unflatten(3, back) == m
+    with pytest.raises(MalformedInputError):
+        serialize.matrix_from_json(doc, 2, "test")
 
 
 def test_constants_round_trip():
-    sc = structure_constants(build_named("u_n", 2).basis)
+    sc = structure_constants([flatten(m) for m in build_named("u_n", 2).basis], 2)
     doc = serialize.constants_to_json(sc)
     for entry in doc["entries"]:
         i, j, k, coeff = entry
