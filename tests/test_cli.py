@@ -484,3 +484,25 @@ def test_verify_manifest_pinned(type_label, rank, tmp_path, capsys):
     assert sorted(doc["timings_ms"]) == sorted(
         ["relations", "serre", "jacobi", "structure", "conjugations", "grading", "k-structure", "weights"]
     )
+
+
+# The `rho-check` manifest of small cases: every relation family checks
+# rank^2 * (words up to length degree - 1, both flags) instances and
+# h-independence counts the nonempty plain words up to the degree.
+RHO_PINNED = {
+    ("A", 2, 4): (120, 30),
+    ("B", 2, 5): (248, 62),
+    ("D", 4, 3): (672, 84),
+}
+
+
+@pytest.mark.parametrize("type_label,rank,degree", sorted(RHO_PINNED))
+def test_rho_check_manifest_pinned(type_label, rank, degree, capsys):
+    code, doc = run_json(
+        capsys, "rho-check", "--type", type_label, "--rank", str(rank), "--degree", str(degree)
+    )
+    families, words = RHO_PINNED[(type_label, rank, degree)]
+    expected = [_check(f"family.{family}", families) for family in RELATION_FAMILIES]
+    expected.append(_check("h-independence", words))
+    assert code == 0 and doc["ok"]
+    assert doc["checks"] == expected
