@@ -2,24 +2,25 @@
 
 The word space has one basis element per pair (flag, word) where the
 word ranges over sequences in {0..l-1} up to the truncation degree and
-the flag marks a leading J.  The six generator kinds act by:
+the flag marks a leading J.  The plain generators act on the index
+tuple w = (i_1..i_t) of a word by:
 
-  on a plain word w = (i_1..i_t):
     h_j  ->  -(c[i_1][j] + ... + c[i_t][j]) * w
     f_j  ->  (j, i_1..i_t)
     e_j  ->  -sum_k delta(j, i_k) (sum_{h>k} c[i_h][j]) * (w minus i_k)
-    Jh_j, Jf_j, Je_j -> same coefficients, result flagged
 
-  on a flagged word Jw:
-    h_j, f_j, e_j  ->  same as above, flag kept
-    Jh_j ->  +(c[i_1][j] + ... + c[i_t][j]) * w, flag cleared
-    Jf_j ->  -(j, i_1..i_t), flag cleared
-    Je_j ->  +sum_k delta(j, i_k) (sum_{h>k} c[i_h][j]) * (w minus i_k), flag cleared
+J rule: every generator, plain or J-tagged, acts by the plain action of
+its base kind on the index tuple, then ``_twist`` sets the flag and the
+sign of the result.  The flag becomes the word's flag XOR the tag, and
+the sign is -1 exactly when a J-tagged generator meets a flagged word
+(J twice is -1).
 
-The empty word is included at both flags, so the inner sums above are
-well defined (they are empty) and lowering operators annihilate it.
-Raising beyond the degree cap either raises or, when an overflow
-collector is supplied, drops the term and records the word.
+Every coefficient is a sum of integer Cartan entries, so a word
+combination maps words to nonzero ints.  The empty word is included at
+both flags, so the inner sums above are well defined (they are empty)
+and lowering operators annihilate it.  Raising beyond the degree cap
+either raises or, when an overflow collector is supplied, drops the
+term and records the word.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CheckReport, TruncationOverflowError
 from .linalg import SpanBasis, Vec
@@ -35,8 +37,7 @@ from .rootsystem import CartanMatrix
 GENERATOR_KINDS = ("h", "e", "f", "Jh", "Je", "Jf")
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(NamedTuple):
     j_flag: bool
     indices: tuple
 
@@ -49,17 +50,42 @@ class FreeWord:
         return f"J.{body}" if self.j_flag else body
 
 
-Combo = dict  # {FreeWord: Fraction}
+Combo = dict  # {FreeWord: int}, zero coefficients never stored
 
 
-def _add_term(combo: Combo, word: FreeWord, coeff: Fraction) -> None:
+def _add_term(combo: Combo, word: FreeWord, coeff: int) -> None:
     if not coeff:
         return
-    acc = combo.get(word, Fraction(0)) + coeff
+    acc = combo.get(word, 0) + coeff
     if acc:
         combo[word] = acc
     else:
         combo.pop(word, None)
+
+
+def _twist(tagged: bool, flag: bool) -> tuple:
+    """Flag and sign of an image under a (J-tagged if ``tagged``) generator.
+
+    ``flag`` is the flag of the word acted on; the plain action of the
+    generator's base kind supplies the index tuples and coefficients.
+    """
+    return flag ^ tagged, -1 if tagged and flag else 1
+
+
+def _plain_action(base: str, j: int, idx: tuple, c) -> dict:
+    """{index tuple: nonzero int} image of ``idx`` under the plain generator base_j."""
+    if base == "h":
+        total = -sum(c[i][j] for i in idx)
+        return {idx: total} if total else {}
+    if base == "f":
+        return {(j,) + idx: 1}
+    out: dict = {}
+    for k in range(len(idx)):
+        if idx[k] != j:
+            continue
+        inner = sum(c[idx[h]][j] for h in range(k + 1, len(idx)))
+        _add_term(out, idx[:k] + idx[k + 1 :], -inner)
+    return out
 
 
 def rho_apply(
@@ -73,54 +99,56 @@ def rho_apply(
     """Image of a single word under one generator, as a word combination."""
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
-    c = cm.entries
-    idx = word.indices
-    flagged = word.j_flag
-    tagged = kind.startswith("J")
     base = kind[-1]
-    out_flag = flagged ^ tagged
-    # sign of the coefficient blocks when a tagged generator meets a
-    # flagged word (the J squared case)
-    jj = tagged and flagged
-    out: Combo = {}
-    if base == "h":
-        total = sum(c[i][j] for i in idx)
-        coeff = Fraction(total if jj else -total)
-        _add_term(out, FreeWord(out_flag, idx), coeff)
-    elif base == "f":
-        if word.length >= degree_cap:
-            if overflow is None:
-                raise TruncationOverflowError(
-                    f"raising past degree {degree_cap} on {word.label()}"
-                )
-            overflow.append(word)
-            return out
-        coeff = Fraction(-1 if jj else 1)
-        _add_term(out, FreeWord(out_flag, (j,) + idx), coeff)
-    else:  # base == "e"
-        for k in range(len(idx)):
-            if idx[k] != j:
-                continue
-            inner = sum(c[idx[h]][j] for h in range(k + 1, len(idx)))
-            coeff = Fraction(inner if jj else -inner)
-            _add_term(out, FreeWord(out_flag, idx[:k] + idx[k + 1 :]), coeff)
-    return out
+    if base == "f" and word.length >= degree_cap:
+        if overflow is None:
+            raise TruncationOverflowError(
+                f"raising past degree {degree_cap} on {word.label()}"
+            )
+        overflow.append(word)
+        return {}
+    flag, sign = _twist(kind.startswith("J"), word.j_flag)
+    return {
+        FreeWord(flag, idx): sign * coeff
+        for idx, coeff in _plain_action(base, j, word.indices, cm.entries).items()
+    }
 
 
-def rho_apply_combo(
-    kind: str,
-    j: int,
-    combo: Combo,
-    cm: CartanMatrix,
-    degree_cap: int,
-    overflow: list | None = None,
-) -> Combo:
+def plain_images(cm: CartanMatrix, degree_cap: int):
+    """Lookup ``(base, j, index tuple) -> ((index tuple, int), ...)``.
+
+    Each entry is the image of the plain word under the plain generator
+    base_j, computed by ``rho_apply`` on first use and kept in a table
+    that lives as long as the returned function.
+    """
+    table: dict = {}
+
+    def image(base: str, j: int, idx: tuple) -> tuple:
+        key = (base, j, idx)
+        terms = table.get(key)
+        if terms is None:
+            plain = rho_apply(base, j, FreeWord(False, idx), cm, degree_cap)
+            terms = table[key] = tuple((w.indices, coeff) for w, coeff in plain.items())
+        return terms
+
+    return image
+
+
+def rho_apply_combo(kind: str, j: int, combo: Combo, image) -> Combo:
+    """Image of a word combination under one generator.
+
+    ``image`` is a :func:`plain_images` lookup; the J rule is applied on
+    top of it by ``_twist``, the same helper ``rho_apply`` uses.
+    """
+    if kind not in GENERATOR_KINDS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    base = kind[-1]
+    tagged = kind.startswith("J")
     out: Combo = {}
     for word, coeff in combo.items():
-        for res_word, res_coeff in rho_apply(
-            kind, j, word, cm, degree_cap, overflow
-        ).items():
-            _add_term(out, res_word, coeff * res_coeff)
+        flag, sign = _twist(tagged, word.j_flag)
+        for idx, val in image(base, j, word.indices):
+            _add_term(out, FreeWord(flag, idx), sign * coeff * val)
     return out
 
 
@@ -166,15 +194,15 @@ FAMILIES = (
 def family_target(target, i: int, j: int, c) -> tuple:
     """(kind, index, coefficient) of a family's right-hand side at (i, j).
 
-    ``c`` holds the Cartan entries; the coefficient is 0 where the
-    commutator must vanish.
+    ``c`` holds the Cartan entries; the coefficient is the int 0 where
+    the commutator must vanish.
     """
     if target is None:
-        return None, None, Fraction(0)
+        return None, None, 0
     kind, _, sign, rule = target
     if rule == "delta":
-        return kind, i, Fraction(sign if i == j else 0)
-    return kind, j, Fraction(sign * c[j][i])
+        return kind, i, sign if i == j else 0
+    return kind, j, sign * c[j][i]
 
 
 def _family_defect(
@@ -184,18 +212,17 @@ def _family_defect(
     i: int,
     j: int,
     word: FreeWord,
-    cm: CartanMatrix,
-    cap: int,
+    c,
+    image,
 ) -> Combo:
-    start = {word: Fraction(1)}
-    left = rho_apply_combo(kind_a, i, rho_apply_combo(kind_b, j, start, cm, cap), cm, cap)
-    right = rho_apply_combo(kind_b, j, rho_apply_combo(kind_a, i, start, cm, cap), cm, cap)
-    defect: Combo = dict(left)
+    start = {word: 1}
+    defect = rho_apply_combo(kind_a, i, rho_apply_combo(kind_b, j, start, image), image)
+    right = rho_apply_combo(kind_b, j, rho_apply_combo(kind_a, i, start, image), image)
     for w, coeff in right.items():
         _add_term(defect, w, -coeff)
-    kind_t, index, coeff = family_target(target, i, j, cm.entries)
+    kind_t, index, coeff = family_target(target, i, j, c)
     if coeff:
-        for w, val in rho_apply(kind_t, index, word, cm, cap).items():
+        for w, val in rho_apply_combo(kind_t, index, start, image).items():
             _add_term(defect, w, -coeff * val)
     return defect
 
@@ -205,11 +232,15 @@ def verify_ideal_kernel(cm: CartanMatrix, degree: int) -> list[CheckReport]:
 
     Every family element is a commutator combination of degree at most
     one, so vanishing on all words of length <= degree-1 is the whole
-    degree-local statement; the cap itself is never exceeded.
+    degree-local statement; the cap itself is never exceeded.  The
+    plain-word images come from one :func:`plain_images` table, which
+    is dropped on return.
     """
     if degree < 2:
         raise ValueError("degree must be at least 2")
     words = all_words(cm.rank, degree - 1)
+    image = plain_images(cm, degree)
+    c = cm.entries
     reports = []
     for name, kind_a, kind_b, target in FAMILIES:
         failures = []
@@ -218,9 +249,7 @@ def verify_ideal_kernel(cm: CartanMatrix, degree: int) -> list[CheckReport]:
             for j in range(cm.rank):
                 for word in words:
                     checked += 1
-                    defect = _family_defect(
-                        kind_a, kind_b, target, i, j, word, cm, degree
-                    )
+                    defect = _family_defect(kind_a, kind_b, target, i, j, word, c, image)
                     if defect:
                         failures.append((i, j, word.label(), len(defect)))
         reports.append(CheckReport(name, checked, failures))
@@ -256,15 +285,17 @@ def verify_h_independence(cm: CartanMatrix, degree: int) -> IndependenceReport:
     for word in plain:
         row_h: Vec = {}
         row_jh: Vec = {}
+        # SpanBasis divides its rows by their leads, so the int
+        # coefficients enter it as Fractions to stay exact
         for j in range(l):
             img_h = rho_apply("h", j, word, cm, degree + 1)
-            coeff = img_h.get(FreeWord(False, word.indices), Fraction(0))
+            coeff = img_h.get(FreeWord(False, word.indices))
             if coeff:
-                row_h[j] = coeff
+                row_h[j] = Fraction(coeff)
             img_jh = rho_apply("Jh", j, word, cm, degree + 1)
-            coeff = img_jh.get(FreeWord(True, word.indices), Fraction(0))
+            coeff = img_jh.get(FreeWord(True, word.indices))
             if coeff:
-                row_jh[j] = coeff
+                row_jh[j] = Fraction(coeff)
         rows_h.append(row_h)
         rows_jh.append(row_jh)
     span_h = SpanBasis(l)

@@ -20,7 +20,7 @@ from .linalg import LinearSolver, Vec
 from .matrices import QuatMatrix, flatten
 from .quaternify import QuaternionLieAlgebra, _root_vector_table
 from .realizations import ChevalleyGenerators
-from .rootsystem import CartanMatrix, custom_cartan, positive_roots_with_tree
+from .rootsystem import CLASSICAL_TYPES, cartan_matrix, custom_cartan, positive_roots_with_tree
 from .scalars import format_rational, parse_rational
 
 ARTIFACT_VERSION = "1"
@@ -139,7 +139,8 @@ def algebra_from_json(data) -> QuaternionLieAlgebra:
     their checks against exactly what the file declares.  The file's
     shape is checked first: the artifact version, int ranks, sizes and
     in-range indices, int weights whose blocks partition the basis, k
-    containing h_r and h_r-perp, and the Cartan matrix, rank, matrix
+    containing h_r and h_r-perp, a type among A-D whose Cartan matrix
+    and positive roots are the declared ones, and the rank, matrix
     sizes and generators agreeing (the generators must give every root
     a vector).  Any mismatch raises MalformedInputError.
     """
@@ -148,17 +149,24 @@ def algebra_from_json(data) -> QuaternionLieAlgebra:
     if data.get("artifact_version") != ARTIFACT_VERSION:
         raise MalformedInputError(f"artifact_version must be {ARTIFACT_VERSION!r}")
     rank = _int(data["rank"], "rank")
+    type_label = data["type"]
+    if type_label not in CLASSICAL_TYPES:
+        raise MalformedInputError(f"type must be one of {', '.join(CLASSICAL_TYPES)}")
     try:
-        cartan = custom_cartan(data["cartan"])
-        if data["type"] in ("A", "B", "C", "D"):
-            cartan = CartanMatrix(
-                type_label=data["type"], rank=cartan.rank, entries=cartan.entries
-            )
-        tree = positive_roots_with_tree(cartan)
+        declared = custom_cartan(data["cartan"])
+        cartan = cartan_matrix(type_label, declared.rank)
     except ValueError as exc:
         raise MalformedInputError(f"bad Cartan matrix: {exc}") from exc
-    if cartan.rank != rank:
-        raise MalformedInputError(f"Cartan matrix has rank {cartan.rank}, file says {rank}")
+    if declared.rank != rank:
+        raise MalformedInputError(f"Cartan matrix has rank {declared.rank}, file says {rank}")
+    if declared.entries != cartan.entries:
+        raise MalformedInputError(f"Cartan matrix is not the one of type {type_label}{rank}")
+    tree = positive_roots_with_tree(cartan)
+    roots = data["positive_roots"]
+    if roots != roots_to_json(node.root for node in tree) or not all(
+        type(v) is int for root in roots for v in root
+    ):
+        raise MalformedInputError(f"positive_roots are not those of type {type_label}{rank}")
     n = _int(data["ambient_n"], "ambient_n")
     basis = [matrix_from_json(m, n, "basis") for m in data["basis"]]
     dim = len(basis)
@@ -178,7 +186,7 @@ def algebra_from_json(data) -> QuaternionLieAlgebra:
     if any(len(mats) != rank for mats in generators.values()):
         raise MalformedInputError(f"expected {rank} generators of each kind")
     gens = ChevalleyGenerators(
-        type_label=data["type"], rank=rank, ambient_n=n, cartan=cartan, **generators
+        type_label=type_label, rank=rank, ambient_n=n, cartan=cartan, **generators
     )
     constants = constants_from_json(data["structure_constants"])
     if constants.dim != dim:
@@ -201,7 +209,7 @@ def algebra_from_json(data) -> QuaternionLieAlgebra:
     except StructuralFailureError as exc:
         raise MalformedInputError(f"generators do not fit the Cartan matrix: {exc}") from exc
     return QuaternionLieAlgebra(
-        type_label=data["type"],
+        type_label=type_label,
         rank=rank,
         realization=data["realization"],
         ambient_n=n,

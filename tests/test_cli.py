@@ -199,6 +199,26 @@ def _float_ambient_n(doc):
     doc["ambient_n"] = float(doc["ambient_n"])
 
 
+def _unknown_type(doc):
+    doc["type"] = "Z"
+
+
+def _list_type(doc):
+    doc["type"] = ["x"]
+
+
+def _cartan_of_another_type(doc):
+    doc["cartan"] = [[2, -1], [-2, 2]]  # B2's, in an A2 file
+
+
+def _changed_positive_roots(doc):
+    doc["positive_roots"] = [[7, 7]]
+
+
+def _float_positive_root(doc):
+    doc["positive_roots"][0][0] = float(doc["positive_roots"][0][0])
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -217,6 +237,11 @@ def _float_ambient_n(doc):
         _three_element_sc_entry,
         _float_rank,
         _float_ambient_n,
+        _unknown_type,
+        _list_type,
+        _cartan_of_another_type,
+        _changed_positive_roots,
+        _float_positive_root,
     ],
 )
 def test_verify_rejects_malformed_artifact(mutate, a2_file, tmp_path, capsys):

@@ -1,12 +1,19 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from quatlie import freerep
 from quatlie.errors import TruncationOverflowError
 from quatlie.freerep import (
     FAMILIES,
+    GENERATOR_KINDS,
     FreeWord,
     all_words,
+    plain_images,
     rho_apply,
     rho_apply_combo,
     verify_h_independence,
@@ -147,5 +154,94 @@ def test_rho_apply_jh_clears_flag():
     # Jh_0 on J.f1 is +c[0][0] f1 with the flag cleared
     w = FreeWord(True, (0,))
     assert rho_apply("Jh", 0, w, A2, 3) == {FreeWord(False, (0,)): Fraction(2)}
-    combo = {w: Fraction(2)}
-    assert rho_apply_combo("Jh", 0, combo, A2, 3) == {FreeWord(False, (0,)): Fraction(4)}
+    combo = {w: 2}
+    image = plain_images(A2, 3)
+    assert rho_apply_combo("Jh", 0, combo, image) == {FreeWord(False, (0,)): Fraction(4)}
+
+
+def test_combo_apply_keeps_the_degree_cap():
+    full = {FreeWord(True, (0, 1, 0)): 1}
+    with pytest.raises(TruncationOverflowError):
+        rho_apply_combo("Jf", 0, full, plain_images(A2, 3))
+
+
+def test_rho_apply_values_are_ints_and_spans_stay_exact(monkeypatch):
+    for word in all_words(2, 3):
+        for kind in GENERATOR_KINDS:
+            for j in range(2):
+                for val in rho_apply(kind, j, word, A2, 4).values():
+                    assert type(val) is int and val, (kind, j, word)
+    spans = []
+
+    class RecordingSpan(freerep.SpanBasis):
+        def __init__(self, ambient_dim):
+            super().__init__(ambient_dim)
+            spans.append(self)
+
+    monkeypatch.setattr(freerep, "SpanBasis", RecordingSpan)
+    for cm in (A2, cartan_matrix("B", 2)):
+        assert verify_h_independence(cm, 3).ok
+    assert len(spans) == 4
+    for span in spans:
+        assert span.rows
+        for row in span.rows:
+            assert all(type(val) in (int, Fraction) for val in row.values()), row
+
+
+def _red_families(cm, degree):
+    return {r.name for r in verify_ideal_kernel(cm, degree) if not r.ok}
+
+
+def test_wrong_twist_turns_families_red(monkeypatch):
+    # the sign lands on plain generators meeting flagged words instead of
+    # J-tagged ones; the table path must apply this same helper
+    monkeypatch.setattr(
+        freerep, "_twist", lambda tagged, flag: (flag ^ tagged, -1 if flag and not tagged else 1)
+    )
+    red = _red_families(A2, 3)
+    assert {"e.f", "h.e", "h.f"} <= red
+
+
+def test_wrong_plain_image_turns_families_red(monkeypatch):
+    # h_1 on the plain word f2 gets coefficient c[1][0] + 1 instead of c[1][0]
+    honest = freerep.rho_apply
+
+    def skewed(kind, j, word, cm, degree_cap, overflow=None):
+        out = honest(kind, j, word, cm, degree_cap, overflow)
+        if (kind, j, word) == ("h", 0, FreeWord(False, (1,))):
+            out = {word: out.get(word, 0) + 1}
+        return out
+
+    monkeypatch.setattr(freerep, "rho_apply", skewed)
+    red = _red_families(A2, 3)
+    assert "h.f" in red and "h.e" in red
+
+
+def _summary(reports):
+    return [[r.name, r.instances_checked, [list(f) for f in r.failures]] for r in reports]
+
+
+FRESH_SUMMARY = """
+import json, sys
+from quatlie.freerep import verify_ideal_kernel
+from quatlie.rootsystem import custom_cartan
+reports = verify_ideal_kernel(custom_cartan(json.loads(sys.argv[1])), 3)
+print(json.dumps([[r.name, r.instances_checked, [list(f) for f in r.failures]] for r in reports]))
+"""
+
+
+def test_plain_image_table_does_not_leak_between_calls():
+    matrices = (A2.entries, cartan_matrix("B", 2).entries, ((2, -3), (-1, 2)))
+    in_process = [_summary(verify_ideal_kernel(custom_cartan(m), 3)) for m in matrices]
+    # the fresh interpreter imports the same quatlie sources as this one
+    src = os.path.dirname(os.path.dirname(freerep.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for entries, summary in zip(matrices, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH_SUMMARY, json.dumps(entries)],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        )
+        assert json.loads(proc.stdout) == summary
