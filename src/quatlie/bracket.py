@@ -9,22 +9,26 @@ so :func:`bracket_vec` forms the commutator
 
     [X, Y]_pq = sum_r X_pr Y_rq - Y_pr X_rq
 
-one nonzero coordinate pair at a time, in exact ``Fraction`` arithmetic,
-without building quaternion matrices.  The conjugations are sign flips:
-sigma (z1 + j*z2 -> z1 - j*z2) negates offsets 2 and 3 of every entry,
-tau (complex conjugation of z1 and z2) negates offsets 1 and 3.  A built
-algebra is stored as such rows, and its checks read them as they are.
+one nonzero coordinate pair at a time, in exact arithmetic (``int`` on
+integral inputs, ``Fraction`` once a non-integral value enters), without
+building quaternion matrices.  The conjugations are sign flips: sigma
+(z1 + j*z2 -> z1 - j*z2) negates offsets 2 and 3 of every entry, tau
+(complex conjugation of z1 and z2) negates offsets 1 and 3.  Entrywise
+left multiplication by a unit is a signed permutation of the offsets,
+so i*x and J x (left multiplication by j) are coordinate maps too.  A
+built algebra is stored as such rows, and its checks read them as they
+are.
 
 :func:`bracket` stays the ``QuatMatrix`` commutator ``x @ y - y @ x``.
 It serves the realization boundary (generator validation, root vectors)
 and is the independent oracle that the tests hold the kernel against.
 
-Closure works over a worklist: every accepted member is bracketed
-against the members accepted before it, and results that enlarge the
-span are queued in turn.  The ambient real dimension 4*n*n bounds the
-number of accepted members, so the loop terminates.  The resulting
-reduced-echelon basis is canonical for the closed subspace, hence
-independent of generator order.
+Closure (:func:`close_vecs`) works over a worklist of coordinate rows:
+every accepted member is bracketed against the members accepted before
+it, and results that enlarge the span are queued in turn.  The ambient
+real dimension 4*n*n bounds the number of accepted members, so the loop
+terminates.  The resulting reduced-echelon basis is canonical for the
+closed subspace, hence independent of generator order.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import NotClosedError
 from .linalg import LinearSolver, SpanBasis, Vec
@@ -75,8 +78,8 @@ def _add_product(out: dict, left: dict, right: dict, n: int, sign: int) -> None:
 def bracket_vec(x: Vec, y: Vec, n: int) -> Vec:
     """Commutator of two flattened n x n quaternion matrices, flattened.
 
-    Only nonzero values are kept; for ``Fraction`` inputs every value is
-    a ``Fraction``, as ``SpanBasis.insert`` requires.
+    Only nonzero values are kept; ``int`` inputs give ``int`` values,
+    and a ``Fraction`` anywhere in a product gives a ``Fraction``.
     """
     rows_x = _by_row(x, n)
     rows_y = _by_row(y, n)
@@ -104,6 +107,16 @@ def tau_vec(x: Vec) -> Vec:
     return {idx: -val if idx & 1 else val for idx, val in x.items()}
 
 
+def left_unit_vec(u: int, x: Vec) -> Vec:
+    """Entrywise left multiplication by the coordinate unit e_u.
+
+    ``e_u * e_s = _SIGN[u][s] * e_(u ^ s)`` moves offset s to u ^ s with
+    a sign; u = 1 gives i*x and u = 2 gives J x.
+    """
+    signs = _SIGN[u]
+    return {idx ^ u: val if signs[idx & 3] > 0 else -val for idx, val in x.items()}
+
+
 @dataclass
 class StructureConstants:
     """Sparse bracket table over a fixed ordered basis.
@@ -113,7 +126,7 @@ class StructureConstants:
     """
 
     dim: int
-    table: dict = field(default_factory=dict)  # (i, j) -> ((k, Fraction), ...)
+    table: dict = field(default_factory=dict)  # (i, j) -> ((k, int | Fraction), ...)
 
     def set_entry(self, i: int, j: int, terms):
         if i >= j:
@@ -135,7 +148,7 @@ class StructureConstants:
         out: Vec = {}
         for j, cj in coeffs.items():
             for k, c in self.get(i, j):
-                acc = out.get(k, Fraction(0)) + cj * c
+                acc = out.get(k, 0) + cj * c
                 if acc:
                     out[k] = acc
                 else:
@@ -148,7 +161,7 @@ class StructureConstants:
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             inner = {m: coeff for m, coeff in self.get(b, c)}
             for m, coeff in self.ad(a, inner).items():
-                acc = out.get(m, Fraction(0)) + coeff
+                acc = out.get(m, 0) + coeff
                 if acc:
                     out[m] = acc
                 else:
@@ -172,18 +185,16 @@ class ClosureResult:
         return [QuatMatrix.unflatten(self.n, row) for row in self.span.rows]
 
 
-def close_under_bracket(generators: list[QuatMatrix]) -> ClosureResult:
-    """Smallest real subspace containing the generators and closed under bracket.
+def close_vecs(generators: list[Vec], n: int) -> SpanBasis:
+    """Smallest real subspace containing the flattened n x n generators
+    and closed under bracket, as its echelon basis.
 
     Dependent or zero generators are harmless; they reduce away during
     insertion.  Worst case the closure is all of gl(n, H).
     """
-    if not generators:
-        raise ValueError("need at least one generator")
-    n = generators[0].n
     span = SpanBasis(4 * n * n)
     members: list[Vec] = []
-    pending = deque(flatten(m) for m in generators)
+    pending = deque(generators)
     while pending:
         candidate = pending.popleft()
         if not span.insert(candidate):
@@ -191,7 +202,15 @@ def close_under_bracket(generators: list[QuatMatrix]) -> ClosureResult:
         for other in members:
             pending.append(bracket_vec(other, candidate, n))
         members.append(candidate)
-    return ClosureResult(span=span, n=n)
+    return span
+
+
+def close_under_bracket(generators: list[QuatMatrix]) -> ClosureResult:
+    """:func:`close_vecs` of quaternion matrices, with their size."""
+    if not generators:
+        raise ValueError("need at least one generator")
+    n = generators[0].n
+    return ClosureResult(span=close_vecs([flatten(m) for m in generators], n), n=n)
 
 
 def structure_constants(

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import CheckReport, TruncationOverflowError
@@ -285,17 +284,15 @@ def verify_h_independence(cm: CartanMatrix, degree: int) -> IndependenceReport:
     for word in plain:
         row_h: Vec = {}
         row_jh: Vec = {}
-        # SpanBasis divides its rows by their leads, so the int
-        # coefficients enter it as Fractions to stay exact
         for j in range(l):
             img_h = rho_apply("h", j, word, cm, degree + 1)
             coeff = img_h.get(FreeWord(False, word.indices))
             if coeff:
-                row_h[j] = Fraction(coeff)
+                row_h[j] = coeff
             img_jh = rho_apply("Jh", j, word, cm, degree + 1)
             coeff = img_jh.get(FreeWord(True, word.indices))
             if coeff:
-                row_jh[j] = Fraction(coeff)
+                row_jh[j] = coeff
         rows_h.append(row_h)
         rows_jh.append(row_jh)
     span_h = SpanBasis(l)

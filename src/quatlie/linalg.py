@@ -1,9 +1,13 @@
 """Exact linear algebra over Q on sparse coordinate vectors.
 
-A vector is a dict mapping coordinate index to a nonzero Fraction.  The
-span engine keeps a reduced row echelon basis: every pivot is 1, pivot
-columns are cleared in all other rows, and rows are ordered by pivot
-column.  Reduced echelon form is canonical for a subspace, so ranks,
+A vector is a dict mapping coordinate index to a nonzero exact rational,
+an ``int`` or a ``Fraction`` and never a ``float``.  The one division,
+:func:`exact_div`, returns an ``int`` whenever the quotient is integral,
+so vectors with integral values stay ``int`` throughout.
+
+The span engine keeps a reduced row echelon basis: every pivot is 1,
+pivot columns are cleared in all other rows, and rows are ordered by
+pivot column.  Reduced echelon form is canonical for a subspace, so ranks,
 membership tests and serialized bases never depend on insertion order.
 There is no rank tolerance anywhere; a vector is in a span exactly when
 it reduces to zero.
@@ -14,11 +18,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegenerateInputError
+from .scalars import integral
 
-Vec = dict  # {int: Fraction}, zero entries never stored
+Vec = dict  # {int: int | Fraction}, zero entries never stored
 
 
-def vec_iadd_scaled(target: Vec, source: Vec, factor: Fraction) -> Vec:
+def exact_div(a, b):
+    """``a / b`` exactly: an ``int`` when the quotient is integral, else a ``Fraction``."""
+    if type(a) is int and type(b) is int:
+        quotient, remainder = divmod(a, b)
+        if not remainder:
+            return quotient
+    return integral(Fraction(a, b))
+
+
+def vec_iadd_scaled(target: Vec, source: Vec, factor) -> Vec:
     """In place ``target += factor * source``, dropping entries that cancel."""
     if not factor:
         return target
@@ -39,7 +53,7 @@ def vec_from_dense(values) -> Vec:
     out = {}
     for idx, val in enumerate(values):
         if val:
-            out[idx] = Fraction(val)
+            out[idx] = integral(Fraction(val))
     return out
 
 
@@ -77,7 +91,7 @@ class SpanBasis:
     def coords(self, vec: Vec):
         """Coefficients of ``vec`` over the stored rows, or None if outside."""
         out = dict(vec)
-        coeffs = [Fraction(0)] * len(self.rows)
+        coeffs = [0] * len(self.rows)
         by_pivot = self._by_pivot
         for piv in [idx for idx in out if idx in by_pivot]:
             coeff = out.get(piv)
@@ -95,7 +109,7 @@ class SpanBasis:
             return False
         piv = min(residual)
         lead = residual[piv]
-        row = {idx: val / lead for idx, val in residual.items()}
+        row = {idx: exact_div(val, lead) for idx, val in residual.items()}
         for other in self.rows:
             coeff = other.get(piv)
             if coeff:
@@ -149,7 +163,7 @@ class LinearSolver:
         self._basis = SpanBasis(ambient_dim + self.size)
         for offset, row in enumerate(rows):
             augmented = dict(row)
-            augmented[ambient_dim + offset] = Fraction(1)
+            augmented[ambient_dim + offset] = 1
             residual = self._basis.reduce(augmented)
             # a dependent row leaves only tracking coordinates behind
             if not residual or min(residual) >= ambient_dim:
@@ -162,7 +176,7 @@ class LinearSolver:
         ambient = self.ambient_dim
         if any(idx < ambient for idx in residual):
             return None
-        coeffs = [Fraction(0)] * self.size
+        coeffs = [0] * self.size
         for idx, val in residual.items():
             coeffs[idx - ambient] = -val
         return coeffs
@@ -182,7 +196,7 @@ def kernel_basis(equations: list[Vec], nvars: int) -> list[Vec]:
     for free in range(nvars):
         if free in pivot_set:
             continue
-        vec: Vec = {free: Fraction(1)}
+        vec: Vec = {free: 1}
         for piv, row in zip(echelon.pivots, echelon.rows):
             coeff = row.get(free)
             if coeff:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import DegenerateInputError, MalformedInputError
 from .linalg import SpanBasis, Vec, independent_span
-from .scalars import GR_ZERO, Q_ZERO, Quaternion, quat_J
+from .scalars import GR_ZERO, Q_ZERO, Quaternion, integral, quat_J
 
 
 class QuatMatrix:
@@ -147,7 +147,10 @@ class QuatMatrix:
         )
 
     def flatten(self) -> Vec:
-        """Sparse coordinate dict (row-major, 4 reals per entry)."""
+        """Sparse coordinate dict (row-major, 4 reals per entry).
+
+        Integral coordinates are emitted as ``int``.
+        """
         coords: Vec = {}
         n = self.n
         for p in range(n):
@@ -158,16 +161,16 @@ class QuatMatrix:
                 base = 4 * (p * n + q)
                 for offset, val in enumerate(a.to_coords()):
                     if val:
-                        coords[base + offset] = val
+                        coords[base + offset] = integral(val)
         return coords
 
     @classmethod
     def unflatten(cls, n: int, coords: Vec) -> "QuatMatrix":
-        pieces: dict[tuple[int, int], list[Fraction]] = {}
+        pieces: dict[tuple[int, int], list] = {}
         for idx, val in coords.items():
             cell, offset = divmod(idx, 4)
             p, q = divmod(cell, n)
-            pieces.setdefault((p, q), [Fraction(0)] * 4)[offset] = val
+            pieces.setdefault((p, q), [0] * 4)[offset] = val
         rows = [[Q_ZERO] * n for _ in range(n)]
         for (p, q), (a, b, c, d) in pieces.items():
             rows[p][q] = Quaternion.from_coords(a, b, c, d)

@@ -56,22 +56,22 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .bracket import (
     StructureConstants,
     bracket,
     bracket_vec,
     check_conjugation_equivariance,
-    close_under_bracket,
+    close_vecs,
     jacobi_check,
+    left_unit_vec,
     sigma_parity,
     structure_constants,
 )
 from .errors import CheckReport, NotClosedError, StructuralFailureError
 from .freerep import FAMILIES, family_target
 from .linalg import LinearSolver, SpanBasis, Vec, kernel_basis, span_of, vec_iadd_scaled
-from .matrices import QuatMatrix, apply_J, flatten
+from .matrices import QuatMatrix, flatten
 from .realizations import ChevalleyGenerators, chevalley_generators
 from .rootsystem import (
     CartanMatrix,
@@ -79,61 +79,63 @@ from .rootsystem import (
     positive_roots_with_tree,
     weight_of,
 )
-from .scalars import Q_I
 
 
-def closure_realization(type_label: str, rank: int):
-    """Generators in a realization whose weight differences stay in the roots.
+def realization_label(type_label: str, rank: int) -> str:
+    """Tag of the realization :func:`closure_realization` uses.
 
-    Returns the generators together with a human-readable tag.  Ranks
-    with no such realization (B above 2, D other than 3) are rejected;
-    their defining representations produce non-root weights like 2*eps_i
-    and the closure cannot decompose over the root system.
+    Ranks with no realization whose weight differences stay in the
+    roots (B above 2, D other than 3) are rejected with ValueError;
+    their defining representations produce non-root weights like
+    2*eps_i and the closure cannot decompose over the root system.
     """
     if type_label == "A":
-        gens = chevalley_generators("A", rank)
-        return gens, f"sl({rank + 1},C) in gl({rank + 1},H)"
+        return f"sl({rank + 1},C) in gl({rank + 1},H)"
     if type_label == "C":
-        gens = chevalley_generators("C", rank)
-        return gens, f"sp({2 * rank},C) in gl({2 * rank},H)"
+        return f"sp({2 * rank},C) in gl({2 * rank},H)"
     if type_label == "B":
         if rank != 2:
             raise ValueError(
                 "quaternification is supported for type B only at rank 2 "
                 "(higher spin realizations have non-root weight differences)"
             )
-        base = chevalley_generators("C", 2)
-        gens = ChevalleyGenerators(
-            type_label="B",
-            rank=2,
-            ambient_n=base.ambient_n,
-            h=base.h,
-            e=base.e,
-            f=base.f,
-            cartan=cartan_matrix("B", 2),
-        )
-        gens.validate()
-        return gens, "sp(4,C) spin realization of so(5,C) in gl(4,H)"
+        return "sp(4,C) spin realization of so(5,C) in gl(4,H)"
     if type_label == "D":
         if rank != 3:
             raise ValueError(
                 "quaternification is supported for type D only at rank 3 "
                 "(higher half-spin realizations have non-root weight differences)"
             )
+        return "sl(4,C) half-spin realization of so(6,C) in gl(4,H)"
+    raise ValueError(f"unknown type {type_label!r}; expected one of A, B, C, D")
+
+
+def closure_realization(type_label: str, rank: int):
+    """Generators in a realization whose weight differences stay in the roots.
+
+    Returns the generators together with their :func:`realization_label`.
+    """
+    label = realization_label(type_label, rank)
+    if type_label in ("A", "C"):
+        return chevalley_generators(type_label, rank), label
+    if type_label == "B":
+        base = chevalley_generators("C", 2)
+        h, e, f = base.h, base.e, base.f
+    else:
         base = chevalley_generators("A", 3)
         perm = (1, 0, 2)  # central node of A3 becomes the first D3 node
-        gens = ChevalleyGenerators(
-            type_label="D",
-            rank=3,
-            ambient_n=base.ambient_n,
-            h=[base.h[p] for p in perm],
-            e=[base.e[p] for p in perm],
-            f=[base.f[p] for p in perm],
-            cartan=cartan_matrix("D", 3),
-        )
-        gens.validate()
-        return gens, "sl(4,C) half-spin realization of so(6,C) in gl(4,H)"
-    raise ValueError(f"unknown type {type_label!r}; expected one of A, B, C, D")
+        h, e, f = ([mats[p] for p in perm] for mats in (base.h, base.e, base.f))
+    gens = ChevalleyGenerators(
+        type_label=type_label,
+        rank=rank,
+        ambient_n=base.ambient_n,
+        h=h,
+        e=e,
+        f=f,
+        cartan=cartan_matrix(type_label, rank),
+    )
+    gens.validate()
+    return gens, label
 
 
 @dataclass
@@ -167,15 +169,18 @@ class QuaternionLieAlgebra:
         raise KeyError(index)
 
 
-def quaternion_line(m: QuatMatrix) -> list:
-    """x, i x, J x and J(i x): a real basis of the quaternion line H x."""
-    m_i = m.scale(Q_I)
-    return [m, m_i, apply_J(m), apply_J(m_i)]
+def quaternion_line(x: Vec) -> list:
+    """x, i x, J x and J(i x): a real basis of the quaternion line H x.
+
+    ``x`` is a flattened matrix, and so are the four returned rows.
+    """
+    x_i = left_unit_vec(1, x)
+    return [x, x_i, left_unit_vec(2, x), left_unit_vec(2, x_i)]
 
 
 def generating_set(gens: ChevalleyGenerators) -> list:
-    """Real generators: the quaternion line of every Chevalley generator."""
-    return [m for x in [*gens.h, *gens.e, *gens.f] for m in quaternion_line(x)]
+    """Real generators: the quaternion line of every Chevalley generator, flattened."""
+    return [v for x in [*gens.h, *gens.e, *gens.f] for v in quaternion_line(flatten(x))]
 
 
 def signed_root_weights(roots: list, cm: CartanMatrix) -> dict:
@@ -198,7 +203,7 @@ def _weight_kernel(ad_cols: list, weight_values, dim: int) -> list:
     """Kernel of every (ad h_i - w_i id) simultaneously, in row coordinates."""
     equations: dict[tuple, Vec] = {}
     for i, cols in enumerate(ad_cols):
-        w_i = Fraction(weight_values[i])
+        w_i = weight_values[i]
         rows: dict[int, Vec] = {}
         for j, col in enumerate(cols):
             for r, val in col.items():
@@ -206,7 +211,7 @@ def _weight_kernel(ad_cols: list, weight_values, dim: int) -> list:
         if w_i:
             for r in range(dim):
                 row = rows.setdefault(r, {})
-                acc = row.get(r, Fraction(0)) - w_i
+                acc = row.get(r, 0) - w_i
                 if acc:
                     row[r] = acc
                 else:
@@ -270,7 +275,7 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
     ambient = 4 * n * n
 
     t0 = clock()
-    span = close_under_bracket(generating_set(gens)).span
+    span = close_vecs(generating_set(gens), n)
     dim = span.rank
     timings["closure"] = (clock() - t0) * 1000.0
 
@@ -391,8 +396,8 @@ def _generator_vecs(gens: ChevalleyGenerators) -> dict:
     """Kind -> flattened generators, for h, e, f and their J images Jh, Je, Jf."""
     plain = {"h": gens.h, "e": gens.e, "f": gens.f}
     ops = {kind: [flatten(m) for m in mats] for kind, mats in plain.items()}
-    for kind, mats in plain.items():
-        ops["J" + kind] = [flatten(apply_J(m)) for m in mats]
+    for kind in plain:
+        ops["J" + kind] = [left_unit_vec(2, v) for v in ops[kind]]
     return ops
 
 
@@ -489,8 +494,7 @@ def check_root_spaces(g: QuaternionLieAlgebra) -> CheckReport:
         if len(indices) != 4:
             failures.append((root.coeffs, "dim", len(indices)))
             continue
-        line = quaternion_line(g.root_vectors[root.coeffs])
-        quarter = span_of([flatten(m) for m in line], ambient)
+        quarter = span_of(quaternion_line(flatten(g.root_vectors[root.coeffs])), ambient)
         block = span_of([g.basis[i] for i in indices], ambient)
         if quarter.rank != 4 or not block.same_span(quarter):
             failures.append((root.coeffs, "span-mismatch"))
@@ -580,9 +584,9 @@ def sigma_grading_check(g: QuaternionLieAlgebra) -> CheckReport:
         checked, graded = _graded_triples(g.constants, eigen, operator.mul)
         failures += [("grading", *triple) for triple in graded]
     # generating_set yields x, i x, J x, J(i x) for each Chevalley generator
-    for index, m in enumerate(generating_set(g.generators)):
+    for index, v in enumerate(generating_set(g.generators)):
         checked += 1
-        if sigma_parity(flatten(m)) != (1 if index % 4 < 2 else -1):
+        if sigma_parity(v) != (1 if index % 4 < 2 else -1):
             failures.append(("parity", index))
     return CheckReport("grading", checked, failures, {"homogeneous": homogeneous})
 

@@ -29,17 +29,25 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def format_rational(value: Fraction) -> str:
+def integral(value):
+    """``value`` as an ``int`` when its denominator is 1, else unchanged."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def format_rational(value) -> str:
     """Serialize as ``p/q``, with ``/q`` omitted when the denominator is 1."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`; round-trips bit-exactly."""
+def parse_rational(text: str):
+    """Inverse of :func:`format_rational`; round-trips bit-exactly.
+
+    Integral values come back as ``int``, the rest as ``Fraction``.
+    """
     try:
-        return Fraction(text.strip())
+        return integral(Fraction(text.strip()))
     except (AttributeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError(f"not a rational string: {text!r}") from exc
 

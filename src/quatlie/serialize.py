@@ -18,7 +18,7 @@ from .bracket import StructureConstants
 from .errors import DegenerateInputError, MalformedInputError, StructuralFailureError
 from .linalg import LinearSolver, Vec
 from .matrices import QuatMatrix, flatten
-from .quaternify import QuaternionLieAlgebra, _root_vector_table
+from .quaternify import QuaternionLieAlgebra, _root_vector_table, realization_label
 from .realizations import ChevalleyGenerators
 from .rootsystem import CLASSICAL_TYPES, cartan_matrix, custom_cartan, positive_roots_with_tree
 from .scalars import format_rational, parse_rational
@@ -140,9 +140,10 @@ def algebra_from_json(data) -> QuaternionLieAlgebra:
     shape is checked first: the artifact version, int ranks, sizes and
     in-range indices, int weights whose blocks partition the basis, k
     containing h_r and h_r-perp, a type among A-D whose Cartan matrix
-    and positive roots are the declared ones, and the rank, matrix
-    sizes and generators agreeing (the generators must give every root
-    a vector).  Any mismatch raises MalformedInputError.
+    and positive roots are the declared ones, the realization label that
+    ``quaternify`` gives the type and rank, and the rank, matrix sizes
+    and generators agreeing (the generators must give every root a
+    vector).  Any mismatch raises MalformedInputError.
     """
     if not isinstance(data, dict) or data.get("kind") != "quaternion-lie-algebra":
         raise MalformedInputError("not an algebra file")
@@ -161,6 +162,12 @@ def algebra_from_json(data) -> QuaternionLieAlgebra:
         raise MalformedInputError(f"Cartan matrix has rank {declared.rank}, file says {rank}")
     if declared.entries != cartan.entries:
         raise MalformedInputError(f"Cartan matrix is not the one of type {type_label}{rank}")
+    try:
+        realization = realization_label(type_label, rank)
+    except ValueError as exc:
+        raise MalformedInputError(str(exc)) from exc
+    if data["realization"] != realization:
+        raise MalformedInputError(f"realization must be {realization!r} for {type_label}{rank}")
     tree = positive_roots_with_tree(cartan)
     roots = data["positive_roots"]
     if roots != roots_to_json(node.root for node in tree) or not all(
@@ -211,7 +218,7 @@ def algebra_from_json(data) -> QuaternionLieAlgebra:
     return QuaternionLieAlgebra(
         type_label=type_label,
         rank=rank,
-        realization=data["realization"],
+        realization=realization,
         ambient_n=n,
         cartan=cartan,
         generators=gens,

@@ -12,6 +12,7 @@ from quatlie.bracket import (
     close_under_bracket,
     closure,
     jacobi_check,
+    left_unit_vec,
     sigma_vec,
     structure_constants,
     tau_vec,
@@ -25,8 +26,9 @@ from quatlie.matrices import (
     mj_embed,
     mj_extract,
 )
+from quatlie.quaternify import quaternion_line
 from quatlie.realizations import build_named, membership
-from quatlie.scalars import Q_J, Q_ONE
+from quatlie.scalars import Q_I, Q_J, Q_ONE
 
 from conftest import rand_qmatrix, rand_quat
 
@@ -99,15 +101,17 @@ def test_bracket_jacobi_identity_on_matrices(rng):
 # ---------------------------------------------------------------------------
 
 nonzero_rational = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+nonzero_int = st.integers(min_value=-5, max_value=5).filter(bool)
 
 
 @st.composite
 def sparse_matrices(draw, count):
-    """n in 1..4 and ``count`` sparse rational matrices (zero ones included)."""
+    """n in 1..4 and ``count`` sparse matrices (zero ones included), with
+    int coordinates in some examples and rational ones in the rest."""
     n = draw(st.integers(min_value=1, max_value=4))
     coords = st.dictionaries(
         st.integers(min_value=0, max_value=4 * n * n - 1),
-        nonzero_rational,
+        draw(st.sampled_from([nonzero_int, nonzero_rational])),
         max_size=2 * n * n,
     )
     return n, [QuatMatrix.unflatten(n, draw(coords)) for _ in range(count)]
@@ -117,9 +121,12 @@ def sparse_matrices(draw, count):
 @given(sparse_matrices(2))
 def test_bracket_vec_matches_matrix_bracket(drawn):
     n, (x, y) = drawn
-    got = bracket_vec(flatten(x), flatten(y), n)
+    fx, fy = flatten(x), flatten(y)
+    got = bracket_vec(fx, fy, n)
     assert got == flatten(bracket(x, y))
-    assert all(type(val) is Fraction and val for val in got.values())
+    assert all(type(val) in (int, Fraction) and val for val in got.values())
+    if all(type(val) is int for val in (*fx.values(), *fy.values())):
+        assert all(type(val) is int for val in got.values())
 
 
 @settings(max_examples=100, deadline=None)
@@ -128,6 +135,17 @@ def test_sigma_tau_coordinate_maps(drawn):
     _, (m,) = drawn
     assert sigma_vec(flatten(m)) == flatten(apply_sigma(m))
     assert tau_vec(flatten(m)) == flatten(apply_tau(m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(1))
+def test_quaternion_line_coordinate_maps(drawn):
+    _, (m,) = drawn
+    m_i = m.scale(Q_I)
+    expected = [flatten(m), flatten(m_i), flatten(apply_J(m)), flatten(apply_J(m_i))]
+    assert quaternion_line(flatten(m)) == expected
+    assert left_unit_vec(1, flatten(m)) == expected[1]
+    assert left_unit_vec(2, flatten(m)) == expected[2]
 
 
 def test_bracket_vec_of_zero_matrices():

@@ -219,6 +219,10 @@ def _float_positive_root(doc):
     doc["positive_roots"][0][0] = float(doc["positive_roots"][0][0])
 
 
+def _other_realization(doc):
+    doc["realization"] = "x"
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -242,6 +246,7 @@ def _float_positive_root(doc):
         _cartan_of_another_type,
         _changed_positive_roots,
         _float_positive_root,
+        _other_realization,
     ],
 )
 def test_verify_rejects_malformed_artifact(mutate, a2_file, tmp_path, capsys):

@@ -8,6 +8,7 @@ from quatlie.errors import DegenerateInputError
 from quatlie.linalg import (
     LinearSolver,
     SpanBasis,
+    exact_div,
     kernel_basis,
     span_of,
     vec_from_dense,
@@ -133,3 +134,46 @@ def test_kernel_orthogonal_to_equations():
     for vec in kernel:
         for eq in equations:
             assert sum(eq.get(i, Fraction(0)) * v for i, v in vec.items()) == 0
+
+
+def test_exact_div_keeps_ints_and_never_gives_a_float():
+    assert exact_div(6, 3) == 2 and type(exact_div(6, 3)) is int
+    assert exact_div(-6, 3) == -2 and type(exact_div(-6, 3)) is int
+    assert exact_div(0, -4) == 0 and type(exact_div(0, -4)) is int
+    assert exact_div(7, 2) == Fraction(7, 2) and type(exact_div(7, 2)) is Fraction
+    assert exact_div(-1, 3) == Fraction(-1, 3)
+    # a Fraction on either side gives the exact value, an int when integral
+    assert exact_div(Fraction(3, 2), 3) == Fraction(1, 2)
+    assert exact_div(Fraction(3, 2), Fraction(3, 4)) == 2
+    assert type(exact_div(Fraction(3, 2), Fraction(3, 4))) is int
+    assert exact_div(4, Fraction(2, 3)) == 6 and type(exact_div(4, Fraction(2, 3))) is int
+    with pytest.raises(ZeroDivisionError):
+        exact_div(1, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.integers(-50, 50), st.fractions(-5, 5, max_denominator=6)),
+    st.one_of(st.integers(-50, 50), st.fractions(-5, 5, max_denominator=6)).filter(bool),
+)
+def test_exact_div_is_exact(a, b):
+    q = exact_div(a, b)
+    assert type(q) in (int, Fraction)
+    assert q * b == a
+    assert type(q) is int or q.denominator != 1
+
+
+def test_int_rows_stay_int_where_integral():
+    # every lead here divides its row, so the echelon rows stay int
+    basis = SpanBasis(4)
+    basis.extend([{0: -1, 1: 3}, {1: 2, 2: 4}, {2: 1, 3: -1}])
+    assert basis.rows == [{0: 1, 3: 6}, {1: 1, 3: 2}, {2: 1, 3: -1}]
+    assert all(type(val) is int for row in basis.rows for val in row.values())
+    solver = LinearSolver([{0: 1, 1: 1}, {1: 1, 2: 1}], 3)
+    coeffs = solver.express({0: 2, 1: 5, 2: 3})
+    assert coeffs == [2, 3] and all(type(c) is int for c in coeffs)
+    # a lead that does not divide its row gives exact Fractions
+    mixed = SpanBasis(2)
+    mixed.insert({0: 3, 1: 1})
+    assert mixed.rows == [{0: 1, 1: Fraction(1, 3)}]
+    assert all(type(val) in (int, Fraction) for val in mixed.rows[0].values())

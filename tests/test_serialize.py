@@ -3,7 +3,7 @@ import json
 import pytest
 
 from quatlie import serialize
-from quatlie.bracket import structure_constants
+from quatlie.bracket import bracket_vec, structure_constants
 from quatlie.errors import MalformedInputError
 from quatlie.matrices import QuatMatrix, flatten
 from quatlie.realizations import build_named
@@ -66,6 +66,30 @@ def test_algebra_file_round_trip(algebras, tmp_path):
     assert loaded.k_indices == g.k_indices
     assert loaded.cartan.entries == g.cartan.entries
     assert loaded.generators.h == g.generators.h
+
+
+def _value_types(g):
+    """Types of every basis value, constant and coefficient of a few brackets."""
+    types = {type(v) for row in g.basis for v in row.values()}
+    types |= {type(c) for terms in g.constants.table.values() for _, c in terms}
+    last = g.dim - 1
+    for i, j in ((0, last), (1, last // 2), (last // 3, last)):
+        coeffs = g.solver.express(bracket_vec(g.basis[i], g.basis[j], g.ambient_n))
+        assert coeffs is not None
+        types |= {type(c) for c in coeffs}
+    return types
+
+
+@pytest.mark.parametrize(
+    "type_label, rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("D", 3)]
+)
+def test_values_are_ints_built_and_loaded(algebras, type_label, rank):
+    # every coordinate and structure constant of the six types is
+    # integral, so none of them may be a Fraction, let alone a float
+    g = algebras(type_label, rank)
+    assert _value_types(g) == {int}
+    doc = json.loads(serialize.dumps(serialize.algebra_to_json(g)))
+    assert _value_types(serialize.algebra_from_json(doc)) == {int}
 
 
 def test_algebra_dump_is_deterministic(algebras):
