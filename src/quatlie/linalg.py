@@ -88,20 +88,6 @@ class SpanBasis:
     def contains(self, vec: Vec) -> bool:
         return not self.reduce(vec)
 
-    def coords(self, vec: Vec):
-        """Coefficients of ``vec`` over the stored rows, or None if outside."""
-        out = dict(vec)
-        coeffs = [0] * len(self.rows)
-        by_pivot = self._by_pivot
-        for piv in [idx for idx in out if idx in by_pivot]:
-            coeff = out.get(piv)
-            if coeff:
-                coeffs[self.pivots.index(piv)] = coeff
-                vec_iadd_scaled(out, by_pivot[piv], -coeff)
-        if out:
-            return None
-        return coeffs
-
     def insert(self, vec: Vec) -> bool:
         """Add a vector to the span; returns True when the rank grew."""
         residual = self.reduce(vec)

@@ -12,9 +12,12 @@ images).  The algebra is kept as flattened coordinate rows (``Vec``, see
 matrices appear only for the generators and the root vectors.  The
 pipeline then
 
-  1. computes the weight decomposition with respect to {h_1..h_l},
-     probing exactly the candidate weights coming from the root system
-     plus zero and verifying that they exhaust the algebra,
+  1. splits the closure into weight spaces with respect to {h_1..h_l}
+     (``weight_spaces``): every h_k is real diagonal, so each flattened
+     coordinate is a joint ad(h) eigenvector, and a weight space is the
+     span of the closure rows cut down to that weight's coordinates; it
+     checks that the cut rows stay in the closure and that the weights
+     are exactly zero and the roots,
   2. splits the zero-weight part k into the Cartan real form h_r, the
      derived part [k, k], and (when those do not span) completion rows,
   3. rebuilds the basis adapted to the decomposition (zero-weight rows,
@@ -70,7 +73,7 @@ from .bracket import (
 )
 from .errors import CheckReport, NotClosedError, StructuralFailureError
 from .freerep import FAMILIES, family_target
-from .linalg import LinearSolver, SpanBasis, Vec, kernel_basis, span_of, vec_iadd_scaled
+from .linalg import LinearSolver, SpanBasis, Vec, span_of
 from .matrices import QuatMatrix, flatten
 from .realizations import ChevalleyGenerators, chevalley_generators
 from .rootsystem import (
@@ -162,12 +165,6 @@ class QuaternionLieAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def index_weight(self, index: int):
-        for values, indices in self.weight_indices.items():
-            if index in indices:
-                return values
-        raise KeyError(index)
-
 
 def quaternion_line(x: Vec) -> list:
     """x, i x, J x and J(i x): a real basis of the quaternion line H x.
@@ -188,45 +185,50 @@ def signed_root_weights(roots: list, cm: CartanMatrix) -> dict:
     return {r: weight_of(r, cm).values for r in (*roots, *(-r for r in roots))}
 
 
-def _ad_columns(h: Vec, span: SpanBasis, n: int) -> list:
-    """Coordinates of [h, b_j] over the echelon rows, one column per row j."""
-    cols = []
+def weight_spaces(span: SpanBasis, hs: list, weights, n: int) -> dict:
+    """Weight -> echelon rows of its block, for a span that ad(hs) preserves.
+
+    Each h in ``hs`` must be a flattened real diagonal matrix diag(d).  Then
+    [h, E_pq u] = (d_p - d_q) E_pq u, so every coordinate of cell (p, q) is a
+    joint eigenvector of ad(hs), and the block of weight w is spanned by the
+    rows of ``span`` cut down to the coordinates of weight w.  Each cut row
+    must lie in ``span``, each weight must be zero or in ``weights`` (the
+    nonzero root weights), and each of ``weights`` must occur.  The zero
+    block comes first, then the others in sorted order.
+    """
+    diagonals = []
+    for h in hs:
+        if any(idx % 4 or idx // 4 % (n + 1) for idx in h):
+            raise StructuralFailureError("an h_i is not a real diagonal matrix")
+        diagonals.append([h.get(4 * p * (n + 1), 0) for p in range(n)])
+    cell_weight = [tuple(d[p] - d[q] for d in diagonals) for p in range(n) for q in range(n)]
+    parts: dict[tuple, list] = {}
     for row in span.rows:
-        coeffs = span.coords(bracket_vec(h, row, n))
-        if coeffs is None:
-            raise StructuralFailureError("ad(h) left the closure span")
-        cols.append({k: c for k, c in enumerate(coeffs) if c})
-    return cols
+        cut: dict[tuple, Vec] = {}
+        for idx, val in row.items():
+            cut.setdefault(cell_weight[idx // 4], {})[idx] = val
+        for values, part in cut.items():
+            if not span.contains(part):
+                raise StructuralFailureError(f"a row cut to weight {values} left the span")
+            parts.setdefault(values, []).append(part)
 
-
-def _weight_kernel(ad_cols: list, weight_values, dim: int) -> list:
-    """Kernel of every (ad h_i - w_i id) simultaneously, in row coordinates."""
-    equations: dict[tuple, Vec] = {}
-    for i, cols in enumerate(ad_cols):
-        w_i = weight_values[i]
-        rows: dict[int, Vec] = {}
-        for j, col in enumerate(cols):
-            for r, val in col.items():
-                rows.setdefault(r, {})[j] = val
-        if w_i:
-            for r in range(dim):
-                row = rows.setdefault(r, {})
-                acc = row.get(r, 0) - w_i
-                if acc:
-                    row[r] = acc
-                else:
-                    row.pop(r, None)
-        for r, row in rows.items():
-            if row:
-                equations[(i, r)] = row
-    return kernel_basis(list(equations.values()), dim)
-
-
-def _combine(rows: list, coeffs: Vec) -> Vec:
-    out: Vec = {}
-    for j, c in coeffs.items():
-        vec_iadd_scaled(out, rows[j], c)
-    return out
+    zero = tuple(0 for _ in hs)
+    if zero in weights:
+        raise StructuralFailureError("zero weight appeared among the roots")
+    unexpected = sorted(set(parts) - set(weights) - {zero})
+    if unexpected:
+        raise StructuralFailureError(f"weights outside the roots: {unexpected}")
+    if zero not in parts:
+        raise StructuralFailureError("empty zero-weight space")
+    missing = [w for w in weights if w not in parts]
+    if missing:
+        raise StructuralFailureError(f"weights without vectors: {missing}")
+    ambient = 4 * n * n
+    spaces = {w: span_of(parts[w], ambient).rows for w in [zero, *sorted(set(parts) - {zero})]}
+    total = sum(map(len, spaces.values()))
+    if total != span.rank:
+        raise StructuralFailureError(f"weight spaces cover {total} of {span.rank} dimensions")
+    return spaces
 
 
 def _derived_span(rows: list, n: int) -> SpanBasis:
@@ -281,37 +283,14 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
 
     t0 = clock()
     hr_flats = [flatten(h) for h in gens.h]
-    ad_cols = [_ad_columns(h, span, n) for h in hr_flats]
     tree = positive_roots_with_tree(cm)
     pos_roots = [node.root for node in tree]
     nonzero_weights = sorted(set(signed_root_weights(pos_roots, cm).values()))
-    zero = tuple(0 for _ in range(rank))
-    if zero in nonzero_weights:
-        raise StructuralFailureError("zero weight appeared among the roots")
-
-    candidates = [zero] + nonzero_weights
-    spaces: dict[tuple, list] = {}  # weight -> echelon rows of its block
-    total = 0
-    for values in candidates:
-        kernel = _weight_kernel(ad_cols, values, dim)
-        block = span_of([_combine(span.rows, coeffs) for coeffs in kernel], ambient)
-        if values == zero and block.rank == 0:
-            raise StructuralFailureError("empty zero-weight space")
-        if block.rank:
-            spaces[values] = block.rows
-            total += block.rank
-    if total != dim:
-        raise StructuralFailureError(
-            f"weight spaces cover {total} of {dim} dimensions"
-        )
-    if set(spaces) - set(candidates):
-        raise StructuralFailureError("unexpected weight appeared")
-    missing = [w for w in nonzero_weights if w not in spaces]
-    if missing:
-        raise StructuralFailureError(f"weights without vectors: {missing}")
+    spaces = weight_spaces(span, hr_flats, nonzero_weights, n)
     timings["decomposition"] = (clock() - t0) * 1000.0
 
     t0 = clock()
+    zero = tuple(0 for _ in range(rank))
     k_rows = spaces[zero]
     k_span = span_of(k_rows, ambient)
     for vec in hr_flats:

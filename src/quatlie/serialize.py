@@ -45,6 +45,8 @@ def matrix_from_json(data, n: int, what: str) -> Vec:
             if not isinstance(entry, list) or len(entry) != 4:
                 raise MalformedInputError("matrix entry needs exactly 4 rational strings")
             for s, text in enumerate(entry):
+                if text == "0":  # most coordinates are zero; all else is parsed
+                    continue
                 value = parse_rational(text)
                 if value:
                     vec[4 * (p * n + q) + s] = value

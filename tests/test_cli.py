@@ -165,6 +165,14 @@ def _zero_generator(doc):
             entry[:] = ["0", "0", "0", "0"]
 
 
+def _int_zero_coordinate(doc):
+    # an int 0 is as falsy as the string "0" but is not a rational string
+    entry = next(
+        entry for row in doc["basis"][0]["entries"] for entry in row if "0" in entry
+    )
+    entry[entry.index("0")] = 0
+
+
 def _top_level_array(doc):
     return [doc]
 
@@ -236,6 +244,7 @@ def _other_realization(doc):
         _non_rational_coefficient,
         _cartan_of_wrong_rank,
         _zero_generator,
+        _int_zero_coordinate,
         _top_level_array,
         _float_k_index,
         _bool_k_index,

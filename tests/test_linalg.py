@@ -75,25 +75,6 @@ def test_pivots_strictly_increasing():
         assert all(other == piv or other not in row for other in basis.pivots)
 
 
-def test_coords_recover_vector():
-    basis = SpanBasis(4)
-    rows = [
-        vec_from_dense([1, 2, 0, 0]),
-        vec_from_dense([0, 1, 1, 0]),
-        vec_from_dense([0, 0, 0, 3]),
-    ]
-    basis.extend(rows)
-    target = vec_from_dense([2, 5, 1, 6])
-    coeffs = basis.coords(dict(target))
-    assert coeffs is not None
-    rebuilt = {}
-    for c, row in zip(coeffs, basis.rows):
-        for idx, val in row.items():
-            rebuilt[idx] = rebuilt.get(idx, Fraction(0)) + c * val
-    assert {k: v for k, v in rebuilt.items() if v} == target
-    assert basis.coords(vec_from_dense([0, 0, 1, 0])) is None
-
-
 def test_linear_solver_express():
     rows = [
         vec_from_dense([1, 1, 0]),

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from quatlie.bracket import bracket, close_under_bracket, sigma_parity
+from quatlie.errors import StructuralFailureError
 from quatlie.linalg import SpanBasis, span_of
 from quatlie.matrices import (
     QuatMatrix,
@@ -18,6 +21,7 @@ from quatlie.quaternify import (
     verify_relations,
     verify_serre,
     weight_decomposition,
+    weight_spaces,
 )
 from quatlie.realizations import build_named, chevalley_generators
 from quatlie.rootsystem import Root, positive_roots, weight_of
@@ -225,6 +229,16 @@ def test_k_structure_bc_misses_one_direction(algebras, type_label):
     assert report.detail["dim_hr"] + report.detail["dim_hr_perp"] == 14
 
 
+def _b2_defining_closure():
+    """B2 generators in the 5x5 defining realization and the closure of
+    {x, i x, J(i x)} over them."""
+    gens = chevalley_generators("B", 2)
+    seeds = []
+    for m in (*gens.h, *gens.e, *gens.f):
+        seeds.extend([m, m.scale(Q_I), apply_J(m.scale(Q_I))])
+    return gens, close_under_bracket(seeds)
+
+
 def test_b2_defining_realization_closes_to_so_star_10():
     # The abstract names so*(2n) as the quaternification of so(n, C).  In the
     # 5x5 defining realization of so(5, C) the closure of {x, i x, J(i x)}
@@ -232,12 +246,8 @@ def test_b2_defining_realization_closes_to_so_star_10():
     # dimension of so*(10).  Under the Cartan of so(5, C) every root space is
     # 4-dimensional, four non-root weights occur once each, and the
     # zero-weight part k is one dimension larger than h_r + [k, k].
-    gens = chevalley_generators("B", 2)
+    gens, closure = _b2_defining_closure()
     n = gens.ambient_n
-    seeds = []
-    for m in (*gens.h, *gens.e, *gens.f):
-        seeds.extend([m, m.scale(Q_I), apply_J(m.scale(Q_I))])
-    closure = close_under_bracket(seeds)
     assert closure.dim == build_named("so_star_2n", 5).dim == 45
     pairs = [(0, 0), (1, 3), (3, 1), (2, 4), (4, 2)]
     form = QuatMatrix.unit_sum(n, [(p, q, Q_ONE) for p, q in pairs])
@@ -249,6 +259,35 @@ def test_b2_defining_realization_closes_to_so_star_10():
     assert {values: dims[values] for values in roots} == dict.fromkeys(roots, 4)
     assert sorted(d for values, d in dims.items() if values not in roots) == [1] * 4
     assert _k_split(blocks[(0, 0)], gens.h, n) == (9, 6, 8)
+
+
+def test_weight_spaces_name_the_non_root_weights_of_so_star_10():
+    # The so*(10) closure above is ad(h)-stable, but four of its weights are
+    # not roots of B2, so it has no root space decomposition over them.
+    gens, closure = _b2_defining_closure()
+    roots = sorted(_signed_root_weights(gens.cartan))
+    with pytest.raises(StructuralFailureError) as info:
+        weight_spaces(closure.span, [flatten(h) for h in gens.h], roots, gens.ambient_n)
+    assert "[(-4, 2), (0, -2), (0, 2), (4, -2)]" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "h", [{1: 1}, {4: 1}], ids=["i-times-E00", "off-diagonal-E01"]
+)
+def test_weight_spaces_reject_an_h_that_is_not_real_diagonal(h):
+    gens, _ = closure_realization("A", 1)
+    span = close_under_bracket([*gens.h, *gens.e, *gens.f]).span
+    with pytest.raises(StructuralFailureError, match="real diagonal"):
+        weight_spaces(span, [h], [(-2,), (2,)], gens.ambient_n)
+
+
+def test_weight_spaces_reject_a_span_that_ad_h_leaves():
+    # E_01 + E_10 has weights 2 and -2 under diag(1, -1); its cut rows E_01
+    # and E_10 are not in its span
+    gens, _ = closure_realization("A", 1)
+    span = span_of([{4: 1, 8: 1}], 16)
+    with pytest.raises(StructuralFailureError, match="left the span"):
+        weight_spaces(span, [flatten(gens.h[0])], [(-2,), (2,)], gens.ambient_n)
 
 
 @pytest.mark.parametrize(
@@ -381,14 +420,21 @@ def test_realization_tags(algebras):
     assert "half-spin" in algebras("D", 3).realization
 
 
+@pytest.mark.parametrize("type_label,rank", ALL_TYPES)
+def test_weight_blocks_are_ad_h_eigenspaces(algebras, type_label, rank):
+    # Oracle independent of the coordinate weights: [h_k, B] = w_k B, with
+    # the bracket taken by quaternion matrix products.
+    g = algebras(type_label, rank)
+    for values, indices in g.weight_indices.items():
+        for i in indices:
+            b = QuatMatrix.unflatten(g.ambient_n, g.basis[i])
+            for h, w in zip(g.generators.h, values):
+                assert bracket(h, b) == b.scale_rational(Fraction(w)), (values, i)
+
+
 def test_weight_accessors(algebras):
     g = algebras("A", 1)
     space = [g.basis[i] for i in g.weight_indices[(2,)]]
     assert len(space) == 4
     assert all(m in g.basis for m in space)
-    for idx in g.weight_indices[(2,)]:
-        assert g.index_weight(idx) == (2,)
-    assert g.index_weight(0) == (0,)
-    with pytest.raises(KeyError):
-        g.index_weight(999)
 
