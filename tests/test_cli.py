@@ -59,9 +59,9 @@ def test_build_byte_deterministic(tmp_path, capsys):
 
 # SHA-256 of the algebra file `quatlie build` writes for each type; any
 # change to the closure, the basis, the constants or the embedded
-# manifest changes these digests.  A4 and C3 are beyond the benchmark's
-# six types, where the decomposition has the most rows to split; C3, like
-# B2 and C2, builds with its root-space check red (exit 1)
+# manifest changes these digests.  A4 and C3 add larger n, where the
+# weight decomposition has the most rows to split; C3, like B2 and C2,
+# builds with its root-space check red (exit 1)
 ARTIFACT_SHA256 = {
     ("A", 1): "b95a9f2e66b02d88a93b7fde304d5c56eb38e0e2c1607c1de4a3d94b98f4a330",
     ("A", 2): "0ea6175c908d3032ce45c180ea2c01e920f6fd0ed07f983104cb71dab1110828",
