@@ -33,9 +33,9 @@ closed subspace, hence independent of generator order.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, field
+from math import comb
 
 from .errors import NotClosedError
 from .linalg import LinearSolver, SpanBasis, Vec
@@ -248,52 +248,35 @@ def closure(generators: list[QuatMatrix]) -> ClosureResult:
 @dataclass
 class JacobiReport:
     dim: int
-    exhaustive: bool
     triples_checked: int
     failures: list
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.triples_checked == comb(self.dim, 3)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-def jacobi_check(
-    sc: StructureConstants,
-    exhaustive_limit: int = 40,
-    samples: int = 500,
-    seed: int = 20240,
-) -> JacobiReport:
-    """Exact Jacobi identity over the table.
+def jacobi_check(sc: StructureConstants) -> JacobiReport:
+    """Exact Jacobi identity over the table, on every triple i < j < k.
 
-    All triples are checked up to ``exhaustive_limit`` dimensions; above
-    that a fixed-seed sample of at least ``samples`` triples is used.
+    The ``jacobi`` check of ``quaternify.CHECKS`` establishes the identity
+    through ``structure`` instead; this is the independent oracle the
+    tests hold the table against.
     """
     dim = sc.dim
     failures = []
     checked = 0
-    if dim <= exhaustive_limit:
-        exhaustive = True
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for k in range(j + 1, dim):
-                    checked += 1
-                    if sc.jacobi_defect(i, j, k):
-                        failures.append((i, j, k))
-    else:
-        exhaustive = False
-        rng = random.Random(seed)
-        seen = set()
-        while len(seen) < samples:
-            triple = tuple(sorted(rng.sample(range(dim), 3)))
-            if triple in seen:
-                continue
-            seen.add(triple)
-            checked += 1
-            if sc.jacobi_defect(*triple):
-                failures.append(triple)
-    return JacobiReport(
-        dim=dim, exhaustive=exhaustive, triples_checked=checked, failures=failures
-    )
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                checked += 1
+                if sc.jacobi_defect(i, j, k):
+                    failures.append((i, j, k))
+    return JacobiReport(dim=dim, triples_checked=checked, failures=failures)
 
 
 @dataclass
@@ -307,10 +290,14 @@ class EquivarianceReport:
 
 
 def check_conjugation_equivariance(vecs: list[Vec], n: int) -> EquivarianceReport:
-    """Verify sigma[x,y] == [sigma x, sigma y] and likewise for tau.
+    """Kernel oracle: sigma[x,y] == [sigma x, sigma y], likewise for tau,
+    on all pairs of the flattened matrices ``vecs``.
 
-    Checked on all pairs of the flattened basis ``vecs``; for a basis of a
-    bracket-closed span this pins the identity on the whole algebra.
+    sigma and tau are automorphisms of gl(n, H), so this holds for any
+    matrices and tests that ``bracket_vec`` and the sign flips agree.
+    Acceptance criterion 10 calls it; the ``conjugations`` check of
+    ``quaternify.CHECKS`` tests the claim with content, that a span is
+    sigma- and tau-stable.
     """
     sigmas = [sigma_vec(v) for v in vecs]
     taus = [tau_vec(v) for v in vecs]

@@ -17,6 +17,9 @@ Chevalley generators use the defining matrix realizations:
 Each constructor verifies the generator relations [h_i, h_j] = 0,
 [e_i, f_j] = delta_ij h_i, [h_i, e_j] = c_ji e_j, [h_i, f_j] = -c_ji f_j
 exactly against the stored Cartan matrix before returning.
+
+``closure_realization`` picks, per type, the realization that
+``quaternify`` closes in (its module docstring gives the reason).
 """
 
 from __future__ import annotations
@@ -361,3 +364,60 @@ def chevalley_generators(type_label: str, rank: int) -> ChevalleyGenerators:
     )
     gens.validate()
     return gens
+
+
+def realization_label(type_label: str, rank: int) -> str:
+    """Tag of the realization :func:`closure_realization` uses.
+
+    Ranks with no realization whose weight differences stay in the
+    roots (B above 2, D other than 3) are rejected with ValueError;
+    their defining representations produce non-root weights like
+    2*eps_i and the closure cannot decompose over the root system.
+    """
+    if type_label == "A":
+        return f"sl({rank + 1},C) in gl({rank + 1},H)"
+    if type_label == "C":
+        return f"sp({2 * rank},C) in gl({2 * rank},H)"
+    if type_label == "B":
+        if rank != 2:
+            raise ValueError(
+                "quaternification is supported for type B only at rank 2 "
+                "(higher spin realizations have non-root weight differences)"
+            )
+        return "sp(4,C) spin realization of so(5,C) in gl(4,H)"
+    if type_label == "D":
+        if rank != 3:
+            raise ValueError(
+                "quaternification is supported for type D only at rank 3 "
+                "(higher half-spin realizations have non-root weight differences)"
+            )
+        return "sl(4,C) half-spin realization of so(6,C) in gl(4,H)"
+    raise ValueError(f"unknown type {type_label!r}; expected one of A, B, C, D")
+
+
+def closure_realization(type_label: str, rank: int):
+    """Generators in a realization whose weight differences stay in the roots.
+
+    Returns the generators together with their :func:`realization_label`.
+    """
+    label = realization_label(type_label, rank)
+    if type_label in ("A", "C"):
+        return chevalley_generators(type_label, rank), label
+    if type_label == "B":
+        base = chevalley_generators("C", 2)
+        h, e, f = base.h, base.e, base.f
+    else:
+        base = chevalley_generators("A", 3)
+        perm = (1, 0, 2)  # central node of A3 becomes the first D3 node
+        h, e, f = ([mats[p] for p in perm] for mats in (base.h, base.e, base.f))
+    gens = ChevalleyGenerators(
+        type_label=type_label,
+        rank=rank,
+        ambient_n=base.ambient_n,
+        h=h,
+        e=e,
+        f=f,
+        cartan=cartan_matrix(type_label, rank),
+    )
+    gens.validate()
+    return gens, label

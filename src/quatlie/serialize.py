@@ -18,8 +18,8 @@ from .bracket import StructureConstants
 from .errors import DegenerateInputError, MalformedInputError, StructuralFailureError
 from .linalg import LinearSolver, Vec
 from .matrices import QuatMatrix, flatten
-from .quaternify import QuaternionLieAlgebra, _root_vector_table, realization_label
-from .realizations import ChevalleyGenerators
+from .quaternify import QuaternionLieAlgebra, _root_vector_table
+from .realizations import ChevalleyGenerators, realization_label
 from .rootsystem import CLASSICAL_TYPES, cartan_matrix, custom_cartan, positive_roots_with_tree
 from .scalars import format_rational, parse_rational
 

@@ -255,11 +255,11 @@ def test_jacobi_detects_sign_flip():
     assert report.failures
 
 
-def test_jacobi_sampled_above_limit():
+def test_jacobi_checks_every_triple():
     result = closure(sl_with_j_generators(2))
-    report = jacobi_check(result.constants, exhaustive_limit=10, samples=120)
-    assert not report.exhaustive
-    assert report.triples_checked == 120
+    report = jacobi_check(result.constants)
+    assert report.exhaustive
+    assert report.triples_checked == 15 * 14 * 13 // 6
     assert report.ok
 
 

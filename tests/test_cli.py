@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import hashlib
+import importlib
 import io
 import json
 import operator
@@ -12,6 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from quatlie import serialize
 from quatlie.cli import main
+
+# the module, which the package's `quaternify` function shadows
+quaternify = importlib.import_module("quatlie.quaternify")
 
 
 def run(capsys, *argv):
@@ -303,11 +307,11 @@ def _lookup(doc, path):
 
 
 def _verify_quietly(path):
-    """Exit code and stderr of `verify` on a file; stdout is discarded."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    """Exit code, stdout and stderr of `verify` on a file."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify", "--in", str(path)])
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 JSON_LEAVES = st.one_of(
@@ -326,7 +330,7 @@ JSON_LEAVES = st.one_of(
 def test_verify_never_raises_on_a_mutated_leaf(a2_file, data):
     doc = json.loads(a2_file.read_text())
     path = _mutated_copy(a2_file, data, sorted(doc), lambda v: True, lambda v: JSON_LEAVES)
-    code, err = _verify_quietly(path)
+    code, _, err = _verify_quietly(path)
     assert code in (0, 1, 2)
     if code == 2:
         assert err.count("\n") == 1, err
@@ -343,8 +347,51 @@ def _other_rational(text):
 def test_verify_fails_on_a_changed_coefficient(a2_file, data):
     keys = ["basis", "structure_constants"]
     path = _mutated_copy(a2_file, data, keys, lambda v: isinstance(v, str), _other_rational)
-    code, _ = _verify_quietly(path)
+    code, out, _ = _verify_quietly(path)
     assert code in (1, 2)
+    table = json.loads(path.read_text())["structure_constants"]
+    if table != json.loads(a2_file.read_text())["structure_constants"]:
+        assert code == 1
+        red = {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
+        assert {"structure", "jacobi"} <= red
+
+
+def _changed_constant(a2_file, tmp_path):
+    """The A2 file with the coefficient of its first table entry negated."""
+    doc = json.loads(a2_file.read_text())
+    entry = doc["structure_constants"]["entries"][0]
+    entry[3] = serialize.format_rational(-serialize.parse_rational(entry[3]))
+    path = tmp_path / "changed-constant.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_verify_jacobi_alone_runs_structure(a2_file, tmp_path, capsys):
+    path = _changed_constant(a2_file, tmp_path)
+    code, doc = run_json(capsys, "verify", "--in", str(path), "--checks", "jacobi")
+    assert code == 1
+    assert doc["checks"] == [
+        {"name": "jacobi", "passed": False, "instances": 6545, "failures": ["('structure', 1)"]}
+    ]
+    code, doc = run_json(capsys, "verify", "--in", str(a2_file), "--checks", "relations,serre,jacobi")
+    assert code == 0 and doc["checks"][-1]["name"] == "jacobi"
+
+
+@pytest.mark.parametrize(
+    "checks", ["structure,jacobi,conjugations", "jacobi,structure,conjugations", "conjugations,jacobi"]
+)
+def test_verify_brackets_each_basis_pair_once(a2_file, checks, monkeypatch, capsys):
+    calls = []
+    bracket_vec = quaternify.bracket_vec
+
+    def counted(x, y, n):
+        calls.append((x, y))
+        return bracket_vec(x, y, n)
+
+    monkeypatch.setattr(quaternify, "bracket_vec", counted)
+    code, _ = run_json(capsys, "verify", "--in", str(a2_file), "--checks", checks)
+    assert code == 0
+    assert len(calls) == 35 * 34 // 2
 
 
 def test_verify_k_structure_reports_dims(tmp_path, capsys):
@@ -481,12 +528,12 @@ RELATION_FAMILIES = (
     "e.Jf", "Je.Jf", "h.Je", "Jh.e", "Jh.Je", "h.Jf", "Jh.f", "Jh.Jf",
 )
 VERIFY_PINNED = {
-    ("A", 1): (1, 0, 455, 105, 105, 102, (7, 1, 6), 2, 90),
-    ("A", 2): (4, 16, 6545, 595, 595, 409, (11, 2, 9), 6, 385),
-    ("A", 3): (9, 48, 500, 1953, 1953, 1024, (15, 3, 12), 12, 988),
-    ("B", 2): (4, 16, 500, 1953, 1953, 1012, (15, 2, 12), 8, 988),
-    ("C", 2): (4, 16, 500, 1953, 1953, 1012, (15, 2, 12), 8, 988),
-    ("D", 3): (9, 48, 500, 1953, 1953, 1024, (15, 3, 12), 12, 988),
+    ("A", 1): (1, 0, 455, 105, 30, 102, (7, 1, 6), 2, 90),
+    ("A", 2): (4, 16, 6545, 595, 70, 409, (11, 2, 9), 6, 385),
+    ("A", 3): (9, 48, 39711, 1953, 126, 1024, (15, 3, 12), 12, 988),
+    ("B", 2): (4, 16, 39711, 1953, 126, 1012, (15, 2, 12), 8, 988),
+    ("C", 2): (4, 16, 39711, 1953, 126, 1012, (15, 2, 12), 8, 988),
+    ("D", 3): (9, 48, 39711, 1953, 126, 1024, (15, 3, 12), 12, 988),
 }
 SHORT_ROOTS_AT_DIM_8 = [
     "((1, 0), 'dim', 8)", "((1, 1), 'dim', 8)", "((-1, 0), 'dim', 8)", "((-1, -1), 'dim', 8)",

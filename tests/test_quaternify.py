@@ -1,10 +1,17 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from quatlie.bracket import bracket, close_under_bracket, sigma_parity
+from quatlie.bracket import (
+    StructureConstants,
+    bracket,
+    close_under_bracket,
+    left_unit_vec,
+    sigma_parity,
+)
 from quatlie.errors import StructuralFailureError
-from quatlie.linalg import SpanBasis, span_of
+from quatlie.linalg import LinearSolver, SpanBasis, span_of
 from quatlie.matrices import (
     QuatMatrix,
     apply_J,
@@ -17,6 +24,7 @@ from quatlie.quaternify import (
     closure_realization,
     k_structure,
     quaternify,
+    run_checks,
     sigma_grading_check,
     verify_relations,
     verify_serre,
@@ -381,6 +389,34 @@ def test_hr_is_abelian_and_central_in_k(algebras):
 # ---------------------------------------------------------------------------
 # sigma grading
 # ---------------------------------------------------------------------------
+
+
+def _line_algebra(g, row):
+    """``g`` cut down to the span of one row, which is bracket-closed."""
+    return dataclasses.replace(
+        g,
+        basis=[row],
+        solver=LinearSolver([row], 4 * g.ambient_n ** 2),
+        constants=StructureConstants(dim=1),
+        weight_indices={},
+        k_indices=(),
+        hr_indices=(),
+        hr_perp_indices=(),
+    )
+
+
+# e + J e is tau-stable but not sigma-stable, (1 + i) e the reverse
+@pytest.mark.parametrize("unit,leaving", [(2, "sigma"), (1, "tau")])
+def test_conjugations_reject_a_span_that_leaves(algebras, unit, leaving):
+    g = algebras("A", 1)
+    e = flatten(g.generators.e[0])
+    row = {**e, **left_unit_vec(unit, e)}  # e is real, so the offsets are disjoint
+    reports, _ = run_checks(_line_algebra(g, row), ["conjugations", "structure", "jacobi"])
+    assert [(r.name, r.instances_checked, r.failures) for r in reports] == [
+        ("conjugations", 2, [(0, leaving)]),
+        ("structure", 0, []),
+        ("jacobi", 0, []),
+    ]
 
 
 @pytest.mark.parametrize("type_label,rank", ALL_TYPES)
