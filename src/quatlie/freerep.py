@@ -21,6 +21,10 @@ both flags, so the inner sums above are well defined (they are empty)
 and lowering operators annihilate it.  Raising beyond the degree cap
 either raises or, when an overflow collector is supplied, drops the
 term and records the word.
+
+The relation check ``verify_ideal_kernel`` is one flat loop: each step
+of a commutator reads a per-generator image column (``plain_images``)
+and ``_twist`` gives its flag and sign; no word combination is built.
 """
 
 from __future__ import annotations
@@ -52,16 +56,6 @@ class FreeWord(NamedTuple):
 Combo = dict  # {FreeWord: int}, zero coefficients never stored
 
 
-def _add_term(combo: Combo, word: FreeWord, coeff: int) -> None:
-    if not coeff:
-        return
-    acc = combo.get(word, 0) + coeff
-    if acc:
-        combo[word] = acc
-    else:
-        combo.pop(word, None)
-
-
 def _twist(tagged: bool, flag: bool) -> tuple:
     """Flag and sign of an image under a (J-tagged if ``tagged``) generator.
 
@@ -80,11 +74,10 @@ def _plain_action(base: str, j: int, idx: tuple, c) -> dict:
         return {(j,) + idx: 1}
     out: dict = {}
     for k in range(len(idx)):
-        if idx[k] != j:
-            continue
-        inner = sum(c[idx[h]][j] for h in range(k + 1, len(idx)))
-        _add_term(out, idx[:k] + idx[k + 1 :], -inner)
-    return out
+        if idx[k] == j:
+            lowered = idx[:k] + idx[k + 1 :]
+            out[lowered] = out.get(lowered, 0) - sum(c[h][j] for h in idx[k + 1 :])
+    return {lowered: coeff for lowered, coeff in out.items() if coeff}
 
 
 def rho_apply(
@@ -113,42 +106,37 @@ def rho_apply(
     }
 
 
-def plain_images(cm: CartanMatrix, degree_cap: int):
-    """Lookup ``(base, j, index tuple) -> ((index tuple, int), ...)``.
+class _Column(dict):
+    """Image column of one plain generator: index tuple -> ((index tuple, int), ...).
 
-    Each entry is the image of the plain word under the plain generator
-    base_j, computed by ``rho_apply`` on first use and kept in a table
-    that lives as long as the returned function.
+    A missing entry is filled by ``rho_apply`` on its first lookup.
+    """
+
+    def __init__(self, *generator):  # base, j, cm, degree_cap
+        self.generator = generator
+
+    def __missing__(self, idx: tuple) -> tuple:
+        base, j, cm, degree_cap = self.generator
+        image = rho_apply(base, j, FreeWord(False, idx), cm, degree_cap)
+        terms = self[idx] = tuple((w.indices, coeff) for w, coeff in image.items())
+        return terms
+
+
+def plain_images(cm: CartanMatrix, degree_cap: int):
+    """Lookup ``(base, j) -> index tuple -> ((index tuple, int), ...)``.
+
+    ``plain_images(cm, cap)(base, j)[idx]`` is the image of the plain
+    word ``idx`` under the plain generator base_j, filled by ``rho_apply``
+    on first use.  The columns live as long as the returned function.
     """
     table: dict = {}
 
-    def image(base: str, j: int, idx: tuple) -> tuple:
-        key = (base, j, idx)
-        terms = table.get(key)
-        if terms is None:
-            plain = rho_apply(base, j, FreeWord(False, idx), cm, degree_cap)
-            terms = table[key] = tuple((w.indices, coeff) for w, coeff in plain.items())
-        return terms
+    def column(base: str, j: int) -> _Column:
+        if (base, j) not in table:
+            table[base, j] = _Column(base, j, cm, degree_cap)
+        return table[base, j]
 
-    return image
-
-
-def rho_apply_combo(kind: str, j: int, combo: Combo, image) -> Combo:
-    """Image of a word combination under one generator.
-
-    ``image`` is a :func:`plain_images` lookup; the J rule is applied on
-    top of it by ``_twist``, the same helper ``rho_apply`` uses.
-    """
-    if kind not in GENERATOR_KINDS:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    base = kind[-1]
-    tagged = kind.startswith("J")
-    out: Combo = {}
-    for word, coeff in combo.items():
-        flag, sign = _twist(tagged, word.j_flag)
-        for idx, val in image(base, j, word.indices):
-            _add_term(out, FreeWord(flag, idx), sign * coeff * val)
-    return out
+    return column
 
 
 def all_words(rank: int, max_length: int) -> list[FreeWord]:
@@ -204,54 +192,65 @@ def family_target(target, i: int, j: int, c) -> tuple:
     return kind, j, sign * c[j][i]
 
 
-def _family_defect(
-    kind_a: str,
-    kind_b: str,
-    target,
-    i: int,
-    j: int,
-    word: FreeWord,
-    c,
-    image,
-) -> Combo:
-    start = {word: 1}
-    defect = rho_apply_combo(kind_a, i, rho_apply_combo(kind_b, j, start, image), image)
-    right = rho_apply_combo(kind_b, j, rho_apply_combo(kind_a, i, start, image), image)
-    for w, coeff in right.items():
-        _add_term(defect, w, -coeff)
-    kind_t, index, coeff = family_target(target, i, j, c)
-    if coeff:
-        for w, val in rho_apply_combo(kind_t, index, start, image).items():
-            _add_term(defect, w, -coeff * val)
-    return defect
-
-
 def verify_ideal_kernel(cm: CartanMatrix, degree: int) -> list[CheckReport]:
     """Check that all sixteen relation families act as zero operators.
 
     Every family element is a commutator combination of degree at most
     one, so vanishing on all words of length <= degree-1 is the whole
-    degree-local statement; the cap itself is never exceeded.  The
-    plain-word images come from one :func:`plain_images` table, which
-    is dropped on return.
+    degree-local statement; the cap itself is never exceeded.
+
+    One loop evaluates the defect rho(a_i) rho(b_j) w - rho(b_j) rho(a_i) w
+    - c rho(t) w of every (family, i, j, word) instance, from the image
+    columns of a_i, b_j and t in one :func:`plain_images` table (dropped
+    on return).  A step's twist depends only on its tag and the flag, so
+    ``_twist`` runs per (i, j, flag) and step; a word fails with the
+    count of nonzero (flag, index tuple) entries of its defect.
     """
     if degree < 2:
         raise ValueError("degree must be at least 2")
-    words = all_words(cm.rank, degree - 1)
-    image = plain_images(cm, degree)
+    plain = [w.indices for w in all_words(cm.rank, degree - 1) if not w.j_flag]
+    column = plain_images(cm, degree)
     c = cm.entries
+    pairs = list(itertools.product(range(cm.rank), repeat=2))
     reports = []
     for name, kind_a, kind_b, target in FAMILIES:
+        base_a, tag_a = kind_a[-1], kind_a[0] == "J"
+        base_b, tag_b = kind_b[-1], kind_b[0] == "J"
         failures = []
-        checked = 0
-        for i in range(cm.rank):
-            for j in range(cm.rank):
-                for word in words:
-                    checked += 1
-                    defect = _family_defect(kind_a, kind_b, target, i, j, word, c, image)
-                    if defect:
-                        failures.append((i, j, word.label(), len(defect)))
-        reports.append(CheckReport(name, checked, failures))
+        for i, j in pairs:
+            col_a, col_b = column(base_a, i), column(base_b, j)
+            kind_t, index, coeff = family_target(target, i, j, c)
+            if coeff:
+                col_t, tag_t = column(kind_t[-1], index), kind_t[0] == "J"
+            # words in all_words order: every plain word, then every flagged one
+            for flag in (False, True):
+                flag_b, sign_b = _twist(tag_b, flag)
+                flag_ab, sign_ab = _twist(tag_a, flag_b)
+                flag_a, sign_a = _twist(tag_a, flag)
+                flag_ba, sign_ba = _twist(tag_b, flag_a)
+                sign_ab, sign_ba = sign_b * sign_ab, -sign_a * sign_ba
+                if coeff:
+                    flag_t, sign_t = _twist(tag_t, flag)
+                    sign_t *= -coeff
+                for idx in plain:
+                    defect: dict = {}
+                    get = defect.get
+                    for mid, u in col_b[idx]:  # rho(a_i) rho(b_j) w
+                        for out, v in col_a[mid]:
+                            key = (flag_ab, out)
+                            defect[key] = get(key, 0) + sign_ab * u * v
+                    for mid, u in col_a[idx]:  # - rho(b_j) rho(a_i) w
+                        for out, v in col_b[mid]:
+                            key = (flag_ba, out)
+                            defect[key] = get(key, 0) + sign_ba * u * v
+                    if coeff:
+                        for out, v in col_t[idx]:
+                            key = (flag_t, out)
+                            defect[key] = get(key, 0) + sign_t * v
+                    if any(defect.values()):
+                        nonzero = sum(map(bool, defect.values()))
+                        failures.append((i, j, FreeWord(flag, idx).label(), nonzero))
+        reports.append(CheckReport(name, 2 * len(pairs) * len(plain), failures))
     return reports
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -15,7 +16,6 @@ from quatlie.freerep import (
     all_words,
     plain_images,
     rho_apply,
-    rho_apply_combo,
     verify_h_independence,
     verify_ideal_kernel,
 )
@@ -154,15 +154,17 @@ def test_rho_apply_jh_clears_flag():
     # Jh_0 on J.f1 is +c[0][0] f1 with the flag cleared
     w = FreeWord(True, (0,))
     assert rho_apply("Jh", 0, w, A2, 3) == {FreeWord(False, (0,)): Fraction(2)}
-    combo = {w: 2}
-    image = plain_images(A2, 3)
-    assert rho_apply_combo("Jh", 0, combo, image) == {FreeWord(False, (0,)): Fraction(4)}
+    # the kernel's route: the plain h_0 column, then the twist, on 2 * J.f1
+    flag, sign = freerep._twist(True, w.j_flag)
+    column = plain_images(A2, 3)("h", 0)
+    got = [(FreeWord(flag, idx), 2 * sign * val) for idx, val in column[w.indices]]
+    assert got == [(FreeWord(False, (0,)), 4)]
 
 
 def test_combo_apply_keeps_the_degree_cap():
-    full = {FreeWord(True, (0, 1, 0)): 1}
+    # a column entry past the cap raises instead of truncating
     with pytest.raises(TruncationOverflowError):
-        rho_apply_combo("Jf", 0, full, plain_images(A2, 3))
+        plain_images(A2, 3)("f", 0)[(0, 1, 0)]
 
 
 def test_rho_apply_values_are_ints_and_spans_stay_exact(monkeypatch):
@@ -215,6 +217,72 @@ def test_wrong_plain_image_turns_families_red(monkeypatch):
     monkeypatch.setattr(freerep, "rho_apply", skewed)
     red = _red_families(A2, 3)
     assert "h.f" in red and "h.e" in red
+
+
+def _oracle_summary(cm, degree):
+    """Family reports from rho_apply composed on word combinations, with no table."""
+
+    def apply(kind, j, combo, out=None, scale=1):
+        out = {} if out is None else out
+        for word, coeff in combo.items():
+            for image, val in rho_apply(kind, j, word, cm, degree).items():
+                out[image] = out.get(image, 0) + scale * coeff * val
+        return out
+
+    words = all_words(cm.rank, degree - 1)
+    summary = []
+    for name, kind_a, kind_b, target in freerep.FAMILIES:
+        failures = []
+        for i, j in itertools.product(range(cm.rank), repeat=2):
+            for word in words:
+                defect = apply(kind_a, i, apply(kind_b, j, {word: 1}))
+                apply(kind_b, j, apply(kind_a, i, {word: 1}), defect, -1)
+                if target:
+                    kind_t, role, sign, rule = target
+                    coeff = sign * (i == j) if rule == "delta" else sign * cm.entries[j][i]
+                    apply(kind_t, i if role == "i" else j, {word: 1}, defect, -coeff)
+                nonzero = sum(1 for val in defect.values() if val)
+                if nonzero:
+                    failures.append([i, j, word.label(), nonzero])
+        summary.append([name, cm.rank**2 * len(words), failures])
+    return summary
+
+
+ORACLE_CASES = [(A2.entries, 4), (cartan_matrix("B", 2).entries, 5), (((2, -3), (-1, 2)), 3)]
+# (family name, wrong target): a wrong target sign and a wrong target tag
+WRONG_TARGETS = [
+    ("Je.Jf", ("h", "i", 1, "delta")),
+    ("Jh.Je", ("Je", "j", -1, "cji")),
+]
+
+
+@pytest.mark.parametrize("entries,degree", ORACLE_CASES)
+@pytest.mark.parametrize("wrong", [None] + WRONG_TARGETS)
+def test_ideal_kernel_matches_the_rho_apply_oracle(monkeypatch, entries, degree, wrong):
+    if wrong:
+        families = tuple(f[:3] + (wrong[1],) if f[0] == wrong[0] else f for f in FAMILIES)
+        monkeypatch.setattr(freerep, "FAMILIES", families)
+    cm = custom_cartan(entries)
+    kernel = _summary(verify_ideal_kernel(cm, degree))
+    assert kernel == _oracle_summary(cm, degree)
+    red = {name for name, _, failures in kernel if failures}
+    assert red == ({wrong[0]} if wrong else set())
+
+
+def test_ideal_kernel_reads_each_plain_image_once(monkeypatch):
+    calls = []
+    honest = freerep.rho_apply
+
+    def counted(kind, j, word, cm, degree_cap, overflow=None):
+        calls.append((kind, j, word))
+        return honest(kind, j, word, cm, degree_cap, overflow)
+
+    monkeypatch.setattr(freerep, "rho_apply", counted)
+    verify_ideal_kernel(A2, 4)
+    # 3 bases x 2 indices x 15 words up to length 3, plus e and h on the
+    # 16 words of length 4 that f reaches: one call per distinct plain image
+    assert len(calls) == len(set(calls)) == 154
+    assert all(kind in "hef" and not word.j_flag for kind, _, word in calls)
 
 
 def _summary(reports):
