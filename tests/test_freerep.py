@@ -248,16 +248,21 @@ def _oracle_summary(cm, degree):
     return summary
 
 
-ORACLE_CASES = [(A2.entries, 4), (cartan_matrix("B", 2).entries, 5), (((2, -3), (-1, 2)), 3)]
+ORACLE_CASES = [
+    pytest.param(A2.entries, 4, id="A2-d4"),
+    pytest.param(cartan_matrix("B", 2).entries, 5, id="B2-d5"),
+    pytest.param(((2, -3), (-1, 2)), 3, id="G2-like-d3"),
+]
 # (family name, wrong target): a wrong target sign and a wrong target tag
 WRONG_TARGETS = [
-    ("Je.Jf", ("h", "i", 1, "delta")),
-    ("Jh.Je", ("Je", "j", -1, "cji")),
+    pytest.param(None, id="as-listed"),
+    pytest.param(("Je.Jf", ("h", "i", 1, "delta")), id="Je.Jf-to-plus-h"),
+    pytest.param(("Jh.Je", ("Je", "j", -1, "cji")), id="Jh.Je-to-Je"),
 ]
 
 
 @pytest.mark.parametrize("entries,degree", ORACLE_CASES)
-@pytest.mark.parametrize("wrong", [None] + WRONG_TARGETS)
+@pytest.mark.parametrize("wrong", WRONG_TARGETS)
 def test_ideal_kernel_matches_the_rho_apply_oracle(monkeypatch, entries, degree, wrong):
     if wrong:
         families = tuple(f[:3] + (wrong[1],) if f[0] == wrong[0] else f for f in FAMILIES)
