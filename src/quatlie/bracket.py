@@ -20,8 +20,9 @@ built algebra is stored as such rows, and its checks read them as they
 are.
 
 :func:`bracket` stays the ``QuatMatrix`` commutator ``x @ y - y @ x``.
-It serves the realization boundary (generator validation, root vectors)
-and is the independent oracle that the tests hold the kernel against.
+It serves the realization boundary (the root vectors; generators are
+validated on coordinate rows) and is the independent oracle that the
+tests hold the kernel against.
 
 Closure (:func:`close_vecs`) works over a worklist of coordinate rows:
 every accepted member is bracketed against the members accepted before

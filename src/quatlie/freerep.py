@@ -156,8 +156,8 @@ def all_words(rank: int, max_length: int) -> list[FreeWord]:
 # name, left kind, right kind, optional target: (kind, index role, sign, rule)
 # where rule "delta" means delta_ij acting via index i and rule "cji"
 # means the Cartan entry c[j][i] acting via index j.  Family (a, b, t)
-# states [a_i, b_j] = t; the matrix check in ``quaternify`` reads the
-# same table.
+# states [a_i, b_j] = t; ``ChevalleyGenerators.relations`` evaluates the
+# same table on the generators' coordinate rows.
 FAMILIES = (
     ("h.h", "h", "h", None),
     ("e.f", "e", "f", ("h", "i", 1, "delta")),

@@ -14,9 +14,13 @@ Chevalley generators use the defining matrix realizations:
   * type C_l in sp(2l, C) for the form Omega = [[0, I], [-I, 0]];
   * type D_l in so(2l, C) for the form S = [[0, I], [I, 0]].
 
-Each constructor verifies the generator relations [h_i, h_j] = 0,
-[e_i, f_j] = delta_ij h_i, [h_i, e_j] = c_ji e_j, [h_i, f_j] = -c_ji f_j
-exactly against the stored Cartan matrix before returning.
+Each constructor validates its generators before returning: no
+generator row has a J coordinate, and the four plain relation families
+hold exactly against the stored Cartan matrix.  Every family of
+``freerep.FAMILIES`` is evaluated by one method,
+``ChevalleyGenerators.relations``, with ``bracket_vec`` on the
+generators' coordinate rows; the ``relations`` check of ``quaternify``
+runs all sixteen through it.
 
 ``closure_realization`` picks, per type, the realization that
 ``quaternify`` closes in (its module docstring gives the reason).
@@ -26,11 +30,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .bracket import bracket
-from .errors import StructuralFailureError
-from .matrices import QuatMatrix, quat_transpose_mj
+from .bracket import bracket_vec, left_unit_vec
+from .errors import CheckReport, StructuralFailureError
+from .freerep import FAMILIES, family_target
+from .matrices import QuatMatrix, flatten, quat_transpose_mj
 from .rootsystem import CartanMatrix, cartan_matrix
 from .scalars import GR_ONE, Q_I, Q_J, Q_K, Q_ONE, Quaternion
 
@@ -241,30 +245,52 @@ class ChevalleyGenerators:
     f: list[QuatMatrix]
     cartan: CartanMatrix
 
-    def validate(self) -> None:
-        """Exact generator relations against the stored Cartan matrix."""
+    def rows(self) -> dict:
+        """Kind -> coordinate rows of h, e, f and their J images Jh, Je, Jf."""
+        plain = {"h": self.h, "e": self.e, "f": self.f}
+        rows = {kind: [flatten(m) for m in mats] for kind, mats in plain.items()}
+        for kind in plain:
+            rows["J" + kind] = [left_unit_vec(2, v) for v in rows[kind]]
+        return rows
+
+    def relations(self, families=FAMILIES) -> list[CheckReport]:
+        """One report per relation family, failures the (i, j) where it fails.
+
+        Family (name, a, b, t) of ``freerep.FAMILIES`` states
+        [a_i, b_j] = t for all i, j; both sides are coordinate rows.
+        """
+        rows = self.rows()
+        n = self.ambient_n
         l = self.rank
-        c = self.cartan.entries
-        zero = QuatMatrix.zeros(self.ambient_n)
-        for i in range(l):
-            for j in range(l):
-                if not bracket(self.h[i], self.h[j]).is_zero():
-                    raise StructuralFailureError(f"[h{i},h{j}] != 0")
-                expect = self.h[i] if i == j else zero
-                if bracket(self.e[i], self.f[j]) != expect:
-                    raise StructuralFailureError(f"[e{i},f{j}] != delta*h")
-                if bracket(self.h[i], self.e[j]) != self.e[j].scale_rational(
-                    Fraction(c[j][i])
-                ):
-                    raise StructuralFailureError(f"[h{i},e{j}] != c_ji e{j}")
-                if bracket(self.h[i], self.f[j]) != self.f[j].scale_rational(
-                    Fraction(-c[j][i])
-                ):
-                    raise StructuralFailureError(f"[h{i},f{j}] != -c_ji f{j}")
-        for mats in (self.h, self.e, self.f):
-            for m in mats:
-                if not _is_plain(m):
-                    raise StructuralFailureError("generator has a J component")
+        reports = []
+        for name, kind_a, kind_b, target in families:
+            failures = []
+            for i in range(l):
+                for j in range(l):
+                    kind_t, index, coeff = family_target(target, i, j, self.cartan.entries)
+                    expected = {}
+                    if coeff:
+                        expected = {k: v * coeff for k, v in rows[kind_t][index].items()}
+                    if bracket_vec(rows[kind_a][i], rows[kind_b][j], n) != expected:
+                        failures.append((i, j))
+            reports.append(CheckReport(f"relations.{name}", l * l, failures))
+        return reports
+
+    def validate(self) -> None:
+        """No J coordinate, then the four plain families, exactly.
+
+        Raises StructuralFailureError naming the first generator with a
+        J coordinate or the first family that fails and its (i, j).
+        """
+        rows = self.rows()
+        for kind in ("h", "e", "f"):
+            for i, row in enumerate(rows[kind]):
+                if any(idx & 2 for idx in row):
+                    raise StructuralFailureError(f"generator {kind}{i} has a J component")
+        plain = [family for family in FAMILIES if "J" not in family[1] + family[2]]
+        for report in self.relations(plain):
+            if not report.ok:
+                raise StructuralFailureError(f"{report.name} failed at {report.failures}")
 
 
 def _gens_type_a(l: int):
@@ -404,19 +430,13 @@ def closure_realization(type_label: str, rank: int):
     if type_label in ("A", "C"):
         return chevalley_generators(type_label, rank), label
     if type_label == "B":
-        base = chevalley_generators("C", 2)
-        h, e, f = base.h, base.e, base.f
+        n, h, e, f = _gens_type_c(2)
     else:
-        base = chevalley_generators("A", 3)
+        n, h, e, f = _gens_type_a(3)
         perm = (1, 0, 2)  # central node of A3 becomes the first D3 node
-        h, e, f = ([mats[p] for p in perm] for mats in (base.h, base.e, base.f))
+        h, e, f = ([mats[p] for p in perm] for mats in (h, e, f))
     gens = ChevalleyGenerators(
-        type_label=type_label,
-        rank=rank,
-        ambient_n=base.ambient_n,
-        h=h,
-        e=e,
-        f=f,
+        type_label=type_label, rank=rank, ambient_n=n, h=h, e=e, f=f,
         cartan=cartan_matrix(type_label, rank),
     )
     gens.validate()

@@ -1,10 +1,13 @@
+import dataclasses
 import warnings
 
 import pytest
 
 from quatlie.bracket import bracket, close_under_bracket
+from quatlie.errors import StructuralFailureError
 from quatlie.matrices import (
     QuatMatrix,
+    apply_J,
     is_J_submodule,
     is_sigma_submodule,
     mj_embed,
@@ -12,6 +15,7 @@ from quatlie.matrices import (
 from quatlie.realizations import (
     build_named,
     chevalley_generators,
+    closure_realization,
     membership,
 )
 from quatlie.scalars import Q_I, Q_J, Q_ONE
@@ -162,6 +166,31 @@ def test_type_a1_explicit():
     assert gens.e[0] == QuatMatrix.unit(2, 0, 1, Q_ONE)
     assert gens.f[0] == QuatMatrix.unit(2, 1, 0, Q_ONE)
     assert bracket(gens.e[0], gens.f[0]) == gens.h[0]
+
+
+def test_validate_names_the_failed_relation():
+    gens = chevalley_generators("A", 2)
+    flipped = dataclasses.replace(gens, e=[gens.e[0], gens.e[1].scale_rational(-1)])
+    with pytest.raises(StructuralFailureError, match=r"relations\.e\.f failed at \[\(1, 1\)\]"):
+        flipped.validate()
+    # J e_0 breaks [e_0, f_0] = h_0 too; the coordinate test runs first
+    tagged = dataclasses.replace(gens, e=[apply_J(gens.e[0]), gens.e[1]])
+    with pytest.raises(StructuralFailureError, match="generator e0 has a J component"):
+        tagged.validate()
+
+
+def test_closure_realization_makes_no_matrix_products(monkeypatch):
+    calls = []
+    matmul = QuatMatrix.__matmul__
+
+    def counted(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(QuatMatrix, "__matmul__", counted)
+    for type_label, rank in (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("D", 3)):
+        closure_realization(type_label, rank)
+    assert len(calls) == 0
 
 
 def test_type_a2_cartan_action():
