@@ -11,13 +11,21 @@ so :func:`bracket_vec` forms the commutator
 
 one nonzero coordinate pair at a time, in exact arithmetic (``int`` on
 integral inputs, ``Fraction`` once a non-integral value enters), without
-building quaternion matrices.  The conjugations are sign flips: sigma
-(z1 + j*z2 -> z1 - j*z2) negates offsets 2 and 3 of every entry, tau
-(complex conjugation of z1 and z2) negates offsets 1 and 3.  Entrywise
-left multiplication by a unit is a signed permutation of the offsets,
-so i*x and J x (left multiplication by j) are coordinate maps too.  A
-built algebra is stored as such rows, and its checks read them as they
-are.
+building quaternion matrices.
+
+The kernel takes two steps.  :func:`group_rows` groups a row's
+coordinates by matrix row, and :func:`bracket_grouped` brackets two
+grouped rows.  Every sweep over pairs (closure, structure constants, the
+structure check, the derived span, the generator relations) groups each
+of its rows once per sweep and brackets the grouped pairs;
+:func:`bracket_vec` takes both steps for a single pair.
+
+The conjugations are sign flips: sigma (z1 + j*z2 -> z1 - j*z2) negates
+offsets 2 and 3 of every entry, tau (complex conjugation of z1 and z2)
+negates offsets 1 and 3.  Entrywise left multiplication by a unit is a
+signed permutation of the offsets, so i*x and J x (left multiplication
+by j) are coordinate maps too.  A built algebra is stored as such rows,
+and its checks read them as they are.
 
 :func:`bracket` stays the ``QuatMatrix`` commutator ``x @ y - y @ x``.
 It serves the realization boundary (the root vectors; generators are
@@ -53,7 +61,7 @@ def bracket(x: QuatMatrix, y: QuatMatrix) -> QuatMatrix:
     return (x @ y) - (y @ x)
 
 
-def _by_row(x: Vec, n: int) -> dict:
+def group_rows(x: Vec, n: int) -> dict:
     """Row p -> [(column, unit offset, value)] of a flattened matrix."""
     rows: dict = {}
     for idx, val in x.items():
@@ -76,18 +84,21 @@ def _add_product(out: dict, left: dict, right: dict, n: int, sign: int) -> None:
                 out[idx] = term if acc is None else acc + term
 
 
-def bracket_vec(x: Vec, y: Vec, n: int) -> Vec:
-    """Commutator of two flattened n x n quaternion matrices, flattened.
+def bracket_grouped(rows_x: dict, rows_y: dict, n: int) -> Vec:
+    """Commutator of two matrices given by :func:`group_rows`, flattened.
 
     Only nonzero values are kept; ``int`` inputs give ``int`` values,
     and a ``Fraction`` anywhere in a product gives a ``Fraction``.
     """
-    rows_x = _by_row(x, n)
-    rows_y = _by_row(y, n)
     out: dict = {}
     _add_product(out, rows_x, rows_y, n, 1)
     _add_product(out, rows_y, rows_x, n, -1)
     return {idx: val for idx, val in out.items() if val}
+
+
+def bracket_vec(x: Vec, y: Vec, n: int) -> Vec:
+    """Commutator of two flattened n x n quaternion matrices, flattened."""
+    return bracket_grouped(group_rows(x, n), group_rows(y, n), n)
 
 
 def sigma_vec(x: Vec) -> Vec:
@@ -194,15 +205,16 @@ def close_vecs(generators: list[Vec], n: int) -> SpanBasis:
     insertion.  Worst case the closure is all of gl(n, H).
     """
     span = SpanBasis(4 * n * n)
-    members: list[Vec] = []
+    members: list[dict] = []  # accepted candidates, grouped
     pending = deque(generators)
     while pending:
         candidate = pending.popleft()
         if not span.insert(candidate):
             continue
+        grouped = group_rows(candidate, n)
         for other in members:
-            pending.append(bracket_vec(other, candidate, n))
-        members.append(candidate)
+            pending.append(bracket_grouped(other, grouped, n))
+        members.append(grouped)
     return span
 
 
@@ -225,9 +237,10 @@ def structure_constants(
     if solver is None:
         solver = LinearSolver(vecs, 4 * n * n)
     sc = StructureConstants(dim=len(vecs))
-    for i, x in enumerate(vecs):
-        for j in range(i + 1, len(vecs)):
-            prod = bracket_vec(x, vecs[j], n)
+    grouped = [group_rows(v, n) for v in vecs]
+    for i, x in enumerate(grouped):
+        for j in range(i + 1, len(grouped)):
+            prod = bracket_grouped(x, grouped[j], n)
             if not prod:
                 continue
             coeffs = solver.express(prod)
@@ -235,7 +248,7 @@ def structure_constants(
                 raise NotClosedError(
                     f"bracket of basis elements {i}, {j} leaves the span"
                 )
-            sc.set_entry(i, j, [(k, c) for k, c in enumerate(coeffs) if c])
+            sc.set_entry(i, j, sorted(coeffs.items()))
     return sc
 
 
@@ -300,16 +313,16 @@ def check_conjugation_equivariance(vecs: list[Vec], n: int) -> EquivarianceRepor
     ``quaternify.CHECKS`` tests the claim with content, that a span is
     sigma- and tau-stable.
     """
-    sigmas = [sigma_vec(v) for v in vecs]
-    taus = [tau_vec(v) for v in vecs]
+    grouped = [[group_rows(w, n) for w in (v, sigma_vec(v), tau_vec(v))] for v in vecs]
     failures = []
     pairs = 0
-    for i, x in enumerate(vecs):
-        for j in range(i + 1, len(vecs)):
+    for i, (x, sigma_x, tau_x) in enumerate(grouped):
+        for j in range(i + 1, len(grouped)):
+            y, sigma_y, tau_y = grouped[j]
             pairs += 1
-            br = bracket_vec(x, vecs[j], n)
-            if sigma_vec(br) != bracket_vec(sigmas[i], sigmas[j], n):
+            br = bracket_grouped(x, y, n)
+            if sigma_vec(br) != bracket_grouped(sigma_x, sigma_y, n):
                 failures.append((i, j, "sigma"))
-            if tau_vec(br) != bracket_vec(taus[i], taus[j], n):
+            if tau_vec(br) != bracket_grouped(tau_x, tau_y, n):
                 failures.append((i, j, "tau"))
     return EquivarianceReport(pairs_checked=pairs, failures=failures)

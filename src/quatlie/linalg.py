@@ -157,13 +157,15 @@ class LinearSolver:
             self._basis.insert(residual)
 
     def express(self, vec: Vec):
-        """Coefficients c with ``vec == sum c[i] * rows[i]``, or None."""
-        residual = self._basis.reduce(dict(vec))
+        """Coefficients c with ``vec == sum c[i] * rows[i]``, or None.
+
+        Sparse: ``{i: c[i]}`` over the nonzero c[i], in no set order.
+        """
         ambient = self.ambient_dim
-        if any(idx < ambient for idx in residual):
-            return None
-        coeffs = [0] * self.size
-        for idx, val in residual.items():
+        coeffs = {}
+        for idx, val in self._basis.reduce(vec).items():
+            if idx < ambient:
+                return None
             coeffs[idx - ambient] = -val
         return coeffs
 

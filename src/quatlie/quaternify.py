@@ -68,8 +68,9 @@ from math import comb
 from .bracket import (
     StructureConstants,
     bracket,
-    bracket_vec,
+    bracket_grouped,
     close_vecs,
+    group_rows,
     left_unit_vec,
     sigma_parity,
     sigma_vec,
@@ -119,7 +120,7 @@ def quaternion_line(x: Vec) -> list:
 
 def generating_set(gens: ChevalleyGenerators) -> list:
     """Real generators: the quaternion line of every Chevalley generator, flattened."""
-    return [v for x in [*gens.h, *gens.e, *gens.f] for v in quaternion_line(flatten(x))]
+    return [v for kind in ("h", "e", "f") for x in gens.rows[kind] for v in quaternion_line(x)]
 
 
 def signed_root_weights(roots: list, cm: CartanMatrix) -> dict:
@@ -173,12 +174,12 @@ def weight_spaces(span: SpanBasis, hs: list, weights, n: int) -> dict:
     return spaces
 
 
-def _derived_span(rows: list, n: int) -> SpanBasis:
-    """Echelon span of the brackets of all pairs of flattened matrices."""
+def _derived_span(grouped: list, n: int) -> SpanBasis:
+    """Echelon span of the brackets of all pairs of matrices given by ``group_rows``."""
     derived = SpanBasis(4 * n * n)
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            prod = bracket_vec(rows[a], rows[b], n)
+    for a in range(len(grouped)):
+        for b in range(a + 1, len(grouped)):
+            prod = bracket_grouped(grouped[a], grouped[b], n)
             if prod:
                 derived.insert(prod)
     return derived
@@ -226,7 +227,7 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
     timings["closure"] = (clock() - t0) * 1000.0
 
     t0 = clock()
-    hr_flats = [flatten(h) for h in gens.h]
+    hr_flats = gens.rows["h"]
     tree = positive_roots_with_tree(cm)
     pos_roots = [node.root for node in tree]
     nonzero_weights = sorted(set(signed_root_weights(pos_roots, cm).values()))
@@ -240,7 +241,7 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
     for vec in hr_flats:
         if not k_span.contains(vec):
             raise StructuralFailureError("h_r is not inside the zero-weight space")
-    perp_span = _derived_span(k_rows, n)
+    perp_span = _derived_span([group_rows(row, n) for row in k_rows], n)
     split = SpanBasis(ambient)
     for vec in hr_flats:
         if not split.insert(vec):
@@ -328,7 +329,7 @@ def verify_relations(g: QuaternionLieAlgebra) -> list[CheckReport]:
 
 def verify_serre(g: QuaternionLieAlgebra) -> CheckReport:
     """(ad x_i)^(1 - c_ji) applied to x_j vanishes for all J-combinations."""
-    ops = g.generators.rows()
+    ops = g.generators.grouped
     n = g.ambient_n
     c = g.cartan.entries
     l = g.rank
@@ -346,7 +347,7 @@ def verify_serre(g: QuaternionLieAlgebra) -> CheckReport:
                         checked += 1
                         acc = target
                         for _ in range(power):
-                            acc = bracket_vec(op, acc, n)
+                            acc = group_rows(bracket_grouped(op, acc, n), n)
                         if acc:
                             failures.append((i, j, side, a, b))
     return CheckReport("serre", checked, failures)
@@ -355,15 +356,16 @@ def verify_serre(g: QuaternionLieAlgebra) -> CheckReport:
 def check_structure(g: QuaternionLieAlgebra) -> CheckReport:
     """The stored structure constants against brackets recomputed on the basis."""
     n = g.ambient_n
+    grouped = [group_rows(row, n) for row in g.basis]
     failures = []
     checked = 0
-    for i in range(g.dim):
+    for i, x in enumerate(grouped):
         for j in range(i + 1, g.dim):
             checked += 1
-            coeffs = g.solver.express(bracket_vec(g.basis[i], g.basis[j], n))
+            coeffs = g.solver.express(bracket_grouped(x, grouped[j], n))
             if coeffs is None:
                 failures.append((i, j, "outside-span"))
-            elif {k: c for k, c in enumerate(coeffs) if c} != dict(g.constants.get(i, j)):
+            elif coeffs != dict(g.constants.get(i, j)):
                 failures.append((i, j, "table-mismatch"))
     return CheckReport("structure", checked, failures)
 
@@ -435,14 +437,17 @@ def k_structure(g: QuaternionLieAlgebra) -> CheckReport:
     """
     n = g.ambient_n
     ambient = 4 * n * n
-    k_vecs = [g.basis[i] for i in g.k_indices]
+    # hr_indices lie inside k_indices (the loader checks it)
+    grouped = {i: group_rows(g.basis[i], n) for i in g.k_indices}
+    k_grouped = [grouped[i] for i in g.k_indices]
+    hr_grouped = [grouped[i] for i in g.hr_indices]
     hr_vecs = [g.basis[i] for i in g.hr_indices]
     perp_rows = [g.basis[i] for i in g.hr_perp_indices]
 
-    central = not any(bracket_vec(h, m, n) for h in hr_vecs for m in k_vecs)
-    abelian = not any(bracket_vec(a, b, n) for a in hr_vecs for b in hr_vecs)
+    central = not any(bracket_grouped(h, m, n) for h in hr_grouped for m in k_grouped)
+    abelian = not any(bracket_grouped(a, b, n) for a in hr_grouped for b in hr_grouped)
 
-    derived_ok = _derived_span(k_vecs, n).same_span(span_of(perp_rows, ambient))
+    derived_ok = _derived_span(k_grouped, n).same_span(span_of(perp_rows, ambient))
 
     split = hr_vecs + perp_rows
     direct_ok = span_of(split, ambient).rank == len(split) == len(g.k_indices)

@@ -18,9 +18,9 @@ Each constructor validates its generators before returning: no
 generator row has a J coordinate, and the four plain relation families
 hold exactly against the stored Cartan matrix.  Every family of
 ``freerep.FAMILIES`` is evaluated by one method,
-``ChevalleyGenerators.relations``, with ``bracket_vec`` on the
-generators' coordinate rows; the ``relations`` check of ``quaternify``
-runs all sixteen through it.
+``ChevalleyGenerators.relations``, with ``bracket_grouped`` on the
+generators' coordinate rows, which the object builds once; the
+``relations`` check of ``quaternify`` runs all sixteen through it.
 
 ``closure_realization`` picks, per type, the realization that
 ``quaternify`` closes in (its module docstring gives the reason).
@@ -29,9 +29,9 @@ runs all sixteen through it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .bracket import bracket_vec, left_unit_vec
+from .bracket import bracket_grouped, group_rows, left_unit_vec
 from .errors import CheckReport, StructuralFailureError
 from .freerep import FAMILIES, family_target
 from .matrices import QuatMatrix, flatten, quat_transpose_mj
@@ -237,6 +237,10 @@ def _plain_transpose_sum_zero(m: QuatMatrix) -> bool:
 
 @dataclass
 class ChevalleyGenerators:
+    """Generator matrices, with ``rows`` (kind -> coordinate rows of h, e, f
+    and their J images Jh, Je, Jf) and ``grouped`` (those rows grouped for
+    ``bracket_grouped``) built once from them on construction."""
+
     type_label: str
     rank: int
     ambient_n: int
@@ -244,14 +248,17 @@ class ChevalleyGenerators:
     e: list[QuatMatrix]
     f: list[QuatMatrix]
     cartan: CartanMatrix
+    rows: dict = field(init=False, repr=False, compare=False)
+    grouped: dict = field(init=False, repr=False, compare=False)
 
-    def rows(self) -> dict:
-        """Kind -> coordinate rows of h, e, f and their J images Jh, Je, Jf."""
+    def __post_init__(self):
         plain = {"h": self.h, "e": self.e, "f": self.f}
         rows = {kind: [flatten(m) for m in mats] for kind, mats in plain.items()}
         for kind in plain:
             rows["J" + kind] = [left_unit_vec(2, v) for v in rows[kind]]
-        return rows
+        self.rows = rows
+        n = self.ambient_n
+        self.grouped = {kind: [group_rows(v, n) for v in vecs] for kind, vecs in rows.items()}
 
     def relations(self, families=FAMILIES) -> list[CheckReport]:
         """One report per relation family, failures the (i, j) where it fails.
@@ -259,7 +266,7 @@ class ChevalleyGenerators:
         Family (name, a, b, t) of ``freerep.FAMILIES`` states
         [a_i, b_j] = t for all i, j; both sides are coordinate rows.
         """
-        rows = self.rows()
+        rows, grouped = self.rows, self.grouped
         n = self.ambient_n
         l = self.rank
         reports = []
@@ -271,7 +278,7 @@ class ChevalleyGenerators:
                     expected = {}
                     if coeff:
                         expected = {k: v * coeff for k, v in rows[kind_t][index].items()}
-                    if bracket_vec(rows[kind_a][i], rows[kind_b][j], n) != expected:
+                    if bracket_grouped(grouped[kind_a][i], grouped[kind_b][j], n) != expected:
                         failures.append((i, j))
             reports.append(CheckReport(f"relations.{name}", l * l, failures))
         return reports
@@ -282,9 +289,8 @@ class ChevalleyGenerators:
         Raises StructuralFailureError naming the first generator with a
         J coordinate or the first family that fails and its (i, j).
         """
-        rows = self.rows()
         for kind in ("h", "e", "f"):
-            for i, row in enumerate(rows[kind]):
+            for i, row in enumerate(self.rows[kind]):
                 if any(idx & 2 for idx in row):
                     raise StructuralFailureError(f"generator {kind}{i} has a J component")
         plain = [family for family in FAMILIES if "J" not in family[1] + family[2]]

@@ -15,6 +15,7 @@ instances are hashable.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import MalformedInputError
@@ -41,11 +42,18 @@ def format_rational(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+_PLAIN_INT = re.compile(r"-?[0-9]+")
+
+
 def parse_rational(text: str):
     """Inverse of :func:`format_rational`; round-trips bit-exactly.
 
-    Integral values come back as ``int``, the rest as ``Fraction``.
+    Integral values come back as ``int``, the rest as ``Fraction``.  A
+    plain ASCII integer string, the bulk of an artifact, goes straight to
+    ``int``; every other string is validated through ``Fraction``.
     """
+    if isinstance(text, str) and _PLAIN_INT.fullmatch(text):
+        return int(text)
     try:
         return integral(Fraction(text.strip()))
     except (AttributeError, ValueError, ZeroDivisionError) as exc:

@@ -17,7 +17,7 @@ import json
 from .bracket import StructureConstants
 from .errors import DegenerateInputError, MalformedInputError, StructuralFailureError
 from .linalg import LinearSolver, Vec
-from .matrices import QuatMatrix, flatten
+from .matrices import QuatMatrix
 from .quaternify import QuaternionLieAlgebra, _root_vector_table
 from .realizations import ChevalleyGenerators, realization_label
 from .rootsystem import CLASSICAL_TYPES, cartan_matrix, custom_cartan, positive_roots_with_tree
@@ -99,9 +99,8 @@ def algebra_to_json(g: QuaternionLieAlgebra, manifest: dict | None = None) -> di
         "basis": [matrix_to_json(vec, g.ambient_n) for vec in g.basis],
         "structure_constants": constants_to_json(g.constants),
         "generators": {
-            "h": [matrix_to_json(flatten(m), g.ambient_n) for m in g.generators.h],
-            "e": [matrix_to_json(flatten(m), g.ambient_n) for m in g.generators.e],
-            "f": [matrix_to_json(flatten(m), g.ambient_n) for m in g.generators.f],
+            kind: [matrix_to_json(vec, g.ambient_n) for vec in g.generators.rows[kind]]
+            for kind in ("h", "e", "f")
         },
         "positive_roots": roots_to_json(g.pos_roots),
         "weights": [

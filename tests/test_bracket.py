@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from quatlie.bracket import (
     StructureConstants,
     bracket,
+    bracket_grouped,
     bracket_vec,
     check_conjugation_equivariance,
     close_under_bracket,
     closure,
+    group_rows,
     jacobi_check,
     left_unit_vec,
     sigma_vec,
@@ -127,6 +129,20 @@ def test_bracket_vec_matches_matrix_bracket(drawn):
     assert all(type(val) in (int, Fraction) and val for val in got.values())
     if all(type(val) is int for val in (*fx.values(), *fy.values())):
         assert all(type(val) is int for val in got.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(2))
+def test_grouped_kernel_matches_bracket_vec_and_matrix_bracket(drawn):
+    n, (x, y) = drawn
+    fx, fy = flatten(x), flatten(y)
+    expected = flatten(bracket(x, y))
+    assert bracket_grouped(group_rows(fx, n), group_rows(fy, n), n) == expected
+    assert bracket_vec(fx, fy, n) == expected
+    # a zero operand groups to no rows and brackets to zero
+    assert group_rows({}, n) == {}
+    assert bracket_grouped(group_rows(fx, n), {}, n) == {}
+    assert bracket_grouped({}, group_rows(fy, n), n) == {}
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from quatlie import serialize
 from quatlie.cli import main
+from quatlie.matrices import QuatMatrix
 
 # the module, which the package's `quaternify` function shadows
 quaternify = importlib.import_module("quatlie.quaternify")
@@ -382,16 +383,51 @@ def test_verify_jacobi_alone_runs_structure(a2_file, tmp_path, capsys):
 )
 def test_verify_brackets_each_basis_pair_once(a2_file, checks, monkeypatch, capsys):
     calls = []
-    bracket_vec = quaternify.bracket_vec
+    bracket_grouped = quaternify.bracket_grouped
 
     def counted(x, y, n):
         calls.append((x, y))
-        return bracket_vec(x, y, n)
+        return bracket_grouped(x, y, n)
 
-    monkeypatch.setattr(quaternify, "bracket_vec", counted)
+    monkeypatch.setattr(quaternify, "bracket_grouped", counted)
     code, _ = run_json(capsys, "verify", "--in", str(a2_file), "--checks", checks)
     assert code == 0
     assert len(calls) == 35 * 34 // 2
+
+
+def test_verify_groups_each_basis_row_once(a2_file, monkeypatch, capsys):
+    # the structure sweep groups the 35 basis rows once and brackets
+    # grouped pairs; no other check of this run groups or brackets
+    counts = {"group_rows": 0, "bracket_grouped": 0}
+    for name in counts:
+        fn = getattr(quaternify, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(quaternify, name, counted)
+    checks = "structure,jacobi,conjugations"
+    code, _ = run_json(capsys, "verify", "--in", str(a2_file), "--checks", checks)
+    assert code == 0
+    assert counts == {"group_rows": 35, "bracket_grouped": 35 * 34 // 2}
+
+
+def test_build_flattens_each_generator_once(tmp_path, monkeypatch, capsys):
+    # A2: the six generators are flattened once, when their rows are
+    # built, and check_root_spaces flattens the six root vectors
+    calls = []
+    flatten = QuatMatrix.flatten
+
+    def counted(self):
+        calls.append(self)
+        return flatten(self)
+
+    monkeypatch.setattr(QuatMatrix, "flatten", counted)
+    path = tmp_path / "a2.json"
+    code, _ = run_json(capsys, "build", "--type", "A", "--rank", "2", "--out", str(path))
+    assert code == 0
+    assert len(calls) == 12
 
 
 def test_verify_k_structure_reports_dims(tmp_path, capsys):

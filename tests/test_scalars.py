@@ -8,8 +8,10 @@ the split-form product formula under test.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from quatlie.errors import MalformedInputError
 from quatlie.scalars import (
     GaussianRational,
     Q_I,
@@ -18,6 +20,7 @@ from quatlie.scalars import (
     Q_ONE,
     Quaternion,
     format_rational,
+    integral,
     parse_rational,
     quat_J,
     quat_conj_sigma,
@@ -182,6 +185,26 @@ def test_rational_serialization_round_trip():
         assert parse_rational(format_rational(v)) == v
     assert format_rational(Fraction(5)) == "5"
     assert format_rational(Fraction(-3, 4)) == "-3/4"
+
+
+PARSE_CASES = [
+    "0", "-0", "007", "-5", "+5", " 5 ", "1_000", "\u0663", "\u00b2",
+    "--5", "5-", "", "-", "1/2", "4/2", "1/0", " -12 ", "3\n", "-007/14",
+]
+
+
+@pytest.mark.parametrize("text", PARSE_CASES, ids=repr)
+def test_parse_rational_int_fast_path_keeps_the_fraction_verdict(text):
+    # the plain-integer shortcut must accept and value exactly what the
+    # Fraction route did: integral(Fraction(text.strip())), or reject
+    try:
+        expected = integral(Fraction(text.strip()))
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(MalformedInputError):
+            parse_rational(text)
+        return
+    got = parse_rational(text)
+    assert got == expected and type(got) is type(expected)
 
 
 @settings(max_examples=50, deadline=None)

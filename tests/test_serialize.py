@@ -76,7 +76,7 @@ def _value_types(g):
     for i, j in ((0, last), (1, last // 2), (last // 3, last)):
         coeffs = g.solver.express(bracket_vec(g.basis[i], g.basis[j], g.ambient_n))
         assert coeffs is not None
-        types |= {type(c) for c in coeffs}
+        types |= {type(c) for c in coeffs.values()}
     return types
 
 
