@@ -19,7 +19,8 @@ pipeline then
      checks that the cut rows stay in the closure and that the weights
      are exactly zero and the roots,
   2. splits the zero-weight part k into the Cartan real form h_r, the
-     derived part [k, k], and (when those do not span) completion rows,
+     derived part [k, k] (computed once per build), and the rows of k
+     that those do not span; the block must have exactly dim k rows,
   3. rebuilds the basis adapted to the decomposition (zero-weight rows,
      then one block per nonzero weight in sorted order) and extracts
      structure constants over it, and
@@ -28,10 +29,11 @@ pipeline then
      ``freerep.FAMILIES``, Serre vanishing, the Jacobi identity,
      sigma and tau invariance of the span, the sigma grading, the k
      split and the weight checks (root spaces, additivity of the
-     bracket).  It skips ``structure``: step 3 computed every table
-     entry as the exact solve of its pair's bracket, which is what
-     ``structure`` would repeat, so it holds by construction, and the
-     Jacobi identity on all triples follows from it.  A failure raises
+     bracket).  Two reports are settled before the pass: ``structure``
+     holds by construction, since step 3 computed every table entry as
+     the exact solve of its pair's bracket, and the Jacobi identity on
+     all triples follows from it; ``k-structure`` is judged against the
+     [k, k] of step 2 rather than a second sweep.  A failure raises
      StructuralFailureError, except for the two measured claims in
      ``MEASURED``.
 
@@ -237,40 +239,23 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
     t0 = clock()
     zero = tuple(0 for _ in range(rank))
     k_rows = spaces[zero]
-    k_span = span_of(k_rows, ambient)
-    for vec in hr_flats:
-        if not k_span.contains(vec):
-            raise StructuralFailureError("h_r is not inside the zero-weight space")
-    perp_span = _derived_span([group_rows(row, n) for row in k_rows], n)
-    split = SpanBasis(ambient)
-    for vec in hr_flats:
-        if not split.insert(vec):
-            raise StructuralFailureError("h_r vectors are dependent")
-    perp_rows_kept = []
-    for row in perp_span.rows:
-        if not split.insert(row):
-            raise StructuralFailureError("h_r meets [k, k] nontrivially")
-        perp_rows_kept.append(row)
+    derived = _derived_span([group_rows(row, n) for row in k_rows], n)
     # h_r + [k, k] spans k for type A and D3; for B2/C2 it misses real
-    # diagonal directions and the zero-weight kernel completes the block
-    completion_rows = []
-    for row in k_span.rows:
-        if split.insert(row):
-            completion_rows.append(row)
-    if split.rank != k_span.rank:
-        raise StructuralFailureError("zero-weight block failed to assemble")
-
-    basis: list[Vec] = [*hr_flats, *perp_rows_kept, *completion_rows]
-    hr_indices = tuple(range(rank))
-    hr_perp_indices = tuple(range(rank, rank + len(perp_rows_kept)))
-    k_indices = tuple(range(k_span.rank))
+    # diagonal directions and rows of k complete the block
+    split = span_of([*hr_flats, *derived.rows], ambient)
+    completion_rows = [row for row in k_rows if split.insert(row)]
+    basis: list[Vec] = [*hr_flats, *derived.rows, *completion_rows]
+    # more rows than dim k exactly when h_r leaves k or meets [k, k]
+    if len(basis) != len(k_rows):
+        raise StructuralFailureError(
+            f"zero-weight block has {len(basis)} rows, k has dimension {len(k_rows)}"
+        )
+    k_indices = tuple(range(len(k_rows)))
     weight_indices: dict[tuple, tuple] = {zero: k_indices}
     for values in nonzero_weights:
         start = len(basis)
         basis.extend(spaces[values])
         weight_indices[values] = tuple(range(start, len(basis)))
-    if len(basis) != dim:
-        raise StructuralFailureError("adapted basis lost dimensions")
 
     solver = LinearSolver(basis, ambient)
     try:
@@ -292,17 +277,21 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
         pos_roots=pos_roots,
         weight_indices=weight_indices,
         k_indices=k_indices,
-        hr_indices=hr_indices,
-        hr_perp_indices=hr_perp_indices,
+        hr_indices=tuple(range(rank)),
+        hr_perp_indices=tuple(range(rank, rank + derived.rank)),
         root_vectors=_root_vector_table(gens, tree),
         timings_ms=timings,
     )
 
     t0 = clock()
     # every table entry above is the exact solve of its basis pair's
-    # bracket over an independent basis, which is what `structure` checks
+    # bracket over an independent basis, which is what `structure` checks;
+    # `k-structure` judges the split above against the [k, k] it was cut from
     built = CheckReport("structure", comb(dim, 2), [])
-    reports, check_ms = run_checks(algebra, [c for c in CHECKS if c != "structure"], [built])
+    k_report = k_structure(algebra, derived)
+    algebra.timings_ms["k-structure"] = (clock() - t0) * 1000.0
+    names = [c for c in CHECKS if c not in ("structure", "k-structure")]
+    reports, check_ms = run_checks(algebra, names, [built, k_report])
     for report in reports:
         if not report.ok and report.name not in MEASURED:
             raise StructuralFailureError(
@@ -429,11 +418,14 @@ def check_weight_additivity(g: QuaternionLieAlgebra) -> CheckReport:
     return CheckReport("weights.additivity", checked, failures)
 
 
-def k_structure(g: QuaternionLieAlgebra) -> CheckReport:
+def k_structure(g: QuaternionLieAlgebra, derived: SpanBasis | None = None) -> CheckReport:
     """Zero-weight structure: h_r central in k, k = h_r + [k,k] directly.
 
-    ``detail`` holds the dimensions of k, h_r and h_r-perp and the
-    verdict of each of the four sub-checks, as (name, ok) pairs.
+    ``derived`` is the span [k, k] when the caller has just computed it
+    from the rows of k (a build); otherwise it is recomputed here, which
+    is the check ``verify`` makes.  ``detail`` holds the dimensions of k,
+    h_r and h_r-perp and the verdict of each of the four sub-checks, as
+    (name, ok) pairs.
     """
     n = g.ambient_n
     ambient = 4 * n * n
@@ -447,7 +439,9 @@ def k_structure(g: QuaternionLieAlgebra) -> CheckReport:
     central = not any(bracket_grouped(h, m, n) for h in hr_grouped for m in k_grouped)
     abelian = not any(bracket_grouped(a, b, n) for a in hr_grouped for b in hr_grouped)
 
-    derived_ok = _derived_span(k_grouped, n).same_span(span_of(perp_rows, ambient))
+    if derived is None:
+        derived = _derived_span(k_grouped, n)
+    derived_ok = derived.same_span(span_of(perp_rows, ambient))
 
     split = hr_vecs + perp_rows
     direct_ok = span_of(split, ambient).rank == len(split) == len(g.k_indices)
@@ -539,7 +533,8 @@ def check_jacobi(g: QuaternionLieAlgebra) -> CheckReport:
 # Check name -> fn(g) -> list[CheckReport], in the order `verify` runs
 # them.  Every check function is called through its module-global name,
 # never captured, so a rebinding of that name (a tracer's wrapper) is
-# what runs.  `jacobi` and `structure` share one bracket sweep per pass.
+# what runs.  `jacobi` and `structure` share one bracket sweep per pass;
+# a build settles `structure` and `k-structure` itself (`quaternify`).
 CHECKS = {
     "relations": lambda g: verify_relations(g),
     "serre": lambda g: [verify_serre(g)],

@@ -140,11 +140,13 @@ def algebra_from_json(data) -> QuaternionLieAlgebra:
     their checks against exactly what the file declares.  The file's
     shape is checked first: the artifact version, int ranks, sizes and
     in-range indices, int weights whose blocks partition the basis, k
-    containing h_r and h_r-perp, a type among A-D whose Cartan matrix
-    and positive roots are the declared ones, the realization label that
-    ``quaternify`` gives the type and rank, and the rank, matrix sizes
-    and generators agreeing (the generators must give every root a
-    vector).  Any mismatch raises MalformedInputError.
+    the zero-weight block and containing h_r and h_r-perp, the basis
+    rows at ``hr_indices`` the stored h generators in order, a type
+    among A-D whose Cartan matrix and positive roots are the declared
+    ones, the realization label that ``quaternify`` gives the type and
+    rank, and the rank, matrix sizes and generators agreeing (the
+    generators must give every root a vector).  Any mismatch raises
+    MalformedInputError.
     """
     if not isinstance(data, dict) or data.get("kind") != "quaternion-lie-algebra":
         raise MalformedInputError("not an algebra file")
@@ -210,6 +212,10 @@ def algebra_from_json(data) -> QuaternionLieAlgebra:
     k_indices = _index_set(data["k_indices"], dim, "k_indices")
     hr_indices = _index_set(data["hr_indices"], dim, "hr_indices")
     hr_perp_indices = _index_set(data["hr_perp_indices"], dim, "hr_perp_indices")
+    if set(k_indices) != set(weight_indices.get((0,) * rank, ())):
+        raise MalformedInputError("k_indices must be the zero-weight block")
+    if [basis[i] for i in hr_indices] != gens.rows["h"]:
+        raise MalformedInputError("hr_indices must name the h generators' rows, in order")
     if not set(hr_indices) | set(hr_perp_indices) <= set(k_indices):
         raise MalformedInputError("k_indices must contain hr_indices and hr_perp_indices")
     try:

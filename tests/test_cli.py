@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from quatlie import serialize
 from quatlie.cli import main
+from quatlie.errors import StructuralFailureError
 from quatlie.matrices import QuatMatrix
 
 # the module, which the package's `quaternify` function shadows
@@ -428,6 +429,85 @@ def test_build_flattens_each_generator_once(tmp_path, monkeypatch, capsys):
     code, _ = run_json(capsys, "build", "--type", "A", "--rank", "2", "--out", str(path))
     assert code == 0
     assert len(calls) == 12
+
+
+def test_build_derives_k_once(tmp_path, monkeypatch, capsys):
+    # the split and the settled `k-structure` report share one [k, k]
+    calls = []
+    derived_span = quaternify._derived_span
+
+    def counted(grouped, n):
+        calls.append(len(grouped))
+        return derived_span(grouped, n)
+
+    monkeypatch.setattr(quaternify, "_derived_span", counted)
+    path = tmp_path / "a2.json"
+    code, _ = run_json(capsys, "build", "--type", "A", "--rank", "2", "--out", str(path))
+    assert code == 0
+    assert calls == [11]
+
+
+def test_build_reports_a_failed_zero_block_split(tmp_path, monkeypatch, capsys):
+    # a [k, k] that contains h_0 makes h_r + [k, k] dependent, so the
+    # zero-weight block gets one row more than dim k: `quaternify` raises,
+    # and `build` reports a red `build` check, with no traceback and no file
+    derived_span = quaternify._derived_span
+
+    def with_h0(grouped, n):
+        span = derived_span(grouped, n)
+        span.insert(quaternify.closure_realization("A", 2)[0].rows["h"][0])
+        return span
+
+    monkeypatch.setattr(quaternify, "_derived_span", with_h0)
+    with pytest.raises(StructuralFailureError, match="12 rows, k has dimension 11"):
+        quaternify.quaternify("A", 2)
+    path = tmp_path / "a2.json"
+    code, doc = run_json(capsys, "build", "--type", "A", "--rank", "2", "--out", str(path))
+    assert code == 1 and not path.exists()
+    assert doc["checks"] == [
+        _check("build", 1, ["zero-weight block has 12 rows, k has dimension 11"])
+    ]
+    assert capsys.readouterr().err == ""
+
+
+def test_build_times_each_phase_and_check(tmp_path, capsys):
+    path = tmp_path / "a1.json"
+    code, doc = run_json(capsys, "build", "--type", "A", "--rank", "1", "--out", str(path))
+    assert code == 0
+    phases = {"realization", "closure", "decomposition", "constants", "verification", "total"}
+    assert set(doc["timings_ms"]) == phases | set(quaternify.CHECKS) - {"structure"}
+
+
+def _drop_k_index_14(doc):
+    doc["k_indices"].remove(14)
+
+
+def _hr_indices_with_14(doc):
+    doc["hr_indices"] = [0, 1, 14]
+
+
+@pytest.fixture(scope="module")
+def bc_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("bc")
+    for type_label in "BC":
+        main(["build", "--type", type_label, "--rank", "2", "--out", str(folder / f"{type_label}2.json")])
+    return folder
+
+
+@pytest.mark.parametrize("tamper", [_drop_k_index_14, _hr_indices_with_14])
+@pytest.mark.parametrize("type_label", ["B", "C"])
+def test_verify_rejects_a_retargeted_k_split(bc_files, type_label, tamper, tmp_path, capsys):
+    # either edit alone turned the red `k-direct-sum` green before the
+    # loader tied the split lists to the weights and the h generators
+    doc = json.loads((bc_files / f"{type_label}2.json").read_text())
+    tamper(doc)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot load algebra") and captured.err.count("\n") == 1
 
 
 def test_verify_k_structure_reports_dims(tmp_path, capsys):

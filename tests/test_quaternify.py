@@ -237,6 +237,14 @@ def test_k_structure_bc_misses_one_direction(algebras, type_label):
     assert report.detail["dim_hr"] + report.detail["dim_hr_perp"] == 14
 
 
+@pytest.mark.parametrize("type_label,rank", [*ALL_TYPES, ("A", 4), ("C", 3)])
+def test_built_k_structure_equals_recomputation(algebras, type_label, rank):
+    # the build judges the split against the [k, k] it cut k with; a fresh
+    # check recomputes [k, k] from the stored rows of k
+    g = algebras(type_label, rank)
+    assert g.reports["k-structure"] == k_structure(g)
+
+
 def _b2_defining_closure():
     """B2 generators in the 5x5 defining realization and the closure of
     {x, i x, J(i x)} over them."""
