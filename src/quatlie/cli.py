@@ -306,8 +306,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if args.command == "build" and args.type not in ("A", "B", "C", "D"):
-        return _usage_fail(f"unknown type {args.type!r}; expected A, B, C or D")
     return args.func(args)
 
 

@@ -83,28 +83,40 @@ from .errors import CheckReport, NotClosedError, StructuralFailureError
 from .linalg import LinearSolver, SpanBasis, Vec, span_of
 from .matrices import QuatMatrix, flatten
 from .realizations import ChevalleyGenerators, closure_realization
-from .rootsystem import CartanMatrix, positive_roots_with_tree, weight_of
+from .rootsystem import CartanMatrix, positive_roots, positive_roots_with_tree, weight_of
 
 
 @dataclass
 class QuaternionLieAlgebra:
-    type_label: str
-    rank: int
-    realization: str
-    ambient_n: int
-    cartan: CartanMatrix
+    """A built or loaded algebra.  ``type_label``, ``rank``, ``ambient_n``
+    and ``cartan`` read ``generators``; ``pos_roots`` and ``root_vectors``
+    (plain, grown along the root tree) are derived on construction, also
+    of a ``dataclasses.replace`` copy, which raises StructuralFailureError
+    when a root vector vanishes in the realization."""
+
     generators: ChevalleyGenerators
+    realization: str
     basis: list  # Vec, flattened adapted basis rows
     solver: LinearSolver
     constants: StructureConstants
-    pos_roots: list  # Root
     weight_indices: dict  # weight values tuple -> tuple of basis indices
     k_indices: tuple
     hr_indices: tuple
     hr_perp_indices: tuple
-    root_vectors: dict  # signed root coeffs -> QuatMatrix in the plain part
     timings_ms: dict = field(default_factory=dict)
     reports: dict = field(default_factory=dict)  # report name -> CheckReport
+    pos_roots: list = field(init=False)  # Root
+    root_vectors: dict = field(init=False)  # signed root coeffs -> QuatMatrix, plain part
+
+    def __post_init__(self):
+        tree = positive_roots_with_tree(self.cartan)
+        self.pos_roots = [node.root for node in tree]
+        self.root_vectors = _root_vector_table(self.generators, tree)
+
+    type_label = property(lambda self: self.generators.type_label)
+    rank = property(lambda self: self.generators.rank)
+    ambient_n = property(lambda self: self.generators.ambient_n)
+    cartan = property(lambda self: self.generators.cartan)
 
     @property
     def dim(self) -> int:
@@ -230,9 +242,7 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
 
     t0 = clock()
     hr_flats = gens.rows["h"]
-    tree = positive_roots_with_tree(cm)
-    pos_roots = [node.root for node in tree]
-    nonzero_weights = sorted(set(signed_root_weights(pos_roots, cm).values()))
+    nonzero_weights = sorted(set(signed_root_weights(positive_roots(cm), cm).values()))
     spaces = weight_spaces(span, hr_flats, nonzero_weights, n)
     timings["decomposition"] = (clock() - t0) * 1000.0
 
@@ -265,21 +275,15 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
     timings["constants"] = (clock() - t0) * 1000.0
 
     algebra = QuaternionLieAlgebra(
-        type_label=type_label,
-        rank=rank,
-        realization=realization,
-        ambient_n=n,
-        cartan=cm,
         generators=gens,
+        realization=realization,
         basis=basis,
         solver=solver,
         constants=constants,
-        pos_roots=pos_roots,
         weight_indices=weight_indices,
         k_indices=k_indices,
         hr_indices=tuple(range(rank)),
         hr_perp_indices=tuple(range(rank, rank + derived.rank)),
-        root_vectors=_root_vector_table(gens, tree),
         timings_ms=timings,
     )
 

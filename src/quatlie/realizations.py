@@ -14,16 +14,23 @@ Chevalley generators use the defining matrix realizations:
   * type C_l in sp(2l, C) for the form Omega = [[0, I], [-I, 0]];
   * type D_l in so(2l, C) for the form S = [[0, I], [I, 0]].
 
-Each constructor validates its generators before returning: no
-generator row has a J coordinate, and the four plain relation families
-hold exactly against the stored Cartan matrix.  Every family of
-``freerep.FAMILIES`` is evaluated by one method,
-``ChevalleyGenerators.relations``, with ``bracket_grouped`` on the
-generators' coordinate rows, which the object builds once; the
-``relations`` check of ``quaternify`` runs all sixteen through it.
+B, C and D share one chain of eps_p - eps_(p+1) generators (``_chain``);
+only B's short root, C's long root and D's eps_(l-1) + eps_l are their
+own.  ``chevalley_generators`` and ``closure_realization`` construct
+through one function: the Cartan matrix, then ``MAX_AMBIENT_N`` checked
+from type and rank alone (before any matrix exists), then the
+generators, validated before returning: no generator row has a J
+coordinate, and the four plain relation families hold exactly against
+the stored Cartan matrix.  Every family of ``freerep.FAMILIES`` is
+evaluated by one method, ``ChevalleyGenerators.relations``, with
+``bracket_grouped`` on the generators' coordinate rows, which the object
+builds once; the ``relations`` check of ``quaternify`` runs all sixteen
+through it.
 
 ``closure_realization`` picks, per type, the realization that
-``quaternify`` closes in (its module docstring gives the reason).
+``quaternify`` closes in (its module docstring gives the reason);
+``_closure_source`` alone decides which types and ranks have one and
+its label.
 """
 
 from __future__ import annotations
@@ -299,98 +306,85 @@ class ChevalleyGenerators:
                 raise StructuralFailureError(f"{report.name} failed at {report.failures}")
 
 
-def _gens_type_a(l: int):
-    n = l + 1
-    h = [_units(n, (i, i, Q_ONE), (i + 1, i + 1, -Q_ONE)) for i in range(l)]
-    e = [_unit(n, i, i + 1) for i in range(l)]
-    f = [_unit(n, i + 1, i) for i in range(l)]
-    return n, h, e, f
+def _chain(n: int, l: int, plus) -> list:
+    """(h, e, f) of eps_p - eps_(p+1) for each p in ``plus``, for a form
+    that pairs plus coordinate p with minus coordinate l + p (B, C, D)."""
+    out = []
+    for p in plus:
+        m = l + p
+        h = [(p, p, Q_ONE), (p + 1, p + 1, -Q_ONE), (m, m, -Q_ONE), (m + 1, m + 1, Q_ONE)]
+        e = [(p, p + 1, Q_ONE), (m + 1, m, -Q_ONE)]
+        f = [(p + 1, p, Q_ONE), (m, m + 1, -Q_ONE)]
+        out.append(tuple(QuatMatrix.unit_sum(n, entries) for entries in (h, e, f)))
+    return out
 
 
-def _gens_type_b(l: int):
-    # coordinates (0 | plus 1..l | minus l+1..2l); short root first
-    n = 2 * l + 1
+def _gens_type_a(n: int, l: int) -> list:
+    return [
+        (_units(n, (i, i, Q_ONE), (i + 1, i + 1, -Q_ONE)), _unit(n, i, i + 1), _unit(n, i + 1, i))
+        for i in range(l)
+    ]
+
+
+def _gens_type_b(n: int, l: int) -> list:
+    # coordinates (0 | plus 1..l | minus l+1..2l); short root first, then
+    # beta_k = eps_p - eps_(p+1) with p = l - k + 1 for k = 2..l
     two = Quaternion(GR_ONE * 2)
-    h = [_units(n, (l, l, two), (2 * l, 2 * l, -two))]
-    e = [_units(n, (l, 0, Q_ONE), (0, 2 * l, -Q_ONE))]
-    f = [_units(n, (0, l, two), (2 * l, 0, -two))]
-    for k in range(2, l + 1):
-        p = l - k + 1  # beta_k = eps_p - eps_{p+1}
-        h.append(
-            _units(
-                n,
-                (p, p, Q_ONE),
-                (p + 1, p + 1, -Q_ONE),
-                (l + p, l + p, -Q_ONE),
-                (l + p + 1, l + p + 1, Q_ONE),
-            )
-        )
-        e.append(_units(n, (p, p + 1, Q_ONE), (l + p + 1, l + p, -Q_ONE)))
-        f.append(_units(n, (p + 1, p, Q_ONE), (l + p, l + p + 1, -Q_ONE)))
-    return n, h, e, f
-
-
-def _gens_type_c(l: int):
-    n = 2 * l
-    h, e, f = [], [], []
-    for k in range(l - 1):
-        h.append(
-            _units(
-                n,
-                (k, k, Q_ONE),
-                (k + 1, k + 1, -Q_ONE),
-                (l + k, l + k, -Q_ONE),
-                (l + k + 1, l + k + 1, Q_ONE),
-            )
-        )
-        e.append(_units(n, (k, k + 1, Q_ONE), (l + k + 1, l + k, -Q_ONE)))
-        f.append(_units(n, (k + 1, k, Q_ONE), (l + k, l + k + 1, -Q_ONE)))
-    h.append(_units(n, (l - 1, l - 1, Q_ONE), (2 * l - 1, 2 * l - 1, -Q_ONE)))
-    e.append(_unit(n, l - 1, 2 * l - 1))
-    f.append(_unit(n, 2 * l - 1, l - 1))
-    return n, h, e, f
-
-
-def _gens_type_d(l: int):
-    n = 2 * l
-    h, e, f = [], [], []
-    for k in range(l - 1):
-        h.append(
-            _units(
-                n,
-                (k, k, Q_ONE),
-                (k + 1, k + 1, -Q_ONE),
-                (l + k, l + k, -Q_ONE),
-                (l + k + 1, l + k + 1, Q_ONE),
-            )
-        )
-        e.append(_units(n, (k, k + 1, Q_ONE), (l + k + 1, l + k, -Q_ONE)))
-        f.append(_units(n, (k + 1, k, Q_ONE), (l + k, l + k + 1, -Q_ONE)))
-    # last root eps_{l-1} + eps_l
-    h.append(
-        _units(
-            n,
-            (l - 2, l - 2, Q_ONE),
-            (l - 1, l - 1, Q_ONE),
-            (2 * l - 2, 2 * l - 2, -Q_ONE),
-            (2 * l - 1, 2 * l - 1, -Q_ONE),
-        )
+    short = (
+        _units(n, (l, l, two), (2 * l, 2 * l, -two)),
+        _units(n, (l, 0, Q_ONE), (0, 2 * l, -Q_ONE)),
+        _units(n, (0, l, two), (2 * l, 0, -two)),
     )
-    e.append(_units(n, (l - 1, 2 * l - 2, Q_ONE), (l - 2, 2 * l - 1, -Q_ONE)))
-    f.append(_units(n, (2 * l - 2, l - 1, Q_ONE), (2 * l - 1, l - 2, -Q_ONE)))
-    return n, h, e, f
+    return [short, *_chain(n, l, range(l - 1, 0, -1))]
 
 
-_GEN_BUILDERS = {"A": _gens_type_a, "B": _gens_type_b, "C": _gens_type_c, "D": _gens_type_d}
+def _gens_type_c(n: int, l: int) -> list:
+    # long root 2 eps_l last
+    long = (
+        _units(n, (l - 1, l - 1, Q_ONE), (2 * l - 1, 2 * l - 1, -Q_ONE)),
+        _unit(n, l - 1, 2 * l - 1),
+        _unit(n, 2 * l - 1, l - 1),
+    )
+    return [*_chain(n, l, range(l - 1)), long]
 
 
-def chevalley_generators(type_label: str, rank: int) -> ChevalleyGenerators:
-    cm = cartan_matrix(type_label, rank)  # validates type and rank bounds
-    n, h, e, f = _GEN_BUILDERS[type_label](rank)
+def _gens_type_d(n: int, l: int) -> list:
+    a, b = l - 2, l - 1  # last root eps_(l-1) + eps_l
+    last = (
+        _units(n, (a, a, Q_ONE), (b, b, Q_ONE), (l + a, l + a, -Q_ONE), (l + b, l + b, -Q_ONE)),
+        _units(n, (b, l + a, Q_ONE), (a, l + b, -Q_ONE)),
+        _units(n, (l + a, b, Q_ONE), (l + b, a, -Q_ONE)),
+    )
+    return [*_chain(n, l, range(l - 1)), last]
+
+
+# type -> (ambient n of the defining realization at rank l, its (h, e, f)
+# per simple root, in the node order of the Cartan matrix)
+_DEFINING = {
+    "A": (lambda l: l + 1, _gens_type_a),
+    "B": (lambda l: 2 * l + 1, _gens_type_b),
+    "C": (lambda l: 2 * l, _gens_type_c),
+    "D": (lambda l: 2 * l, _gens_type_d),
+}
+
+
+def _ambient_n(type_label: str, rank: int, source: str) -> int:
+    """n of ``source``'s defining realization at ``rank``, ValueError above the cap."""
+    n = _DEFINING[source][0](rank)
     if n > MAX_AMBIENT_N:
-        raise ValueError(
-            f"{type_label}{rank} needs ambient n={n}, beyond the supported cap"
-        )
+        raise ValueError(f"{type_label}{rank} needs ambient n={n}, beyond the supported cap")
+    return n
+
+
+def _generators(type_label: str, rank: int, source: str, order=None) -> ChevalleyGenerators:
+    """Validated generators of ``type_label`` from ``source``'s defining
+    realization at the same rank, its simple roots taken in ``order``."""
+    cm = cartan_matrix(type_label, rank)  # validates type and rank bounds
+    n = _ambient_n(type_label, rank, source)
+    simple = _DEFINING[source][1](n, rank)
+    if order is not None:
+        simple = [simple[p] for p in order]
+    h, e, f = (list(mats) for mats in zip(*simple))
     gens = ChevalleyGenerators(
         type_label=type_label, rank=rank, ambient_n=n, h=h, e=e, f=f, cartan=cm
     )
@@ -398,8 +392,15 @@ def chevalley_generators(type_label: str, rank: int) -> ChevalleyGenerators:
     return gens
 
 
-def realization_label(type_label: str, rank: int) -> str:
-    """Tag of the realization :func:`closure_realization` uses.
+def chevalley_generators(type_label: str, rank: int) -> ChevalleyGenerators:
+    """Generators in the defining realization (module docstring)."""
+    return _generators(type_label, rank, type_label)
+
+
+def _closure_source(type_label: str, rank: int) -> tuple:
+    """Label, source type and simple-root order of the realization
+    :func:`closure_realization` uses: the source's defining realization
+    at the same rank.
 
     Ranks with no realization whose weight differences stay in the
     roots (B above 2, D other than 3) are rejected with ValueError;
@@ -407,24 +408,33 @@ def realization_label(type_label: str, rank: int) -> str:
     2*eps_i and the closure cannot decompose over the root system.
     """
     if type_label == "A":
-        return f"sl({rank + 1},C) in gl({rank + 1},H)"
+        return f"sl({rank + 1},C) in gl({rank + 1},H)", "A", None
     if type_label == "C":
-        return f"sp({2 * rank},C) in gl({2 * rank},H)"
+        return f"sp({2 * rank},C) in gl({2 * rank},H)", "C", None
     if type_label == "B":
         if rank != 2:
             raise ValueError(
                 "quaternification is supported for type B only at rank 2 "
                 "(higher spin realizations have non-root weight differences)"
             )
-        return "sp(4,C) spin realization of so(5,C) in gl(4,H)"
+        return "sp(4,C) spin realization of so(5,C) in gl(4,H)", "C", None
     if type_label == "D":
         if rank != 3:
             raise ValueError(
                 "quaternification is supported for type D only at rank 3 "
                 "(higher half-spin realizations have non-root weight differences)"
             )
-        return "sl(4,C) half-spin realization of so(6,C) in gl(4,H)"
+        # the central node of A3 becomes the first D3 node
+        return "sl(4,C) half-spin realization of so(6,C) in gl(4,H)", "A", (1, 0, 2)
     raise ValueError(f"unknown type {type_label!r}; expected one of A, B, C, D")
+
+
+def realization_label(type_label: str, rank: int) -> str:
+    """Tag of the realization :func:`closure_realization` uses; ValueError
+    when the type and rank have none, or none within the ambient cap."""
+    label, source, _ = _closure_source(type_label, rank)
+    _ambient_n(type_label, rank, source)
+    return label
 
 
 def closure_realization(type_label: str, rank: int):
@@ -432,18 +442,5 @@ def closure_realization(type_label: str, rank: int):
 
     Returns the generators together with their :func:`realization_label`.
     """
-    label = realization_label(type_label, rank)
-    if type_label in ("A", "C"):
-        return chevalley_generators(type_label, rank), label
-    if type_label == "B":
-        n, h, e, f = _gens_type_c(2)
-    else:
-        n, h, e, f = _gens_type_a(3)
-        perm = (1, 0, 2)  # central node of A3 becomes the first D3 node
-        h, e, f = ([mats[p] for p in perm] for mats in (h, e, f))
-    gens = ChevalleyGenerators(
-        type_label=type_label, rank=rank, ambient_n=n, h=h, e=e, f=f,
-        cartan=cartan_matrix(type_label, rank),
-    )
-    gens.validate()
-    return gens, label
+    label, source, order = _closure_source(type_label, rank)
+    return _generators(type_label, rank, source, order), label

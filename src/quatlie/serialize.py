@@ -18,9 +18,9 @@ from .bracket import StructureConstants
 from .errors import DegenerateInputError, MalformedInputError, StructuralFailureError
 from .linalg import LinearSolver, Vec
 from .matrices import QuatMatrix
-from .quaternify import QuaternionLieAlgebra, _root_vector_table
+from .quaternify import QuaternionLieAlgebra
 from .realizations import ChevalleyGenerators, realization_label
-from .rootsystem import CLASSICAL_TYPES, cartan_matrix, custom_cartan, positive_roots_with_tree
+from .rootsystem import CLASSICAL_TYPES, cartan_matrix, custom_cartan
 from .scalars import format_rational, parse_rational
 
 ARTIFACT_VERSION = "1"
@@ -144,7 +144,8 @@ def algebra_from_json(data) -> QuaternionLieAlgebra:
     rows at ``hr_indices`` the stored h generators in order, a type
     among A-D whose Cartan matrix and positive roots are the declared
     ones, the realization label that ``quaternify`` gives the type and
-    rank, and the rank, matrix sizes and generators agreeing (the
+    rank (none beyond the ambient cap, which is checked before any root
+    is generated), and the rank, matrix sizes and generators agreeing (the
     generators must give every root a vector).  Any mismatch raises
     MalformedInputError.
     """
@@ -171,12 +172,6 @@ def algebra_from_json(data) -> QuaternionLieAlgebra:
         raise MalformedInputError(str(exc)) from exc
     if data["realization"] != realization:
         raise MalformedInputError(f"realization must be {realization!r} for {type_label}{rank}")
-    tree = positive_roots_with_tree(cartan)
-    roots = data["positive_roots"]
-    if roots != roots_to_json(node.root for node in tree) or not all(
-        type(v) is int for root in roots for v in root
-    ):
-        raise MalformedInputError(f"positive_roots are not those of type {type_label}{rank}")
     n = _int(data["ambient_n"], "ambient_n")
     basis = [matrix_from_json(m, n, "basis") for m in data["basis"]]
     dim = len(basis)
@@ -219,26 +214,25 @@ def algebra_from_json(data) -> QuaternionLieAlgebra:
     if not set(hr_indices) | set(hr_perp_indices) <= set(k_indices):
         raise MalformedInputError("k_indices must contain hr_indices and hr_perp_indices")
     try:
-        root_vectors = _root_vector_table(gens, tree)
+        algebra = QuaternionLieAlgebra(
+            generators=gens,
+            realization=realization,
+            basis=basis,
+            solver=solver,
+            constants=constants,
+            weight_indices=weight_indices,
+            k_indices=k_indices,
+            hr_indices=hr_indices,
+            hr_perp_indices=hr_perp_indices,
+        )
     except StructuralFailureError as exc:
         raise MalformedInputError(f"generators do not fit the Cartan matrix: {exc}") from exc
-    return QuaternionLieAlgebra(
-        type_label=type_label,
-        rank=rank,
-        realization=realization,
-        ambient_n=n,
-        cartan=cartan,
-        generators=gens,
-        basis=basis,
-        solver=solver,
-        constants=constants,
-        pos_roots=[node.root for node in tree],
-        weight_indices=weight_indices,
-        k_indices=k_indices,
-        hr_indices=hr_indices,
-        hr_perp_indices=hr_perp_indices,
-        root_vectors=root_vectors,
-    )
+    roots = data["positive_roots"]
+    if roots != roots_to_json(algebra.pos_roots) or not all(
+        type(v) is int for root in roots for v in root
+    ):
+        raise MalformedInputError(f"positive_roots are not those of type {type_label}{rank}")
+    return algebra
 
 
 def dumps(doc: dict) -> str:

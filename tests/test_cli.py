@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatlie import serialize
+from quatlie import rootsystem, serialize
 from quatlie.cli import main
 from quatlie.errors import StructuralFailureError
 from quatlie.matrices import QuatMatrix
@@ -49,9 +49,39 @@ def test_build_rank2_dimension(tmp_path, capsys):
     assert code == 0 and doc["dim"] == 35
 
 
-def test_build_usage_error(tmp_path, capsys):
-    code = main(["build", "--type", "Z", "--rank", "9", "--out", str(tmp_path / "z.json")])
+@pytest.mark.parametrize(
+    "type_label,rank", [("Z", "9"), ("E", "6"), ("B", "3"), ("D", "4"), ("A", "12")]
+)
+def test_build_usage_error(type_label, rank, tmp_path, capsys):
+    # unknown types, B/D ranks without a closure realization and a rank
+    # beyond the ambient cap are all rejected by the one realization decision
+    code = main(["build", "--type", type_label, "--rank", rank, "--out", str(tmp_path / "z.json")])
     assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("type_label,rank,n", [("A", 300, 301), ("C", 6, 12)])
+def test_build_beyond_the_cap_builds_no_matrix(type_label, rank, n, tmp_path, monkeypatch, capsys):
+    # the cap is read off type and rank alone: before it was checked only
+    # after every generator matrix was built (A300: 4.85 s and 656 MB)
+    calls = []
+    init = QuatMatrix.__init__
+
+    def counted(self, rows):
+        calls.append(1)
+        init(self, rows)
+
+    monkeypatch.setattr(QuatMatrix, "__init__", counted)
+    out = tmp_path / "x.json"
+    assert main(["build", "--type", type_label, "--rank", str(rank), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        f"error: {type_label}{rank} needs ambient n={n}, beyond the supported cap\n"
+    )
+    assert calls == []
 
 
 def test_build_byte_deterministic(tmp_path, capsys):
@@ -277,6 +307,45 @@ def test_verify_rejects_malformed_artifact(mutate, a2_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot load algebra") and captured.err.count("\n") == 1
+
+
+def _counted_root_trees(monkeypatch) -> list:
+    """A list that gets one entry per ``positive_roots_with_tree`` call made
+    through any binding of it in the package from now on."""
+    calls = []
+    original = rootsystem.positive_roots_with_tree
+
+    def counted(cm):
+        calls.append(cm.rank)
+        return original(cm)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "quatlie":
+            continue
+        if getattr(module, "positive_roots_with_tree", None) is original:
+            monkeypatch.setattr(module, "positive_roots_with_tree", counted)
+    return calls
+
+
+def test_verify_rejects_a_rank_beyond_the_cap_first(a2_file, tmp_path, monkeypatch, capsys):
+    # an A2 file that declares A120 with A120's Cartan matrix and label:
+    # generating A120's 7,260 positive roots first took 12.6 s
+    calls = _counted_root_trees(monkeypatch)
+    assert main(["verify", "--in", str(a2_file), "--checks", "serre"]) == 0
+    assert calls == [2]
+    doc = json.loads(a2_file.read_text())
+    doc["rank"] = 120
+    doc["cartan"] = [list(row) for row in rootsystem.cartan_matrix("A", 120).entries]
+    doc["realization"] = "sl(121,C) in gl(121,H)"
+    path = tmp_path / "a120.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: cannot load algebra")
+    assert captured.err.endswith("A120 needs ambient n=121, beyond the supported cap\n")
+    assert calls == [2]
 
 
 def _leaf_paths(node, path=()):

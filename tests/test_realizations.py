@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import warnings
 
 import pytest
@@ -158,6 +160,41 @@ def test_generator_relations_hold(type_label, rank):
     gens = chevalley_generators(type_label, rank)
     gens.validate()
     assert len(gens.h) == len(gens.e) == len(gens.f) == rank
+
+
+# SHA-256 of the flattened rows of `chevalley_generators`, by kind in
+# order, each row as its sorted (index, value) pairs.  No artifact pins
+# the defining realizations of B and D: B2 closes in C2's and D3 in A3's.
+GENERATOR_SHA256 = {
+    ("A", 1): "53da10995d9a616561f99deb9723294b2f5d74008c81214cba8c0bb8eaf5142c",
+    ("A", 2): "2d37aa69699024d63038c3da6a747af2e677a1729e931acba5ae24ec9c4ba10a",
+    ("A", 3): "b4513a7bf09e7079b2ea0df6f94c5725225d4a6f4936126ee6c4604c7bbf660c",
+    ("A", 4): "b013e5c7a865c8318ec5b360e5bde290d8a0dcc7aadd277364e480ed218b64d4",
+    ("B", 2): "fa4b2ef092ef9105d692fed50f1cc96a0338123e7315aa1d41bc3a59e22aba67",
+    ("B", 3): "99e22e6eda8fe968d32d2180e44b993f83d849d184e2e22fef3b624a295e6ccb",
+    ("B", 4): "2e8cdde0176893452531a56febfb026a445236efd43986c25a0da3d42d9483be",
+    ("C", 2): "5f35c4967e20da7c8fcb3b6c68f8b1939685e5cbd0d511b8b5a0afa5acda76c9",
+    ("C", 3): "d584bf6272567c0e6540880fc3824bf5c828408e469c6d347fa5513f20e07f5c",
+    ("C", 4): "16e0fea67029450054464d9a730ca1111ef6d76b440f08239da57609f636c999",
+    ("C", 5): "387759f2ec544634928ddc20dd89b3c3441e6edbd7c4436f1c34ab01b8104a96",
+    ("D", 3): "a4d98b495e7363913ecc93a653a4cb7da2b332781b039aa7a835631aef8e9c04",
+    ("D", 4): "09ac78b95884c4cbd3106e4fd70b24fe8c79879e078b6eaceff15be42517e258",
+    ("D", 5): "b7016a49c8ac3de078fb884bcb7a269c4b74966da9578de67f8fba858f0789fd",
+}
+
+
+def _generator_digest(gens) -> str:
+    doc = {
+        kind: [[[idx, str(v)] for idx, v in sorted(row.items())] for row in gens.rows[kind]]
+        for kind in "hef"
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("type_label,rank", sorted(GENERATOR_SHA256))
+def test_defining_generators_pinned(type_label, rank):
+    gens = chevalley_generators(type_label, rank)
+    assert _generator_digest(gens) == GENERATOR_SHA256[(type_label, rank)]
 
 
 def test_type_a1_explicit():

@@ -54,9 +54,12 @@ def test_constants_reject_bad_order():
         serialize.constants_from_json({"dim": 2, "entries": [[1, 0, 0, "1"]]})
 
 
-def test_algebra_file_round_trip(algebras, tmp_path):
-    g = algebras("A", 1)
-    path = tmp_path / "a1.json"
+@pytest.mark.parametrize("type_label,rank", [("A", 1), ("A", 2), ("B", 2), ("D", 3)])
+def test_algebra_file_round_trip(algebras, type_label, rank, tmp_path):
+    # A1 has only simple roots; A2, B2 and D3 grow root vectors along the
+    # root tree, B2 and D3 in a realization of another type
+    g = algebras(type_label, rank)
+    path = tmp_path / "algebra.json"
     serialize.write_json(str(path), serialize.algebra_to_json(g))
     loaded = serialize.algebra_from_json(serialize.read_json(str(path)))
     assert loaded.dim == g.dim
@@ -66,6 +69,8 @@ def test_algebra_file_round_trip(algebras, tmp_path):
     assert loaded.k_indices == g.k_indices
     assert loaded.cartan.entries == g.cartan.entries
     assert loaded.generators.h == g.generators.h
+    for name in ("type_label", "rank", "ambient_n", "realization", "pos_roots", "root_vectors"):
+        assert getattr(loaded, name) == getattr(g, name), name
 
 
 def _value_types(g):
