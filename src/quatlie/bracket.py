@@ -33,8 +33,15 @@ validated on coordinate rows) and is the independent oracle that the
 tests hold the kernel against.
 
 Closure (:func:`close_vecs`) works over a worklist of coordinate rows:
-every accepted member is bracketed against the members accepted before
-it, and results that enlarge the span are queued in turn.  The ambient
+every accepted member is bracketed against fixed operators ``ops`` when
+they are given, and against the members accepted before it when they
+are not; results that enlarge the span are queued in turn.  Without
+``ops`` that is the bracket closure of the generators, C(dim, 2)
+brackets.  With ``ops`` it is the smallest span that contains the
+generators and is stable under ad(x) for every x in ``ops``, dim *
+len(ops) brackets; when ``ops`` are the generators this is again the
+subalgebra they generate, since right-normed brackets of a set span it
+(de Graaf, *Lie Algebras: Theory and Algorithms*, 2000).  The ambient
 real dimension 4*n*n bounds the number of accepted members, so the loop
 terminates.  The resulting reduced-echelon basis is canonical for the
 closed subspace, hence independent of generator order.
@@ -197,24 +204,26 @@ class ClosureResult:
         return [QuatMatrix.unflatten(self.n, row) for row in self.span.rows]
 
 
-def close_vecs(generators: list[Vec], n: int) -> SpanBasis:
+def close_vecs(generators: list[Vec], n: int, ops: list[Vec] | None = None) -> SpanBasis:
     """Smallest real subspace containing the flattened n x n generators
-    and closed under bracket, as its echelon basis.
+    and closed under bracket with ``ops``, or with itself when ``ops`` is
+    None, as its echelon basis.
 
     Dependent or zero generators are harmless; they reduce away during
     insertion.  Worst case the closure is all of gl(n, H).
     """
     span = SpanBasis(4 * n * n)
-    members: list[dict] = []  # accepted candidates, grouped
+    # grouped: the accepted candidates without ops, else the fixed ops
+    partners = [] if ops is None else [group_rows(x, n) for x in ops]
     pending = deque(generators)
     while pending:
         candidate = pending.popleft()
         if not span.insert(candidate):
             continue
         grouped = group_rows(candidate, n)
-        for other in members:
-            pending.append(bracket_grouped(other, grouped, n))
-        members.append(grouped)
+        pending.extend(bracket_grouped(other, grouped, n) for other in partners)
+        if ops is None:
+            partners.append(grouped)
     return span
 
 

@@ -7,7 +7,14 @@ bracket closure, inside gl(n, H), of the generator set
     { x, i*x, J x, J(i*x) : x in {h_k, e_k, f_k} }
 
 (the real span of all complex multiples of the generators and their J
-images).  The algebra is kept as flattened coordinate rows (``Vec``, see
+images).  The closure is taken by ad of the e and f lines alone
+(``close_generators``): the smallest span that contains the 8*l rows
+{x, i*x, J x, J(i*x) : x in {e_k, f_k}} and is stable under their ad is
+the subalgebra they generate, dim * 8*l brackets instead of C(dim, 2).
+When that subalgebra contains every h line it is the closure of the
+whole generator set; when any h line is missing, the whole set is
+closed pairwise instead, so h in <e, f> is checked, never assumed.  The
+algebra is kept as flattened coordinate rows (``Vec``, see
 ``quatlie.bracket``) from the closure to the stored basis; quaternion
 matrices appear only for the generators and the root vectors.  The
 pipeline then
@@ -19,8 +26,9 @@ pipeline then
      checks that the cut rows stay in the closure and that the weights
      are exactly zero and the roots,
   2. splits the zero-weight part k into the Cartan real form h_r, the
-     derived part [k, k] (computed once per build), and the rows of k
-     that those do not span; the block must have exactly dim k rows,
+     derived part [k, k] (computed once per build, on rows of k grouped
+     once), and the rows of k that those do not span; the block must
+     have exactly dim k rows,
   3. rebuilds the basis adapted to the decomposition (zero-weight rows,
      then one block per nonzero weight in sorted order) and extracts
      structure constants over it, and
@@ -132,9 +140,26 @@ def quaternion_line(x: Vec) -> list:
     return [x, x_i, left_unit_vec(2, x), left_unit_vec(2, x_i)]
 
 
+def _lines(gens: ChevalleyGenerators, kinds) -> list:
+    """The quaternion lines of the generators of ``kinds``, flattened, in order."""
+    return [v for kind in kinds for x in gens.rows[kind] for v in quaternion_line(x)]
+
+
 def generating_set(gens: ChevalleyGenerators) -> list:
     """Real generators: the quaternion line of every Chevalley generator, flattened."""
-    return [v for kind in ("h", "e", "f") for x in gens.rows[kind] for v in quaternion_line(x)]
+    return _lines(gens, ("h", "e", "f"))
+
+
+def close_generators(gens: ChevalleyGenerators) -> SpanBasis:
+    """The bracket closure of :func:`generating_set`, as the closure of
+    the e and f lines under their own ad when it contains the h lines,
+    else by bracketing the whole set pairwise (module docstring)."""
+    n = gens.ambient_n
+    ef = _lines(gens, ("e", "f"))
+    span = close_vecs(ef, n, ef)
+    if all(span.contains(v) for v in _lines(gens, ("h",))):
+        return span
+    return close_vecs(generating_set(gens), n)
 
 
 def signed_root_weights(roots: list, cm: CartanMatrix) -> dict:
@@ -236,7 +261,7 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
     ambient = 4 * n * n
 
     t0 = clock()
-    span = close_vecs(generating_set(gens), n)
+    span = close_generators(gens)
     dim = span.rank
     timings["closure"] = (clock() - t0) * 1000.0
 
@@ -249,7 +274,8 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
     t0 = clock()
     zero = tuple(0 for _ in range(rank))
     k_rows = spaces[zero]
-    derived = _derived_span([group_rows(row, n) for row in k_rows], n)
+    k_grouped = [group_rows(row, n) for row in k_rows]
+    derived = _derived_span(k_grouped, n)
     # h_r + [k, k] spans k for type A and D3; for B2/C2 it misses real
     # diagonal directions and rows of k complete the block
     split = span_of([*hr_flats, *derived.rows], ambient)
@@ -292,7 +318,7 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
     # bracket over an independent basis, which is what `structure` checks;
     # `k-structure` judges the split above against the [k, k] it was cut from
     built = CheckReport("structure", comb(dim, 2), [])
-    k_report = k_structure(algebra, derived)
+    k_report = k_structure(algebra, (k_grouped, derived))
     algebra.timings_ms["k-structure"] = (clock() - t0) * 1000.0
     names = [c for c in CHECKS if c not in ("structure", "k-structure")]
     reports, check_ms = run_checks(algebra, names, [built, k_report])
@@ -422,30 +448,33 @@ def check_weight_additivity(g: QuaternionLieAlgebra) -> CheckReport:
     return CheckReport("weights.additivity", checked, failures)
 
 
-def k_structure(g: QuaternionLieAlgebra, derived: SpanBasis | None = None) -> CheckReport:
+def k_structure(g: QuaternionLieAlgebra, derived: tuple | None = None) -> CheckReport:
     """Zero-weight structure: h_r central in k, k = h_r + [k,k] directly.
 
-    ``derived`` is the span [k, k] when the caller has just computed it
-    from the rows of k (a build); otherwise it is recomputed here, which
-    is the check ``verify`` makes.  ``detail`` holds the dimensions of k,
+    ``derived`` is the pair (rows spanning k, grouped; the span [k, k] of
+    their brackets) when the caller has just computed it (a build);
+    otherwise both are computed here from the basis rows of k, which is
+    the check ``verify`` makes.  ``detail`` holds the dimensions of k,
     h_r and h_r-perp and the verdict of each of the four sub-checks, as
     (name, ok) pairs.
     """
     n = g.ambient_n
     ambient = 4 * n * n
-    # hr_indices lie inside k_indices (the loader checks it)
-    grouped = {i: group_rows(g.basis[i], n) for i in g.k_indices}
-    k_grouped = [grouped[i] for i in g.k_indices]
-    hr_grouped = [grouped[i] for i in g.hr_indices]
     hr_vecs = [g.basis[i] for i in g.hr_indices]
     perp_rows = [g.basis[i] for i in g.hr_perp_indices]
+    if derived is None:
+        # hr_indices lie inside k_indices (the loader checks it)
+        grouped = {i: group_rows(g.basis[i], n) for i in g.k_indices}
+        k_grouped = [grouped[i] for i in g.k_indices]
+        hr_grouped = [grouped[i] for i in g.hr_indices]
+        derived_span = _derived_span(k_grouped, n)
+    else:
+        k_grouped, derived_span = derived
+        hr_grouped = g.generators.grouped["h"]  # a build's h_r rows are these
 
     central = not any(bracket_grouped(h, m, n) for h in hr_grouped for m in k_grouped)
     abelian = not any(bracket_grouped(a, b, n) for a in hr_grouped for b in hr_grouped)
-
-    if derived is None:
-        derived = _derived_span(k_grouped, n)
-    derived_ok = derived.same_span(span_of(perp_rows, ambient))
+    derived_ok = derived_span.same_span(span_of(perp_rows, ambient))
 
     split = hr_vecs + perp_rows
     direct_ok = span_of(split, ambient).rank == len(split) == len(g.k_indices)

@@ -29,8 +29,8 @@ through it.
 
 ``closure_realization`` picks, per type, the realization that
 ``quaternify`` closes in (its module docstring gives the reason);
-``_closure_source`` alone decides which types and ranks have one and
-its label.
+``_closure_source`` alone decides which types and ranks have one, its
+label and, through the source's defining realization, its ambient n.
 """
 
 from __future__ import annotations
@@ -429,18 +429,18 @@ def _closure_source(type_label: str, rank: int) -> tuple:
     raise ValueError(f"unknown type {type_label!r}; expected one of A, B, C, D")
 
 
-def realization_label(type_label: str, rank: int) -> str:
-    """Tag of the realization :func:`closure_realization` uses; ValueError
-    when the type and rank have none, or none within the ambient cap."""
+def realization_spec(type_label: str, rank: int) -> tuple[str, int]:
+    """Tag and ambient n of the realization :func:`closure_realization`
+    uses; ValueError when the type and rank have none, or none within the
+    ambient cap."""
     label, source, _ = _closure_source(type_label, rank)
-    _ambient_n(type_label, rank, source)
-    return label
+    return label, _ambient_n(type_label, rank, source)
 
 
 def closure_realization(type_label: str, rank: int):
     """Generators in a realization whose weight differences stay in the roots.
 
-    Returns the generators together with their :func:`realization_label`.
+    Returns the generators together with their :func:`realization_spec` tag.
     """
     label, source, order = _closure_source(type_label, rank)
     return _generators(type_label, rank, source, order), label

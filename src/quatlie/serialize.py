@@ -19,7 +19,7 @@ from .errors import DegenerateInputError, MalformedInputError, StructuralFailure
 from .linalg import LinearSolver, Vec
 from .matrices import QuatMatrix
 from .quaternify import QuaternionLieAlgebra
-from .realizations import ChevalleyGenerators, realization_label
+from .realizations import ChevalleyGenerators, realization_spec
 from .rootsystem import CLASSICAL_TYPES, cartan_matrix, custom_cartan
 from .scalars import format_rational, parse_rational
 
@@ -28,7 +28,9 @@ ARTIFACT_VERSION = "1"
 
 def matrix_to_json(vec: Vec, n: int) -> dict:
     """A flattened n x n matrix in the layout of the module docstring."""
-    coords = [format_rational(vec.get(idx, 0)) for idx in range(4 * n * n)]
+    coords = ["0"] * (4 * n * n)
+    for idx, val in vec.items():
+        coords[idx] = format_rational(val)
     cells = [coords[c : c + 4] for c in range(0, 4 * n * n, 4)]
     return {"n": n, "entries": [cells[p * n : p * n + n] for p in range(n)]}
 
@@ -143,11 +145,11 @@ def algebra_from_json(data) -> QuaternionLieAlgebra:
     the zero-weight block and containing h_r and h_r-perp, the basis
     rows at ``hr_indices`` the stored h generators in order, a type
     among A-D whose Cartan matrix and positive roots are the declared
-    ones, the realization label that ``quaternify`` gives the type and
-    rank (none beyond the ambient cap, which is checked before any root
-    is generated), and the rank, matrix sizes and generators agreeing (the
-    generators must give every root a vector).  Any mismatch raises
-    MalformedInputError.
+    ones, the realization label and ambient n that ``quaternify`` gives
+    the type and rank (none beyond the ambient cap; both are checked
+    before any root is generated or matrix parsed), and the rank, matrix
+    sizes and generators agreeing (the generators must give every root a
+    vector).  Any mismatch raises MalformedInputError.
     """
     if not isinstance(data, dict) or data.get("kind") != "quaternion-lie-algebra":
         raise MalformedInputError("not an algebra file")
@@ -167,12 +169,14 @@ def algebra_from_json(data) -> QuaternionLieAlgebra:
     if declared.entries != cartan.entries:
         raise MalformedInputError(f"Cartan matrix is not the one of type {type_label}{rank}")
     try:
-        realization = realization_label(type_label, rank)
+        realization, ambient_n = realization_spec(type_label, rank)
     except ValueError as exc:
         raise MalformedInputError(str(exc)) from exc
     if data["realization"] != realization:
         raise MalformedInputError(f"realization must be {realization!r} for {type_label}{rank}")
     n = _int(data["ambient_n"], "ambient_n")
+    if n != ambient_n:
+        raise MalformedInputError(f"ambient_n must be {ambient_n} for {type_label}{rank}")
     basis = [matrix_from_json(m, n, "basis") for m in data["basis"]]
     dim = len(basis)
     if _int(data["dim"], "dim") != dim:

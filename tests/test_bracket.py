@@ -11,6 +11,7 @@ from quatlie.bracket import (
     bracket_vec,
     check_conjugation_equivariance,
     close_under_bracket,
+    close_vecs,
     closure,
     group_rows,
     jacobi_check,
@@ -229,6 +230,31 @@ def test_closure_handles_dependent_generators():
     h1 = QuatMatrix.unit_sum(2, [(0, 0, Q_ONE), (1, 1, -Q_ONE)])
     result = closure([h1, h1, h1.scale_rational(Fraction(2)), QuatMatrix.zeros(2)])
     assert result.dim == 1
+
+
+def _ops_generated_sets():
+    """(seeds, n, ops) with ``ops`` generating every seed as a Lie algebra;
+    every one closes to sl(2, H), dim 15 (in the top-left block for n = 3)."""
+    sl2 = [flatten(m) for m in sl_with_j_generators(2)]
+    e12, e21 = flatten(unit(3, 0, 1)), flatten(unit(3, 1, 0))
+    lines = [*quaternion_line(e12), *quaternion_line(e21)]
+    h = bracket_vec(e12, e21, 3)
+    return [
+        (sl2, 2, sl2),
+        (lines, 3, lines),
+        # dependent, zero and bracketed seeds beside the ops themselves
+        ([h, {}, *lines, lines[0], bracket_vec(lines[1], lines[6], 3)], 3, lines),
+        (list(reversed(lines)), 3, lines[::2] + lines[1::2]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_closure_under_ad_of_generating_ops_is_the_bracket_closure(case):
+    seeds, n, ops = _ops_generated_sets()[case]
+    by_ad = close_vecs(seeds, n, ops)
+    pairwise = close_vecs(seeds, n)
+    assert by_ad.rows == pairwise.rows and by_ad.pivots == pairwise.pivots
+    assert by_ad.rank == 15
 
 
 # ---------------------------------------------------------------------------

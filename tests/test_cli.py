@@ -16,8 +16,9 @@ from quatlie.cli import main
 from quatlie.errors import StructuralFailureError
 from quatlie.matrices import QuatMatrix
 
-# the module, which the package's `quaternify` function shadows
+# the modules, which the package's `quaternify` and `bracket` functions shadow
 quaternify = importlib.import_module("quatlie.quaternify")
+bracket = importlib.import_module("quatlie.bracket")
 
 
 def run(capsys, *argv):
@@ -483,6 +484,34 @@ def test_verify_groups_each_basis_row_once(a2_file, monkeypatch, capsys):
     assert counts == {"group_rows": 35, "bracket_grouped": 35 * 34 // 2}
 
 
+def test_build_closes_by_ad_of_the_ef_lines(tmp_path, monkeypatch, capsys):
+    # A2: each of the 35 accepted rows is bracketed against the 16 e/f
+    # lines, 560 brackets where closing pairwise takes C(35, 2) = 595
+    calls = []
+    closing = []
+    bracket_grouped = bracket.bracket_grouped
+    close_vecs = quaternify.close_vecs
+
+    def counted(x, y, n):
+        if closing:
+            calls.append(n)
+        return bracket_grouped(x, y, n)
+
+    def close_counted(*args):
+        closing.append(True)
+        try:
+            return close_vecs(*args)
+        finally:
+            closing.pop()
+
+    monkeypatch.setattr(bracket, "bracket_grouped", counted)
+    monkeypatch.setattr(quaternify, "close_vecs", close_counted)
+    path = tmp_path / "a2.json"
+    code, _ = run_json(capsys, "build", "--type", "A", "--rank", "2", "--out", str(path))
+    assert code == 0
+    assert len(calls) == 35 * 16
+
+
 def test_build_flattens_each_generator_once(tmp_path, monkeypatch, capsys):
     # A2: the six generators are flattened once, when their rows are
     # built, and check_root_spaces flattens the six root vectors
@@ -514,6 +543,36 @@ def test_build_derives_k_once(tmp_path, monkeypatch, capsys):
     code, _ = run_json(capsys, "build", "--type", "A", "--rank", "2", "--out", str(path))
     assert code == 0
     assert calls == [11]
+
+
+def test_build_groups_the_rows_of_k_once(tmp_path, monkeypatch, capsys):
+    # the settled `k-structure` reads the rows of k grouped for the split
+    # and the h generators' grouped rows; it groups nothing itself
+    in_k_structure = []
+    grouped_there = []
+    group_rows = quaternify.group_rows
+    k_structure = quaternify.k_structure
+
+    def counted(x, n):
+        if in_k_structure:
+            grouped_there.append(x)
+        return group_rows(x, n)
+
+    def judged(*args):
+        in_k_structure.append(True)
+        try:
+            return k_structure(*args)
+        finally:
+            in_k_structure.pop()
+
+    monkeypatch.setattr(quaternify, "group_rows", counted)
+    monkeypatch.setattr(quaternify, "k_structure", judged)
+    path = tmp_path / "a2.json"
+    code, _ = run_json(capsys, "build", "--type", "A", "--rank", "2", "--out", str(path))
+    assert code == 0
+    assert grouped_there == []
+    code, _ = run_json(capsys, "verify", "--in", str(path), "--checks", "k-structure")
+    assert code == 0 and len(grouped_there) == 11
 
 
 def test_build_reports_a_failed_zero_block_split(tmp_path, monkeypatch, capsys):
@@ -577,6 +636,31 @@ def test_verify_rejects_a_retargeted_k_split(bc_files, type_label, tamper, tmp_p
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot load algebra") and captured.err.count("\n") == 1
+
+
+def _pad_to_gl3(doc):
+    """Re-embed a built A1 file in gl(3, H): every matrix gets a zero row
+    and column, and ``ambient_n`` says 3; the label still says gl(2,H)."""
+    zero = ["0"] * 4
+    matrices = [*doc["basis"], *(m for kind in "hef" for m in doc["generators"][kind])]
+    for matrix in matrices:
+        matrix["n"] = 3
+        matrix["entries"] = [row + [zero] for row in matrix["entries"]] + [[zero] * 3]
+    doc["ambient_n"] = 3
+
+
+def test_verify_rejects_an_ambient_n_beyond_the_realization(tmp_path, capsys):
+    path = tmp_path / "a1.json"
+    assert main(["build", "--type", "A", "--rank", "1", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    _pad_to_gl3(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot load algebra") and captured.err.count("\n") == 1
+    assert "ambient_n must be 2 for A1" in captured.err
 
 
 def test_verify_k_structure_reports_dims(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from quatlie.bracket import (
     StructureConstants,
     bracket,
     close_under_bracket,
+    close_vecs,
     left_unit_vec,
     sigma_parity,
 )
@@ -21,7 +23,9 @@ from quatlie.matrices import (
 from quatlie.quaternify import (
     check_root_spaces,
     check_weight_additivity,
+    close_generators,
     closure_realization,
+    generating_set,
     k_structure,
     quaternify,
     run_checks,
@@ -31,9 +35,12 @@ from quatlie.quaternify import (
     weight_decomposition,
     weight_spaces,
 )
-from quatlie.realizations import build_named, chevalley_generators
-from quatlie.rootsystem import Root, positive_roots, weight_of
+from quatlie.realizations import ChevalleyGenerators, build_named, chevalley_generators
+from quatlie.rootsystem import Root, cartan_matrix, positive_roots, weight_of
 from quatlie.scalars import Q_I, Q_J, Q_K, Q_ONE
+
+# the module, which the package's `quaternify` function shadows
+quaternify_module = importlib.import_module("quatlie.quaternify")
 
 ALL_TYPES = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("D", 3))
 
@@ -219,6 +226,43 @@ def test_weight_blocks_cover_algebra(algebras, type_label, rank):
 # ---------------------------------------------------------------------------
 # zero-weight structure
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "type_label,rank",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("C", 2), ("C", 3), ("C", 4), ("D", 3)],
+)
+def test_ad_closure_of_the_ef_lines_is_the_closure(type_label, rank):
+    gens, _ = closure_realization(type_label, rank)
+    n = gens.ambient_n
+    ef = generating_set(gens)[4 * rank :]  # the h lines come first
+    by_ad = close_vecs(ef, n, ef)
+    pairwise = close_vecs(generating_set(gens), n)
+    assert by_ad.rows == pairwise.rows and by_ad.pivots == pairwise.pivots
+    assert close_generators(gens).rows == pairwise.rows
+
+
+def test_closure_takes_the_whole_set_when_an_h_line_is_missing(monkeypatch):
+    # e = f = E_12: the e/f lines bracket to zero, so h is not in <e, f>
+    plain = QuatMatrix.unit(2, 0, 1, Q_ONE)
+    h = QuatMatrix.unit_sum(2, [(0, 0, Q_ONE), (1, 1, -Q_ONE)])
+    gens = ChevalleyGenerators(
+        type_label="A", rank=1, ambient_n=2, h=[h], e=[plain], f=[plain],
+        cartan=cartan_matrix("A", 1),
+    )
+    calls = []
+    original = quaternify_module.close_vecs
+
+    def recorded(generators, n, ops=None):
+        span = original(generators, n, ops)
+        calls.append((ops is not None, span.rank))
+        return span
+
+    monkeypatch.setattr(quaternify_module, "close_vecs", recorded)
+    span = close_generators(gens)
+    full = original(generating_set(gens), 2)
+    assert calls == [(True, 4), (False, full.rank)]
+    assert span.rows == full.rows and span.pivots == full.pivots
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 1), ("A", 2), ("A", 3), ("D", 3)])

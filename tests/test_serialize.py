@@ -97,6 +97,18 @@ def test_values_are_ints_built_and_loaded(algebras, type_label, rank):
     assert _value_types(serialize.algebra_from_json(doc)) == {int}
 
 
+@pytest.mark.parametrize(
+    "type_label, rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("D", 3)]
+)
+def test_loader_requires_the_realization_ambient_n(algebras, type_label, rank):
+    g = algebras(type_label, rank)
+    doc = serialize.algebra_to_json(g)
+    assert serialize.algebra_from_json(doc).ambient_n == g.ambient_n
+    doc["ambient_n"] = g.ambient_n + 1  # checked before any matrix is parsed
+    with pytest.raises(MalformedInputError, match=f"ambient_n must be {g.ambient_n}"):
+        serialize.algebra_from_json(doc)
+
+
 def test_algebra_dump_is_deterministic(algebras):
     g = algebras("A", 1)
     first = serialize.dumps(serialize.algebra_to_json(g))
