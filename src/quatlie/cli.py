@@ -10,6 +10,7 @@ the manifest so rebuilds are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -22,7 +23,7 @@ from .matrices import apply_J, flatten, is_sigma_submodule
 from .quaternify import CHECKS, quaternify, run_checks
 from .realizations import build_named, membership
 from .rootsystem import cartan_matrix, positive_roots
-from .freerep import verify_h_independence, verify_ideal_kernel
+from .freerep import require_word_space, verify_h_independence, verify_ideal_kernel
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
@@ -195,6 +196,7 @@ def cmd_roots(args) -> int:
 def cmd_rho_check(args) -> int:
     try:
         cm = cartan_matrix(args.type, args.rank)
+        require_word_space(cm.rank, args.degree)  # before any word is built
     except ValueError as exc:
         return _usage_fail(str(exc))
     if args.degree < 2:
@@ -259,7 +261,9 @@ def cmd_closure(args) -> int:
     return _emit(manifest, extra)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="quatlie",
         description="exact quaternion Lie algebra construction and verification",

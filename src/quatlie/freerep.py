@@ -22,9 +22,17 @@ and lowering operators annihilate it.  Raising beyond the degree cap
 either raises or, when an overflow collector is supplied, drops the
 term and records the word.
 
-The relation check ``verify_ideal_kernel`` is one flat loop: each step
-of a commutator reads a per-generator image column (``plain_images``)
-and ``_twist`` gives its flag and sign; no word combination is built.
+The relation check ``verify_ideal_kernel`` reads per-generator image
+columns (``plain_images``) and builds no word combination.  The sixteen
+families use four plain base pairs (h.h, e.f, h.e, h.f), and an
+instance's defect is three plain products AB, BA and T, each put on a
+flag with a sign by ``_twist``.  The twist is still evaluated for every
+(family, i, j, flag); what is shared is the evaluation over the plain
+words.  A failure records only the count of nonzero entries of the
+defect, and that count does not change when the whole defect is
+multiplied by a unit or the two flags are renamed.  So instances whose
+plain columns, coefficient, and flags and signs relative to AB agree
+form one class, evaluated once per call.
 """
 
 from __future__ import annotations
@@ -38,6 +46,9 @@ from .linalg import SpanBasis, Vec
 from .rootsystem import CartanMatrix
 
 GENERATOR_KINDS = ("h", "e", "f", "Jh", "Je", "Jf")
+# plain words up to the degree that a check may span: E8 at degree 5 has
+# 37,449, and A8 at degree 12 (about 8e10) would exhaust memory
+MAX_WORDS = 100_000
 
 
 class FreeWord(NamedTuple):
@@ -61,6 +72,7 @@ def _twist(tagged: bool, flag: bool) -> tuple:
 
     ``flag`` is the flag of the word acted on; the plain action of the
     generator's base kind supplies the index tuples and coefficients.
+    The sign is 1 or -1, so a product of signs is its own inverse.
     """
     return flag ^ tagged, -1 if tagged and flag else 1
 
@@ -139,6 +151,23 @@ def plain_images(cm: CartanMatrix, degree_cap: int):
     return column
 
 
+def require_word_space(rank: int, degree: int) -> None:
+    """ValueError when the plain words up to ``degree`` number more than ``MAX_WORDS``.
+
+    Counted one length at a time and stopped at the cap, so no word and
+    no large power is built.
+    """
+    total, level = 0, 1
+    for _ in range(degree + 1):
+        total += level
+        if total > MAX_WORDS:
+            raise ValueError(
+                f"more than {MAX_WORDS} words up to degree {degree} at rank {rank}, "
+                "beyond the supported cap"
+            )
+        level *= rank
+
+
 def all_words(rank: int, max_length: int) -> list[FreeWord]:
     """Every word up to the given length, both flags, in a fixed order."""
     out = []
@@ -192,6 +221,40 @@ def family_target(target, i: int, j: int, c) -> tuple:
     return kind, j, sign * c[j][i]
 
 
+def _failing_words(
+    plain, column, base_a, i, base_b, j, same_ba, sign_ba, base_t, index, same_t, sign_t
+) -> tuple:
+    """((index tuple, nonzero count), ...) of the plain words with a nonzero defect.
+
+    The arguments after ``column`` are one class of instances: the defect
+    is AB + sign_ba·BA + sign_t·T, with AB = rho(a_i) rho(b_j) w and
+    BA = rho(b_j) rho(a_i) w on one flag, T = rho(t) w with t = base_t
+    at ``index``, and ``same_ba``/``same_t`` saying whether BA and T
+    share AB's flag.  ``sign_t`` is 0 where the family has no target.
+    """
+    col_a, col_b = column(base_a, i), column(base_b, j)
+    col_t = column(base_t, index) if sign_t else None
+    failing = []
+    for idx in plain:
+        defect: dict = {}
+        get = defect.get
+        for mid, u in col_b[idx]:  # rho(a_i) rho(b_j) w
+            for out, v in col_a[mid]:
+                key = (True, out)
+                defect[key] = get(key, 0) + u * v
+        for mid, u in col_a[idx]:  # rho(b_j) rho(a_i) w
+            for out, v in col_b[mid]:
+                key = (same_ba, out)
+                defect[key] = get(key, 0) + sign_ba * u * v
+        if sign_t:  # rho(t) w
+            for out, v in col_t[idx]:
+                key = (same_t, out)
+                defect[key] = get(key, 0) + sign_t * v
+        if any(defect.values()):
+            failing.append((idx, sum(map(bool, defect.values()))))
+    return tuple(failing)
+
+
 def verify_ideal_kernel(cm: CartanMatrix, degree: int) -> list[CheckReport]:
     """Check that all sixteen relation families act as zero operators.
 
@@ -199,29 +262,35 @@ def verify_ideal_kernel(cm: CartanMatrix, degree: int) -> list[CheckReport]:
     one, so vanishing on all words of length <= degree-1 is the whole
     degree-local statement; the cap itself is never exceeded.
 
-    One loop evaluates the defect rho(a_i) rho(b_j) w - rho(b_j) rho(a_i) w
-    - c rho(t) w of every (family, i, j, word) instance, from the image
-    columns of a_i, b_j and t in one :func:`plain_images` table (dropped
-    on return).  A step's twist depends only on its tag and the flag, so
-    ``_twist`` runs per (i, j, flag) and step; a word fails with the
-    count of nonzero (flag, index tuple) entries of its defect.
+    An instance (family, i, j, word) has the defect
+    rho(a_i) rho(b_j) w - rho(b_j) rho(a_i) w - c rho(t) w.  ``_twist``
+    runs per (family, i, j, flag) and step, exactly as the action would
+    apply it, and places the three plain products AB, BA and T (read
+    from the image columns of one :func:`plain_images` table) on a flag
+    with a sign.  A failure records only the count of nonzero (flag,
+    index tuple) entries, and that count is the same after multiplying
+    the defect by the unit sign of AB and after renaming the flags so
+    AB's flag comes first.  So the instances share one evaluation per
+    class: the plain columns of a_i, b_j and t, the coefficient c, and
+    the flag and sign of BA and of T relative to AB.  A wrong twist or
+    target gives a different class and is evaluated on its own.  The
+    classes and the table are dropped on return.
     """
     if degree < 2:
         raise ValueError("degree must be at least 2")
+    require_word_space(cm.rank, degree)
     plain = [w.indices for w in all_words(cm.rank, degree - 1) if not w.j_flag]
     column = plain_images(cm, degree)
     c = cm.entries
     pairs = list(itertools.product(range(cm.rank), repeat=2))
+    classes: dict = {}  # class -> ((index tuple, nonzero count), ...)
     reports = []
     for name, kind_a, kind_b, target in FAMILIES:
         base_a, tag_a = kind_a[-1], kind_a[0] == "J"
         base_b, tag_b = kind_b[-1], kind_b[0] == "J"
         failures = []
         for i, j in pairs:
-            col_a, col_b = column(base_a, i), column(base_b, j)
             kind_t, index, coeff = family_target(target, i, j, c)
-            if coeff:
-                col_t, tag_t = column(kind_t[-1], index), kind_t[0] == "J"
             # words in all_words order: every plain word, then every flagged one
             for flag in (False, True):
                 flag_b, sign_b = _twist(tag_b, flag)
@@ -230,26 +299,16 @@ def verify_ideal_kernel(cm: CartanMatrix, degree: int) -> list[CheckReport]:
                 flag_ba, sign_ba = _twist(tag_b, flag_a)
                 sign_ab, sign_ba = sign_b * sign_ab, -sign_a * sign_ba
                 if coeff:
-                    flag_t, sign_t = _twist(tag_t, flag)
-                    sign_t *= -coeff
-                for idx in plain:
-                    defect: dict = {}
-                    get = defect.get
-                    for mid, u in col_b[idx]:  # rho(a_i) rho(b_j) w
-                        for out, v in col_a[mid]:
-                            key = (flag_ab, out)
-                            defect[key] = get(key, 0) + sign_ab * u * v
-                    for mid, u in col_a[idx]:  # - rho(b_j) rho(a_i) w
-                        for out, v in col_b[mid]:
-                            key = (flag_ba, out)
-                            defect[key] = get(key, 0) + sign_ba * u * v
-                    if coeff:
-                        for out, v in col_t[idx]:
-                            key = (flag_t, out)
-                            defect[key] = get(key, 0) + sign_t * v
-                    if any(defect.values()):
-                        nonzero = sum(map(bool, defect.values()))
-                        failures.append((i, j, FreeWord(flag, idx).label(), nonzero))
+                    flag_t, sign_t = _twist(kind_t[0] == "J", flag)
+                    t = (kind_t[-1], index, flag_t == flag_ab, -coeff * sign_t * sign_ab)
+                else:
+                    t = (None, None, None, 0)
+                # the defect times sign_ab, with AB's flag named first
+                cls = (base_a, i, base_b, j, flag_ba == flag_ab, sign_ba * sign_ab) + t
+                if cls not in classes:
+                    classes[cls] = _failing_words(plain, column, *cls)
+                for idx, nonzero in classes[cls]:
+                    failures.append((i, j, FreeWord(flag, idx).label(), nonzero))
         reports.append(CheckReport(name, 2 * len(pairs) * len(plain), failures))
     return reports
 
@@ -276,6 +335,7 @@ def verify_h_independence(cm: CartanMatrix, degree: int) -> IndependenceReport:
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
+    require_word_space(cm.rank, degree)
     l = cm.rank
     plain = [w for w in all_words(l, degree) if not w.j_flag and w.length]
     rows_h: list[Vec] = []

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatlie import rootsystem, serialize
+from quatlie import cli, freerep, rootsystem, serialize
 from quatlie.cli import main
 from quatlie.errors import StructuralFailureError
 from quatlie.matrices import QuatMatrix
@@ -711,6 +711,51 @@ def test_rho_check_command(capsys):
     assert main(["rho-check", "--type", "A", "--rank", "2", "--degree", "1"]) == 2
 
 
+@pytest.mark.parametrize("type_label,rank,degree", [("A", 8, 12), ("A", 1, 10**9), ("D", 4, 9)])
+def test_rho_check_beyond_the_word_cap_builds_no_word(type_label, rank, degree, monkeypatch, capsys):
+    # A8 at degree 12 would list about 8e10 words; the cap is read off
+    # rank and degree alone
+    def refuse(*args):
+        raise AssertionError("a word list was built")
+
+    monkeypatch.setattr(freerep, "all_words", refuse)
+    argv = ["rho-check", "--type", type_label, "--rank", str(rank), "--degree", str(degree)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: more than {freerep.MAX_WORDS} words up to degree {degree} at rank {rank}, "
+        "beyond the supported cap\n"
+    )
+
+
+def _outcome(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out) if captured.out else None
+    if doc:
+        doc.pop("timings_ms")
+    return code, doc, captured.err
+
+
+def test_parser_is_built_once_and_carries_nothing_between_calls(capsys):
+    argvs = (
+        ["verify"],
+        ["roots", "--type", "A", "--rank", "2"],
+        ["rho-check", "--type", "B", "--rank", "2", "--degree", "3"],
+    )
+    cli.build_parser.cache_clear()
+    shared = [_outcome(capsys, argv) for argv in argvs]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    assert shared[0][2].startswith("usage:") and shared[1][1]["ok"] and shared[2][1]["ok"]
+
+
 def test_closure_presets(capsys):
     code, doc = run_json(capsys, "closure", "--preset", "sl", "--n", "3")
     assert code == 0
@@ -847,11 +892,16 @@ def test_verify_manifest_pinned(type_label, rank, tmp_path, capsys):
 
 # The `rho-check` manifest of small cases: every relation family checks
 # rank^2 * (words up to length degree - 1, both flags) instances and
-# h-independence counts the nonempty plain words up to the degree.
+# h-independence counts the nonempty plain words up to the degree.  The
+# last three are the benchmark's word-space cases (35,211, 16,510 and
+# 43,860 instances in all).
 RHO_PINNED = {
     ("A", 2, 4): (120, 30),
     ("B", 2, 5): (248, 62),
     ("D", 4, 3): (672, 84),
+    ("A", 3, 5): (2178, 363),
+    ("B", 2, 7): (1016, 254),
+    ("D", 4, 4): (2720, 340),
 }
 
 

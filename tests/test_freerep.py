@@ -161,6 +161,15 @@ def test_rho_apply_jh_clears_flag():
     assert got == [(FreeWord(False, (0,)), 4)]
 
 
+def test_word_cap_admits_e8_at_degree_five_and_stops_counting():
+    # sum of 8^t for t <= 5: the largest case the exceptional types need
+    assert sum(8**t for t in range(6)) == 37449 <= freerep.MAX_WORDS
+    freerep.require_word_space(8, 5)
+    for rank, degree in ((8, 6), (2, 17), (1, 10**12)):
+        with pytest.raises(ValueError, match="beyond the supported cap"):
+            freerep.require_word_space(rank, degree)
+
+
 def test_combo_apply_keeps_the_degree_cap():
     # a column entry past the cap raises instead of truncating
     with pytest.raises(TruncationOverflowError):
@@ -259,19 +268,38 @@ WRONG_TARGETS = [
     pytest.param(("Je.Jf", ("h", "i", 1, "delta")), id="Je.Jf-to-plus-h"),
     pytest.param(("Jh.Je", ("Je", "j", -1, "cji")), id="Jh.Je-to-Je"),
 ]
+# wrong J rules in place of ``_twist``: rho_apply, and with it the
+# oracle, follows them too, so the kernel's shared evaluation must
+# reproduce every failure they cause.  The last one puts AB and BA of a
+# mixed family on different flags.
+WRONG_TWISTS = [
+    pytest.param(lambda tagged, flag: (flag ^ tagged, 1), id="twist-sign-dropped"),
+    pytest.param(lambda tagged, flag: (flag, -1 if tagged and flag else 1), id="twist-flag-kept"),
+    pytest.param(
+        lambda tagged, flag: (flag ^ tagged, -1 if tagged else 1), id="twist-sign-on-every-tag"
+    ),
+    pytest.param(
+        lambda tagged, flag: (tagged, -1 if tagged and flag else 1), id="twist-flag-from-tag"
+    ),
+]
 
 
 @pytest.mark.parametrize("entries,degree", ORACLE_CASES)
-@pytest.mark.parametrize("wrong", WRONG_TARGETS)
+@pytest.mark.parametrize("wrong", WRONG_TARGETS + WRONG_TWISTS)
 def test_ideal_kernel_matches_the_rho_apply_oracle(monkeypatch, entries, degree, wrong):
-    if wrong:
+    if callable(wrong):
+        monkeypatch.setattr(freerep, "_twist", wrong)
+    elif wrong:
         families = tuple(f[:3] + (wrong[1],) if f[0] == wrong[0] else f for f in FAMILIES)
         monkeypatch.setattr(freerep, "FAMILIES", families)
     cm = custom_cartan(entries)
     kernel = _summary(verify_ideal_kernel(cm, degree))
     assert kernel == _oracle_summary(cm, degree)
     red = {name for name, _, failures in kernel if failures}
-    assert red == ({wrong[0]} if wrong else set())
+    if callable(wrong):
+        assert {"Je.Jf", "Jh.Je", "Jh.Jf"} <= red
+    else:
+        assert red == ({wrong[0]} if wrong else set())
 
 
 def test_ideal_kernel_reads_each_plain_image_once(monkeypatch):
@@ -288,6 +316,21 @@ def test_ideal_kernel_reads_each_plain_image_once(monkeypatch):
     # 16 words of length 4 that f reaches: one call per distinct plain image
     assert len(calls) == len(set(calls)) == 154
     assert all(kind in "hef" and not word.j_flag for kind, _, word in calls)
+
+
+def test_ideal_kernel_evaluates_each_class_once(monkeypatch):
+    # the listed rule puts all eight (family, flag) instances of one base
+    # pair and (i, j) in one class: 4 base pairs x 4 (i, j) on A2
+    classes = []
+    honest = freerep._failing_words
+
+    def counted(plain, column, *cls):
+        classes.append(cls)
+        return honest(plain, column, *cls)
+
+    monkeypatch.setattr(freerep, "_failing_words", counted)
+    verify_ideal_kernel(A2, 4)
+    assert len(classes) == len(set(classes)) == 16
 
 
 def _summary(reports):
