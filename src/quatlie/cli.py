@@ -3,8 +3,11 @@
 Subcommands: build, verify, decompose, roots, rho-check, closure.
 Every command prints a JSON manifest on stdout and exits with 0 when
 all checks pass, 1 on a verification failure and 2 on a usage or input
-error.  Algebra files written by ``build`` embed a timing-free copy of
-the manifest so rebuilds are byte-identical.
+error.  Commands raise ValueError or OSError on bad input and ``main``
+alone turns it into exit 2 and one ``error:`` line; any other exception
+is a crash, not an input error, and propagates.  Algebra files written
+by ``build`` embed a timing-free copy of the manifest so rebuilds are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from dataclasses import dataclass, field
 
 from . import serialize
 from .bracket import close_under_bracket
-from .errors import MalformedInputError, StructuralFailureError
+from .errors import StructuralFailureError
 from .matrices import apply_J, flatten, is_sigma_submodule
 from .quaternify import CHECKS, quaternify, run_checks
 from .realizations import build_named, membership
-from .rootsystem import cartan_matrix, positive_roots
+from .rootsystem import cartan_matrix, positive_roots, require_root_count
 from .freerep import require_word_space, verify_h_independence, verify_ideal_kernel
 
 USAGE_ERROR = 2
@@ -78,11 +81,6 @@ def _emit(manifest: Manifest, extra: dict | None = None) -> int:
     return 0 if manifest.ok else CHECK_ERROR
 
 
-def _usage_fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return USAGE_ERROR
-
-
 def cmd_build(args) -> int:
     manifest = Manifest(
         command="build",
@@ -91,8 +89,6 @@ def cmd_build(args) -> int:
     t0 = time.perf_counter()
     try:
         algebra = quaternify(args.type, args.rank)
-    except ValueError as exc:
-        return _usage_fail(str(exc))
     except StructuralFailureError as exc:
         manifest.add("build", False, 1, [str(exc)])
         return _emit(manifest)
@@ -118,27 +114,24 @@ def cmd_build(args) -> int:
 
 
 def _load_algebra(path: str):
+    """The algebra stored at ``path``; any failure to read or parse it is a
+    ValueError naming the path (JSON, MalformedInputError and int-size
+    errors are ValueErrors already)."""
     try:
-        data = serialize.read_json(path)
-        return serialize.algebra_from_json(data)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, MalformedInputError) as exc:
-        raise MalformedInputError(f"cannot load algebra from {path}: {exc}") from exc
+        return serialize.algebra_from_json(serialize.read_json(path))
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise ValueError(f"cannot load algebra from {path}: {exc}") from exc
 
 
 def cmd_verify(args) -> int:
     checks = tuple(CHECKS) if args.checks is None else tuple(args.checks.split(","))
     for name in checks:
         if name not in CHECKS:
-            return _usage_fail(
-                f"unknown check {name!r}; choose from {', '.join(CHECKS)}"
-            )
+            raise ValueError(f"unknown check {name!r}; choose from {', '.join(CHECKS)}")
     manifest = Manifest(
         command="verify", inputs={"in": args.in_path, "checks": list(checks)}
     )
-    try:
-        algebra = _load_algebra(args.in_path)
-    except MalformedInputError as exc:
-        return _usage_fail(str(exc))
+    algebra = _load_algebra(args.in_path)
     reports, manifest.timings_ms = run_checks(algebra, checks)
     for r in reports:
         detail = {key: r.detail[key] for key in MANIFEST_DETAIL if key in r.detail}
@@ -148,10 +141,7 @@ def cmd_verify(args) -> int:
 
 def cmd_decompose(args) -> int:
     manifest = Manifest(command="decompose", inputs={"in": args.in_path})
-    try:
-        algebra = _load_algebra(args.in_path)
-    except MalformedInputError as exc:
-        return _usage_fail(str(exc))
+    algebra = _load_algebra(args.in_path)
     table = []
     for values, indices in sorted(algebra.weight_indices.items()):
         table.append(
@@ -177,11 +167,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    try:
-        cm = cartan_matrix(args.type, args.rank)
-        roots = positive_roots(cm)
-    except ValueError as exc:
-        return _usage_fail(str(exc))
+    require_root_count(args.type, args.rank)  # before the Cartan matrix
+    cm = cartan_matrix(args.type, args.rank)
+    roots = positive_roots(cm)
     manifest = Manifest(command="roots", inputs={"type": args.type, "rank": args.rank})
     manifest.add("count", True, len(roots))
     return _emit(
@@ -194,13 +182,8 @@ def cmd_roots(args) -> int:
 
 
 def cmd_rho_check(args) -> int:
-    try:
-        cm = cartan_matrix(args.type, args.rank)
-        require_word_space(cm.rank, args.degree)  # before any word is built
-    except ValueError as exc:
-        return _usage_fail(str(exc))
-    if args.degree < 2:
-        return _usage_fail("degree must be at least 2")
+    require_word_space(args.rank, args.degree)  # before the Cartan matrix
+    cm = cartan_matrix(args.type, args.rank)
     manifest = Manifest(
         command="rho-check",
         inputs={"type": args.type, "rank": args.rank, "degree": args.degree},
@@ -227,32 +210,25 @@ def cmd_rho_check(args) -> int:
 def cmd_closure(args) -> int:
     n = args.n
     manifest = Manifest(command="closure", inputs={"preset": args.preset, "n": n})
-    try:
-        if args.preset == "sl":
-            seed = build_named("sl_n_C", n).basis
-            generators = list(seed) + [apply_J(m) for m in seed]
-            result = close_under_bracket(generators)
-            expected = 4 * n * n - 1
-            manifest.add("closure-dim", result.dim == expected, result.dim)
-            inside = all(membership("sl_n_H", n, m) for m in result.matrices)
-            target = build_named("sl_n_H", n)
-            covers = all(
-                result.span.contains(flatten(m)) for m in target.basis
-            )
-            manifest.add("equals-sl-n-H", inside and covers, target.dim)
-        elif args.preset in ("so-star", "sp"):
-            name = "so_star_2n" if args.preset == "so-star" else "sp_n"
-            algebra = build_named(name, n)
-            generators = algebra.basis
-            result = close_under_bracket(generators)
-            manifest.add("bracket-closed", result.dim == algebra.dim, algebra.dim)
-            manifest.add(
-                "sigma-tau-invariant", is_sigma_submodule(generators), len(generators)
-            )
-        else:
-            return _usage_fail(f"unknown preset {args.preset!r}")
-    except ValueError as exc:
-        return _usage_fail(str(exc))
+    if args.preset == "sl":
+        seed = build_named("sl_n_C", n).basis
+        generators = list(seed) + [apply_J(m) for m in seed]
+        result = close_under_bracket(generators)
+        expected = 4 * n * n - 1
+        manifest.add("closure-dim", result.dim == expected, result.dim)
+        inside = all(membership("sl_n_H", n, m) for m in result.matrices)
+        target = build_named("sl_n_H", n)
+        covers = all(result.span.contains(flatten(m)) for m in target.basis)
+        manifest.add("equals-sl-n-H", inside and covers, target.dim)
+    else:  # argparse admits only "so-star" and "sp" besides "sl"
+        name = "so_star_2n" if args.preset == "so-star" else "sp_n"
+        algebra = build_named(name, n)
+        generators = algebra.basis
+        result = close_under_bracket(generators)
+        manifest.add("bracket-closed", result.dim == algebra.dim, algebra.dim)
+        manifest.add(
+            "sigma-tau-invariant", is_sigma_submodule(generators), len(generators)
+        )
     extra = {"dim": result.dim}
     if args.preset == "sl":
         extra["summary"] = (
@@ -310,7 +286,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 def entry() -> None:

@@ -19,8 +19,7 @@ Every coefficient is a sum of integer Cartan entries, so a word
 combination maps words to nonzero ints.  The empty word is included at
 both flags, so the inner sums above are well defined (they are empty)
 and lowering operators annihilate it.  Raising beyond the degree cap
-either raises or, when an overflow collector is supplied, drops the
-term and records the word.
+raises.
 
 The relation check ``verify_ideal_kernel`` reads per-generator image
 columns (``plain_images``) and builds no word combination.  The sixteen
@@ -92,25 +91,13 @@ def _plain_action(base: str, j: int, idx: tuple, c) -> dict:
     return {lowered: coeff for lowered, coeff in out.items() if coeff}
 
 
-def rho_apply(
-    kind: str,
-    j: int,
-    word: FreeWord,
-    cm: CartanMatrix,
-    degree_cap: int,
-    overflow: list | None = None,
-) -> Combo:
+def rho_apply(kind: str, j: int, word: FreeWord, cm: CartanMatrix, degree_cap: int) -> Combo:
     """Image of a single word under one generator, as a word combination."""
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
     base = kind[-1]
     if base == "f" and word.length >= degree_cap:
-        if overflow is None:
-            raise TruncationOverflowError(
-                f"raising past degree {degree_cap} on {word.label()}"
-            )
-        overflow.append(word)
-        return {}
+        raise TruncationOverflowError(f"raising past degree {degree_cap} on {word.label()}")
     flag, sign = _twist(kind.startswith("J"), word.j_flag)
     return {
         FreeWord(flag, idx): sign * coeff
@@ -155,17 +142,23 @@ def require_word_space(rank: int, degree: int) -> None:
     """ValueError when the plain words up to ``degree`` number more than ``MAX_WORDS``.
 
     Counted one length at a time and stopped at the cap, so no word and
-    no large power is built.
+    no large power is built.  Below rank 2 there are at most degree + 1
+    words, read off directly: counting them would take degree steps.
     """
-    total, level = 0, 1
-    for _ in range(degree + 1):
-        total += level
-        if total > MAX_WORDS:
-            raise ValueError(
-                f"more than {MAX_WORDS} words up to degree {degree} at rank {rank}, "
-                "beyond the supported cap"
-            )
-        level *= rank
+    if rank < 2:
+        total = degree + 1 if rank == 1 else 1
+    else:
+        total, level = 0, 1
+        for _ in range(degree + 1):
+            total += level
+            if total > MAX_WORDS:
+                break
+            level *= rank
+    if total > MAX_WORDS:
+        raise ValueError(
+            f"more than {MAX_WORDS} words up to degree {degree} at rank {rank}, "
+            "beyond the supported cap"
+        )
 
 
 def all_words(rank: int, max_length: int) -> list[FreeWord]:

@@ -17,11 +17,11 @@ Chevalley generators use the defining matrix realizations:
 B, C and D share one chain of eps_p - eps_(p+1) generators (``_chain``);
 only B's short root, C's long root and D's eps_(l-1) + eps_l are their
 own.  ``chevalley_generators`` and ``closure_realization`` construct
-through one function: the Cartan matrix, then ``MAX_AMBIENT_N`` checked
-from type and rank alone (before any matrix exists), then the
-generators, validated before returning: no generator row has a J
-coordinate, and the four plain relation families hold exactly against
-the stored Cartan matrix.  Every family of ``freerep.FAMILIES`` is
+through one function: type, rank and ``MAX_AMBIENT_N`` checked from
+type and rank alone (before any matrix exists, the Cartan matrix
+included), then the Cartan matrix and the generators, validated before
+returning: no generator row has a J coordinate, and the four plain
+relation families hold exactly against the stored Cartan matrix.  Every family of ``freerep.FAMILIES`` is
 evaluated by one method, ``ChevalleyGenerators.relations``, with
 ``bracket_grouped`` on the generators' coordinate rows, which the object
 builds once; the ``relations`` check of ``quaternify`` runs all sixteen
@@ -42,7 +42,7 @@ from .bracket import bracket_grouped, group_rows, left_unit_vec
 from .errors import CheckReport, StructuralFailureError
 from .freerep import FAMILIES, family_target
 from .matrices import QuatMatrix, flatten, quat_transpose_mj
-from .rootsystem import CartanMatrix, cartan_matrix
+from .rootsystem import CartanMatrix, cartan_matrix, require_type_rank
 from .scalars import GR_ONE, Q_I, Q_J, Q_K, Q_ONE, Quaternion
 
 MAX_NAMED_N = 8
@@ -68,7 +68,6 @@ class NamedAlgebra:
     n: int
     basis: list[QuatMatrix]
     dim: int
-    predicate: str
 
 
 def _basis_gl_h(n):
@@ -196,9 +195,7 @@ def build_named(name: str, n: int) -> NamedAlgebra:
     for m in basis:
         if not membership(name, n, m):
             raise StructuralFailureError(f"{name} basis element fails its predicate")
-    return NamedAlgebra(
-        name=name, n=n, basis=basis, dim=len(basis), predicate=name
-    )
+    return NamedAlgebra(name=name, n=n, basis=basis, dim=len(basis))
 
 
 def membership(name: str, n: int, m: QuatMatrix) -> bool:
@@ -379,8 +376,9 @@ def _ambient_n(type_label: str, rank: int, source: str) -> int:
 def _generators(type_label: str, rank: int, source: str, order=None) -> ChevalleyGenerators:
     """Validated generators of ``type_label`` from ``source``'s defining
     realization at the same rank, its simple roots taken in ``order``."""
-    cm = cartan_matrix(type_label, rank)  # validates type and rank bounds
-    n = _ambient_n(type_label, rank, source)
+    require_type_rank(type_label, rank)
+    n = _ambient_n(type_label, rank, source)  # before the rank x rank Cartan matrix
+    cm = cartan_matrix(type_label, rank)
     simple = _DEFINING[source][1](n, rank)
     if order is not None:
         simple = [simple[p] for p in order]

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatlie import cli, freerep, rootsystem, serialize
+from quatlie import cli, freerep, realizations, rootsystem, serialize
 from quatlie.cli import main
 from quatlie.errors import StructuralFailureError
 from quatlie.matrices import QuatMatrix
@@ -768,6 +768,124 @@ def test_closure_presets(capsys):
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
+
+
+def _assert_one_error_line(code, capsys, prefix="error: "):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+
+
+def _refuse_cartan_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Cartan matrix was built")
+
+    for module in (cli, realizations):
+        monkeypatch.setattr(module, "cartan_matrix", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["build", "--type", "A", "--rank", "6000"], "A6000 needs ambient n=6001"),
+        (["rho-check", "--type", "A", "--rank", "6000", "--degree", "3"], "more than 100000 words"),
+        (["roots", "--type", "A", "--rank", "45"], "A45 has 1035 positive roots, more than 1000"),
+        (["roots", "--type", "D", "--rank", "100000"], "D100000 has 9999900000 positive roots"),
+    ],
+    ids=["build-A6000", "rho-check-A6000-d3", "roots-A45", "roots-D100000"],
+)
+def test_caps_are_read_before_the_cartan_matrix(argv, message, tmp_path, monkeypatch, capsys):
+    # the rank x rank Cartan matrix alone took 2.2 s and 154 MB at A3000;
+    # every cap is read off type, rank and degree
+    _refuse_cartan_matrix(monkeypatch)
+    out = tmp_path / "x.json"
+    if argv[0] == "build":
+        argv = argv + ["--out", str(out)]
+    _assert_one_error_line(main(argv), capsys, f"error: {message}")
+    assert not out.exists()
+
+
+def test_rho_check_rank_zero_with_a_huge_degree_is_refused_at_once(capsys):
+    # the word cap counts no lengths below rank 2, so the rank check follows at once
+    code = main(["rho-check", "--type", "A", "--rank", "0", "--degree", str(10**12)])
+    _assert_one_error_line(code, capsys, "error: type A needs rank >= 1")
+
+
+def test_roots_gate_admits_the_largest_listing_under_the_cap(capsys):
+    code, doc = run_json(capsys, "roots", "--type", "C", "--rank", "31")
+    assert code == 0 and len(doc["positive_roots"]) == 961 <= rootsystem.MAX_POSITIVE_ROOTS
+
+
+@pytest.fixture(scope="module")
+def a1_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "a1.json"
+    assert main(["build", "--type", "A", "--rank", "1", "--out", str(path)]) == 0
+    return path.read_text()
+
+
+def _huge_coefficient(text):
+    doc = json.loads(text)
+    doc["structure_constants"]["entries"][0][3] = "7" * 5000
+    return json.dumps(doc)
+
+
+def _huge_rank(text):
+    return text.replace('"rank":1', '"rank":' + "7" * 5000)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [None, lambda text: "[" * 100_000, _huge_coefficient, _huge_rank],
+    ids=["out-dir-missing", "deep-nesting", "huge-coefficient", "huge-rank"],
+)
+def test_input_errors_that_once_raised_exit_two_with_one_line(case, a1_text, tmp_path, capsys):
+    # at each of these a traceback ended the run with exit 1
+    if case is None:
+        out = tmp_path / "missing" / "a1.json"
+        code = main(["build", "--type", "A", "--rank", "1", "--out", str(out)])
+        _assert_one_error_line(code, capsys)
+        return
+    path = tmp_path / "bad.json"
+    text = case(a1_text)
+    assert text != a1_text
+    path.write_text(text)
+    code = main(["verify", "--in", str(path)])
+    _assert_one_error_line(code, capsys, f"error: cannot load algebra from {path}: ")
+
+
+SUBCOMMAND_ARGV = {
+    "cmd_build": ["build", "--type", "A", "--rank", "1", "--out", "x.json"],
+    "cmd_verify": ["verify", "--in", "x.json"],
+    "cmd_decompose": ["decompose", "--in", "x.json"],
+    "cmd_roots": ["roots", "--type", "A", "--rank", "1"],
+    "cmd_rho_check": ["rho-check", "--type", "A", "--rank", "1", "--degree", "2"],
+    "cmd_closure": ["closure", "--preset", "sl", "--n", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+def test_main_alone_maps_a_value_error_to_exit_two(command, monkeypatch, capsys):
+    def raising(exc):
+        def command_function(args):
+            raise exc
+
+        return command_function
+
+    # the parser binds the command functions when it is built
+    cli.build_parser.cache_clear()
+    try:
+        monkeypatch.setattr(cli, command, raising(ValueError("injected input error")))
+        code = main(SUBCOMMAND_ARGV[command])
+        _assert_one_error_line(code, capsys, "error: injected input error\n")
+        # anything else is a crash and propagates
+        monkeypatch.setattr(cli, command, raising(KeyError("injected crash")))
+        cli.build_parser.cache_clear()
+        with pytest.raises(KeyError):
+            main(SUBCOMMAND_ARGV[command])
+    finally:
+        monkeypatch.undo()
+        cli.build_parser.cache_clear()
 
 
 def _assert_no_floats(node):

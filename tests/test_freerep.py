@@ -101,14 +101,6 @@ def test_truncation_overflow_raises():
         rho_apply("f", 0, full, A2, 3)
 
 
-def test_truncation_overflow_collected():
-    full = FreeWord(False, (0, 1, 0))
-    dropped = []
-    out = rho_apply("f", 0, full, A2, 3, overflow=dropped)
-    assert out == {}
-    assert dropped == [full]
-
-
 def test_sixteen_families_listed():
     assert len(FAMILIES) == 16
     names = [f[0] for f in FAMILIES]
@@ -170,6 +162,14 @@ def test_word_cap_admits_e8_at_degree_five_and_stops_counting():
             freerep.require_word_space(rank, degree)
 
 
+def test_word_cap_reads_ranks_below_two_off_directly():
+    # counting one length at a time would take 10**12 steps here
+    freerep.require_word_space(0, 10**12)
+    freerep.require_word_space(1, freerep.MAX_WORDS - 1)
+    with pytest.raises(ValueError, match="beyond the supported cap"):
+        freerep.require_word_space(1, freerep.MAX_WORDS)
+
+
 def test_combo_apply_keeps_the_degree_cap():
     # a column entry past the cap raises instead of truncating
     with pytest.raises(TruncationOverflowError):
@@ -217,8 +217,8 @@ def test_wrong_plain_image_turns_families_red(monkeypatch):
     # h_1 on the plain word f2 gets coefficient c[1][0] + 1 instead of c[1][0]
     honest = freerep.rho_apply
 
-    def skewed(kind, j, word, cm, degree_cap, overflow=None):
-        out = honest(kind, j, word, cm, degree_cap, overflow)
+    def skewed(kind, j, word, cm, degree_cap):
+        out = honest(kind, j, word, cm, degree_cap)
         if (kind, j, word) == ("h", 0, FreeWord(False, (1,))):
             out = {word: out.get(word, 0) + 1}
         return out
@@ -306,9 +306,9 @@ def test_ideal_kernel_reads_each_plain_image_once(monkeypatch):
     calls = []
     honest = freerep.rho_apply
 
-    def counted(kind, j, word, cm, degree_cap, overflow=None):
+    def counted(kind, j, word, cm, degree_cap):
         calls.append((kind, j, word))
-        return honest(kind, j, word, cm, degree_cap, overflow)
+        return honest(kind, j, word, cm, degree_cap)
 
     monkeypatch.setattr(freerep, "rho_apply", counted)
     verify_ideal_kernel(A2, 4)

@@ -3,8 +3,8 @@
 ``perfbench/tracing.py`` patches quatlie functions by name and then
 checks invariants of the counts it collected (``check_complete``).  A
 renamed function or a changed call path breaks the traced benchmark
-without breaking any other test, so this test runs the tracer on a small
-`build` and `verify` pass.  The tracing module is only imported, never
+without breaking any other test, so these tests run the tracer on a small
+`build` and `verify` pass and on a `rho-check` (`wordspace`) pass.  The tracing module is only imported, never
 edited.  A2 is used because its loader makes matrix brackets (the root
 vector of (1, 1)); A1's `verify` makes none.
 """
@@ -60,3 +60,16 @@ def test_traced_build_and_verify_are_complete(tmp_path):
     assert [t for t in targets if not bindings.get(t)] == []
     assert build == (0, [])
     assert verify == (0, [])
+
+
+def test_traced_wordspace_is_complete():
+    tracing = _import_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wordspace = _traced_pass(
+            tracing, tracer, "wordspace", ["rho-check", "--type", "A", "--rank", "2", "--degree", "4"]
+        )
+    finally:
+        tracer.uninstall()
+    assert wordspace == (0, [])
