@@ -21,8 +21,10 @@ both flags, so the inner sums above are well defined (they are empty)
 and lowering operators annihilate it.  Raising beyond the degree cap
 raises.
 
-The relation check ``verify_ideal_kernel`` reads per-generator image
-columns (``plain_images``) and builds no word combination.  The sixteen
+``rho_apply`` is the action on one word as a word combination.  The
+relation check ``verify_ideal_kernel`` reads per-generator image columns
+(``plain_images``), filled straight from the plain action under the same
+degree cap, and builds no word combination.  The sixteen
 families use four plain base pairs (h.h, e.f, h.e, h.f), and an
 instance's defect is three plain products AB, BA and T, each put on a
 flag with a sign by ``_twist``.  The twist is still evaluated for every
@@ -91,13 +93,19 @@ def _plain_action(base: str, j: int, idx: tuple, c) -> dict:
     return {lowered: coeff for lowered, coeff in out.items() if coeff}
 
 
+def _require_room(base: str, flag: bool, idx: tuple, degree_cap: int) -> None:
+    """TruncationOverflowError where an f generator would lengthen a word past the cap."""
+    if base == "f" and len(idx) >= degree_cap:
+        word = FreeWord(flag, idx)
+        raise TruncationOverflowError(f"raising past degree {degree_cap} on {word.label()}")
+
+
 def rho_apply(kind: str, j: int, word: FreeWord, cm: CartanMatrix, degree_cap: int) -> Combo:
     """Image of a single word under one generator, as a word combination."""
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
     base = kind[-1]
-    if base == "f" and word.length >= degree_cap:
-        raise TruncationOverflowError(f"raising past degree {degree_cap} on {word.label()}")
+    _require_room(base, word.j_flag, word.indices, degree_cap)
     flag, sign = _twist(kind.startswith("J"), word.j_flag)
     return {
         FreeWord(flag, idx): sign * coeff
@@ -108,7 +116,8 @@ def rho_apply(kind: str, j: int, word: FreeWord, cm: CartanMatrix, degree_cap: i
 class _Column(dict):
     """Image column of one plain generator: index tuple -> ((index tuple, int), ...).
 
-    A missing entry is filled by ``rho_apply`` on its first lookup.
+    A missing entry is filled from ``_plain_action`` on its first lookup,
+    under the same degree cap as ``rho_apply``.
     """
 
     def __init__(self, *generator):  # base, j, cm, degree_cap
@@ -116,8 +125,8 @@ class _Column(dict):
 
     def __missing__(self, idx: tuple) -> tuple:
         base, j, cm, degree_cap = self.generator
-        image = rho_apply(base, j, FreeWord(False, idx), cm, degree_cap)
-        terms = self[idx] = tuple((w.indices, coeff) for w, coeff in image.items())
+        _require_room(base, False, idx, degree_cap)
+        terms = self[idx] = tuple(_plain_action(base, j, idx, cm.entries).items())
         return terms
 
 
@@ -125,8 +134,9 @@ def plain_images(cm: CartanMatrix, degree_cap: int):
     """Lookup ``(base, j) -> index tuple -> ((index tuple, int), ...)``.
 
     ``plain_images(cm, cap)(base, j)[idx]`` is the image of the plain
-    word ``idx`` under the plain generator base_j, filled by ``rho_apply``
-    on first use.  The columns live as long as the returned function.
+    word ``idx`` under the plain generator base_j, filled from
+    ``_plain_action`` on first use.  The columns live as long as the
+    returned function.
     """
     table: dict = {}
 
@@ -324,33 +334,37 @@ def verify_h_independence(cm: CartanMatrix, degree: int) -> IndependenceReport:
     The h generators act diagonally on words and the Jh generators act
     by the matching coefficient on the flag-swapped word; independence
     of each family is the rank of the coefficient matrix over all plain
-    words, which equals the rank of the Cartan matrix.
+    words, which equals the rank of the Cartan matrix.  An h row is read
+    from the plain action, a Jh row from ``rho_apply``, which applies
+    the twist.  Each rank runs over the distinct rows in first-seen
+    order: reduced echelon form is canonical, so a repeated row never
+    changes it.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
     require_word_space(cm.rank, degree)
     l = cm.rank
+    c = cm.entries
     plain = [w for w in all_words(l, degree) if not w.j_flag and w.length]
-    rows_h: list[Vec] = []
-    rows_jh: list[Vec] = []
+    rows_h: dict = {}  # row items -> row, in first-seen order
+    rows_jh: dict = {}
     for word in plain:
+        idx, flagged = word.indices, FreeWord(True, word.indices)
         row_h: Vec = {}
         row_jh: Vec = {}
         for j in range(l):
-            img_h = rho_apply("h", j, word, cm, degree + 1)
-            coeff = img_h.get(FreeWord(False, word.indices))
+            coeff = _plain_action("h", j, idx, c).get(idx)
             if coeff:
                 row_h[j] = coeff
-            img_jh = rho_apply("Jh", j, word, cm, degree + 1)
-            coeff = img_jh.get(FreeWord(True, word.indices))
+            coeff = rho_apply("Jh", j, word, cm, degree + 1).get(flagged)
             if coeff:
                 row_jh[j] = coeff
-        rows_h.append(row_h)
-        rows_jh.append(row_jh)
+        rows_h.setdefault(tuple(row_h.items()), row_h)
+        rows_jh.setdefault(tuple(row_jh.items()), row_jh)
     span_h = SpanBasis(l)
-    span_h.extend(rows_h)
+    span_h.extend(rows_h.values())
     span_jh = SpanBasis(l)
-    span_jh.extend(rows_jh)
+    span_jh.extend(rows_jh.values())
     return IndependenceReport(
         rank_h=span_h.rank,
         rank_jh=span_jh.rank,

@@ -405,6 +405,7 @@ def _closure_source(type_label: str, rank: int) -> tuple:
     their defining representations produce non-root weights like
     2*eps_i and the closure cannot decompose over the root system.
     """
+    require_type_rank(type_label, rank)
     if type_label == "A":
         return f"sl({rank + 1},C) in gl({rank + 1},H)", "A", None
     if type_label == "C":
@@ -424,7 +425,6 @@ def _closure_source(type_label: str, rank: int) -> tuple:
             )
         # the central node of A3 becomes the first D3 node
         return "sl(4,C) half-spin realization of so(6,C) in gl(4,H)", "A", (1, 0, 2)
-    raise ValueError(f"unknown type {type_label!r}; expected one of A, B, C, D")
 
 
 def realization_spec(type_label: str, rank: int) -> tuple[str, int]:

@@ -52,9 +52,9 @@ def parse_rational(text: str):
     plain ASCII integer string, the bulk of an artifact, goes straight to
     ``int``; every other string is validated through ``Fraction``.
     """
-    if isinstance(text, str) and _PLAIN_INT.fullmatch(text):
-        return int(text)
     try:
+        if isinstance(text, str) and _PLAIN_INT.fullmatch(text):
+            return int(text)  # ValueError past the interpreter's digit limit
         return integral(Fraction(text.strip()))
     except (AttributeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError(f"not a rational string: {text!r}") from exc

@@ -830,6 +830,15 @@ def _huge_coefficient(text):
     return json.dumps(doc)
 
 
+def test_verify_refuses_an_unknown_type_with_one_line(a1_text, tmp_path, capsys):
+    doc = json.loads(a1_text)
+    doc["type"], doc["rank"] = "E", 6
+    path = tmp_path / "e6.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "--in", str(path)])
+    _assert_one_error_line(code, capsys, f"error: cannot load algebra from {path}: ")
+
+
 def _huge_rank(text):
     return text.replace('"rank":1', '"rank":' + "7" * 5000)
 

@@ -215,15 +215,15 @@ def test_wrong_twist_turns_families_red(monkeypatch):
 
 def test_wrong_plain_image_turns_families_red(monkeypatch):
     # h_1 on the plain word f2 gets coefficient c[1][0] + 1 instead of c[1][0]
-    honest = freerep.rho_apply
+    honest = freerep._plain_action
 
-    def skewed(kind, j, word, cm, degree_cap):
-        out = honest(kind, j, word, cm, degree_cap)
-        if (kind, j, word) == ("h", 0, FreeWord(False, (1,))):
-            out = {word: out.get(word, 0) + 1}
+    def skewed(base, j, idx, c):
+        out = honest(base, j, idx, c)
+        if (base, j, idx) == ("h", 0, (1,)):
+            out = {idx: out.get(idx, 0) + 1}
         return out
 
-    monkeypatch.setattr(freerep, "rho_apply", skewed)
+    monkeypatch.setattr(freerep, "_plain_action", skewed)
     red = _red_families(A2, 3)
     assert "h.f" in red and "h.e" in red
 
@@ -304,18 +304,68 @@ def test_ideal_kernel_matches_the_rho_apply_oracle(monkeypatch, entries, degree,
 
 def test_ideal_kernel_reads_each_plain_image_once(monkeypatch):
     calls = []
+    honest = freerep._plain_action
+
+    def counted(base, j, idx, c):
+        calls.append((base, j, idx))
+        return honest(base, j, idx, c)
+
+    monkeypatch.setattr(freerep, "_plain_action", counted)
+    verify_ideal_kernel(A2, 4)
+    # 3 bases x 2 indices x 15 words up to length 3, plus e and h on the
+    # 16 words of length 4 that f reaches: one call per distinct plain image
+    assert len(calls) == len(set(calls)) == 154
+    assert all(base in "hef" and type(idx) is tuple for base, _, idx in calls)
+
+
+@pytest.mark.parametrize("cm,degree", [(A2, 4), (cartan_matrix("B", 2), 5)], ids=["A2-d4", "B2-d5"])
+def test_ideal_kernel_fills_its_columns_without_rho_apply(monkeypatch, cm, degree):
+    def refused(*args):
+        raise AssertionError(f"rho_apply called with {args[:3]}")
+
+    monkeypatch.setattr(freerep, "rho_apply", refused)
+    assert all(report.ok for report in verify_ideal_kernel(cm, degree))
+
+
+def test_h_independence_reads_each_jh_image_once_and_distinct_rows(monkeypatch):
+    calls = []
     honest = freerep.rho_apply
 
     def counted(kind, j, word, cm, degree_cap):
         calls.append((kind, j, word))
         return honest(kind, j, word, cm, degree_cap)
 
+    inserted = []
+
+    class RecordingSpan(freerep.SpanBasis):
+        def __init__(self, ambient_dim):
+            super().__init__(ambient_dim)
+            inserted.append([])
+
+        def insert(self, vec):
+            inserted[-1].append(tuple(vec.items()))
+            return super().insert(vec)
+
     monkeypatch.setattr(freerep, "rho_apply", counted)
-    verify_ideal_kernel(A2, 4)
-    # 3 bases x 2 indices x 15 words up to length 3, plus e and h on the
-    # 16 words of length 4 that f reaches: one call per distinct plain image
-    assert len(calls) == len(set(calls)) == 154
-    assert all(kind in "hef" and not word.j_flag for kind, _, word in calls)
+    monkeypatch.setattr(freerep, "SpanBasis", RecordingSpan)
+    report = verify_h_independence(A2, 3)
+    assert report.ok and report.words_used == 14
+    # 2 indices x the 14 plain words of length 1..3, every call a Jh
+    assert len(calls) == len(set(calls)) == 28
+    assert {kind for kind, _, _ in calls} == {"Jh"}
+    # one row per letter count (a, b) with 1 <= a + b <= 3, none repeated
+    assert [len(rows) for rows in inserted] == [9, 9]
+    assert all(len(set(rows)) == 9 for rows in inserted)
+
+
+def test_h_independence_jh_half_goes_through_the_twist(monkeypatch):
+    # with the flag kept, Jh maps a plain word to a plain word, so no Jh
+    # row finds its flagged coefficient; the h half reads no twist
+    monkeypatch.setattr(
+        freerep, "_twist", lambda tagged, flag: (flag, -1 if tagged and flag else 1)
+    )
+    report = verify_h_independence(A2, 3)
+    assert (report.rank_h, report.rank_jh, report.ok) == (2, 0, False)
 
 
 def test_ideal_kernel_evaluates_each_class_once(monkeypatch):

@@ -19,7 +19,9 @@ from quatlie.realizations import (
     chevalley_generators,
     closure_realization,
     membership,
+    realization_spec,
 )
+from quatlie.rootsystem import require_type_rank
 from quatlie.scalars import Q_I, Q_J, Q_ONE
 
 DIMS = {
@@ -291,6 +293,15 @@ def test_d3_realization_membership():
 def _plain_transpose(m):
     n = m.n
     return QuatMatrix([[m.rows[q][p] for q in range(n)] for p in range(n)])
+
+
+def test_unknown_type_is_refused_with_the_root_system_message():
+    with pytest.raises(ValueError) as expected:
+        require_type_rank("E", 6)
+    for refuse in (realization_spec, closure_realization):
+        with pytest.raises(ValueError) as got:
+            refuse("E", 6)
+        assert str(got.value) == str(expected.value)
 
 
 def test_rank_bounds():

@@ -207,6 +207,13 @@ def test_parse_rational_int_fast_path_keeps_the_fraction_verdict(text):
     assert got == expected and type(got) is type(expected)
 
 
+@pytest.mark.parametrize("text", ["1" * 5000, "-" + "7" * 4301], ids=["5000-digits", "minus-4301"])
+def test_parse_rational_rejects_an_integer_past_the_digit_limit(text):
+    # int() raises a bare ValueError beyond the interpreter's digit limit
+    with pytest.raises(MalformedInputError, match="not a rational string"):
+        parse_rational(text)
+
+
 @settings(max_examples=50, deadline=None)
 @given(quat_st)
 def test_quaternion_coords_round_trip(x):

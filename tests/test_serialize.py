@@ -109,6 +109,13 @@ def test_loader_requires_the_realization_ambient_n(algebras, type_label, rank):
         serialize.algebra_from_json(doc)
 
 
+def test_loader_rejects_a_coefficient_past_the_digit_limit(algebras):
+    doc = serialize.algebra_to_json(algebras("A", 1))
+    doc["structure_constants"]["entries"][0][3] = "1" * 5000
+    with pytest.raises(MalformedInputError, match="not a rational string"):
+        serialize.algebra_from_json(doc)
+
+
 def test_algebra_dump_is_deterministic(algebras):
     g = algebras("A", 1)
     first = serialize.dumps(serialize.algebra_to_json(g))

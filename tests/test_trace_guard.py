@@ -39,7 +39,7 @@ def _traced_pass(tracing, tracer, workload, argv):
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     metrics = tracing.pass_metrics(tracer, [json.loads(out.getvalue())])
-    return code, tracing.check_complete(workload, metrics)
+    return code, tracing.check_complete(workload, metrics), metrics
 
 
 def test_traced_build_and_verify_are_complete(tmp_path):
@@ -51,8 +51,8 @@ def test_traced_build_and_verify_are_complete(tmp_path):
         bindings = dict(tracer.bindings)
         build = _traced_pass(
             tracing, tracer, "build", ["build", "--type", "A", "--rank", "2", "--out", path]
-        )
-        verify = _traced_pass(tracing, tracer, "verify", ["verify", "--in", path])
+        )[:2]
+        verify = _traced_pass(tracing, tracer, "verify", ["verify", "--in", path])[:2]
     finally:
         tracer.uninstall()
     targets = [f"{module}.{attr}" for module, attr, _ in tracing.TIMED_FUNCTIONS]
@@ -67,9 +67,14 @@ def test_traced_wordspace_is_complete():
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        wordspace = _traced_pass(
+        code, problems, metrics = _traced_pass(
             tracing, tracer, "wordspace", ["rho-check", "--type", "A", "--rank", "2", "--degree", "4"]
         )
     finally:
         tracer.uninstall()
-    assert wordspace == (0, [])
+    assert (code, problems) == (0, [])
+    # one Jh image per (plain word, index) in h-independence: 2 x 30 words
+    # of length 1..4; 16 families x 4 (i, j) x 2 flags x 15 plain words
+    # up to length 3, plus the 30 words h-independence uses
+    assert metrics["freerep.rho_apply.calls"] == 60
+    assert metrics["freerep.instances"] == 1950
