@@ -64,23 +64,40 @@ def constants_to_json(sc: StructureConstants) -> dict:
 
 
 def constants_from_json(data) -> StructureConstants:
+    """The table of a ``constants_to_json`` document, in one pass over its entries.
+
+    Each distinct coefficient string is parsed once per load.  Indices must
+    be ints with i < j and all three below ``dim``, and no (i, j, k) may
+    repeat; anything else raises MalformedInputError.
+    """
     dim = _int(data["dim"], "structure constant dim")
     sc = StructureConstants(dim=dim)
-    grouped: dict[tuple, list] = {}
+    grouped: dict[tuple, dict] = {}
+    parsed: dict[str, object] = {}
     for entry in data["entries"]:
         if not isinstance(entry, list) or len(entry) != 4:
             raise MalformedInputError("structure constant entries must be [i, j, k, coeff]")
-        i, j, k = (_int(index, "structure constant index") for index in entry[:3])
-        coeff = entry[3]
+        i, j, k, coeff = entry
+        if type(i) is not int or type(j) is not int or type(k) is not int:
+            raise MalformedInputError("structure constant index must be an integer")
         if not i < j:
             raise MalformedInputError("structure constants must be stored with i < j")
         if not (0 <= i and j < dim and 0 <= k < dim):
             raise MalformedInputError(
                 f"structure constant index out of range(dim={dim}): {[i, j, k]}"
             )
-        grouped.setdefault((i, j), []).append((k, parse_rational(coeff)))
+        if type(coeff) is str:
+            value = parsed.get(coeff)
+            if value is None:
+                value = parsed[coeff] = parse_rational(coeff)
+        else:
+            value = parse_rational(coeff)  # raises: coefficients are strings
+        terms = grouped.setdefault((i, j), {})
+        if k in terms:
+            raise MalformedInputError(f"structure constant entry {[i, j, k]} is repeated")
+        terms[k] = value
     for (i, j), terms in grouped.items():
-        sc.set_entry(i, j, terms)
+        sc.set_entry(i, j, terms.items())
     return sc
 
 

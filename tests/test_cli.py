@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from quatlie import cli, freerep, realizations, rootsystem, serialize
 from quatlie.cli import main
-from quatlie.errors import StructuralFailureError
+from quatlie.errors import MalformedInputError, StructuralFailureError
+from quatlie.linalg import LinearSolver
 from quatlie.matrices import QuatMatrix
 
 # the modules, which the package's `quaternify` and `bracket` functions shadow
@@ -484,6 +485,24 @@ def test_verify_groups_each_basis_row_once(a2_file, monkeypatch, capsys):
     assert counts == {"group_rows": 35, "bracket_grouped": 35 * 34 // 2}
 
 
+def test_verify_solves_only_for_conjugations(a2_file, monkeypatch, capsys):
+    # the structure sweep confirms each of the 595 pairs by expanding its
+    # table entry, with no solve; conjugations solves sigma(b) and tau(b)
+    # for each of the 35 basis rows (665 solves when every pair was solved)
+    calls = []
+    express = LinearSolver.express
+
+    def counted(self, vec):
+        calls.append(len(vec))
+        return express(self, vec)
+
+    monkeypatch.setattr(LinearSolver, "express", counted)
+    checks = "structure,jacobi,conjugations"
+    code, _ = run_json(capsys, "verify", "--in", str(a2_file), "--checks", checks)
+    assert code == 0
+    assert len(calls) == 2 * 35
+
+
 def test_build_closes_by_ad_of_the_ef_lines(tmp_path, monkeypatch, capsys):
     # A2: each of the 35 accepted rows is bracketed against the 16 e/f
     # lines, 560 brackets where closing pairwise takes C(35, 2) = 595
@@ -861,6 +880,74 @@ def test_input_errors_that_once_raised_exit_two_with_one_line(case, a1_text, tmp
     path.write_text(text)
     code = main(["verify", "--in", str(path)])
     _assert_one_error_line(code, capsys, f"error: cannot load algebra from {path}: ")
+
+
+def test_verify_refuses_a_repeated_structure_constant_entry(a2_file, tmp_path, capsys):
+    # with both terms of [x_0, x_11] stored, `ad` read a coefficient of 3
+    # while a check that kept only the last term passed the file green
+    doc = json.loads(a2_file.read_text())
+    entries = doc["structure_constants"]["entries"]
+    at = entries.index([0, 11, 11, "-2"])
+    entries.insert(at, [0, 11, 11, "5"])
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: cannot load algebra from {path}: "
+        "structure constant entry [0, 11, 11] is repeated\n"
+    )
+
+
+def _set_entry(position, value):
+    def edit(entries):
+        entries[0][position] = value
+
+    return edit
+
+
+def _replace_entry(value):
+    def edit(entries):
+        entries[0] = value
+
+    return edit
+
+
+def _swap_i_j(entries):
+    entries[0][0], entries[0][1] = entries[0][1], entries[0][0]
+
+
+LOADER_REFUSALS = {
+    "not-a-list": (_replace_entry("0 1 2 1"), "structure constant entries must be [i, j, k, coeff]"),
+    "three-items": (lambda e: e[0].pop(), "structure constant entries must be [i, j, k, coeff]"),
+    "bool-index": (_set_entry(0, False), "structure constant index must be an integer"),
+    "float-index": (_set_entry(1, 11.0), "structure constant index must be an integer"),
+    "str-index": (_set_entry(2, "11"), "structure constant index must be an integer"),
+    "i-not-below-j": (_swap_i_j, "structure constants must be stored with i < j"),
+    "k-out-of-range": (_set_entry(2, 35), "structure constant index out of range(dim=35): [0, 11, 35]"),
+    "zero-denominator": (_set_entry(3, "1/0"), "not a rational string: '1/0'"),
+    "int-coefficient": (_set_entry(3, -2), "not a rational string: -2"),
+    "list-coefficient": (_set_entry(3, ["-2"]), "not a rational string: ['-2']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_REFUSALS))
+def test_loader_refuses_a_bad_structure_constant_entry(case, a2_file, tmp_path, capsys):
+    edit, message = LOADER_REFUSALS[case]
+    doc = json.loads(a2_file.read_text())
+    entries = doc["structure_constants"]["entries"]
+    assert entries[0] == [0, 11, 11, "-2"]
+    edit(entries)
+    with pytest.raises(MalformedInputError) as caught:
+        serialize.constants_from_json(doc["structure_constants"])
+    assert str(caught.value) == message
+    path = tmp_path / "bad-entry.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: cannot load algebra from {path}: {message}\n"
 
 
 SUBCOMMAND_ARGV = {

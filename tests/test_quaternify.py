@@ -7,12 +7,13 @@ import pytest
 from quatlie.bracket import (
     StructureConstants,
     bracket,
+    bracket_vec,
     close_under_bracket,
     close_vecs,
     left_unit_vec,
     sigma_parity,
 )
-from quatlie.errors import StructuralFailureError
+from quatlie.errors import CheckReport, StructuralFailureError
 from quatlie.linalg import LinearSolver, SpanBasis, span_of
 from quatlie.matrices import (
     QuatMatrix,
@@ -22,6 +23,7 @@ from quatlie.matrices import (
 )
 from quatlie.quaternify import (
     check_root_spaces,
+    check_structure,
     check_weight_additivity,
     close_generators,
     closure_realization,
@@ -469,6 +471,95 @@ def test_conjugations_reject_a_span_that_leaves(algebras, unit, leaving):
         ("structure", 0, []),
         ("jacobi", 0, []),
     ]
+
+
+# ---------------------------------------------------------------------------
+# the stored table against the basis
+# ---------------------------------------------------------------------------
+
+
+def _structure_by_solving(g):
+    """The structure check as one solve per basis pair: the reference."""
+    failures = []
+    checked = 0
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            checked += 1
+            coeffs = g.solver.express(bracket_vec(g.basis[i], g.basis[j], g.ambient_n))
+            if coeffs is None:
+                failures.append((i, j, "outside-span"))
+            elif coeffs != dict(g.constants.get(i, j)):
+                failures.append((i, j, "table-mismatch"))
+    return CheckReport("structure", checked, failures)
+
+
+def _with_table(g, edit):
+    """``g`` with a copy of its table that ``edit(table, dim)`` has changed."""
+    table = dict(g.constants.table)
+    edit(table, g.dim)
+    return dataclasses.replace(g, constants=StructureConstants(dim=g.dim, table=table))
+
+
+def _negate_a_coefficient(table, dim):
+    (i, j), terms = next(iter(table.items()))
+    (k, c), *rest = terms
+    table[(i, j)] = ((k, -c), *rest)
+
+
+def _drop_an_entry(table, dim):
+    del table[next(iter(table))]
+
+
+def _add_an_entry_on_a_commuting_pair(table, dim):
+    pair = next((i, j) for i in range(dim) for j in range(i + 1, dim) if (i, j) not in table)
+    table[pair] = ((0, 1),)
+
+
+def _retarget_a_k(table, dim):
+    (i, j), terms = next(iter(table.items()))
+    (k, c), *rest = terms
+    used = {m for m, _ in terms}
+    target = next(m for m in range(dim) if m not in used)
+    table[(i, j)] = ((target, c), *rest)
+
+
+@pytest.mark.parametrize("type_label,rank", ALL_TYPES)
+@pytest.mark.parametrize(
+    "edit",
+    [
+        None,
+        _negate_a_coefficient,
+        _drop_an_entry,
+        _add_an_entry_on_a_commuting_pair,
+        _retarget_a_k,
+    ],
+)
+def test_structure_expansion_agrees_with_a_solve_per_pair(algebras, type_label, rank, edit):
+    g = algebras(type_label, rank)
+    if edit is not None:
+        g = _with_table(g, edit)
+    report = check_structure(g)
+    assert report == _structure_by_solving(g)
+    assert report.instances_checked == g.dim * (g.dim - 1) // 2
+    assert report.ok == (edit is None)
+
+
+def test_structure_names_a_bracket_outside_the_span(algebras):
+    # the A1 root vectors without k: [e-block, f-block] lands in k, outside
+    # the span; the table claims one bracket that is 0 in fact
+    g = algebras("A", 1)
+    rows = [g.basis[i] for i in range(g.dim) if i not in g.k_indices]
+    cut = dataclasses.replace(
+        _line_algebra(g, rows[0]),
+        basis=rows,
+        solver=LinearSolver(rows, 4 * g.ambient_n**2),
+        constants=StructureConstants(dim=len(rows), table={(0, 1): ((2, 1),)}),
+    )
+    report = check_structure(cut)
+    assert report == _structure_by_solving(cut)
+    kinds = {kind for _, _, kind in report.failures}
+    assert kinds == {"outside-span", "table-mismatch"}
+    assert report.instances_checked == len(rows) * (len(rows) - 1) // 2
 
 
 @pytest.mark.parametrize("type_label,rank", ALL_TYPES)
