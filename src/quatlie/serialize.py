@@ -74,19 +74,19 @@ def constants_from_json(data) -> StructureConstants:
     sc = StructureConstants(dim=dim)
     grouped: dict[tuple, dict] = {}
     parsed: dict[str, object] = {}
+    what = "structure constant index"
     for entry in data["entries"]:
         if not isinstance(entry, list) or len(entry) != 4:
             raise MalformedInputError("structure constant entries must be [i, j, k, coeff]")
         i, j, k, coeff = entry
-        if type(i) is not int or type(j) is not int or type(k) is not int:
-            raise MalformedInputError("structure constant index must be an integer")
+        i, j, k = _int(i, what), _int(j, what), _int(k, what)
         if not i < j:
             raise MalformedInputError("structure constants must be stored with i < j")
         if not (0 <= i and j < dim and 0 <= k < dim):
             raise MalformedInputError(
                 f"structure constant index out of range(dim={dim}): {[i, j, k]}"
             )
-        if type(coeff) is str:
+        if type(coeff) is str:  # built tables repeat a few strings: 4 of 988 on A3
             value = parsed.get(coeff)
             if value is None:
                 value = parsed[coeff] = parse_rational(coeff)
