@@ -125,9 +125,11 @@ def _load_algebra(path: str):
 
 def cmd_verify(args) -> int:
     checks = tuple(CHECKS) if args.checks is None else tuple(args.checks.split(","))
-    for name in checks:
+    for pos, name in enumerate(checks):
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; choose from {', '.join(CHECKS)}")
+        if name in checks[:pos]:
+            raise ValueError(f"check {name!r} is named more than once")
     manifest = Manifest(
         command="verify", inputs={"in": args.in_path, "checks": list(checks)}
     )

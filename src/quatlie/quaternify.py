@@ -26,9 +26,8 @@ pipeline then
      checks that the cut rows stay in the closure and that the weights
      are exactly zero and the roots,
   2. splits the zero-weight part k into the Cartan real form h_r, the
-     derived part [k, k] (computed once per build, on rows of k grouped
-     once), and the rows of k that those do not span; the block must
-     have exactly dim k rows,
+     derived part [k, k], and the rows of k that those do not span; the
+     block must have exactly dim k rows,
   3. rebuilds the basis adapted to the decomposition (zero-weight rows,
      then one block per nonzero weight in sorted order) and extracts
      structure constants over it, and
@@ -37,13 +36,13 @@ pipeline then
      ``freerep.FAMILIES``, Serre vanishing, the Jacobi identity,
      sigma and tau invariance of the span, the sigma grading, the k
      split and the weight checks (root spaces, additivity of the
-     bracket).  Two reports are settled before the pass: ``structure``
+     bracket).  One report is settled before the pass: ``structure``
      holds by construction, since step 3 computed every table entry as
-     the exact solve of its pair's bracket, and the Jacobi identity on
-     all triples follows from it; ``k-structure`` is judged against the
-     [k, k] of step 2 rather than a second sweep.  A failure raises
-     StructuralFailureError, except for the two measured claims in
-     ``MEASURED``.
+     the exact solve of its pair's bracket.  The checks that read the
+     table (Jacobi on all triples, the k split, the sigma grading and
+     weight additivity) rest on it, in a build as in ``verify``.  A
+     failure raises StructuralFailureError, except for the two measured
+     claims in ``MEASURED``.
 
 The realization per type (``realizations.closure_realization``) is
 chosen so that every pairwise difference of the defining
@@ -73,6 +72,7 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 
 from .bracket import (
@@ -112,7 +112,7 @@ class QuaternionLieAlgebra:
     hr_indices: tuple
     hr_perp_indices: tuple
     timings_ms: dict = field(default_factory=dict)
-    reports: dict = field(default_factory=dict)  # report name -> CheckReport
+    reports: dict = field(default_factory=dict, init=False)  # report name -> CheckReport
     pos_roots: list = field(init=False)  # Root
     root_vectors: dict = field(init=False)  # signed root coeffs -> QuatMatrix, plain part
 
@@ -274,8 +274,7 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
     t0 = clock()
     zero = tuple(0 for _ in range(rank))
     k_rows = spaces[zero]
-    k_grouped = [group_rows(row, n) for row in k_rows]
-    derived = _derived_span(k_grouped, n)
+    derived = _derived_span([group_rows(row, n) for row in k_rows], n)
     # h_r + [k, k] spans k for type A and D3; for B2/C2 it misses real
     # diagonal directions and rows of k complete the block
     split = span_of([*hr_flats, *derived.rows], ambient)
@@ -315,13 +314,10 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
 
     t0 = clock()
     # every table entry above is the exact solve of its basis pair's
-    # bracket over an independent basis, which is what `structure` checks;
-    # `k-structure` judges the split above against the [k, k] it was cut from
+    # bracket over an independent basis, which is what `structure` checks
     built = CheckReport("structure", comb(dim, 2), [])
-    k_report = k_structure(algebra, (k_grouped, derived))
-    algebra.timings_ms["k-structure"] = (clock() - t0) * 1000.0
-    names = [c for c in CHECKS if c not in ("structure", "k-structure")]
-    reports, check_ms = run_checks(algebra, names, [built, k_report])
+    names = [c for c in CHECKS if c != "structure"]
+    reports, check_ms = run_checks(algebra, names, [built])
     for report in reports:
         if not report.ok and report.name not in MEASURED:
             raise StructuralFailureError(
@@ -449,63 +445,49 @@ def _graded_triples(constants: StructureConstants, grade, combine) -> tuple[int,
 
 
 def check_weight_additivity(g: QuaternionLieAlgebra) -> CheckReport:
-    """[g_w, g_v] lands in g_{w+v}, read off the structure constants."""
+    """[g_w, g_v] lands in g_{w+v}, read off the table (``_unverified_table``)."""
     index_weight = {
         i: values for values, indices in g.weight_indices.items() for i in indices
     }
     checked, failures = _graded_triples(
         g.constants, index_weight, lambda a, b: tuple(map(operator.add, a, b))
     )
-    return CheckReport("weights.additivity", checked, failures)
+    return CheckReport("weights.additivity", checked, _unverified_table(g) or failures)
 
 
-def k_structure(g: QuaternionLieAlgebra, derived: tuple | None = None) -> CheckReport:
-    """Zero-weight structure: h_r central in k, k = h_r + [k,k] directly.
+def k_structure(g: QuaternionLieAlgebra) -> CheckReport:
+    """Zero-weight structure: h_r central in k, k = h_r + [k,k] directly,
+    read off the stored table, which ``structure`` must have verified.
 
-    ``derived`` is the pair (rows spanning k, grouped; the span [k, k] of
-    their brackets) when the caller has just computed it (a build);
-    otherwise both are computed here from the basis rows of k, which is
-    the check ``verify`` makes.  ``detail`` holds the dimensions of k,
-    h_r and h_r-perp and the verdict of each of the four sub-checks, as
-    (name, ok) pairs.
+    The basis is independent, so basis row p is the unit coefficient
+    vector {p: 1} and a pair's table entry is its bracket's coefficient
+    vector: h_r is central in k (and abelian) when no (h_r, k) pair has
+    an entry, [k, k] is the span of the entries on pairs of k, and the
+    split is direct and fills k when ``hr_indices`` and
+    ``hr_perp_indices`` are disjoint and their sizes add up to dim k.
+    ``detail`` holds the dimensions of k, h_r and h_r-perp and the
+    verdict of each of the four sub-checks, as (name, ok) pairs; a red
+    ``structure`` alone makes the report red, with the dimensions only.
     """
-    n = g.ambient_n
-    ambient = 4 * n * n
-    hr_vecs = [g.basis[i] for i in g.hr_indices]
-    perp_rows = [g.basis[i] for i in g.hr_perp_indices]
-    if derived is None:
-        # hr_indices lie inside k_indices (the loader checks it)
-        grouped = {i: group_rows(g.basis[i], n) for i in g.k_indices}
-        k_grouped = [grouped[i] for i in g.k_indices]
-        hr_grouped = [grouped[i] for i in g.hr_indices]
-        derived_span = _derived_span(k_grouped, n)
-    else:
-        k_grouped, derived_span = derived
-        hr_grouped = g.generators.grouped["h"]  # a build's h_r rows are these
+    sc = g.constants
+    k, hr, perp = g.k_indices, g.hr_indices, g.hr_perp_indices
+    detail = {"dim_k": len(k), "dim_hr": len(hr), "dim_hr_perp": len(perp)}
+    unverified = _unverified_table(g)
+    if unverified:
+        return CheckReport("k-structure", 4, unverified, detail)
 
-    central = not any(bracket_grouped(h, m, n) for h in hr_grouped for m in k_grouped)
-    abelian = not any(bracket_grouped(a, b, n) for a in hr_grouped for b in hr_grouped)
-    derived_ok = derived_span.same_span(span_of(perp_rows, ambient))
-
-    split = hr_vecs + perp_rows
-    direct_ok = span_of(split, ambient).rank == len(split) == len(g.k_indices)
-
+    derived = span_of((dict(sc.get(a, b)) for a, b in combinations(k, 2)), g.dim)
     checks = [
-        ("hr-central-in-k", central),
-        ("hr-abelian", abelian),
-        ("derived-k-equals-hr-perp", derived_ok),
-        ("k-direct-sum", direct_ok),
+        ("hr-central-in-k", not any(sc.get(h, m) for h in hr for m in k)),
+        ("hr-abelian", not any(sc.get(a, b) for a in hr for b in hr)),
+        ("derived-k-equals-hr-perp", derived.same_span(span_of([{p: 1} for p in perp], g.dim))),
+        ("k-direct-sum", len({*hr, *perp}) == len(hr) + len(perp) == len(k)),
     ]
     return CheckReport(
         "k-structure",
         len(checks),
         [name for name, ok in checks if not ok],
-        {
-            "dim_k": len(g.k_indices),
-            "dim_hr": len(g.hr_indices),
-            "dim_hr_perp": len(g.hr_perp_indices),
-            "checks": checks,
-        },
+        {**detail, "checks": checks},
     )
 
 
@@ -518,7 +500,7 @@ def sigma_grading_check(g: QuaternionLieAlgebra) -> CheckReport:
     sigma eigenvector too, +1 for x and i x and -1 for J x and J(i x).
     sigma = Ad(i 1) is an automorphism of gl(n, H), so every nested
     bracket of generators then lands in the component given by the
-    parity of its J count.
+    parity of its J count.  The table is read through ``_unverified_table``.
     """
     eigen = [sigma_parity(v) for v in g.basis]
     failures = [("inhomogeneous", i) for i, s in enumerate(eigen) if s is None]
@@ -526,7 +508,7 @@ def sigma_grading_check(g: QuaternionLieAlgebra) -> CheckReport:
     checked = 0
     if homogeneous:
         checked, graded = _graded_triples(g.constants, eigen, operator.mul)
-        failures += [("grading", *triple) for triple in graded]
+        failures += _unverified_table(g) or [("grading", *triple) for triple in graded]
     # generating_set yields x, i x, J x, J(i x) for each Chevalley generator
     for index, v in enumerate(generating_set(g.generators)):
         checked += 1
@@ -560,25 +542,34 @@ def _structure(g: QuaternionLieAlgebra) -> CheckReport:
     return report
 
 
+def _unverified_table(g: QuaternionLieAlgebra) -> list:
+    """``[("structure", failure count)]`` when ``structure`` is red, else
+    ``[]``.  A check that reads the table reports this, when red, in place
+    of the failures it reads off the table (see ``check_jacobi``)."""
+    structure = _structure(g)
+    return [] if structure.ok else [("structure", len(structure.failures))]
+
+
 def check_jacobi(g: QuaternionLieAlgebra) -> CheckReport:
     """The Jacobi identity on all C(dim, 3) triples, through ``structure``.
 
     A table that matches the commutator of an independent basis on every
     pair is the commutator bracket of a subalgebra of gl(n, H), which
     satisfies Jacobi (de Graaf, *Lie Algebras: Theory and Algorithms*,
-    2000).  A red ``structure`` leaves Jacobi unestablished: the report is
-    red with ``("structure", failure count)``.
+    2000).  Every check that reads the table rests on ``structure`` the
+    same way (``_unverified_table``): a red ``structure`` leaves Jacobi
+    unestablished, and the report is red with ``("structure", failure
+    count)``.
     """
-    structure = _structure(g)
-    failures = [] if structure.ok else [("structure", len(structure.failures))]
-    return CheckReport("jacobi", comb(g.dim, 3), failures)
+    return CheckReport("jacobi", comb(g.dim, 3), _unverified_table(g))
 
 
 # Check name -> fn(g) -> list[CheckReport], in the order `verify` runs
 # them.  Every check function is called through its module-global name,
 # never captured, so a rebinding of that name (a tracer's wrapper) is
-# what runs.  `jacobi` and `structure` share one bracket sweep per pass;
-# a build settles `structure` and `k-structure` itself (`quaternify`).
+# what runs.  `structure` is one bracket sweep per pass, and every check
+# that reads the table rests on it (`_unverified_table`); a build settles
+# `structure` itself (`quaternify`).
 CHECKS = {
     "relations": lambda g: verify_relations(g),
     "serre": lambda g: [verify_serre(g)],

@@ -148,6 +148,16 @@ def test_verify_unknown_check(a2_file, capsys):
     assert main(["verify", "--in", str(a2_file), "--checks", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize(
+    "checks,named", [("jacobi,jacobi", "jacobi"), ("weights,serre,weights", "weights")]
+)
+def test_verify_repeated_check(a2_file, checks, named, capsys):
+    assert main(["verify", "--in", str(a2_file), "--checks", checks]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: check {named!r} is named more than once\n"
+
+
 def test_verify_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -439,15 +449,31 @@ def _changed_constant(a2_file, tmp_path):
     return path
 
 
-def test_verify_jacobi_alone_runs_structure(a2_file, tmp_path, capsys):
+# check -> the report of it that reads the stored table
+TABLE_READERS = {
+    "jacobi": "jacobi",
+    "k-structure": "k-structure",
+    "grading": "grading",
+    "weights": "weights.additivity",
+}
+
+
+@pytest.mark.parametrize("check", TABLE_READERS)
+def test_verify_jacobi_alone_runs_structure(a2_file, tmp_path, check, capsys):
+    # each check that reads the table runs `structure` when it is not
+    # selected, and is red through it alone on a changed coefficient
     path = _changed_constant(a2_file, tmp_path)
-    code, doc = run_json(capsys, "verify", "--in", str(path), "--checks", "jacobi")
+    code, doc = run_json(capsys, "verify", "--in", str(path), "--checks", check)
     assert code == 1
-    assert doc["checks"] == [
-        {"name": "jacobi", "passed": False, "instances": 6545, "failures": ["('structure', 1)"]}
-    ]
-    code, doc = run_json(capsys, "verify", "--in", str(a2_file), "--checks", "relations,serre,jacobi")
-    assert code == 0 and doc["checks"][-1]["name"] == "jacobi"
+    red = [(c["name"], c["failures"]) for c in doc["checks"] if not c["passed"]]
+    assert red == [(TABLE_READERS[check], ["('structure', 1)"])]
+    if check == "jacobi":
+        assert doc["checks"] == [
+            {"name": "jacobi", "passed": False, "instances": 6545, "failures": ["('structure', 1)"]}
+        ]
+    checks = f"relations,serre,{check}"
+    code, doc = run_json(capsys, "verify", "--in", str(a2_file), "--checks", checks)
+    assert code == 0 and doc["checks"][-1]["name"] == TABLE_READERS[check]
 
 
 @pytest.mark.parametrize(
@@ -565,33 +591,40 @@ def test_build_derives_k_once(tmp_path, monkeypatch, capsys):
 
 
 def test_build_groups_the_rows_of_k_once(tmp_path, monkeypatch, capsys):
-    # the settled `k-structure` reads the rows of k grouped for the split
-    # and the h generators' grouped rows; it groups nothing itself
+    # `k-structure` reads [k, k] off the table: it groups and brackets
+    # nothing, in a build or in `verify`, where the one `structure` sweep
+    # groups the 35 basis rows once and brackets each of the 595 pairs once
     in_k_structure = []
-    grouped_there = []
-    group_rows = quaternify.group_rows
+    judged_calls = []
+    counts = {"group_rows": 0, "bracket_grouped": 0}
     k_structure = quaternify.k_structure
+    for name in counts:
+        fn = getattr(quaternify, name)
 
-    def counted(x, n):
-        if in_k_structure:
-            grouped_there.append(x)
-        return group_rows(x, n)
+        def counted(*args, _fn=fn, _name=name):
+            counts[_name] += 1
+            if in_k_structure:
+                raise AssertionError(f"k_structure called {_name}")
+            return _fn(*args)
 
-    def judged(*args):
+        monkeypatch.setattr(quaternify, name, counted)
+
+    def judged(g):
+        judged_calls.append(g.dim)
         in_k_structure.append(True)
         try:
-            return k_structure(*args)
+            return k_structure(g)
         finally:
             in_k_structure.pop()
 
-    monkeypatch.setattr(quaternify, "group_rows", counted)
     monkeypatch.setattr(quaternify, "k_structure", judged)
     path = tmp_path / "a2.json"
     code, _ = run_json(capsys, "build", "--type", "A", "--rank", "2", "--out", str(path))
-    assert code == 0
-    assert grouped_there == []
-    code, _ = run_json(capsys, "verify", "--in", str(path), "--checks", "k-structure")
-    assert code == 0 and len(grouped_there) == 11
+    assert code == 0 and judged_calls == [35]
+    counts.update(group_rows=0, bracket_grouped=0)
+    code, _ = run_json(capsys, "verify", "--in", str(path), "--checks", "structure,k-structure")
+    assert code == 0 and judged_calls == [35, 35]
+    assert counts == {"group_rows": 35, "bracket_grouped": 35 * 34 // 2}
 
 
 def test_build_reports_a_failed_zero_block_split(tmp_path, monkeypatch, capsys):

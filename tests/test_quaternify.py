@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from quatlie.matrices import (
     quat_transpose_mj,
 )
 from quatlie.quaternify import (
+    check_jacobi,
     check_root_spaces,
     check_structure,
     check_weight_additivity,
@@ -40,6 +42,7 @@ from quatlie.quaternify import (
 from quatlie.realizations import ChevalleyGenerators, build_named, chevalley_generators
 from quatlie.rootsystem import Root, cartan_matrix, positive_roots, weight_of
 from quatlie.scalars import Q_I, Q_J, Q_K, Q_ONE
+from quatlie.serialize import algebra_from_json, algebra_to_json, dumps
 
 # the module, which the package's `quaternify` function shadows
 quaternify_module = importlib.import_module("quatlie.quaternify")
@@ -285,10 +288,64 @@ def test_k_structure_bc_misses_one_direction(algebras, type_label):
 
 @pytest.mark.parametrize("type_label,rank", [*ALL_TYPES, ("A", 4), ("C", 3)])
 def test_built_k_structure_equals_recomputation(algebras, type_label, rank):
-    # the build judges the split against the [k, k] it cut k with; a fresh
-    # check recomputes [k, k] from the stored rows of k
+    # the build runs the same `k_structure(g)` as `verify`, through the registry
     g = algebras(type_label, rank)
     assert g.reports["k-structure"] == k_structure(g)
+
+
+def _k_structure_by_brackets(g):
+    """The k-structure check on commutators of the basis rows of k, with
+    [k, k] spanned in ambient coordinates: the reference."""
+    n = g.ambient_n
+    ambient = 4 * n * n
+    k = [g.basis[i] for i in g.k_indices]
+    hr = [g.basis[i] for i in g.hr_indices]
+    perp = [g.basis[i] for i in g.hr_perp_indices]
+    derived = span_of([bracket_vec(a, b, n) for a in k for b in k], ambient)
+    split = hr + perp
+    checks = [
+        ("hr-central-in-k", not any(bracket_vec(h, m, n) for h in hr for m in k)),
+        ("hr-abelian", not any(bracket_vec(a, b, n) for a in hr for b in hr)),
+        ("derived-k-equals-hr-perp", derived.same_span(span_of(perp, ambient))),
+        ("k-direct-sum", span_of(split, ambient).rank == len(split) == len(k)),
+    ]
+    return CheckReport(
+        "k-structure",
+        len(checks),
+        [name for name, ok in checks if not ok],
+        {
+            "dim_k": len(k),
+            "dim_hr": len(hr),
+            "dim_hr_perp": len(perp),
+            "checks": checks,
+        },
+    )
+
+
+def _loaded(g):
+    return algebra_from_json(json.loads(dumps(algebra_to_json(g))))
+
+
+# index sets a file could declare: a [k, k] short of one row, one that
+# holds h_0, and an h_r that names rows of [k, k] (which do not commute
+# from rank 2 on); between them they turn every sub-check red
+K_SPLIT_VARIANTS = {
+    "perp-short": lambda g: {"hr_perp_indices": g.hr_perp_indices[:-1]},
+    "perp-holds-h0": lambda g: {"hr_perp_indices": (*g.hr_perp_indices, g.hr_indices[0])},
+    "hr-in-derived": lambda g: {"hr_indices": g.hr_perp_indices[: len(g.hr_indices)]},
+}
+
+
+@pytest.mark.parametrize("type_label,rank", ALL_TYPES)
+def test_k_structure_read_off_the_table_agrees_with_brackets(algebras, type_label, rank):
+    g = algebras(type_label, rank)
+    for h in (g, _loaded(g)):
+        assert k_structure(h) == _k_structure_by_brackets(h)
+    for name, variant in K_SPLIT_VARIANTS.items():
+        cut = dataclasses.replace(g, **variant(g))
+        report = k_structure(cut)
+        assert report == _k_structure_by_brackets(cut), name
+        assert not report.ok, name
 
 
 def _b2_defining_closure():
@@ -523,17 +580,16 @@ def _retarget_a_k(table, dim):
     table[(i, j)] = ((target, c), *rest)
 
 
+TABLE_EDITS = [
+    _negate_a_coefficient,
+    _drop_an_entry,
+    _add_an_entry_on_a_commuting_pair,
+    _retarget_a_k,
+]
+
+
 @pytest.mark.parametrize("type_label,rank", ALL_TYPES)
-@pytest.mark.parametrize(
-    "edit",
-    [
-        None,
-        _negate_a_coefficient,
-        _drop_an_entry,
-        _add_an_entry_on_a_commuting_pair,
-        _retarget_a_k,
-    ],
-)
+@pytest.mark.parametrize("edit", [None, *TABLE_EDITS])
 def test_structure_expansion_agrees_with_a_solve_per_pair(algebras, type_label, rank, edit):
     g = algebras(type_label, rank)
     if edit is not None:
@@ -542,6 +598,24 @@ def test_structure_expansion_agrees_with_a_solve_per_pair(algebras, type_label, 
     assert report == _structure_by_solving(g)
     assert report.instances_checked == g.dim * (g.dim - 1) // 2
     assert report.ok == (edit is None)
+
+
+@pytest.mark.parametrize("type_label,rank", ALL_TYPES)
+@pytest.mark.parametrize("edit", TABLE_EDITS)
+def test_table_readers_rest_on_structure(algebras, type_label, rank, edit):
+    # a copy starts with no reports, so the settled `structure` of the
+    # build it was copied from does not vouch for the edited table
+    g = _with_table(algebras(type_label, rank), edit)
+    assert g.reports == {}
+    unverified = [("structure", len(check_structure(g).failures))]
+    for report in (
+        check_jacobi(g),
+        k_structure(g),
+        sigma_grading_check(g),
+        check_weight_additivity(g),
+    ):
+        assert report.failures == unverified, report.name
+    assert k_structure(g).detail.keys() == {"dim_k", "dim_hr", "dim_hr_perp"}
 
 
 def test_structure_names_a_bracket_outside_the_span(algebras):
