@@ -5,7 +5,7 @@ is a sparse dict over the 4*n*n real coordinates, row-major over the
 entries with (re z1, im z1, re z2, im z2) per entry.  In those
 coordinates the four units are 1, i, j and -k, and the product of two
 units is a signed unit again, ``e_s * e_t = _SIGN[s][t] * e_(s ^ t)``,
-so :func:`bracket_vec` forms the commutator
+so the kernel forms the commutator
 
     [X, Y]_pq = sum_r X_pr Y_rq - Y_pr X_rq
 
@@ -17,8 +17,7 @@ The kernel takes two steps.  :func:`group_rows` groups a row's
 coordinates by matrix row, and :func:`bracket_grouped` brackets two
 grouped rows.  Every sweep over pairs (closure, structure constants, the
 structure check, the derived span, the generator relations) groups each
-of its rows once per sweep and brackets the grouped pairs;
-:func:`bracket_vec` takes both steps for a single pair.
+of its rows once per sweep and brackets the grouped pairs.
 
 The conjugations are sign flips: sigma (z1 + j*z2 -> z1 - j*z2) negates
 offsets 2 and 3 of every entry, tau (complex conjugation of z1 and z2)
@@ -101,11 +100,6 @@ def bracket_grouped(rows_x: dict, rows_y: dict, n: int) -> Vec:
     _add_product(out, rows_x, rows_y, n, 1)
     _add_product(out, rows_y, rows_x, n, -1)
     return {idx: val for idx, val in out.items() if val}
-
-
-def bracket_vec(x: Vec, y: Vec, n: int) -> Vec:
-    """Commutator of two flattened n x n quaternion matrices, flattened."""
-    return bracket_grouped(group_rows(x, n), group_rows(y, n), n)
 
 
 def sigma_vec(x: Vec) -> Vec:
@@ -192,16 +186,10 @@ class StructureConstants:
 class ClosureResult:
     span: SpanBasis
     n: int
-    constants: StructureConstants | None = None
 
     @property
     def dim(self) -> int:
         return self.span.rank
-
-    @property
-    def matrices(self) -> list[QuatMatrix]:
-        """The echelon rows as matrices, unflattened on each access."""
-        return [QuatMatrix.unflatten(self.n, row) for row in self.span.rows]
 
 
 def close_vecs(generators: list[Vec], n: int, ops: list[Vec] | None = None) -> SpanBasis:
@@ -261,13 +249,6 @@ def structure_constants(
     return sc
 
 
-def closure(generators: list[QuatMatrix]) -> ClosureResult:
-    """Closure together with the structure constants of its echelon basis."""
-    result = close_under_bracket(generators)
-    result.constants = structure_constants(result.span.rows, result.n)
-    return result
-
-
 @dataclass
 class JacobiReport:
     dim: int
@@ -317,7 +298,7 @@ def check_conjugation_equivariance(vecs: list[Vec], n: int) -> EquivarianceRepor
     on all pairs of the flattened matrices ``vecs``.
 
     sigma and tau are automorphisms of gl(n, H), so this holds for any
-    matrices and tests that ``bracket_vec`` and the sign flips agree.
+    matrices and tests that ``bracket_grouped`` and the sign flips agree.
     Acceptance criterion 10 calls it; the ``conjugations`` check of
     ``quaternify.CHECKS`` tests the claim with content, that a span is
     sigma- and tau-stable.

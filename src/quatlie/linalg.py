@@ -49,14 +49,6 @@ def vec_iadd_scaled(target: Vec, source: Vec, factor) -> Vec:
     return target
 
 
-def vec_from_dense(values) -> Vec:
-    out = {}
-    for idx, val in enumerate(values):
-        if val:
-            out[idx] = integral(Fraction(val))
-    return out
-
-
 class SpanBasis:
     """Reduced row echelon basis of a rational subspace.
 

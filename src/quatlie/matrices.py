@@ -1,11 +1,11 @@
-"""Quaternion matrices, their 2n x 2n complex picture, and conjugations.
+"""Quaternion matrices, conjugations and the sigma-submodule predicate.
 
 A QuatMatrix is a square matrix over the exact quaternions.  Writing it
 entrywise as ``A + J*B`` with complex matrices A, B, the complex picture
 is the 2n x 2n block matrix ``[[A, -conj(B)], [B, conj(A)]]``; those are
 exactly the matrices Z satisfying ``J Z = conj(Z) J``.  The embedding is
-an injective R-algebra homomorphism, which is what every two-path check
-in the test suite leans on.
+an injective R-algebra homomorphism.  It lives in ``tests/oracles.py``,
+with every two-path check of the test suite that leans on it.
 
 Transposition for quaternion matrices is defined through that complex
 picture: plain 2n x 2n transposition pulled back along the embedding,
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import DegenerateInputError, MalformedInputError
 from .linalg import SpanBasis, Vec, independent_span
-from .scalars import GR_ZERO, Q_ZERO, Quaternion, integral, quat_J
+from .scalars import Q_ZERO, Quaternion, integral, quat_J
 
 
 class QuatMatrix:
@@ -214,200 +214,6 @@ def quat_transpose_mj(m: QuatMatrix) -> QuatMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Complex block matrices and the MJ picture
-# ---------------------------------------------------------------------------
-
-ComplexMatrix = tuple  # tuple of tuples of GaussianRational
-
-
-def _cmat(rows) -> ComplexMatrix:
-    return tuple(tuple(row) for row in rows)
-
-
-def _cmat_add(x: ComplexMatrix, y: ComplexMatrix) -> ComplexMatrix:
-    return tuple(
-        tuple(a + b for a, b in zip(rx, ry)) for rx, ry in zip(x, y)
-    )
-
-
-def _cmat_sub(x: ComplexMatrix, y: ComplexMatrix) -> ComplexMatrix:
-    return tuple(
-        tuple(a - b for a, b in zip(rx, ry)) for rx, ry in zip(x, y)
-    )
-
-
-def _cmat_neg(x: ComplexMatrix) -> ComplexMatrix:
-    return tuple(tuple(-a for a in row) for row in x)
-
-
-def _cmat_conj(x: ComplexMatrix) -> ComplexMatrix:
-    return tuple(tuple(a.conj() for a in row) for row in x)
-
-
-def _cmat_mul(x: ComplexMatrix, y: ComplexMatrix) -> ComplexMatrix:
-    n = len(x)
-    out = [[GR_ZERO] * n for _ in range(n)]
-    for p in range(n):
-        for r in range(n):
-            a = x[p][r]
-            if a.is_zero():
-                continue
-            row_y = y[r]
-            target = out[p]
-            for q in range(n):
-                b = row_y[q]
-                if not b.is_zero():
-                    target[q] = target[q] + a * b
-    return _cmat(out)
-
-
-class MJMatrix:
-    """The 2n x 2n complex image ``[[A, -conj(B)], [B, conj(A)]]``."""
-
-    __slots__ = ("n", "block_a", "block_b")
-
-    def __init__(self, block_a, block_b):
-        self.block_a = _cmat(block_a)
-        self.block_b = _cmat(block_b)
-        self.n = len(self.block_a)
-        if len(self.block_b) != self.n:
-            raise MalformedInputError("blocks must have equal size")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MJMatrix)
-            and self.block_a == other.block_a
-            and self.block_b == other.block_b
-        )
-
-    def __add__(self, other):
-        return MJMatrix(
-            _cmat_add(self.block_a, other.block_a),
-            _cmat_add(self.block_b, other.block_b),
-        )
-
-    def __sub__(self, other):
-        return MJMatrix(
-            _cmat_sub(self.block_a, other.block_a),
-            _cmat_sub(self.block_b, other.block_b),
-        )
-
-    def __neg__(self):
-        return MJMatrix(_cmat_neg(self.block_a), _cmat_neg(self.block_b))
-
-    def __matmul__(self, other):
-        # Block product of MJ matrices stays MJ:
-        #   A' = A1 A2 - conj(B1) B2,  B' = B1 A2 + conj(A1) B2.
-        a1, b1 = self.block_a, self.block_b
-        a2, b2 = other.block_a, other.block_b
-        new_a = _cmat_sub(_cmat_mul(a1, a2), _cmat_mul(_cmat_conj(b1), b2))
-        new_b = _cmat_add(_cmat_mul(b1, a2), _cmat_mul(_cmat_conj(a1), b2))
-        return MJMatrix(new_a, new_b)
-
-    def commutator(self, other: "MJMatrix") -> "MJMatrix":
-        return (self @ other) - (other @ self)
-
-    def to_full(self) -> ComplexMatrix:
-        """Assemble the literal 2n x 2n complex matrix."""
-        n = self.n
-        full = [[GR_ZERO] * (2 * n) for _ in range(2 * n)]
-        for p in range(n):
-            for q in range(n):
-                full[p][q] = self.block_a[p][q]
-                full[p][n + q] = -self.block_b[p][q].conj()
-                full[n + p][q] = self.block_b[p][q]
-                full[n + p][n + q] = self.block_a[p][q].conj()
-        return _cmat(full)
-
-    @classmethod
-    def from_full(cls, full) -> "MJMatrix":
-        full = _cmat(full)
-        size = len(full)
-        if size % 2 != 0 or any(len(row) != size for row in full):
-            raise MalformedInputError("expected a square matrix of even size")
-        n = size // 2
-        for p in range(n):
-            for q in range(n):
-                if full[n + p][n + q] != full[p][q].conj():
-                    raise MalformedInputError(
-                        f"lower-right block is not the conjugate of A at ({p},{q})"
-                    )
-                if full[p][n + q] != -full[n + p][q].conj():
-                    raise MalformedInputError(
-                        f"upper-right block is not -conj(B) at ({p},{q})"
-                    )
-        block_a = [[full[p][q] for q in range(n)] for p in range(n)]
-        block_b = [[full[n + p][q] for q in range(n)] for p in range(n)]
-        return cls(block_a, block_b)
-
-
-def mj_embed(m: QuatMatrix) -> MJMatrix:
-    """Read off A and B from the entrywise ``A + J*B`` decomposition."""
-    n = m.n
-    block_a = [[m.rows[p][q].z1 for q in range(n)] for p in range(n)]
-    block_b = [[m.rows[p][q].z2 for q in range(n)] for p in range(n)]
-    return MJMatrix(block_a, block_b)
-
-
-def mj_extract(mj: MJMatrix) -> QuatMatrix:
-    n = mj.n
-    return QuatMatrix(
-        [
-            [Quaternion(mj.block_a[p][q], mj.block_b[p][q]) for q in range(n)]
-            for p in range(n)
-        ]
-    )
-
-
-def coordinate_change(interleaved) -> MJMatrix:
-    """Re-index a 2x2-blockwise matrix into the big-block MJ layout.
-
-    The input places the 2x2 block ``[[a_ij, -conj(b_ij)], [b_ij,
-    conj(a_ij)]]`` at block position (i, j); the output collects the
-    a-coefficients into the upper-left n x n block and the
-    b-coefficients into the lower-left block.  Inputs whose 2x2 blocks
-    do not have that shape are rejected.
-    """
-    rows = _cmat(interleaved)
-    size = len(rows)
-    if size % 2 != 0 or any(len(row) != size for row in rows):
-        raise MalformedInputError("expected a square matrix of even size")
-    n = size // 2
-    block_a = [[GR_ZERO] * n for _ in range(n)]
-    block_b = [[GR_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            a = rows[2 * i][2 * j]
-            b = rows[2 * i + 1][2 * j]
-            if rows[2 * i][2 * j + 1] != -b.conj():
-                raise MalformedInputError(
-                    f"block ({i},{j}) upper-right entry is not -conj(b)"
-                )
-            if rows[2 * i + 1][2 * j + 1] != a.conj():
-                raise MalformedInputError(
-                    f"block ({i},{j}) lower-right entry is not conj(a)"
-                )
-            block_a[i][j] = a
-            block_b[i][j] = b
-    return MJMatrix(block_a, block_b)
-
-
-def interleave(mj: MJMatrix) -> ComplexMatrix:
-    """Inverse direction of :func:`coordinate_change` (used by tests)."""
-    n = mj.n
-    full = [[GR_ZERO] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            a = mj.block_a[i][j]
-            b = mj.block_b[i][j]
-            full[2 * i][2 * j] = a
-            full[2 * i + 1][2 * j] = b
-            full[2 * i][2 * j + 1] = -b.conj()
-            full[2 * i + 1][2 * j + 1] = a.conj()
-    return _cmat(full)
-
-
-# ---------------------------------------------------------------------------
 # Submodule predicates
 # ---------------------------------------------------------------------------
 
@@ -417,12 +223,6 @@ def _checked_span(basis: list[QuatMatrix]) -> SpanBasis:
         raise DegenerateInputError("empty basis")
     ambient = 4 * basis[0].n * basis[0].n
     return independent_span([flatten(m) for m in basis], ambient)
-
-
-def is_J_submodule(basis: list[QuatMatrix]) -> bool:
-    """True when the real span of the basis is invariant under J."""
-    span = _checked_span(basis)
-    return all(span.contains(flatten(apply_J(m))) for m in basis)
 
 
 def is_sigma_submodule(basis: list[QuatMatrix]) -> bool:

@@ -189,16 +189,6 @@ def quat_mul(x: Quaternion, y: Quaternion) -> Quaternion:
     )
 
 
-def quat_conj_sigma(x: Quaternion) -> Quaternion:
-    """``z1 + j*z2 -> z1 - j*z2``; fixes the complex part, negates the j part."""
-    return Quaternion(x.z1, -x.z2)
-
-
-def quat_conj_tau(x: Quaternion) -> Quaternion:
-    """Entrywise complex conjugation ``z1 + j*z2 -> conj(z1) + j*conj(z2)``."""
-    return Quaternion(x.z1.conj(), x.z2.conj())
-
-
 def quat_J(x: Quaternion) -> Quaternion:
     """Left multiplication by j: ``z1 + j*z2 -> -z2 + j*z1``."""
     return Quaternion(-x.z2, x.z1)

@@ -166,8 +166,18 @@ def algebra_from_json(data) -> QuaternionLieAlgebra:
     the type and rank (none beyond the ambient cap; both are checked
     before any root is generated or matrix parsed), and the rank, matrix
     sizes and generators agreeing (the generators must give every root a
-    vector).  Any mismatch raises MalformedInputError.
+    vector).  Any mismatch raises MalformedInputError, a missing field
+    or a value of the wrong JSON type included.
     """
+    try:
+        return _algebra_from_json(data)
+    except KeyError as exc:
+        raise MalformedInputError(f"missing field {exc}") from exc
+    except TypeError as exc:
+        raise MalformedInputError(f"a field has the wrong JSON type: {exc}") from exc
+
+
+def _algebra_from_json(data) -> QuaternionLieAlgebra:
     if not isinstance(data, dict) or data.get("kind") != "quaternion-lie-algebra":
         raise MalformedInputError("not an algebra file")
     if data.get("artifact_version") != ARTIFACT_VERSION:

@@ -812,6 +812,10 @@ def test_closure_presets(capsys):
     code, doc = run_json(capsys, "closure", "--preset", "sl", "--n", "3")
     assert code == 0
     assert doc["summary"] == "closure dim 35, equals sl(3,H): True"
+    assert [(c["name"], c["passed"], c["instances"]) for c in doc["checks"]] == [
+        ("closure-dim", True, 35),
+        ("equals-sl-n-H", True, 35),
+    ]
     code, doc = run_json(capsys, "closure", "--preset", "so-star", "--n", "3")
     assert code == 0 and doc["dim"] == 15
     code, doc = run_json(capsys, "closure", "--preset", "sp", "--n", "2")

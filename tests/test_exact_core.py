@@ -2,7 +2,8 @@
 
 ``/`` on two ints gives a float, which would leave exact arithmetic
 silently; every quotient goes through ``linalg.exact_div`` instead.  This
-test parses each module and fails on any ``/`` or ``/=``.
+test parses each module, and the tests' oracles in ``oracles.py``, and
+fails on any ``/`` or ``/=``.
 """
 
 import ast
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "quatlie").glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+SOURCES = sorted((TESTS.parent / "src" / "quatlie").glob("*.py")) + [TESTS / "oracles.py"]
 
 
 def true_divisions(source: str) -> list[int]:

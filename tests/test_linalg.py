@@ -11,8 +11,9 @@ from quatlie.linalg import (
     exact_div,
     kernel_basis,
     span_of,
-    vec_from_dense,
 )
+
+from oracles import vec_from_dense
 
 
 def dense(vec, length):

@@ -2,18 +2,12 @@ import pytest
 
 from quatlie.errors import DegenerateInputError, MalformedInputError
 from quatlie.matrices import (
-    MJMatrix,
     QuatMatrix,
     apply_J,
     apply_sigma,
     apply_tau,
-    coordinate_change,
     flatten,
-    interleave,
-    is_J_submodule,
     is_sigma_submodule,
-    mj_embed,
-    mj_extract,
     quat_transpose_mj,
 )
 from quatlie.scalars import GR_I, GR_ONE, GR_ZERO, Q_I, Q_J, Q_K, Q_ONE, Quaternion
@@ -21,6 +15,14 @@ from quatlie.scalars import GR_I, GR_ONE, GR_ZERO, Q_I, Q_J, Q_K, Q_ONE, Quatern
 from quatlie.bracket import sigma_parity
 
 from conftest import rand_qmatrix
+from oracles import (
+    MJMatrix,
+    coordinate_change,
+    interleave,
+    is_J_submodule,
+    mj_embed,
+    mj_extract,
+)
 
 
 def full_equal(mj, entries):

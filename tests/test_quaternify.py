@@ -8,7 +8,6 @@ import pytest
 from quatlie.bracket import (
     StructureConstants,
     bracket,
-    bracket_vec,
     close_under_bracket,
     close_vecs,
     left_unit_vec,
@@ -43,6 +42,8 @@ from quatlie.realizations import ChevalleyGenerators, build_named, chevalley_gen
 from quatlie.rootsystem import Root, cartan_matrix, positive_roots, weight_of
 from quatlie.scalars import Q_I, Q_J, Q_K, Q_ONE
 from quatlie.serialize import algebra_from_json, algebra_to_json, dumps
+
+from oracles import bracket_vec, closure_matrices
 
 # the module, which the package's `quaternify` function shadows
 quaternify_module = importlib.import_module("quatlie.quaternify")
@@ -370,9 +371,9 @@ def test_b2_defining_realization_closes_to_so_star_10():
     assert closure.dim == build_named("so_star_2n", 5).dim == 45
     pairs = [(0, 0), (1, 3), (3, 1), (2, 4), (4, 2)]
     form = QuatMatrix.unit_sum(n, [(p, q, Q_ONE) for p, q in pairs])
-    for m in closure.matrices:
+    for m in closure_matrices(closure):
         assert (quat_transpose_mj(m) @ form + form @ m).is_zero()
-    blocks = _weight_blocks(closure.matrices, gens.h, n)
+    blocks = _weight_blocks(closure_matrices(closure), gens.h, n)
     roots = _signed_root_weights(gens.cartan)
     dims = {values: block.rank for values, block in blocks.items() if any(values)}
     assert {values: dims[values] for values in roots} == dict.fromkeys(roots, 4)
@@ -428,7 +429,7 @@ def test_closure_without_j_of_i_images(type_label, rank, dim, root_dims, k_split
         seeds.extend([m, m.scale(Q_I), apply_J(m)])
     closure = close_under_bracket(seeds)
     assert closure.dim == dim
-    blocks = _weight_blocks(closure.matrices, gens.h, n)
+    blocks = _weight_blocks(closure_matrices(closure), gens.h, n)
     roots = _signed_root_weights(gens.cartan)
     assert set(blocks) == roots | {(0,) * rank}
     assert sorted(blocks[values].rank for values in roots) == root_dims

@@ -7,13 +7,7 @@ import pytest
 
 from quatlie.bracket import bracket, close_under_bracket
 from quatlie.errors import StructuralFailureError
-from quatlie.matrices import (
-    QuatMatrix,
-    apply_J,
-    is_J_submodule,
-    is_sigma_submodule,
-    mj_embed,
-)
+from quatlie.matrices import QuatMatrix, apply_J, is_sigma_submodule
 from quatlie.realizations import (
     build_named,
     chevalley_generators,
@@ -23,6 +17,8 @@ from quatlie.realizations import (
 )
 from quatlie.rootsystem import require_type_rank
 from quatlie.scalars import Q_I, Q_J, Q_ONE
+
+from oracles import is_J_submodule, mj_embed
 
 DIMS = {
     "gl_n_H": lambda n: 4 * n * n,

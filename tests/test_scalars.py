@@ -23,10 +23,10 @@ from quatlie.scalars import (
     integral,
     parse_rational,
     quat_J,
-    quat_conj_sigma,
-    quat_conj_tau,
     quat_mul,
 )
+
+from oracles import quat_conj_sigma, quat_conj_tau
 
 # (a*b) -> (sign, index) over basis order 1, i, j, k
 MUL_TABLE = {

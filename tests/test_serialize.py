@@ -3,13 +3,15 @@ import json
 import pytest
 
 from quatlie import serialize
-from quatlie.bracket import bracket_vec, structure_constants
+from quatlie.cli import main
+from quatlie.bracket import structure_constants
 from quatlie.errors import MalformedInputError
 from quatlie.matrices import QuatMatrix, flatten
 from quatlie.realizations import build_named
 from quatlie.scalars import format_rational
 
 from conftest import rand_qmatrix, rand_quat
+from oracles import bracket_vec
 
 
 def test_quaternion_round_trip(rng):
@@ -114,6 +116,32 @@ def test_loader_rejects_a_coefficient_past_the_digit_limit(algebras):
     doc["structure_constants"]["entries"][0][3] = "1" * 5000
     with pytest.raises(MalformedInputError, match="not a rational string"):
         serialize.algebra_from_json(doc)
+
+
+# field -> replacement value, or None to drop the field
+WRONG_SHAPES = {
+    "weight-not-an-object": ("weights", [5]),
+    "generator-list-not-a-list": ("generators", {"h": 5}),
+    "basis-matrix-not-an-object": ("basis", [5]),
+    "k-indices-missing": ("k_indices", None),
+}
+
+
+@pytest.mark.parametrize("field, value", WRONG_SHAPES.values(), ids=WRONG_SHAPES)
+def test_loader_refuses_a_field_of_the_wrong_shape(algebras, field, value, tmp_path, capsys):
+    doc = serialize.algebra_to_json(algebras("A", 1))
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    with pytest.raises(MalformedInputError):
+        serialize.algebra_from_json(doc)
+    path = tmp_path / "bad.json"
+    serialize.write_json(str(path), doc)
+    assert main(["verify", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot load algebra") and captured.err.count("\n") == 1
 
 
 def test_algebra_dump_is_deterministic(algebras):
