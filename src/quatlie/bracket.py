@@ -17,7 +17,11 @@ The kernel takes two steps.  :func:`group_rows` groups a row's
 coordinates by matrix row, and :func:`bracket_grouped` brackets two
 grouped rows.  Every sweep over pairs (closure, structure constants, the
 structure check, the derived span, the generator relations) groups each
-of its rows once per sweep and brackets the grouped pairs.
+of its rows once per sweep.  The closure, the constants and the
+structure check bracket only the pairs whose supports meet
+(:func:`support_masks`): [X, Y] has no term unless a column of X is a
+row of Y or a column of Y a row of X, so every other pair's bracket is
+exactly zero, and about half the pairs of a sweep are such.
 
 The conjugations are sign flips: sigma (z1 + j*z2 -> z1 - j*z2) negates
 offsets 2 and 3 of every entry, tau (complex conjugation of z1 and z2)
@@ -35,15 +39,15 @@ Closure (:func:`close_vecs`) works over a worklist of coordinate rows:
 every accepted member is bracketed against fixed operators ``ops`` when
 they are given, and against the members accepted before it when they
 are not; results that enlarge the span are queued in turn.  Without
-``ops`` that is the bracket closure of the generators, C(dim, 2)
-brackets.  With ``ops`` it is the smallest span that contains the
-generators and is stable under ad(x) for every x in ``ops``, dim *
-len(ops) brackets; when ``ops`` are the generators this is again the
-subalgebra they generate, since right-normed brackets of a set span it
-(de Graaf, *Lie Algebras: Theory and Algorithms*, 2000).  The ambient
-real dimension 4*n*n bounds the number of accepted members, so the loop
-terminates.  The resulting reduced-echelon basis is canonical for the
-closed subspace, hence independent of generator order.
+``ops`` that is the bracket closure of the generators, at most
+C(dim, 2) brackets.  With ``ops`` it is the smallest span that contains
+the generators and is stable under ad(x) for every x in ``ops``, at
+most dim * len(ops) brackets; when ``ops`` are the generators this is
+again the subalgebra they generate, since right-normed brackets of a
+set span it (de Graaf, *Lie Algebras: Theory and Algorithms*, 2000).
+The ambient real dimension 4*n*n bounds the number of accepted members,
+so the loop terminates.  The resulting reduced-echelon basis is
+canonical for the closed subspace, hence independent of generator order.
 """
 
 from __future__ import annotations
@@ -75,6 +79,17 @@ def group_rows(x: Vec, n: int) -> dict:
         p, q = divmod(cell, n)
         rows.setdefault(p, []).append((q, s, val))
     return rows
+
+
+def support_masks(grouped: dict) -> tuple[int, int]:
+    """Bit masks of the matrix rows and the columns that a row given by
+    :func:`group_rows` touches, for the test ``ci & rj or cj & ri``."""
+    rows = cols = 0
+    for p, entries in grouped.items():
+        rows |= 1 << p
+        for q, _, _ in entries:
+            cols |= 1 << q
+    return rows, cols
 
 
 def _add_product(out: dict, left: dict, right: dict, n: int, sign: int) -> None:
@@ -201,17 +216,20 @@ def close_vecs(generators: list[Vec], n: int, ops: list[Vec] | None = None) -> S
     insertion.  Worst case the closure is all of gl(n, H).
     """
     span = SpanBasis(4 * n * n)
-    # grouped: the accepted candidates without ops, else the fixed ops
-    partners = [] if ops is None else [group_rows(x, n) for x in ops]
+    # (grouped, row mask, column mask): the accepted candidates without
+    # ops, else the fixed ops; a pair whose supports miss brackets to zero
+    partners = [(x, *support_masks(x)) for x in (group_rows(v, n) for v in ops or ())]
     pending = deque(generators)
     while pending:
         candidate = pending.popleft()
         if not span.insert(candidate):
             continue
         grouped = group_rows(candidate, n)
-        pending.extend(bracket_grouped(other, grouped, n) for other in partners)
+        rows, cols = support_masks(grouped)
+        meeting = (x for x, r, c in partners if c & rows or cols & r)
+        pending.extend(bracket_grouped(x, grouped, n) for x in meeting)
         if ops is None:
-            partners.append(grouped)
+            partners.append((grouped, rows, cols))
     return span
 
 
@@ -235,9 +253,12 @@ def structure_constants(
         solver = LinearSolver(vecs, 4 * n * n)
     sc = StructureConstants(dim=len(vecs))
     grouped = [group_rows(v, n) for v in vecs]
+    masks = [support_masks(x) for x in grouped]
     for i, x in enumerate(grouped):
+        ri, ci = masks[i]
         for j in range(i + 1, len(grouped)):
-            prod = bracket_grouped(x, grouped[j], n)
+            rj, cj = masks[j]
+            prod = bracket_grouped(x, grouped[j], n) if ci & rj or cj & ri else None
             if not prod:
                 continue
             coeffs = solver.express(prod)

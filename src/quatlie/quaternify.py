@@ -10,7 +10,8 @@ bracket closure, inside gl(n, H), of the generator set
 images).  The closure is taken by ad of the e and f lines alone
 (``close_generators``): the smallest span that contains the 8*l rows
 {x, i*x, J x, J(i*x) : x in {e_k, f_k}} and is stable under their ad is
-the subalgebra they generate, dim * 8*l brackets instead of C(dim, 2).
+the subalgebra they generate, at most dim * 8*l brackets (only pairs
+whose supports meet, ``bracket.support_masks``) instead of C(dim, 2).
 When that subalgebra contains every h line it is the closure of the
 whole generator set; when any h line is missing, the whole set is
 closed pairwise instead, so h in <e, f> is checked, never assumed.  The
@@ -85,6 +86,7 @@ from .bracket import (
     sigma_parity,
     sigma_vec,
     structure_constants,
+    support_masks,
     tau_vec,
 )
 from .errors import CheckReport, NotClosedError, StructuralFailureError
@@ -375,18 +377,24 @@ def check_structure(g: QuaternionLieAlgebra) -> CheckReport:
     combination sum_k c_k x_k of basis rows.  The basis is independent
     (``LinearSolver`` refuses a dependent one, the loader's included), so
     the two are equal exactly when the bracket's coefficients are the
-    stored ones, and no solve is needed to confirm a pair.  A solve runs
-    only on a mismatch, to name it: ``outside-span`` when the bracket
-    leaves the span, else ``table-mismatch``.
+    stored ones, and no solve is needed to confirm a pair.  A pair whose
+    supports miss (``support_masks``) is decided without a bracket: no
+    column of one row is a matrix row of the other, so the bracket has
+    no product term and is exactly zero, as the rows' own coordinates
+    show.  A solve runs only on a mismatch, to name it: ``outside-span``
+    when the bracket leaves the span, else ``table-mismatch``.
     """
     n = g.ambient_n
     basis = g.basis
     table = g.constants.table
     grouped = [group_rows(row, n) for row in basis]
+    masks = [support_masks(x) for x in grouped]
     failures = []
     for i, x in enumerate(grouped):
+        ri, ci = masks[i]
         for j in range(i + 1, g.dim):
-            prod = bracket_grouped(x, grouped[j], n)
+            rj, cj = masks[j]
+            prod = bracket_grouped(x, grouped[j], n) if ci & rj or cj & ri else {}
             expected: Vec = {}
             for k, c in table.get((i, j), ()):
                 vec_iadd_scaled(expected, basis[k], c)

@@ -11,6 +11,8 @@ they cannot drift into the code they judge.
   of the quaternion matrix product and bracket leans on.
 * ``bracket_vec``, the coordinate bracket of a single pair, and the
   scalar conjugations sigma and tau.
+* ``meeting_pairs``, the pairs whose bracket can have a term, read off
+  the nonzero entries of the unflattened quaternion matrices.
 * ``is_J_submodule``, ``vec_from_dense`` and ``closure_matrices``, the
   echelon rows of a closure unflattened into quaternion matrices.
 """
@@ -47,6 +49,26 @@ def vec_from_dense(values) -> Vec:
 def bracket_vec(x: Vec, y: Vec, n: int) -> Vec:
     """Commutator of two flattened n x n quaternion matrices, flattened."""
     return bracket_grouped(group_rows(x, n), group_rows(y, n), n)
+
+
+def cell_support(x: Vec, n: int) -> tuple[set, set]:
+    """Rows and columns of the nonzero entries of a flattened n x n matrix."""
+    m = QuatMatrix.unflatten(n, x)
+    cells = [(p, q) for p in range(n) for q in range(n) if not m.entry(p, q).is_zero()]
+    return {p for p, _ in cells}, {q for _, q in cells}
+
+
+def meeting_pairs(rows: list[Vec], n: int) -> list[tuple[int, int]]:
+    """The pairs i < j of flattened matrices with a column of one among
+    the rows of the other: [X, Y]_pq = sum_r X_pr Y_rq - Y_pr X_rq has a
+    term only on those, so every other pair brackets to zero."""
+    supports = [cell_support(x, n) for x in rows]
+    return [
+        (i, j)
+        for i, (rows_i, cols_i) in enumerate(supports)
+        for j, (rows_j, cols_j) in enumerate(supports[i + 1 :], i + 1)
+        if cols_i & rows_j or cols_j & rows_i
+    ]
 
 
 def closure_matrices(result) -> list[QuatMatrix]:

@@ -17,6 +17,8 @@ from quatlie.errors import MalformedInputError, StructuralFailureError
 from quatlie.linalg import LinearSolver
 from quatlie.matrices import QuatMatrix
 
+from oracles import meeting_pairs
+
 # the modules, which the package's `quaternify` and `bracket` functions shadow
 quaternify = importlib.import_module("quatlie.quaternify")
 bracket = importlib.import_module("quatlie.bracket")
@@ -476,26 +478,50 @@ def test_verify_jacobi_alone_runs_structure(a2_file, tmp_path, check, capsys):
     assert code == 0 and doc["checks"][-1]["name"] == TABLE_READERS[check]
 
 
+def _stored_basis(path):
+    """The basis rows of an algebra file and their matrix size."""
+    algebra = serialize.algebra_from_json(json.loads(path.read_text()))
+    return algebra.basis, algebra.ambient_n
+
+
+# A2: 358 of the 595 basis pairs have a column of one row among the
+# matrix rows of the other; the bracket of each other pair has no term
+A2_MEETING_PAIRS = 358
+
+
 @pytest.mark.parametrize(
     "checks", ["structure,jacobi,conjugations", "jacobi,structure,conjugations", "conjugations,jacobi"]
 )
-def test_verify_brackets_each_basis_pair_once(a2_file, checks, monkeypatch, capsys):
-    calls = []
-    bracket_grouped = quaternify.bracket_grouped
+def test_verify_brackets_each_meeting_basis_pair_once(a2_file, checks, monkeypatch, capsys):
+    # the structure sweep brackets exactly the basis pairs whose supports
+    # meet, each once and in order, and decides the others without a bracket
+    basis, n = _stored_basis(a2_file)
+    index = {}  # id of a grouped basis row -> its basis index
+    pairs = []
+    group_rows, bracket_grouped = quaternify.group_rows, quaternify.bracket_grouped
+
+    def grouped(row, n):
+        out = group_rows(row, n)
+        index[id(out)] = basis.index(row)
+        return out
 
     def counted(x, y, n):
-        calls.append((x, y))
+        pairs.append((index[id(x)], index[id(y)]))
         return bracket_grouped(x, y, n)
 
+    monkeypatch.setattr(quaternify, "group_rows", grouped)
     monkeypatch.setattr(quaternify, "bracket_grouped", counted)
     code, _ = run_json(capsys, "verify", "--in", str(a2_file), "--checks", checks)
     assert code == 0
-    assert len(calls) == 35 * 34 // 2
+    assert pairs == meeting_pairs(basis, n)
+    assert len(pairs) == A2_MEETING_PAIRS
 
 
 def test_verify_groups_each_basis_row_once(a2_file, monkeypatch, capsys):
-    # the structure sweep groups the 35 basis rows once and brackets
-    # grouped pairs; no other check of this run groups or brackets
+    # the structure sweep groups the 35 basis rows once and brackets the
+    # 358 grouped pairs whose supports meet; no other check of this run
+    # groups or brackets
+    assert len(meeting_pairs(*_stored_basis(a2_file))) == A2_MEETING_PAIRS
     counts = {"group_rows": 0, "bracket_grouped": 0}
     for name in counts:
         fn = getattr(quaternify, name)
@@ -508,7 +534,7 @@ def test_verify_groups_each_basis_row_once(a2_file, monkeypatch, capsys):
     checks = "structure,jacobi,conjugations"
     code, _ = run_json(capsys, "verify", "--in", str(a2_file), "--checks", checks)
     assert code == 0
-    assert counts == {"group_rows": 35, "bracket_grouped": 35 * 34 // 2}
+    assert counts == {"group_rows": 35, "bracket_grouped": A2_MEETING_PAIRS}
 
 
 def test_verify_solves_only_for_conjugations(a2_file, monkeypatch, capsys):
@@ -530,16 +556,26 @@ def test_verify_solves_only_for_conjugations(a2_file, monkeypatch, capsys):
 
 
 def test_build_closes_by_ad_of_the_ef_lines(tmp_path, monkeypatch, capsys):
-    # A2: each of the 35 accepted rows is bracketed against the 16 e/f
-    # lines, 560 brackets where closing pairwise takes C(35, 2) = 595
+    # A2: each of the 35 accepted rows is bracketed against those of the
+    # 16 e/f lines whose support meets its own, 368 of the 560 pairs;
+    # closing pairwise takes C(35, 2) = 595
+    grouped_rows = []  # the rows closing groups: the 16 lines, then each accepted row
+    index = {}  # id of a grouped row -> its place in grouped_rows
     calls = []
     closing = []
-    bracket_grouped = bracket.bracket_grouped
+    group_rows, bracket_grouped = bracket.group_rows, bracket.bracket_grouped
     close_vecs = quaternify.close_vecs
+
+    def grouped(row, n):
+        out = group_rows(row, n)
+        if closing:
+            index[id(out)] = len(grouped_rows)
+            grouped_rows.append(row)
+        return out
 
     def counted(x, y, n):
         if closing:
-            calls.append(n)
+            calls.append((index[id(x)], index[id(y)]))
         return bracket_grouped(x, y, n)
 
     def close_counted(*args):
@@ -549,12 +585,16 @@ def test_build_closes_by_ad_of_the_ef_lines(tmp_path, monkeypatch, capsys):
         finally:
             closing.pop()
 
+    monkeypatch.setattr(bracket, "group_rows", grouped)
     monkeypatch.setattr(bracket, "bracket_grouped", counted)
     monkeypatch.setattr(quaternify, "close_vecs", close_counted)
     path = tmp_path / "a2.json"
     code, _ = run_json(capsys, "build", "--type", "A", "--rank", "2", "--out", str(path))
     assert code == 0
-    assert len(calls) == 35 * 16
+    assert len(grouped_rows) == 16 + 35
+    meets = set(meeting_pairs(grouped_rows, 3))
+    assert calls == [(k, m) for m in range(16, 16 + 35) for k in range(16) if (k, m) in meets]
+    assert len(calls) == 368
 
 
 def test_build_flattens_each_generator_once(tmp_path, monkeypatch, capsys):
@@ -593,7 +633,8 @@ def test_build_derives_k_once(tmp_path, monkeypatch, capsys):
 def test_build_groups_the_rows_of_k_once(tmp_path, monkeypatch, capsys):
     # `k-structure` reads [k, k] off the table: it groups and brackets
     # nothing, in a build or in `verify`, where the one `structure` sweep
-    # groups the 35 basis rows once and brackets each of the 595 pairs once
+    # groups the 35 basis rows once and brackets each of the 358 pairs
+    # whose supports meet once
     in_k_structure = []
     judged_calls = []
     counts = {"group_rows": 0, "bracket_grouped": 0}
@@ -624,7 +665,8 @@ def test_build_groups_the_rows_of_k_once(tmp_path, monkeypatch, capsys):
     counts.update(group_rows=0, bracket_grouped=0)
     code, _ = run_json(capsys, "verify", "--in", str(path), "--checks", "structure,k-structure")
     assert code == 0 and judged_calls == [35, 35]
-    assert counts == {"group_rows": 35, "bracket_grouped": 35 * 34 // 2}
+    assert len(meeting_pairs(*_stored_basis(path))) == A2_MEETING_PAIRS
+    assert counts == {"group_rows": 35, "bracket_grouped": A2_MEETING_PAIRS}
 
 
 def test_build_reports_a_failed_zero_block_split(tmp_path, monkeypatch, capsys):

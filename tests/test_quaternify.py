@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,8 +11,11 @@ from quatlie.bracket import (
     bracket,
     close_under_bracket,
     close_vecs,
+    group_rows,
     left_unit_vec,
     sigma_parity,
+    structure_constants,
+    support_masks,
 )
 from quatlie.errors import CheckReport, StructuralFailureError
 from quatlie.linalg import LinearSolver, SpanBasis, span_of
@@ -43,10 +47,11 @@ from quatlie.rootsystem import Root, cartan_matrix, positive_roots, weight_of
 from quatlie.scalars import Q_I, Q_J, Q_K, Q_ONE
 from quatlie.serialize import algebra_from_json, algebra_to_json, dumps
 
-from oracles import bracket_vec, closure_matrices
+from oracles import bracket_vec, closure_matrices, meeting_pairs
 
-# the module, which the package's `quaternify` function shadows
+# the modules, which the package's `quaternify` and `bracket` functions shadow
 quaternify_module = importlib.import_module("quatlie.quaternify")
+bracket_module = importlib.import_module("quatlie.bracket")
 
 ALL_TYPES = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("D", 3))
 
@@ -552,32 +557,42 @@ def _structure_by_solving(g):
 
 
 def _with_table(g, edit):
-    """``g`` with a copy of its table that ``edit(table, dim)`` has changed."""
+    """``g`` with a copy of its table that ``edit(table, g)`` has changed."""
     table = dict(g.constants.table)
-    edit(table, g.dim)
+    edit(table, g)
     return dataclasses.replace(g, constants=StructureConstants(dim=g.dim, table=table))
 
 
-def _negate_a_coefficient(table, dim):
+def _negate_a_coefficient(table, g):
     (i, j), terms = next(iter(table.items()))
     (k, c), *rest = terms
     table[(i, j)] = ((k, -c), *rest)
 
 
-def _drop_an_entry(table, dim):
+def _drop_an_entry(table, g):
     del table[next(iter(table))]
 
 
-def _add_an_entry_on_a_commuting_pair(table, dim):
-    pair = next((i, j) for i in range(dim) for j in range(i + 1, dim) if (i, j) not in table)
+def _add_an_entry_on_a_commuting_pair(table, g):
+    pair = next((i, j) for i in range(g.dim) for j in range(i + 1, g.dim) if (i, j) not in table)
     table[pair] = ((0, 1),)
 
 
-def _retarget_a_k(table, dim):
+def _add_an_entry_on_a_disjoint_pair(table, g):
+    # a pair whose supports miss, which the structure sweep decides
+    # without a bracket
+    meeting = set(meeting_pairs(g.basis, g.ambient_n))
+    pair = next(
+        (i, j) for i in range(g.dim) for j in range(i + 1, g.dim) if (i, j) not in meeting
+    )
+    table[pair] = ((0, 1),)
+
+
+def _retarget_a_k(table, g):
     (i, j), terms = next(iter(table.items()))
     (k, c), *rest = terms
     used = {m for m, _ in terms}
-    target = next(m for m in range(dim) if m not in used)
+    target = next(m for m in range(g.dim) if m not in used)
     table[(i, j)] = ((target, c), *rest)
 
 
@@ -585,6 +600,7 @@ TABLE_EDITS = [
     _negate_a_coefficient,
     _drop_an_entry,
     _add_an_entry_on_a_commuting_pair,
+    _add_an_entry_on_a_disjoint_pair,
     _retarget_a_k,
 ]
 
@@ -617,6 +633,40 @@ def test_table_readers_rest_on_structure(algebras, type_label, rank, edit):
     ):
         assert report.failures == unverified, report.name
     assert k_structure(g).detail.keys() == {"dim_k", "dim_hr", "dim_hr_perp"}
+
+
+@pytest.mark.parametrize("type_label,rank", [*ALL_TYPES, ("A", 4), ("C", 3)])
+def test_pairs_whose_supports_miss_bracket_to_zero(algebras, type_label, rank):
+    # the masks skip exactly the pairs whose unflattened matrices have no
+    # column of one among the rows of the other; each such bracket is zero
+    # and the built table holds no entry there
+    g = algebras(type_label, rank)
+    n = g.ambient_n
+    masks = [support_masks(group_rows(row, n)) for row in g.basis]
+    skipped = [
+        (i, j)
+        for i, j in combinations(range(g.dim), 2)
+        if not (masks[i][1] & masks[j][0] or masks[j][1] & masks[i][0])
+    ]
+    meeting = meeting_pairs(g.basis, n)
+    assert sorted(skipped + meeting) == list(combinations(range(g.dim), 2))
+    assert skipped
+    for i, j in skipped:
+        assert bracket_vec(g.basis[i], g.basis[j], n) == {}, (i, j)
+        assert (i, j) not in g.constants.table, (i, j)
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 4), ("C", 3), ("A", 6)])
+def test_constants_sweep_agrees_with_one_that_skips_nothing(
+    algebras, type_label, rank, monkeypatch
+):
+    g = algebras(type_label, rank)
+    skipping = structure_constants(g.basis, g.ambient_n, g.solver)
+    # all bits set: every pair's supports meet
+    monkeypatch.setattr(bracket_module, "support_masks", lambda grouped: (-1, -1))
+    full = structure_constants(g.basis, g.ambient_n, g.solver)
+    assert list(skipping.table.items()) == list(full.table.items())
+    assert list(skipping.table.items()) == list(g.constants.table.items())
 
 
 def test_structure_names_a_bracket_outside_the_span(algebras):
