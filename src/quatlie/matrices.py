@@ -13,6 +13,10 @@ i.e. ``A + J*B -> transpose(A) - J*conj_transpose(B)``.  The naive
 entrywise transpose would give the wrong block characterization (and the
 wrong dimension count) for the antisymmetric algebras built on top.
 
+Sums and products skip zero operands (``a + 0`` is ``a``, ``0 - b`` is
+``-b``, and ``@`` puts a product in an empty cell as it is): exact
+identities, so every value and its type are unchanged.
+
 Coordinate flattening is fixed as row-major over entries with the four
 real coordinates (re z1, im z1, re z2, im z2) per entry; every span
 computation in the package depends on this ordering.
@@ -79,7 +83,7 @@ class QuatMatrix:
         self._check_dim(other)
         return QuatMatrix(
             [
-                [a + b for a, b in zip(ra, rb)]
+                [a if b.is_zero() else b if a.is_zero() else a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)
             ]
         )
@@ -88,7 +92,7 @@ class QuatMatrix:
         self._check_dim(other)
         return QuatMatrix(
             [
-                [a - b for a, b in zip(ra, rb)]
+                [a if b.is_zero() else -b if a.is_zero() else a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)
             ]
         )
@@ -124,7 +128,8 @@ class QuatMatrix:
                 for q in range(n):
                     y = row_other[q]
                     if not y.is_zero():
-                        target[q] = target[q] + x * y
+                        acc = target[q]
+                        target[q] = x * y if acc is Q_ZERO else acc + x * y
         return QuatMatrix(out)
 
     def trace(self) -> Quaternion:

@@ -70,6 +70,7 @@ text.
 
 from __future__ import annotations
 
+import functools
 import operator
 import time
 from dataclasses import dataclass, field
@@ -457,9 +458,9 @@ def check_weight_additivity(g: QuaternionLieAlgebra) -> CheckReport:
     index_weight = {
         i: values for values, indices in g.weight_indices.items() for i in indices
     }
-    checked, failures = _graded_triples(
-        g.constants, index_weight, lambda a, b: tuple(map(operator.add, a, b))
-    )
+    # one sum per pair of weight blocks, not per table key
+    weight_sum = functools.cache(lambda a, b: tuple(map(operator.add, a, b)))
+    checked, failures = _graded_triples(g.constants, index_weight, weight_sum)
     return CheckReport("weights.additivity", checked, _unverified_table(g) or failures)
 
 

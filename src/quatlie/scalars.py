@@ -182,7 +182,10 @@ class Quaternion:
 
 
 def quat_mul(x: Quaternion, y: Quaternion) -> Quaternion:
-    """Exact quaternion product in ``z1 + j*z2`` form."""
+    """Exact quaternion product in ``z1 + j*z2`` form; of two complex
+    quaternions (both z2 zero) only ``z1*w1`` is computed."""
+    if x.z2.is_zero() and y.z2.is_zero():
+        return Quaternion(x.z1 * y.z1, GR_ZERO)
     return Quaternion(
         x.z1 * y.z1 - x.z2.conj() * y.z2,
         x.z1.conj() * y.z2 + x.z2 * y.z1,

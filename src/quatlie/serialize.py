@@ -13,6 +13,7 @@ parameters reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+import operator
 
 from .bracket import StructureConstants
 from .errors import DegenerateInputError, MalformedInputError, StructuralFailureError
@@ -64,40 +65,49 @@ def constants_to_json(sc: StructureConstants) -> dict:
 
 
 def constants_from_json(data) -> StructureConstants:
-    """The table of a ``constants_to_json`` document, in one pass over its entries.
+    """The table of a ``constants_to_json`` document, checked column by column.
 
-    Each distinct coefficient string is parsed once per load.  Indices must
-    be ints with i < j and all three below ``dim``, and no (i, j, k) may
-    repeat; anything else raises MalformedInputError.
+    The entries are checked in this order, each check over all of them
+    before the next: every entry is a list of four; every index is an int
+    (not a bool); i < j; all three indices lie in ``range(dim)``; every
+    coefficient is a string; the distinct strings, parsed once each in
+    first-occurrence order, are rationals; no (i, j, k) repeats.  The
+    first check that fails raises MalformedInputError, naming the first
+    entry at fault where its message names one, so a file with two faults
+    reports the earlier check's, not the earlier entry's.  Zero
+    coefficients are dropped; keys and terms keep the order of the file.
     """
     dim = _int(data["dim"], "structure constant dim")
     sc = StructureConstants(dim=dim)
-    grouped: dict[tuple, dict] = {}
-    parsed: dict[str, object] = {}
-    what = "structure constant index"
-    for entry in data["entries"]:
-        if not isinstance(entry, list) or len(entry) != 4:
-            raise MalformedInputError("structure constant entries must be [i, j, k, coeff]")
-        i, j, k, coeff = entry
-        i, j, k = _int(i, what), _int(j, what), _int(k, what)
-        if not i < j:
-            raise MalformedInputError("structure constants must be stored with i < j")
-        if not (0 <= i and j < dim and 0 <= k < dim):
-            raise MalformedInputError(
-                f"structure constant index out of range(dim={dim}): {[i, j, k]}"
-            )
-        if type(coeff) is str:  # built tables repeat a few strings: 4 of 988 on A3
-            value = parsed.get(coeff)
-            if value is None:
-                value = parsed[coeff] = parse_rational(coeff)
-        else:
-            value = parse_rational(coeff)  # raises: coefficients are strings
-        terms = grouped.setdefault((i, j), {})
-        if k in terms:
-            raise MalformedInputError(f"structure constant entry {[i, j, k]} is repeated")
-        terms[k] = value
-    for (i, j), terms in grouped.items():
-        sc.set_entry(i, j, terms.items())
+    entries = data["entries"]
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {4}):
+        raise MalformedInputError("structure constant entries must be [i, j, k, coeff]")
+    if not entries:
+        return sc
+    I, J, K, C = zip(*entries)
+    if not set(map(type, I + J + K)) <= {int}:
+        _int(next(v for v in I + J + K if type(v) is not int), "structure constant index")  # raises
+    if not all(map(operator.lt, I, J)):
+        raise MalformedInputError("structure constants must be stored with i < j")
+    if min(I) < 0 or max(J) >= dim or min(K) < 0 or max(K) >= dim:
+        ijk = next(e[:3] for e in entries if not (0 <= e[0] and e[1] < dim and 0 <= e[2] < dim))
+        raise MalformedInputError(f"structure constant index out of range(dim={dim}): {ijk}")
+    if not set(map(type, C)) <= {str}:
+        parse_rational(next(c for c in C if type(c) is not str))  # raises
+    parsed = {text: parse_rational(text) for text in dict.fromkeys(C)}
+    if len(set(zip(I, J, K))) != len(entries):
+        seen = set()
+        for key in zip(I, J, K):
+            if key in seen:
+                raise MalformedInputError(f"structure constant entry {list(key)} is repeated")
+            seen.add(key)
+    grouped: dict[tuple, list] = {}
+    for i, j, k, text in entries:
+        terms = grouped.setdefault((i, j), [])
+        value = parsed[text]
+        if value:
+            terms.append((k, value))
+    sc.table = {key: tuple(terms) for key, terms in grouped.items() if terms}
     return sc
 
 

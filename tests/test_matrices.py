@@ -1,5 +1,14 @@
+import contextlib
+import io
+import random
+import sys
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
+from quatlie import scalars
+from quatlie.cli import main
 from quatlie.errors import DegenerateInputError, MalformedInputError
 from quatlie.matrices import (
     QuatMatrix,
@@ -10,13 +19,24 @@ from quatlie.matrices import (
     is_sigma_submodule,
     quat_transpose_mj,
 )
-from quatlie.scalars import GR_I, GR_ONE, GR_ZERO, Q_I, Q_J, Q_K, Q_ONE, Quaternion
+from quatlie.scalars import (
+    GR_I,
+    GR_ONE,
+    GR_ZERO,
+    Q_I,
+    Q_J,
+    Q_K,
+    Q_ONE,
+    GaussianRational,
+    Quaternion,
+)
 
-from quatlie.bracket import sigma_parity
+from quatlie.bracket import bracket, sigma_parity
 
 from conftest import rand_qmatrix
 from oracles import (
     MJMatrix,
+    bracket_vec,
     coordinate_change,
     interleave,
     is_J_submodule,
@@ -279,3 +299,110 @@ def test_sigma_eigenvalue():
     assert sigma_parity(flatten(QuatMatrix([[Q_J]]))) == -1
     assert sigma_parity(flatten(QuatMatrix([[Q_ONE + Q_J]]))) is None
     assert sigma_parity(flatten(QuatMatrix.zeros(1))) is None
+
+
+# ---------------------------------------------------------------------------
+# sums and products that skip zero operands, against the oracles
+# ---------------------------------------------------------------------------
+
+
+def _sparse_cell(rng):
+    """A zero (shared or fresh), plain, pure-J or general quaternion cell."""
+    kind = rng.choice(("zero", "fresh-zero", "plain", "j", "both"))
+    if kind == "zero":
+        return scalars.Q_ZERO
+    if kind == "fresh-zero":
+        return Quaternion.from_coords(0, Fraction(0), 0, 0)
+
+    def part():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    z1 = (part(), part()) if kind in ("plain", "both") else (0, 0)
+    z2 = (part(), part()) if kind in ("j", "both") else (0, 0)
+    return Quaternion.from_coords(*z1, *z2)
+
+
+def _sparse_pair(rng, n):
+    """Two sparse matrices; about a third of y's cells cancel x's."""
+    x = [[_sparse_cell(rng) for _ in range(n)] for _ in range(n)]
+    y = [[-a if rng.random() < 0.35 else _sparse_cell(rng) for a in row] for row in x]
+    return QuatMatrix(x), QuatMatrix(y)
+
+
+def _vec_add(x, y, sign=1):
+    out = dict(x)
+    for idx, val in y.items():
+        out[idx] = out.get(idx, 0) + sign * val
+    return {idx: val for idx, val in out.items() if val}
+
+
+def _cell_types(m):
+    return {
+        (type(a), type(a.z1), type(a.z2), *map(type, a.to_coords()))
+        for row in m.rows
+        for a in row
+    }
+
+
+def test_sums_and_products_skipping_zeros_match_the_oracles():
+    rng = random.Random(5150)
+    types = {(Quaternion, GaussianRational, GaussianRational) + (Fraction,) * 4}
+    cancelled = 0
+    for trial in range(60):
+        n = 1 + trial % 4
+        x, y = _sparse_pair(rng, n)
+        fx, fy = flatten(x), flatten(y)
+        total, difference, product, commutator = x + y, x - y, x @ y, bracket(x, y)
+        assert flatten(total) == _vec_add(fx, fy)
+        assert flatten(difference) == _vec_add(fx, fy, -1)
+        assert flatten(commutator) == bracket_vec(fx, fy, n)
+        assert mj_embed(total) == mj_embed(x) + mj_embed(y)
+        assert mj_embed(product) == mj_embed(x) @ mj_embed(y)
+        assert mj_embed(commutator) == mj_embed(x) @ mj_embed(y) - mj_embed(y) @ mj_embed(x)
+        assert x - x == QuatMatrix.zeros(n) and (x - x).is_zero()
+        for m in (total, difference, product, commutator):
+            assert _cell_types(m) == types
+        cancelled += sum(
+            c.is_zero() and not a.is_zero()
+            for ra, rc in zip(x.rows, total.rows)
+            for a, c in zip(ra, rc)
+        )
+    assert cancelled  # some sums cancel to a zero cell
+
+
+def _count_calls(monkeypatch, argv):
+    """Calls of `bracket`, `QuatMatrix.__matmul__` and `quat_mul` in one
+    CLI run; each function is wrapped wherever a quatlie module binds it."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name, fn in (("bracket", bracket), ("quat_mul", scalars.quat_mul)):
+        for module in [m for key, m in sys.modules.items() if key.startswith("quatlie")]:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    monkeypatch.setattr(QuatMatrix, "__matmul__", counted("matmul", QuatMatrix.__matmul__))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    monkeypatch.undo()
+    return code, (counts["bracket"], counts["matmul"], counts["quat_mul"])
+
+
+@pytest.mark.parametrize(
+    "type_label, rank, calls",
+    [("A", 2, (2, 4, 2)), ("A", 3, (6, 12, 6)), ("B", 2, (4, 8, 8))],
+)
+def test_root_vectors_make_the_same_matrix_products(type_label, rank, calls, tmp_path, monkeypatch):
+    # the root table grows each non-simple root vector by two `bracket`s of
+    # two products each; skipping zero operands must not change how many
+    path = str(tmp_path / f"{type_label}{rank}.json")
+    build = ["build", "--type", type_label, "--rank", str(rank), "--out", path]
+    code, build_calls = _count_calls(monkeypatch, build)
+    assert code == (1 if type_label == "B" else 0)
+    assert build_calls == calls
+    assert _count_calls(monkeypatch, ["verify", "--in", path]) == (code, calls)

@@ -11,6 +11,13 @@ and its failures (the honest A1 file is green).  The edits:
 The structure sweep, and every check that reads the table through it,
 must catch the basis and table edits: a `check_structure` that compares
 nothing lets some of them through, which the negative control shows.
+
+Three more kinds of edit are run on their own:
+
+* each entry's k retargeted to the next index (mod dim), and each
+  entry's i and j swapped, which the loader must refuse (exit 2);
+* each generator coordinate edited as the basis coordinates are, on A1
+  and on A2, whose (1, 1) root vector the loader grows by `bracket`.
 """
 
 import contextlib
@@ -37,6 +44,37 @@ def a1_doc(tmp_path_factory):
     return json.loads(path.read_text())
 
 
+@pytest.fixture(scope="module")
+def a2_doc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mutations") / "a2.json"
+    assert main(["build", "--type", "A", "--rank", "2", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _coordinate_edits(doc, paths):
+    """Each nonzero coordinate of the matrices at ``paths`` set to -v or 2v,
+    and each zero coordinate of a nonzero cell set to 1."""
+    for path in paths:
+        for p, cells in enumerate(_at(doc, path)["entries"]):
+            for q, cell in enumerate(cells):
+                if cell == ["0"] * 4:
+                    continue
+                for s, text in enumerate(cell):
+                    v = serialize.parse_rational(text)
+                    values = (-v, 2 * v) if v else (1,)
+                    for value in map(serialize.format_rational, values):
+                        edited = copy.deepcopy(doc)
+                        _at(edited, path)["entries"][p][q][s] = value
+                        where = " ".join(map(str, path))
+                        yield f"{where} cell ({p}, {q}) offset {s}: {text} -> {value}", edited
+
+
 def _edits(doc):
     """(label, edited copy of ``doc``) for every edit of the module docstring."""
     for pos, entry in enumerate(doc["structure_constants"]["entries"]):
@@ -47,18 +85,26 @@ def _edits(doc):
         dropped = copy.deepcopy(doc)
         del dropped["structure_constants"]["entries"][pos]
         yield f"drop entry {pos}", dropped
-    for b, row in enumerate(doc["basis"]):
-        for p, cells in enumerate(row["entries"]):
-            for q, cell in enumerate(cells):
-                if cell == ["0"] * 4:
-                    continue
-                for s, text in enumerate(cell):
-                    v = serialize.parse_rational(text)
-                    values = (-v, 2 * v) if v else (1,)
-                    for value in map(serialize.format_rational, values):
-                        edited = copy.deepcopy(doc)
-                        edited["basis"][b]["entries"][p][q][s] = value
-                        yield f"basis {b} cell ({p}, {q}) offset {s}: {text} -> {value}", edited
+    yield from _coordinate_edits(doc, [("basis", b) for b in range(len(doc["basis"]))])
+
+
+def _index_edits(doc):
+    """Each entry's k moved to the next index, and each entry's i and j swapped."""
+    dim = doc["dim"]
+    for pos, (i, j, k, _) in enumerate(doc["structure_constants"]["entries"]):
+        retargeted = copy.deepcopy(doc)
+        retargeted["structure_constants"]["entries"][pos][2] = (k + 1) % dim
+        yield f"retarget entry {pos}: k {k} -> {(k + 1) % dim}", retargeted
+        swapped = copy.deepcopy(doc)
+        swapped["structure_constants"]["entries"][pos][:2] = [j, i]
+        yield f"swap i and j of entry {pos}", swapped
+
+
+def _generator_edits(doc):
+    gens = doc["generators"]
+    yield from _coordinate_edits(
+        doc, [("generators", kind, g) for kind in ("h", "e", "f") for g in range(len(gens[kind]))]
+    )
 
 
 def _verdict(doc, path):
@@ -73,11 +119,11 @@ def _verdict(doc, path):
     return code, [(c["name"], c["failures"]) for c in checks if not c["passed"]]
 
 
-def _survivors(doc, path, first_only=False):
+def _survivors(doc, path, first_only=False, edits=_edits):
     honest = _verdict(doc, path)
     assert honest == (0, [])
     survivors = []
-    for label, edited in _edits(doc):
+    for label, edited in edits(doc):
         verdict = _verdict(edited, path)
         if verdict != (2,) and verdict == honest:
             survivors.append(label)
@@ -100,3 +146,30 @@ def test_a1_edits_survive_a_structure_check_that_compares_nothing(a1_doc, tmp_pa
         quaternify, "check_structure", lambda g: CheckReport("structure", comb(g.dim, 2), [])
     )
     assert _survivors(a1_doc, tmp_path / "edited.json", first_only=True)
+
+
+def test_every_a1_index_edit_is_caught(a1_doc, tmp_path):
+    path = tmp_path / "edited.json"
+    assert _verdict(a1_doc, path) == (0, [])
+    verdicts = {label: _verdict(edited, path) for label, edited in _index_edits(a1_doc)}
+    assert len(verdicts) == 2 * len(a1_doc["structure_constants"]["entries"])
+    swaps = [verdict for label, verdict in verdicts.items() if label.startswith("swap")]
+    assert set(swaps) == {(2,)}  # the loader refuses i > j
+    assert [label for label, verdict in verdicts.items() if verdict == (0, [])] == []
+
+
+def test_a1_retargets_survive_a_structure_check_that_compares_nothing(
+    a1_doc, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(
+        quaternify, "check_structure", lambda g: CheckReport("structure", comb(g.dim, 2), [])
+    )
+    assert _survivors(a1_doc, tmp_path / "edited.json", first_only=True, edits=_index_edits)
+
+
+@pytest.mark.parametrize("doc", ["a1_doc", "a2_doc"])
+def test_every_generator_edit_is_caught(doc, request, tmp_path):
+    doc = request.getfixturevalue(doc)
+    edited = {label.split(" cell")[0] for label, _ in _generator_edits(doc)}
+    assert len(edited) == 3 * doc["rank"]  # every h, e and f is edited
+    assert _survivors(doc, tmp_path / "edited.json", edits=_generator_edits) == []

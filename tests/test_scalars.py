@@ -229,3 +229,28 @@ def test_conjugation_is_quaternionic(rng=None):
     prod = quat_mul(x, x.conj())
     assert prod.z2.is_zero() and prod.z1.im == 0
     assert prod.z1.re == a * a + b * b + c * c + d * d
+
+
+def _complex_part_only(q: Quaternion) -> Quaternion:
+    return Quaternion(q.z1, GaussianRational(0, 0))
+
+
+def _coordinate_types(q: Quaternion) -> set:
+    return {type(q.z1), type(q.z2)} | {type(v) for v in q.to_coords()}
+
+
+@pytest.mark.parametrize("plain", ["left", "right", "both"])
+def test_product_with_a_zero_j_part_matches_oracle(plain):
+    # quat_mul computes only z1*w1 when both z2 vanish; either way the
+    # product, and the types of its parts, are the full rule's
+    rng = random.Random(20241)
+    for _ in range(100):
+        x, y = rand_quat(rng), rand_quat(rng)
+        if plain in ("left", "both"):
+            x = _complex_part_only(x)
+        if plain in ("right", "both"):
+            y = _complex_part_only(y)
+        product = quat_mul(x, y)
+        assert product == oracle_mul(x, y)
+        assert _coordinate_types(product) == {GaussianRational, Fraction}
+    assert quat_mul(Q_I, Q_I) == -Q_ONE and quat_mul(Q_ONE, Q_J) == Q_J
