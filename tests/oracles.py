@@ -15,6 +15,9 @@ they cannot drift into the code they judge.
   the nonzero entries of the unflattened quaternion matrices.
 * ``is_J_submodule``, ``vec_from_dense`` and ``closure_matrices``, the
   echelon rows of a closure unflattened into quaternion matrices.
+* ``constants_by_express``, the bracket table from every pair's
+  filtered bracket and a ``LinearSolver.express`` solve of it, as the
+  constants sweep computed it before it solved each bracket in place.
 """
 
 from __future__ import annotations
@@ -49,6 +52,25 @@ def vec_from_dense(values) -> Vec:
 def bracket_vec(x: Vec, y: Vec, n: int) -> Vec:
     """Commutator of two flattened n x n quaternion matrices, flattened."""
     return bracket_grouped(group_rows(x, n), group_rows(y, n), n)
+
+
+def constants_by_express(vecs: list[Vec], n: int, solver) -> dict:
+    """(i, j) -> ((k, c), ...) sorted by k, for every pair i < j whose
+    bracket is nonzero; ``solver`` expresses vectors over ``vecs``."""
+    grouped = [group_rows(v, n) for v in vecs]
+    table = {}
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            prod = bracket_grouped(grouped[i], grouped[j], n)
+            if not prod:
+                continue
+            coeffs = solver.express(prod)
+            if coeffs is None:
+                raise AssertionError(f"bracket of basis elements {i}, {j} leaves the span")
+            terms = tuple((k, c) for k, c in sorted(coeffs.items()) if c)
+            if terms:
+                table[(i, j)] = terms
+    return table
 
 
 def cell_support(x: Vec, n: int) -> tuple[set, set]:

@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 from quatlie import cli, freerep, realizations, rootsystem, serialize
 from quatlie.cli import main
 from quatlie.errors import MalformedInputError, StructuralFailureError
-from quatlie.linalg import LinearSolver
+from quatlie.linalg import LinearSolver, span_of
 from quatlie.matrices import QuatMatrix
 
-from oracles import meeting_pairs
+from oracles import bracket_vec, meeting_pairs
 
 # the modules, which the package's `quaternify` and `bracket` functions shadow
 quaternify = importlib.import_module("quatlie.quaternify")
@@ -494,11 +494,12 @@ A2_MEETING_PAIRS = 358
 )
 def test_verify_brackets_each_meeting_basis_pair_once(a2_file, checks, monkeypatch, capsys):
     # the structure sweep brackets exactly the basis pairs whose supports
-    # meet, each once and in order, and decides the others without a bracket
+    # meet, each once and in order, into a fresh dict (`bracket_terms`),
+    # and decides the others without a bracket
     basis, n = _stored_basis(a2_file)
     index = {}  # id of a grouped basis row -> its basis index
     pairs = []
-    group_rows, bracket_grouped = quaternify.group_rows, quaternify.bracket_grouped
+    group_rows, bracket_terms = quaternify.group_rows, quaternify.bracket_terms
 
     def grouped(row, n):
         out = group_rows(row, n)
@@ -507,10 +508,14 @@ def test_verify_brackets_each_meeting_basis_pair_once(a2_file, checks, monkeypat
 
     def counted(x, y, n):
         pairs.append((index[id(x)], index[id(y)]))
-        return bracket_grouped(x, y, n)
+        return bracket_terms(x, y, n)
+
+    def unexpected(*args):
+        raise AssertionError("the structure sweep called bracket_grouped")
 
     monkeypatch.setattr(quaternify, "group_rows", grouped)
-    monkeypatch.setattr(quaternify, "bracket_grouped", counted)
+    monkeypatch.setattr(quaternify, "bracket_terms", counted)
+    monkeypatch.setattr(quaternify, "bracket_grouped", unexpected)
     code, _ = run_json(capsys, "verify", "--in", str(a2_file), "--checks", checks)
     assert code == 0
     assert pairs == meeting_pairs(basis, n)
@@ -519,10 +524,10 @@ def test_verify_brackets_each_meeting_basis_pair_once(a2_file, checks, monkeypat
 
 def test_verify_groups_each_basis_row_once(a2_file, monkeypatch, capsys):
     # the structure sweep groups the 35 basis rows once and brackets the
-    # 358 grouped pairs whose supports meet; no other check of this run
-    # groups or brackets
+    # 358 grouped pairs whose supports meet, each into a fresh dict; no
+    # other check of this run groups or brackets
     assert len(meeting_pairs(*_stored_basis(a2_file))) == A2_MEETING_PAIRS
-    counts = {"group_rows": 0, "bracket_grouped": 0}
+    counts = {"group_rows": 0, "bracket_terms": 0, "bracket_grouped": 0}
     for name in counts:
         fn = getattr(quaternify, name)
 
@@ -534,7 +539,7 @@ def test_verify_groups_each_basis_row_once(a2_file, monkeypatch, capsys):
     checks = "structure,jacobi,conjugations"
     code, _ = run_json(capsys, "verify", "--in", str(a2_file), "--checks", checks)
     assert code == 0
-    assert counts == {"group_rows": 35, "bracket_grouped": A2_MEETING_PAIRS}
+    assert counts == {"group_rows": 35, "bracket_terms": A2_MEETING_PAIRS, "bracket_grouped": 0}
 
 
 def test_verify_solves_only_for_conjugations(a2_file, monkeypatch, capsys):
@@ -542,23 +547,31 @@ def test_verify_solves_only_for_conjugations(a2_file, monkeypatch, capsys):
     # table entry, with no solve; conjugations solves sigma(b) and tau(b)
     # for each of the 35 basis rows (665 solves when every pair was solved)
     calls = []
-    express = LinearSolver.express
+    eliminated = []  # every solve, each `express` through one
+    express, eliminate = LinearSolver.express, LinearSolver.eliminate
 
     def counted(self, vec):
         calls.append(len(vec))
         return express(self, vec)
 
+    def counted_eliminate(self, vec):
+        eliminated.append(len(vec))
+        return eliminate(self, vec)
+
     monkeypatch.setattr(LinearSolver, "express", counted)
+    monkeypatch.setattr(LinearSolver, "eliminate", counted_eliminate)
     checks = "structure,jacobi,conjugations"
     code, _ = run_json(capsys, "verify", "--in", str(a2_file), "--checks", checks)
     assert code == 0
-    assert len(calls) == 2 * 35
+    assert len(calls) == len(eliminated) == 2 * 35
 
 
 def test_build_closes_by_ad_of_the_ef_lines(tmp_path, monkeypatch, capsys):
-    # A2: each of the 35 accepted rows is bracketed against those of the
-    # 16 e/f lines whose support meets its own, 368 of the 560 pairs;
-    # closing pairwise takes C(35, 2) = 595
+    # A2: each of the 35 accepted rows meets the support of 368 of the 560
+    # (e/f line, row) pairs; closing pairwise takes C(35, 2) = 595.  Of the
+    # 368, 128 are bracketed, in order: the other 240 pair rows of one
+    # weight each whose weights sum to a weight that the accepted rows of
+    # that weight already fill, so their brackets lie in the span
     grouped_rows = []  # the rows closing groups: the 16 lines, then each accepted row
     index = {}  # id of a grouped row -> its place in grouped_rows
     calls = []
@@ -593,8 +606,17 @@ def test_build_closes_by_ad_of_the_ef_lines(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert len(grouped_rows) == 16 + 35
     meets = set(meeting_pairs(grouped_rows, 3))
-    assert calls == [(k, m) for m in range(16, 16 + 35) for k in range(16) if (k, m) in meets]
-    assert len(calls) == 368
+    every = [(k, m) for m in range(16, 16 + 35) for k in range(16) if (k, m) in meets]
+    assert len(every) == 368
+    bracketed = set(calls)
+    assert calls == [pair for pair in every if pair in bracketed]
+    assert len(calls) == 128
+    closed = span_of(grouped_rows[16:], 4 * 3 * 3)
+    assert closed.rank == 35
+    skipped = [pair for pair in every if pair not in bracketed]
+    assert len(skipped) == 368 - 128
+    for k, m in skipped:
+        assert closed.contains(bracket_vec(grouped_rows[k], grouped_rows[m], 3)), (k, m)
 
 
 def test_build_flattens_each_generator_once(tmp_path, monkeypatch, capsys):
@@ -634,10 +656,10 @@ def test_build_groups_the_rows_of_k_once(tmp_path, monkeypatch, capsys):
     # `k-structure` reads [k, k] off the table: it groups and brackets
     # nothing, in a build or in `verify`, where the one `structure` sweep
     # groups the 35 basis rows once and brackets each of the 358 pairs
-    # whose supports meet once
+    # whose supports meet once, into a fresh dict
     in_k_structure = []
     judged_calls = []
-    counts = {"group_rows": 0, "bracket_grouped": 0}
+    counts = {"group_rows": 0, "bracket_terms": 0, "bracket_grouped": 0}
     k_structure = quaternify.k_structure
     for name in counts:
         fn = getattr(quaternify, name)
@@ -662,11 +684,11 @@ def test_build_groups_the_rows_of_k_once(tmp_path, monkeypatch, capsys):
     path = tmp_path / "a2.json"
     code, _ = run_json(capsys, "build", "--type", "A", "--rank", "2", "--out", str(path))
     assert code == 0 and judged_calls == [35]
-    counts.update(group_rows=0, bracket_grouped=0)
+    counts.update(group_rows=0, bracket_terms=0, bracket_grouped=0)
     code, _ = run_json(capsys, "verify", "--in", str(path), "--checks", "structure,k-structure")
     assert code == 0 and judged_calls == [35, 35]
     assert len(meeting_pairs(*_stored_basis(path))) == A2_MEETING_PAIRS
-    assert counts == {"group_rows": 35, "bracket_grouped": A2_MEETING_PAIRS}
+    assert counts == {"group_rows": 35, "bracket_terms": A2_MEETING_PAIRS, "bracket_grouped": 0}
 
 
 def test_build_reports_a_failed_zero_block_split(tmp_path, monkeypatch, capsys):

@@ -17,7 +17,13 @@ Three more kinds of edit are run on their own:
 * each entry's k retargeted to the next index (mod dim), and each
   entry's i and j swapped, which the loader must refuse (exit 2);
 * each generator coordinate edited as the basis coordinates are, on A1
-  and on A2, whose (1, 1) root vector the loader grows by `bracket`.
+  and on A2, whose (1, 1) root vector the loader grows by `bracket`;
+* each basis index moved to each other weight block, and each index
+  added to or dropped from `k_indices`, `hr_indices` and
+  `hr_perp_indices`, on A1.  The loader, the `weights` checks or
+  `k-structure` must catch each.  On a file that is red when honest
+  (B2), some `hr_perp_indices` edits keep the red checks' names and
+  change only their failures, which is why a verdict compares failures.
 """
 
 import contextlib
@@ -107,6 +113,30 @@ def _generator_edits(doc):
     )
 
 
+def _block_edits(doc):
+    """Each basis index moved to each other weight block, and each index
+    added to or dropped from the three index lists of k."""
+    weights = doc["weights"]
+    for a, block in enumerate(weights):
+        for i in block["indices"]:
+            for b, other in enumerate(weights):
+                if b == a:
+                    continue
+                moved = copy.deepcopy(doc)
+                moved["weights"][a]["indices"].remove(i)
+                moved["weights"][b]["indices"] = sorted([*other["indices"], i])
+                yield f"move index {i} from weight {block['weight']} to {other['weight']}", moved
+    for name in ("k_indices", "hr_indices", "hr_perp_indices"):
+        for i in range(doc["dim"]):
+            edited = copy.deepcopy(doc)
+            if i in edited[name]:
+                edited[name].remove(i)
+                yield f"drop {i} from {name}", edited
+            else:
+                edited[name] = sorted([*edited[name], i])
+                yield f"add {i} to {name}", edited
+
+
 def _verdict(doc, path):
     """Exit code of `verify` on ``doc``, with each red check and its failures."""
     path.write_text(json.dumps(doc))
@@ -173,3 +203,19 @@ def test_every_generator_edit_is_caught(doc, request, tmp_path):
     edited = {label.split(" cell")[0] for label, _ in _generator_edits(doc)}
     assert len(edited) == 3 * doc["rank"]  # every h, e and f is edited
     assert _survivors(doc, tmp_path / "edited.json", edits=_generator_edits) == []
+
+
+def test_every_a1_block_and_k_index_edit_is_caught(a1_doc, tmp_path):
+    edits = list(_block_edits(a1_doc))
+    dim, blocks = a1_doc["dim"], len(a1_doc["weights"])
+    assert len(edits) == dim * (blocks - 1) + 3 * dim
+    assert _survivors(a1_doc, tmp_path / "edited.json", edits=_block_edits) == []
+
+
+def test_a1_k_index_edits_survive_a_k_structure_that_checks_nothing(
+    a1_doc, tmp_path, monkeypatch
+):
+    # the negative control: `k-structure` alone catches some of the edits
+    monkeypatch.setattr(quaternify, "k_structure", lambda g: CheckReport("k-structure", 4, []))
+    survivors = _survivors(a1_doc, tmp_path / "edited.json", edits=_block_edits)
+    assert survivors and all("hr_perp_indices" in label for label in survivors)

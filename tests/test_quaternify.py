@@ -29,12 +29,14 @@ from quatlie.quaternify import (
     check_jacobi,
     check_root_spaces,
     check_structure,
+    cell_weights,
     check_weight_additivity,
     close_generators,
     closure_realization,
     generating_set,
     k_structure,
     quaternify,
+    quaternion_line,
     run_checks,
     sigma_grading_check,
     verify_relations,
@@ -47,7 +49,7 @@ from quatlie.rootsystem import Root, cartan_matrix, positive_roots, weight_of
 from quatlie.scalars import Q_I, Q_J, Q_K, Q_ONE
 from quatlie.serialize import algebra_from_json, algebra_to_json, dumps
 
-from oracles import bracket_vec, closure_matrices, meeting_pairs
+from oracles import bracket_vec, closure_matrices, constants_by_express, meeting_pairs
 
 # the modules, which the package's `quaternify` and `bracket` functions shadow
 quaternify_module = importlib.import_module("quatlie.quaternify")
@@ -264,16 +266,125 @@ def test_closure_takes_the_whole_set_when_an_h_line_is_missing(monkeypatch):
     calls = []
     original = quaternify_module.close_vecs
 
-    def recorded(generators, n, ops=None):
-        span = original(generators, n, ops)
-        calls.append((ops is not None, span.rank))
+    def recorded(generators, n, ops=None, cell_weight=None):
+        span = original(generators, n, ops, cell_weight)
+        calls.append((ops is not None, cell_weight is not None, span.rank))
         return span
 
     monkeypatch.setattr(quaternify_module, "close_vecs", recorded)
     span = close_generators(gens)
-    full = original(generating_set(gens), 2)
-    assert calls == [(True, 4), (False, full.rank)]
+    full = original(generating_set(gens), 2)  # ungraded
+    # both closures are graded, by the h rows' d_p - d_q
+    assert calls == [(True, True, 4), (False, True, full.rank)]
     assert span.rows == full.rows and span.pivots == full.pivots
+
+
+def _graded_and_ungraded(seeds, n, ops, hs, monkeypatch):
+    """``close_vecs(seeds, n, ops)`` graded by the h rows ``hs`` and
+    ungraded, each with the number of brackets it computed."""
+    counts = []
+    original = bracket_module.bracket_grouped
+
+    def counted(x, y, n):
+        counts[-1] += 1
+        return original(x, y, n)
+
+    monkeypatch.setattr(bracket_module, "bracket_grouped", counted)
+    spans = []
+    for weights in (cell_weights(hs, n), None):
+        counts.append(0)
+        spans.append(close_vecs(seeds, n, ops, weights))
+    return spans, counts
+
+
+def _same_span(a, b):
+    return a.rows == b.rows and a.pivots == b.pivots
+
+
+CLOSURE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("C", 2), ("C", 3), ("C", 4), ("D", 3)]
+# the defining B3 and D4 realizations, whose closures have non-root weights
+GRADED_TYPES = [*((t, r, "closure") for t, r in CLOSURE_TYPES), ("B", 3, "defining"), ("D", 4, "defining")]
+
+
+@pytest.mark.parametrize("type_label,rank,realization", GRADED_TYPES)
+def test_graded_closure_equals_the_ungraded_one(type_label, rank, realization, monkeypatch):
+    # the skip never changes the span, and on every type it skips brackets
+    if realization == "closure":
+        gens, _ = closure_realization(type_label, rank)
+    else:
+        gens = chevalley_generators(type_label, rank)
+    n = gens.ambient_n
+    ef = generating_set(gens)[4 * rank :]  # the h lines come first
+    (graded, ungraded), (fewer, more) = _graded_and_ungraded(
+        ef, n, ef, gens.rows["h"], monkeypatch
+    )
+    assert _same_span(graded, ungraded)
+    assert graded.rank == 4 * n * n - 1  # all of sl(n, H)
+    assert fewer < more
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 1), ("A", 2), ("B", 2)])
+def test_graded_pairwise_closure_equals_the_ungraded_one(type_label, rank, monkeypatch):
+    gens, _ = closure_realization(type_label, rank)
+    (graded, ungraded), (fewer, more) = _graded_and_ungraded(
+        generating_set(gens), gens.ambient_n, None, gens.rows["h"], monkeypatch
+    )
+    assert _same_span(graded, ungraded)
+    assert fewer < more
+
+
+@pytest.mark.parametrize("ops", ["pairwise", "ad"])
+def test_graded_closure_with_an_inhomogeneous_generator(ops, monkeypatch):
+    # e_1 + f_1 lies on cells of the weights alpha_1 and -alpha_1: no
+    # bracket with it, or with any other row of two weights, is skipped
+    gens, _ = closure_realization("A", 2)
+    rows = gens.rows
+    mixed = {**rows["e"][0], **rows["f"][0]}  # disjoint cells
+    seeds = [*quaternion_line(mixed), *generating_set(gens)[8:]]
+    (graded, ungraded), _ = _graded_and_ungraded(
+        seeds, 3, seeds if ops == "ad" else None, rows["h"], monkeypatch
+    )
+    assert _same_span(graded, ungraded)
+    assert graded.rank > 0
+
+
+def test_graded_closure_with_a_zero_op(monkeypatch):
+    # a zero op has no weight and no support: it is never skipped, and
+    # never bracketed
+    gens, _ = closure_realization("A", 2)
+    ef = generating_set(gens)[8:]
+    (graded, ungraded), (fewer, more) = _graded_and_ungraded(
+        ef, 3, [{}, *ef, {}], gens.rows["h"], monkeypatch
+    )
+    (plain, _), (fewer_plain, _) = _graded_and_ungraded(ef, 3, ef, gens.rows["h"], monkeypatch)
+    assert _same_span(graded, ungraded) and _same_span(graded, plain)
+    assert fewer == fewer_plain < more
+
+
+@pytest.mark.parametrize(
+    "type_label,rank",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("C", 2), ("D", 3), ("C", 3), ("C", 4), ("A", 6)],
+)
+def test_weight_blocks_are_reduced_echelon(type_label, rank):
+    # a block of whole closure rows is taken as it is: the same rows as
+    # the echelon basis of what it spans
+    gens, _ = closure_realization(type_label, rank)
+    n = gens.ambient_n
+    span = close_generators(gens)
+    spaces = weight_spaces(span, gens.rows["h"], sorted(_signed_root_weights(gens.cartan)), n)
+    for values, rows in spaces.items():
+        assert rows == span_of(rows, 4 * n * n).rows, values
+    assert sum(map(len, spaces.values())) == span.rank
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 4), ("C", 3), ("A", 6)])
+def test_constants_sweep_agrees_with_express_oracle(algebras, type_label, rank):
+    # solving each bracket in place gives the table of filtered brackets
+    # expressed one by one: the same items in the same order, all `int`
+    g = algebras(type_label, rank)
+    table = structure_constants(g.basis, g.ambient_n, g.solver).table
+    assert list(table.items()) == list(constants_by_express(g.basis, g.ambient_n, g.solver).items())
+    assert {type(c) for terms in table.values() for _, c in terms} == {int}
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 1), ("A", 2), ("A", 3), ("D", 3)])

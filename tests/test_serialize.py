@@ -188,8 +188,11 @@ def reference_constants_from_json(data) -> StructureConstants:
         if k in terms:
             raise MalformedInputError(f"structure constant entry {[i, j, k]} is repeated")
         terms[k] = value
-    for (i, j), terms in grouped.items():
-        sc.set_entry(i, j, terms.items())
+    for key, terms in grouped.items():
+        # zero coefficients dropped, and a key left with no term stores nothing
+        nonzero = tuple((k, c) for k, c in terms.items() if c)
+        if nonzero:
+            sc.table[key] = nonzero
     return sc
 
 
