@@ -23,9 +23,9 @@ structure check bracket only the pairs whose supports meet
 (:func:`support_masks`): [X, Y] has no term unless a column of X is a
 row of Y or a column of Y a row of X, so every other pair's bracket is
 exactly zero, and about half the pairs of a sweep are such.  The
-constants sweep and the structure check work on the fresh dict in
-place: the sweep solves it (``LinearSolver.eliminate``), the check
-subtracts the table's combination from it.
+constants sweep and the structure check take the fresh dict as it is:
+the sweep solves it (``LinearSolver.express`` ignores zero values), the
+check subtracts the table's combination from it in place.
 
 The conjugations are sign flips: sigma (z1 + j*z2 -> z1 - j*z2) negates
 offsets 2 and 3 of every entry, tau (complex conjugation of z1 and z2)
@@ -52,21 +52,8 @@ set span it (de Graaf, *Lie Algebras: Theory and Algorithms*, 2000).
 The ambient real dimension 4*n*n bounds the number of accepted members,
 so the loop terminates.  The resulting reduced-echelon basis is
 canonical for the closed subspace, hence independent of generator order.
-
-The closure takes an additive grading of the matrix cells, d_p - d_q for
-cell (p, q) (``quaternify`` reads d off the diagonals of the h rows), and
-skips brackets by it.  [X, Y]_pq sums X_pr Y_rq, and the weights of (p, r)
-and (r, q) add up to that of (p, q), so the bracket of a row of one weight
-a with a row of one weight b lies on the cells of weight a + b.  Accepted
-members are independent, so once the accepted members of the one weight
-w number 4 * (cells of weight w), they span every coordinate of weight
-w.  A later bracket of weight w then lies in the span, and would be
-rejected: it is skipped without being computed.  A row of two weights,
-a zero op, and a sum that is no cell weight are never skipped.  Since
-every skipped candidate is one the span would reject, the members
-accepted, their order and the echelon basis are those of the ungraded
-loop; only the bracket count falls (A2 368 -> 128, A3 752 -> 288, B2
-and C2 656 -> 448 by ad of the e/f lines).
+A grading of the matrix cells lets the loop skip brackets that the span
+would reject (:func:`close_vecs`).
 """
 
 from __future__ import annotations
@@ -131,7 +118,7 @@ def bracket_terms(rows_x: dict, rows_y: dict, n: int) -> dict:
 
     ``int`` inputs give ``int`` values, and a ``Fraction`` anywhere in a
     product gives a ``Fraction``.  The sweeps that solve or compare the
-    result in place (``LinearSolver.eliminate``) take it as it is.
+    result (``LinearSolver.express`` ignores zero values) take it as it is.
     """
     out: dict = {}
     _add_product(out, rows_x, rows_y, n, 1)
@@ -244,8 +231,20 @@ def close_vecs(
     ``cell_weight[p * n + q]``, a tuple, is an additive grading of the
     matrix cells: the weight of cell (p, r) plus that of (r, q) is the
     weight of (p, q), as d_p - d_q is for any numbers d.  None gives every
-    cell the one weight ().  It only decides which brackets to skip (module
-    docstring); the span is the same under any grading.
+    cell the one weight ().  It only decides which brackets to skip; the
+    span is the same under any grading.
+
+    [X, Y]_pq sums X_pr Y_rq - Y_pr X_rq, and the weights of (p, r) and
+    (r, q) add up to that of (p, q), so the bracket of a row of one weight
+    a with a row of one weight b lies on the cells of weight a + b.
+    Accepted members are independent, so once the accepted members of the
+    one weight w number 4 * (cells of weight w), they span every
+    coordinate of weight w.  A later bracket of weight w then lies in the
+    span and would be rejected: it is skipped without being computed.  A
+    row of two weights, a zero op and a sum that is no cell weight are
+    never skipped.  Since every skipped candidate is one the span would
+    reject, the members accepted, their order and the echelon basis are
+    those of the ungraded loop; only the bracket count falls.
 
     Dependent or zero generators are harmless; they reduce away during
     insertion.  Worst case the closure is all of gl(n, H).
@@ -319,8 +318,8 @@ def structure_constants(
             rj, cj = masks[j]
             if not (ci & rj or cj & ri):
                 continue
-            # the bracket's fresh dict is solved in place, zero values and all
-            coeffs = solver.eliminate(bracket_terms(x, grouped[j], n))
+            # the bracket's fresh dict is solved as it is, zero values and all
+            coeffs = solver.express(bracket_terms(x, grouped[j], n))
             if coeffs is None:
                 raise NotClosedError(
                     f"bracket of basis elements {i}, {j} leaves the span"

@@ -70,16 +70,12 @@ class SpanBasis:
     def reduce(self, vec: Vec) -> Vec:
         """Residual of ``vec`` after eliminating every pivot column."""
         out = dict(vec)
-        self.eliminate(out)
-        return out
-
-    def eliminate(self, vec: dict) -> None:
-        """:meth:`reduce` in place; zero values in ``vec`` are ignored."""
         by_pivot = self._by_pivot
-        for piv in [idx for idx in vec if idx in by_pivot]:
-            coeff = vec.get(piv)
+        for piv in [idx for idx in out if idx in by_pivot]:
+            coeff = out.get(piv)
             if coeff:
-                vec_iadd_scaled(vec, by_pivot[piv], -coeff)
+                vec_iadd_scaled(out, by_pivot[piv], -coeff)
+        return out
 
     def contains(self, vec: Vec) -> bool:
         return not self.reduce(vec)
@@ -156,20 +152,12 @@ class LinearSolver:
         """Coefficients c with ``vec == sum c[i] * rows[i]``, or None.
 
         Sparse: ``{i: c[i]}`` over the nonzero c[i], in no set order.
+        Zero values in ``vec`` are ignored, so a bracket's sums can be
+        passed as they are.
         """
-        return self.eliminate(dict(vec))
-
-    def eliminate(self, vec: dict):
-        """:meth:`express` of a vector that is reduced in place.
-
-        ``vec`` may hold zero values, which are ignored; a caller hands
-        over a fresh dict and reads nothing of it afterwards, so no copy
-        is taken.
-        """
-        self._basis.eliminate(vec)
         ambient = self.ambient_dim
         coeffs = {}
-        for idx, val in vec.items():
+        for idx, val in self._basis.reduce(vec).items():
             if idx >= ambient:
                 coeffs[idx - ambient] = -val
             elif val:

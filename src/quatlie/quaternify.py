@@ -11,16 +11,14 @@ images).  The closure is taken by ad of the e and f lines alone
 (``close_generators``): the smallest span that contains the 8*l rows
 {x, i*x, J x, J(i*x) : x in {e_k, f_k}} and is stable under their ad is
 the subalgebra they generate, at most dim * 8*l brackets (only pairs
-whose supports meet, ``bracket.support_masks``) instead of C(dim, 2).
-Every one of those rows, and every bracket of them, is homogeneous for
-the grading of the cells by ad(h) (``cell_weights``), so the closure
-skips each bracket into a weight whose coordinates the accepted rows
-already fill (``bracket.close_vecs``): such a bracket lies in the span,
-and the basis is the same as without the skip (A2 brackets 128 of the
-368 pairs whose supports meet).  When that subalgebra contains every h
-line it is the closure of the whole generator set; when any h line is
-missing, the whole set is closed pairwise instead, under the same
-grading, so h in <e, f> is checked, never assumed.  The
+whose supports meet, ``bracket.support_masks``) instead of C(dim, 2),
+and fewer still: every one of those rows, and every bracket of them, is
+homogeneous for the grading of the cells by ad(h) (``cell_weights``),
+which lets ``bracket.close_vecs`` skip the brackets that its span would
+reject.  When that subalgebra contains every h line it is the closure of
+the whole generator set; when any h line is missing, the whole set is
+closed pairwise instead, under the same grading, so h in <e, f> is
+checked, never assumed.  The
 algebra is kept as flattened coordinate rows (``Vec``, see
 ``quatlie.bracket``) from the closure to the stored basis; quaternion
 matrices appear only for the generators and the root vectors.  The
@@ -30,16 +28,14 @@ pipeline then
      (``weight_spaces``): every h_k is real diagonal, so each flattened
      coordinate is a joint ad(h) eigenvector, and a weight space is the
      span of the closure rows cut down to that weight's coordinates; it
-     checks that the rows it cuts stay in the closure (a row of one
-     weight is its own part) and that the weights are exactly zero and
-     the roots,
+     checks that every closure row has one weight and that the weights
+     are exactly zero and the roots,
   2. splits the zero-weight part k into the Cartan real form h_r, the
      derived part [k, k], and the rows of k that those do not span; the
      block must have exactly dim k rows,
   3. rebuilds the basis adapted to the decomposition (zero-weight rows,
      then one block per nonzero weight in sorted order) and extracts
-     structure constants over it, solving each bracket in place
-     (``bracket.structure_constants``), and
+     structure constants over it, and
   4. runs the check registry ``CHECKS``, which ``quatlie verify`` runs
      too: the sixteen generator relation families of
      ``freerep.FAMILIES``, Serre vanishing, the Jacobi identity,
@@ -195,32 +191,34 @@ def weight_spaces(span: SpanBasis, hs: list, weights, n: int) -> dict:
     Each h in ``hs`` must be a flattened real diagonal matrix diag(d).  Then
     [h, E_pq u] = (d_p - d_q) E_pq u, so every coordinate of cell (p, q) is a
     joint eigenvector of ad(hs), and the block of weight w is spanned by the
-    rows of ``span`` cut down to the coordinates of weight w.  Each cut row
-    must lie in ``span``, each weight must be zero or in ``weights`` (the
-    nonzero root weights), and each of ``weights`` must occur.  A row of
-    one weight is its own part and needs no such solve, and a block of
-    whole rows is taken as it is: rows of the reduced echelon ``span``,
-    in pivot order, are a reduced echelon basis of what they span.  The
+    rows of ``span`` cut down to the coordinates of weight w.
+
+    Those cut rows lie in ``span`` exactly when each row has one weight.
+    A graded span is the sum of its blocks, and the reduced echelon rows
+    of the blocks together are reduced echelon for the sum, so they are
+    the rows of ``span``; if every part of every row lay in ``span``, it
+    would be spanned by one-weight parts and so graded.  A row of two
+    weights therefore means that some part of some such row leaves
+    ``span``, which is solved for and reported; each block is the rows of
+    its weight as they are.  Each weight must be zero or in ``weights``
+    (the nonzero root weights), and each of ``weights`` must occur.  The
     zero block comes first, then the others in sorted order.
     """
     if any(idx % 4 or idx // 4 % (n + 1) for h in hs for idx in h):
         raise StructuralFailureError("an h_i is not a real diagonal matrix")
     cell_weight = cell_weights(hs, n)
     parts: dict[tuple, list] = {}
-    cut_blocks = set()  # the weights that some row was cut into
     for row in span.rows:
         cut: dict[tuple, Vec] = {}
         for idx, val in row.items():
             cut.setdefault(cell_weight[idx // 4], {})[idx] = val
-        if len(cut) == 1:  # a whole row of one weight is its own part
+        if len(cut) == 1:
             (values,) = cut
             parts.setdefault(values, []).append(row)
             continue
         for values, part in cut.items():
             if not span.contains(part):
                 raise StructuralFailureError(f"a row cut to weight {values} left the span")
-            parts.setdefault(values, []).append(part)
-            cut_blocks.add(values)
 
     zero = tuple(0 for _ in hs)
     if zero in weights:
@@ -233,13 +231,7 @@ def weight_spaces(span: SpanBasis, hs: list, weights, n: int) -> dict:
     missing = [w for w in weights if w not in parts]
     if missing:
         raise StructuralFailureError(f"weights without vectors: {missing}")
-    ambient = 4 * n * n
-    # whole rows of the reduced echelon span, in pivot order, are already
-    # a reduced echelon basis of what they span
-    spaces = {
-        w: span_of(parts[w], ambient).rows if w in cut_blocks else parts[w]
-        for w in [zero, *sorted(set(parts) - {zero})]
-    }
+    spaces = {w: parts[w] for w in [zero, *sorted(set(parts) - {zero})]}
     total = sum(map(len, spaces.values()))
     if total != span.rank:
         raise StructuralFailureError(f"weight spaces cover {total} of {span.rank} dimensions")
@@ -433,7 +425,7 @@ def check_structure(g: QuaternionLieAlgebra) -> CheckReport:
             for k, c in table.get((i, j), ()):
                 vec_iadd_scaled(residual, basis[k], -c)
             if any(residual.values()):
-                kind = "outside-span" if g.solver.eliminate(residual) is None else "table-mismatch"
+                kind = "outside-span" if g.solver.express(residual) is None else "table-mismatch"
                 failures.append((i, j, kind))
     return CheckReport("structure", comb(g.dim, 2), failures)
 

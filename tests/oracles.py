@@ -17,7 +17,8 @@ they cannot drift into the code they judge.
   echelon rows of a closure unflattened into quaternion matrices.
 * ``constants_by_express``, the bracket table from every pair's
   filtered bracket and a ``LinearSolver.express`` solve of it, as the
-  constants sweep computed it before it solved each bracket in place.
+  constants sweep computed it before it solved each bracket's unfiltered
+  sums.
 """
 
 from __future__ import annotations

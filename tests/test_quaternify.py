@@ -366,8 +366,8 @@ def test_graded_closure_with_a_zero_op(monkeypatch):
     [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("C", 2), ("D", 3), ("C", 3), ("C", 4), ("A", 6)],
 )
 def test_weight_blocks_are_reduced_echelon(type_label, rank):
-    # a block of whole closure rows is taken as it is: the same rows as
-    # the echelon basis of what it spans
+    # each block is the closure rows of its weight as they are: the same
+    # rows as the echelon basis of what they span
     gens, _ = closure_realization(type_label, rank)
     n = gens.ambient_n
     span = close_generators(gens)
@@ -379,8 +379,8 @@ def test_weight_blocks_are_reduced_echelon(type_label, rank):
 
 @pytest.mark.parametrize("type_label,rank", [("A", 4), ("C", 3), ("A", 6)])
 def test_constants_sweep_agrees_with_express_oracle(algebras, type_label, rank):
-    # solving each bracket in place gives the table of filtered brackets
-    # expressed one by one: the same items in the same order, all `int`
+    # solving each bracket's unfiltered sums gives the table of filtered
+    # brackets expressed one by one: the same items in the same order, all `int`
     g = algebras(type_label, rank)
     table = structure_constants(g.basis, g.ambient_n, g.solver).table
     assert list(table.items()) == list(constants_by_express(g.basis, g.ambient_n, g.solver).items())
