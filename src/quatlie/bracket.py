@@ -16,16 +16,12 @@ building quaternion matrices.
 The kernel takes two steps.  :func:`group_rows` groups a row's
 coordinates by matrix row, and :func:`bracket_terms` brackets two
 grouped rows into a fresh dict, zero sums kept; :func:`bracket_grouped`
-drops them.  Every sweep over pairs (closure, structure constants, the
-structure check, the derived span, the generator relations) groups each
-of its rows once per sweep.  The closure, the constants and the
-structure check bracket only the pairs whose supports meet
-(:func:`support_masks`): [X, Y] has no term unless a column of X is a
-row of Y or a column of Y a row of X, so every other pair's bracket is
-exactly zero, and about half the pairs of a sweep are such.  The
-constants sweep and the structure check take the fresh dict as it is:
-the sweep solves it (``LinearSolver.express`` ignores zero values), the
-check subtracts the table's combination from it in place.
+drops them.  Every sweep over pairs groups each of its rows once.
+[X, Y] has no term unless a column of X is a row of Y or a column of Y
+a row of X; the closure tests that on :func:`support_masks`.  The
+structure constants and check read a row's brackets off an index of the
+later rows (:func:`sweep_brackets`) and take each fresh dict as it is:
+the constants solve it, the check subtracts the table's entry from it.
 
 The conjugations are sign flips: sigma (z1 + j*z2 -> z1 - j*z2) negates
 offsets 2 and 3 of every entry, tau (complex conjugation of z1 and z2)
@@ -69,6 +65,7 @@ from .matrices import QuatMatrix, flatten
 
 # e_s * e_t = _SIGN[s][t] * e_(s ^ t) for the coordinate units (1, i, j, -k)
 _SIGN = ((1, 1, 1, 1), (1, -1, -1, 1), (1, 1, -1, -1), (1, -1, 1, -1))
+_NEG_SIGN_T = tuple(tuple(-_SIGN[t][s] for t in range(4)) for s in range(4))
 
 
 def bracket(x: QuatMatrix, y: QuatMatrix) -> QuatMatrix:
@@ -117,8 +114,7 @@ def bracket_terms(rows_x: dict, rows_y: dict, n: int) -> dict:
     as a fresh dict that may hold zero values where terms cancel.
 
     ``int`` inputs give ``int`` values, and a ``Fraction`` anywhere in a
-    product gives a ``Fraction``.  The sweeps that solve or compare the
-    result (``LinearSolver.express`` ignores zero values) take it as it is.
+    product gives a ``Fraction``.
     """
     out: dict = {}
     _add_product(out, rows_x, rows_y, n, 1)
@@ -129,6 +125,43 @@ def bracket_terms(rows_x: dict, rows_y: dict, n: int) -> dict:
 def bracket_grouped(rows_x: dict, rows_y: dict, n: int) -> Vec:
     """:func:`bracket_terms` with only the nonzero values kept."""
     return {idx: val for idx, val in bracket_terms(rows_x, rows_y, n).items() if val}
+
+
+def sweep_brackets(vecs: list[Vec], n: int):
+    """Yield ``(i, {j: [x_i, x_j]})`` for i from the last row to the first,
+    over the rows j > i whose bracket with x_i has a term, each bracket a
+    fresh dict as :func:`bracket_terms` gives it.
+
+    (x_i x_j)_pq pairs x_i at (p, r) with x_j at (r, q), and (x_j x_i)_pq
+    x_j at (p, r) with x_i at (r, q): the later rows are indexed by matrix
+    row and column; row i joins the index after its own brackets.
+    """
+    by_row: list = [[] for _ in range(n)]  # r -> (j, 4q, t, w) for x_j at (r, q)
+    by_col: list = [[] for _ in range(n)]  # r -> (j, 4np, t, w) for x_j at (p, r)
+    for i in range(len(vecs) - 1, -1, -1):
+        grouped = group_rows(vecs[i], n)
+        out: dict = {}
+        for p, entries in grouped.items():
+            for r, s, v in entries:
+                # e_s e_t for x_i x_j, and -e_t e_s for x_j x_i, by t
+                for hits, base, signs in (
+                    (by_row[r], 4 * n * p, _SIGN[s]),
+                    (by_col[p], 4 * r, _NEG_SIGN_T[s]),
+                ):
+                    for j, other_base, t, w in hits:
+                        idx = base + other_base + (s ^ t)
+                        term = v * w if signs[t] == 1 else -(v * w)
+                        terms = out.get(j)
+                        if terms is None:
+                            out[j] = {idx: term}
+                        else:
+                            acc = terms.get(idx)
+                            terms[idx] = term if acc is None else acc + term
+        yield i, out
+        for p, entries in grouped.items():
+            for q, t, w in entries:
+                by_row[p].append((i, 4 * q, t, w))
+                by_col[q].append((i, 4 * n * p, t, w))
 
 
 def sigma_vec(x: Vec) -> Vec:
@@ -240,7 +273,8 @@ def close_vecs(
     Accepted members are independent, so once the accepted members of the
     one weight w number 4 * (cells of weight w), they span every
     coordinate of weight w.  A later bracket of weight w then lies in the
-    span and would be rejected: it is skipped without being computed.  A
+    span and would be rejected: it is skipped without being computed, and
+    a queued one, which carries its weight, is dropped uninserted.  A
     row of two weights, a zero op and a sum that is no cell weight are
     never skipped.  Since every skipped candidate is one the span would
     reject, the members accepted, their order and the echelon basis are
@@ -265,9 +299,11 @@ def close_vecs(
         for x in (group_rows(v, n) for v in ops or ())
     ]
     weight_sum: dict = {}  # (a, b) -> a + b, by first use
-    pending = deque(generators)
+    pending = deque((v, None) for v in generators)  # (row, its weight or None)
     while pending:
-        candidate = pending.popleft()
+        candidate, w = pending.popleft()
+        if room.get(w) == 0:  # a weight filled since the candidate was queued
+            continue
         if not span.insert(candidate):
             continue
         grouped = group_rows(candidate, n)
@@ -278,13 +314,14 @@ def close_vecs(
         for x, r, c, b in partners:
             if not (c & rows or cols & r):
                 continue
+            total = None
             if a is not None and b is not None:
                 total = weight_sum.get((a, b))
                 if total is None:
                     total = weight_sum[a, b] = tuple(map(operator.add, a, b))
                 if room.get(total) == 0:  # a filled weight: the span holds the bracket
                     continue
-            pending.append(bracket_grouped(x, grouped, n))
+            pending.append((bracket_grouped(x, grouped, n), total))
         if ops is None:
             partners.append((grouped, rows, cols, a))
     return span
@@ -308,25 +345,15 @@ def structure_constants(
     """
     if solver is None:
         solver = LinearSolver(vecs, 4 * n * n)
-    sc = StructureConstants(dim=len(vecs))
-    table = sc.table
-    grouped = [group_rows(v, n) for v in vecs]
-    masks = [support_masks(x) for x in grouped]
-    for i, x in enumerate(grouped):
-        ri, ci = masks[i]
-        for j in range(i + 1, len(grouped)):
-            rj, cj = masks[j]
-            if not (ci & rj or cj & ri):
-                continue
-            # the bracket's fresh dict is solved as it is, zero values and all
-            coeffs = solver.express(bracket_terms(x, grouped[j], n))
+    table = {}
+    for i, brackets in sweep_brackets(vecs, n):
+        for j, terms in brackets.items():
+            coeffs = solver.express(terms)  # zero values and all
             if coeffs is None:
-                raise NotClosedError(
-                    f"bracket of basis elements {i}, {j} leaves the span"
-                )
+                raise NotClosedError(f"bracket of basis elements {i}, {j} leaves the span")
             if coeffs:
-                table[(i, j)] = tuple(sorted(coeffs.items()))
-    return sc
+                table[i, j] = tuple(sorted(coeffs.items()))
+    return StructureConstants(dim=len(vecs), table=dict(sorted(table.items())))
 
 
 @dataclass

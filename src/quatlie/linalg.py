@@ -131,38 +131,52 @@ class LinearSolver:
     """Expresses vectors over a fixed independent (not necessarily echelon) basis.
 
     Each basis vector is augmented with a tracking coordinate beyond the
-    ambient dimension, so reduction of an augmented input reads off the
-    coefficients over the original rows.
+    ambient dimension, and the augmented rows are brought to reduced
+    echelon form.  Each row has an ambient pivot, and its tracking terms
+    are its coefficients over the input rows.  A vector in the span is
+    the sum of its value at each pivot times that row.
     """
 
     def __init__(self, rows: list[Vec], ambient_dim: int):
-        self.ambient_dim = ambient_dim
-        self.size = len(rows)
-        self._basis = SpanBasis(ambient_dim + self.size)
+        basis = SpanBasis(ambient_dim + len(rows))
         for offset, row in enumerate(rows):
             augmented = dict(row)
             augmented[ambient_dim + offset] = 1
-            residual = self._basis.reduce(augmented)
+            residual = basis.reduce(augmented)
             # a dependent row leaves only tracking coordinates behind
             if not residual or min(residual) >= ambient_dim:
                 raise DegenerateInputError("solver rows are linearly dependent")
-            self._basis.insert(residual)
+            basis.insert(residual)
+        # pivot -> (the row's other ambient terms, its coefficients over the rows)
+        self._by_pivot: dict = {}
+        for piv, row in zip(basis.pivots, basis.rows):
+            others, combination = self._by_pivot[piv] = [], []
+            for idx, val in row.items():
+                if idx >= ambient_dim:
+                    combination.append((idx - ambient_dim, val))
+                elif idx != piv:
+                    others.append((idx, val))
 
     def express(self, vec: Vec):
         """Coefficients c with ``vec == sum c[i] * rows[i]``, or None.
 
         Sparse: ``{i: c[i]}`` over the nonzero c[i], in no set order.
         Zero values in ``vec`` are ignored, so a bracket's sums can be
-        passed as they are.
+        passed as they are.  ``vec`` is outside the span when a non-pivot
+        coordinate is left nonzero.
         """
-        ambient = self.ambient_dim
-        coeffs = {}
-        for idx, val in self._basis.reduce(vec).items():
-            if idx >= ambient:
-                coeffs[idx - ambient] = -val
-            elif val:
-                return None
-        return coeffs
+        by_pivot = self._by_pivot
+        rest: dict = {}
+        coeffs: dict = {}
+        for idx, val in vec.items():
+            if val:
+                # a non-pivot coordinate goes to the rest as it is
+                others, combination = by_pivot.get(idx) or (((idx, -1),), ())
+                for col, a in others:
+                    rest[col] = rest.get(col, 0) - val * a
+                for k, m in combination:
+                    coeffs[k] = coeffs.get(k, 0) + val * m
+        return None if any(rest.values()) else {k: c for k, c in coeffs.items() if c}
 
 
 def kernel_basis(equations: list[Vec], nvars: int) -> list[Vec]:

@@ -85,14 +85,13 @@ from .bracket import (
     StructureConstants,
     bracket,
     bracket_grouped,
-    bracket_terms,
     close_vecs,
     group_rows,
     left_unit_vec,
     sigma_parity,
     sigma_vec,
     structure_constants,
-    support_masks,
+    sweep_brackets,
     tau_vec,
 )
 from .errors import CheckReport, NotClosedError, StructuralFailureError
@@ -402,31 +401,29 @@ def check_structure(g: QuaternionLieAlgebra) -> CheckReport:
     the two are equal exactly when the bracket's coefficients are the
     stored ones, and no solve is needed to confirm a pair: the table's
     combination is subtracted in place from the pair's fresh bracket
-    dict (``bracket_terms``), and the pair fails when any value is left
-    nonzero.  A pair whose supports miss (``support_masks``) is decided
-    without a bracket: no column of one row is a matrix row of the
-    other, so the bracket has no product term and is exactly zero, as
-    the rows' own coordinates show.  A solve runs only on a mismatch, to
-    name it: the residual lies in the span exactly when the bracket does
-    (the combination is in it), so ``outside-span`` when the residual
-    leaves the span, else ``table-mismatch``.
+    dict, and the pair fails when any value is left nonzero.
+    ``sweep_brackets`` yields only the pairs with a term, the others'
+    brackets being zero, so row i walks those and the table's pairs
+    (i, j).  A solve runs only on a mismatch, to name it: the residual
+    lies in the span exactly when the bracket does (the combination is
+    in it), so ``outside-span`` when the residual leaves the span, else
+    ``table-mismatch``.
     """
-    n = g.ambient_n
     basis = g.basis
-    table = g.constants.table
-    grouped = [group_rows(row, n) for row in basis]
-    masks = [support_masks(x) for x in grouped]
+    entries: dict = {}  # i -> [(j, terms)] of the table
+    for (i, j), terms in g.constants.table.items():
+        entries.setdefault(i, []).append((j, terms))
     failures = []
-    for i, x in enumerate(grouped):
-        ri, ci = masks[i]
-        for j in range(i + 1, g.dim):
-            rj, cj = masks[j]
-            residual = bracket_terms(x, grouped[j], n) if ci & rj or cj & ri else {}
-            for k, c in table.get((i, j), ()):
+    for i, brackets in sweep_brackets(basis, g.ambient_n):
+        for j, terms in entries.get(i, ()):
+            residual = brackets.setdefault(j, {})
+            for k, c in terms:
                 vec_iadd_scaled(residual, basis[k], -c)
+        for j, residual in brackets.items():
             if any(residual.values()):
                 kind = "outside-span" if g.solver.express(residual) is None else "table-mismatch"
                 failures.append((i, j, kind))
+    failures.sort()
     return CheckReport("structure", comb(g.dim, 2), failures)
 
 

@@ -16,9 +16,12 @@ they cannot drift into the code they judge.
 * ``is_J_submodule``, ``vec_from_dense`` and ``closure_matrices``, the
   echelon rows of a closure unflattened into quaternion matrices.
 * ``constants_by_express``, the bracket table from every pair's
-  filtered bracket and a ``LinearSolver.express`` solve of it, as the
-  constants sweep computed it before it solved each bracket's unfiltered
-  sums.
+  filtered bracket and a solve of it, as the constants sweep computed it
+  before it read each row's brackets off an index.
+* ``ReductionSolver``, the augmented solver that reduces its input by
+  the whole augmented echelon basis and reads the coefficients off the
+  tracking coordinates, as ``LinearSolver`` did before it read a
+  vector's values at the pivots.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from quatlie.bracket import bracket_grouped, group_rows
-from quatlie.errors import MalformedInputError
-from quatlie.linalg import Vec
+from quatlie.errors import DegenerateInputError, MalformedInputError
+from quatlie.linalg import SpanBasis, Vec
 from quatlie.matrices import QuatMatrix, _checked_span, apply_J, flatten
 from quatlie.scalars import GR_ZERO, Quaternion, integral
 
@@ -53,6 +56,35 @@ def vec_from_dense(values) -> Vec:
 def bracket_vec(x: Vec, y: Vec, n: int) -> Vec:
     """Commutator of two flattened n x n quaternion matrices, flattened."""
     return bracket_grouped(group_rows(x, n), group_rows(y, n), n)
+
+
+class ReductionSolver:
+    """Expresses vectors over independent rows by reduction with the
+    echelon basis of the rows, each augmented with a tracking coordinate
+    beyond the ambient dimension."""
+
+    def __init__(self, rows: list[Vec], ambient_dim: int):
+        self.ambient_dim = ambient_dim
+        self._basis = SpanBasis(ambient_dim + len(rows))
+        for offset, row in enumerate(rows):
+            augmented = dict(row)
+            augmented[ambient_dim + offset] = 1
+            residual = self._basis.reduce(augmented)
+            if not residual or min(residual) >= ambient_dim:
+                raise DegenerateInputError("solver rows are linearly dependent")
+            self._basis.insert(residual)
+
+    def express(self, vec: Vec):
+        """Coefficients c with ``vec == sum c[i] * rows[i]``, or None;
+        zero values in ``vec`` are ignored."""
+        ambient = self.ambient_dim
+        coeffs = {}
+        for idx, val in self._basis.reduce(vec).items():
+            if idx >= ambient:
+                coeffs[idx - ambient] = -val
+            elif val:
+                return None
+        return coeffs
 
 
 def constants_by_express(vecs: list[Vec], n: int, solver) -> dict:

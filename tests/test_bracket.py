@@ -8,6 +8,7 @@ from quatlie.bracket import (
     StructureConstants,
     bracket,
     bracket_grouped,
+    bracket_terms,
     check_conjugation_equivariance,
     close_under_bracket,
     close_vecs,
@@ -16,6 +17,7 @@ from quatlie.bracket import (
     left_unit_vec,
     sigma_vec,
     structure_constants,
+    sweep_brackets,
     tau_vec,
 )
 from quatlie.matrices import (
@@ -30,7 +32,7 @@ from quatlie.realizations import build_named, membership
 from quatlie.scalars import Q_I, Q_J, Q_ONE
 
 from conftest import rand_qmatrix, rand_quat
-from oracles import bracket_vec, closure_matrices, mj_embed, mj_extract
+from oracles import bracket_vec, closure_matrices, meeting_pairs, mj_embed, mj_extract
 
 
 def unit(n, p, q, coeff=Q_ONE):
@@ -141,6 +143,57 @@ def test_grouped_kernel_matches_bracket_vec_and_matrix_bracket(drawn):
     assert group_rows({}, n) == {}
     assert bracket_grouped(group_rows(fx, n), {}, n) == {}
     assert bracket_grouped({}, group_rows(fy, n), n) == {}
+
+
+@st.composite
+def sweep_rows(draw):
+    """n in 1..4 and sparse rows on a few shared cells, all int or with
+    rationals, ending in v E_11 and 2v E_11, whose bracket cancels."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    cells = draw(st.lists(st.integers(min_value=0, max_value=n * n - 1), min_size=1, max_size=3))
+    value = draw(st.sampled_from([nonzero_int, nonzero_rational]))
+    coords = st.sampled_from([4 * cell + s for cell in cells for s in range(4)])
+    rows = draw(st.lists(st.dictionaries(coords, value, max_size=4), max_size=6))
+    v = draw(value)
+    return n, [*rows, {0: v}, {0: 2 * v}]
+
+
+def sweep_pairs(rows, n):
+    """(i, j) -> the yielded bracket, checking that each row yields once,
+    from the last to the first, and each pair at most once."""
+    yielded = {}
+    order = []
+    for i, brackets in sweep_brackets(rows, n):
+        order.append(i)
+        for j, terms in brackets.items():
+            assert (i, j) not in yielded and j > i
+            yielded[i, j] = terms
+    assert order == list(range(len(rows) - 1, -1, -1))
+    return yielded
+
+
+def assert_sweep_matches_pairwise_kernel(rows, n):
+    yielded = sweep_pairs(rows, n)
+    assert sorted(yielded) == meeting_pairs(rows, n)
+    grouped = [group_rows(row, n) for row in rows]
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            terms = yielded.get((i, j), {})
+            if (i, j) in yielded:
+                assert terms == bracket_terms(grouped[i], grouped[j], n), (i, j)
+            assert {k: v for k, v in terms.items() if v} == bracket_vec(rows[i], rows[j], n), (i, j)
+    return yielded
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_rows())
+def test_sweep_yields_the_meeting_pairs_and_their_brackets(drawn):
+    n, rows = drawn
+    yielded = assert_sweep_matches_pairwise_kernel(rows, n)
+    last = len(rows) - 2, len(rows) - 1
+    assert yielded[last] == {0: 0}  # v E_11 and 2v E_11 commute: the zero sum is kept
+    if all(type(v) is int for row in rows for v in row.values()):
+        assert all(type(v) is int for terms in yielded.values() for v in terms.values())
 
 
 @settings(max_examples=100, deadline=None)

@@ -489,57 +489,64 @@ def _stored_basis(path):
 A2_MEETING_PAIRS = 358
 
 
+KERNEL = ("group_rows", "bracket_terms", "bracket_grouped")
+
+
+def _count_kernel_calls(monkeypatch, counts, refuse=()):
+    """Count each call of the ``KERNEL`` functions into ``counts`` by name,
+    wherever the bracket and quaternify modules call them; a call made
+    while ``refuse`` is non-empty fails the test."""
+    for module in (bracket, quaternify):
+        for name in KERNEL:
+            if not hasattr(module, name):
+                continue
+
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                counts[_name] += 1
+                if refuse:
+                    raise AssertionError(f"{refuse[-1]} called {_name}")
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+
 @pytest.mark.parametrize(
     "checks", ["structure,jacobi,conjugations", "jacobi,structure,conjugations", "conjugations,jacobi"]
 )
 def test_verify_brackets_each_meeting_basis_pair_once(a2_file, checks, monkeypatch, capsys):
-    # the structure sweep brackets exactly the basis pairs whose supports
-    # meet, each once and in order, into a fresh dict (`bracket_terms`),
-    # and decides the others without a bracket
+    # the structure sweep yields exactly the basis pairs whose supports
+    # meet, each once, and brackets no pair one at a time
     basis, n = _stored_basis(a2_file)
-    index = {}  # id of a grouped basis row -> its basis index
     pairs = []
-    group_rows, bracket_terms = quaternify.group_rows, quaternify.bracket_terms
+    sweep = quaternify.sweep_brackets
 
-    def grouped(row, n):
-        out = group_rows(row, n)
-        index[id(out)] = basis.index(row)
-        return out
+    def recorded(vecs, n):
+        for i, brackets in sweep(vecs, n):
+            pairs.extend((i, j) for j in brackets)
+            yield i, brackets
 
-    def counted(x, y, n):
-        pairs.append((index[id(x)], index[id(y)]))
-        return bracket_terms(x, y, n)
-
-    def unexpected(*args):
-        raise AssertionError("the structure sweep called bracket_grouped")
-
-    monkeypatch.setattr(quaternify, "group_rows", grouped)
-    monkeypatch.setattr(quaternify, "bracket_terms", counted)
-    monkeypatch.setattr(quaternify, "bracket_grouped", unexpected)
+    counts = dict.fromkeys(KERNEL, 0)
+    _count_kernel_calls(monkeypatch, counts)
+    monkeypatch.setattr(quaternify, "sweep_brackets", recorded)
     code, _ = run_json(capsys, "verify", "--in", str(a2_file), "--checks", checks)
     assert code == 0
-    assert pairs == meeting_pairs(basis, n)
+    assert sorted(pairs) == meeting_pairs(basis, n)
     assert len(pairs) == A2_MEETING_PAIRS
+    assert counts == {"group_rows": 35, "bracket_terms": 0, "bracket_grouped": 0}
 
 
 def test_verify_groups_each_basis_row_once(a2_file, monkeypatch, capsys):
-    # the structure sweep groups the 35 basis rows once and brackets the
-    # 358 grouped pairs whose supports meet, each into a fresh dict; no
-    # other check of this run groups or brackets
+    # the structure sweep groups the 35 basis rows once and reads the
+    # brackets of the 358 pairs whose supports meet off its index, with
+    # no call of the pairwise kernel; no other check of this run groups
+    # or brackets
     assert len(meeting_pairs(*_stored_basis(a2_file))) == A2_MEETING_PAIRS
-    counts = {"group_rows": 0, "bracket_terms": 0, "bracket_grouped": 0}
-    for name in counts:
-        fn = getattr(quaternify, name)
-
-        def counted(*args, _fn=fn, _name=name):
-            counts[_name] += 1
-            return _fn(*args)
-
-        monkeypatch.setattr(quaternify, name, counted)
+    counts = dict.fromkeys(KERNEL, 0)
+    _count_kernel_calls(monkeypatch, counts)
     checks = "structure,jacobi,conjugations"
     code, _ = run_json(capsys, "verify", "--in", str(a2_file), "--checks", checks)
     assert code == 0
-    assert counts == {"group_rows": 35, "bracket_terms": A2_MEETING_PAIRS, "bracket_grouped": 0}
+    assert counts == {"group_rows": 35, "bracket_terms": 0, "bracket_grouped": 0}
 
 
 def test_verify_solves_only_for_conjugations(a2_file, monkeypatch, capsys):
@@ -649,26 +656,16 @@ def test_build_derives_k_once(tmp_path, monkeypatch, capsys):
 def test_build_groups_the_rows_of_k_once(tmp_path, monkeypatch, capsys):
     # `k-structure` reads [k, k] off the table: it groups and brackets
     # nothing, in a build or in `verify`, where the one `structure` sweep
-    # groups the 35 basis rows once and brackets each of the 358 pairs
-    # whose supports meet once, into a fresh dict
+    # groups the 35 basis rows once and brackets no pair one at a time
     in_k_structure = []
     judged_calls = []
-    counts = {"group_rows": 0, "bracket_terms": 0, "bracket_grouped": 0}
+    counts = dict.fromkeys(KERNEL, 0)
+    _count_kernel_calls(monkeypatch, counts, refuse=in_k_structure)
     k_structure = quaternify.k_structure
-    for name in counts:
-        fn = getattr(quaternify, name)
-
-        def counted(*args, _fn=fn, _name=name):
-            counts[_name] += 1
-            if in_k_structure:
-                raise AssertionError(f"k_structure called {_name}")
-            return _fn(*args)
-
-        monkeypatch.setattr(quaternify, name, counted)
 
     def judged(g):
         judged_calls.append(g.dim)
-        in_k_structure.append(True)
+        in_k_structure.append("k_structure")
         try:
             return k_structure(g)
         finally:
@@ -678,11 +675,11 @@ def test_build_groups_the_rows_of_k_once(tmp_path, monkeypatch, capsys):
     path = tmp_path / "a2.json"
     code, _ = run_json(capsys, "build", "--type", "A", "--rank", "2", "--out", str(path))
     assert code == 0 and judged_calls == [35]
-    counts.update(group_rows=0, bracket_terms=0, bracket_grouped=0)
+    counts.update(dict.fromkeys(KERNEL, 0))
     code, _ = run_json(capsys, "verify", "--in", str(path), "--checks", "structure,k-structure")
     assert code == 0 and judged_calls == [35, 35]
     assert len(meeting_pairs(*_stored_basis(path))) == A2_MEETING_PAIRS
-    assert counts == {"group_rows": 35, "bracket_terms": A2_MEETING_PAIRS, "bracket_grouped": 0}
+    assert counts == {"group_rows": 35, "bracket_terms": 0, "bracket_grouped": 0}
 
 
 def test_build_reports_a_failed_zero_block_split(tmp_path, monkeypatch, capsys):

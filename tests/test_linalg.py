@@ -11,9 +11,10 @@ from quatlie.linalg import (
     exact_div,
     kernel_basis,
     span_of,
+    vec_iadd_scaled,
 )
 
-from oracles import vec_from_dense
+from oracles import ReductionSolver, vec_from_dense
 
 
 def dense(vec, length):
@@ -159,3 +160,42 @@ def test_int_rows_stay_int_where_integral():
     mixed.insert({0: 3, 1: 1})
     assert mixed.rows == [{0: 1, 1: Fraction(1, 3)}]
     assert all(type(val) in (int, Fraction) for val in mixed.rows[0].values())
+
+
+small_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def solver_cases(draw):
+    """Independent rows in the order drawn, which is in general no echelon
+    form; a combination of them; and coordinates to pad vectors with zero
+    values."""
+    span = SpanBasis(6)
+    rows = [row for row in draw(st.lists(small_vec, min_size=1, max_size=6)) if span.insert(row)]
+    coeffs = draw(st.lists(small_coeff, min_size=len(rows), max_size=len(rows)))
+    inside: dict = {}
+    for c, row in zip(coeffs, rows):
+        vec_iadd_scaled(inside, row, c)
+    zeros = draw(st.sets(st.integers(min_value=0, max_value=5)))
+    return rows, span, inside, zeros
+
+
+@settings(max_examples=60, deadline=None)
+@given(solver_cases(), small_vec)
+def test_pivot_read_express_agrees_with_reduction(case, other):
+    rows, span, inside, zeros = case
+    solver, reference = LinearSolver(rows, 6), ReductionSolver(rows, 6)
+    free = [idx for idx in range(6) if idx not in span.pivots]
+    # a unit vector at a non-pivot column reduces to itself: outside the span
+    outside = [{**inside, free[0]: inside.get(free[0], 0) + 1}] if free else []
+    for vec in (inside, other, *outside):
+        padded = {**dict.fromkeys(zeros, Fraction(0)), **vec}
+        assert solver.express(padded) == reference.express(padded)
+    for vec in outside:
+        assert solver.express(vec) is None
+    coeffs = solver.express({**dict.fromkeys(zeros, 0), **inside})
+    assert all(coeffs.values())
+    rebuilt: dict = {}
+    for k, c in coeffs.items():
+        vec_iadd_scaled(rebuilt, rows[k], c)
+    assert rebuilt == inside

@@ -6,7 +6,10 @@ and its failures (the honest A1 file is green).  The edits:
 
 * each structure-constant coefficient, negated or dropped;
 * each nonzero basis coordinate, set from v to -v or to 2v;
-* each zero coordinate of a cell where a basis row is nonzero, set to 1.
+* each zero coordinate of a cell where a basis row is nonzero, set to 1;
+* each coordinate of a cell where a basis row is zero, set to 1.  These
+  edits change a row's support, which is what the structure sweep's
+  index of the rows reads.
 
 The structure sweep, and every check that reads the table through it,
 must catch the basis and table edits: a `check_structure` that compares
@@ -81,6 +84,20 @@ def _coordinate_edits(doc, paths):
                         yield f"{where} cell ({p}, {q}) offset {s}: {text} -> {value}", edited
 
 
+def _zero_cell_edits(doc, paths):
+    """Each coordinate of each all-zero cell of the matrices at ``paths`` set to 1."""
+    for path in paths:
+        for p, cells in enumerate(_at(doc, path)["entries"]):
+            for q, cell in enumerate(cells):
+                if cell != ["0"] * 4:
+                    continue
+                for s in range(4):
+                    edited = copy.deepcopy(doc)
+                    _at(edited, path)["entries"][p][q][s] = "1"
+                    where = " ".join(map(str, path))
+                    yield f"{where} zero cell ({p}, {q}) offset {s}: 0 -> 1", edited
+
+
 def _edits(doc):
     """(label, edited copy of ``doc``) for every edit of the module docstring."""
     for pos, entry in enumerate(doc["structure_constants"]["entries"]):
@@ -91,7 +108,9 @@ def _edits(doc):
         dropped = copy.deepcopy(doc)
         del dropped["structure_constants"]["entries"][pos]
         yield f"drop entry {pos}", dropped
-    yield from _coordinate_edits(doc, [("basis", b) for b in range(len(doc["basis"]))])
+    basis = [("basis", b) for b in range(len(doc["basis"]))]
+    yield from _coordinate_edits(doc, basis)
+    yield from _zero_cell_edits(doc, basis)
 
 
 def _index_edits(doc):
@@ -167,6 +186,7 @@ def test_every_a1_edit_is_caught(a1_doc, tmp_path):
     entries = len(a1_doc["structure_constants"]["entries"])
     assert sum(label.startswith(("negate", "drop")) for label, _ in edits) == 2 * entries
     assert len(edits) > 2 * entries
+    assert sum("zero cell" in label for label, _ in edits) == 176  # 44 all-zero cells
     assert _survivors(a1_doc, tmp_path / "edited.json") == []
 
 

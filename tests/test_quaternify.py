@@ -49,7 +49,14 @@ from quatlie.rootsystem import Root, cartan_matrix, positive_roots, weight_of
 from quatlie.scalars import Q_I, Q_J, Q_K, Q_ONE
 from quatlie.serialize import algebra_from_json, algebra_to_json, dumps
 
-from oracles import bracket_vec, closure_matrices, constants_by_express, meeting_pairs
+from oracles import (
+    ReductionSolver,
+    bracket_vec,
+    closure_matrices,
+    constants_by_express,
+    meeting_pairs,
+)
+from test_bracket import assert_sweep_matches_pairwise_kernel
 
 # the modules, which the package's `quaternify` and `bracket` functions shadow
 quaternify_module = importlib.import_module("quatlie.quaternify")
@@ -346,6 +353,33 @@ def test_graded_closure_with_an_inhomogeneous_generator(ops, monkeypatch):
     )
     assert _same_span(graded, ungraded)
     assert graded.rank > 0
+
+
+@pytest.mark.parametrize("type_label,rank,drops", [("A", 2, 56), ("B", 2, 172)])
+def test_closure_drops_queued_brackets_of_a_filled_weight(type_label, rank, drops, monkeypatch):
+    # a bracket queued before the accepted rows fill its weight is dropped
+    # uninserted when it is dequeued (A2: 56 of 128 brackets, B2: 172 of
+    # 448); each such bracket lies in the span
+    gens, _ = closure_realization(type_label, rank)
+    queued = []
+    inserted = {}  # id -> the vector, held so that no id is reused
+    bracket_grouped, insert = bracket_module.bracket_grouped, SpanBasis.insert
+
+    def recorded(x, y, n):
+        queued.append(bracket_grouped(x, y, n))
+        return queued[-1]
+
+    def recorded_insert(self, vec):
+        inserted[id(vec)] = vec
+        return insert(self, vec)
+
+    monkeypatch.setattr(bracket_module, "bracket_grouped", recorded)
+    monkeypatch.setattr(SpanBasis, "insert", recorded_insert)
+    span = close_generators(gens)
+    dropped = [vec for vec in queued if id(vec) not in inserted]
+    assert len(dropped) == drops
+    for vec in dropped:
+        assert span.contains(vec)
 
 
 def test_graded_closure_with_a_zero_op(monkeypatch):
@@ -768,16 +802,24 @@ def test_pairs_whose_supports_miss_bracket_to_zero(algebras, type_label, rank):
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 4), ("C", 3), ("A", 6)])
-def test_constants_sweep_agrees_with_one_that_skips_nothing(
-    algebras, type_label, rank, monkeypatch
-):
+def test_constants_sweep_agrees_with_one_that_skips_nothing(algebras, type_label, rank):
+    # every pair bracketed one at a time and solved by reduction with the
+    # augmented echelon basis: the same items in the same order
     g = algebras(type_label, rank)
-    skipping = structure_constants(g.basis, g.ambient_n, g.solver)
-    # all bits set: every pair's supports meet
-    monkeypatch.setattr(bracket_module, "support_masks", lambda grouped: (-1, -1))
-    full = structure_constants(g.basis, g.ambient_n, g.solver)
-    assert list(skipping.table.items()) == list(full.table.items())
-    assert list(skipping.table.items()) == list(g.constants.table.items())
+    n = g.ambient_n
+    table = structure_constants(g.basis, n, g.solver).table
+    reference = constants_by_express(g.basis, n, ReductionSolver(g.basis, 4 * n * n))
+    assert list(table.items()) == list(reference.items())
+    assert list(table.items()) == list(g.constants.table.items())
+
+
+@pytest.mark.parametrize(
+    "type_label,rank",
+    [*ALL_TYPES, ("A", 4), ("C", 3), ("A", 6), ("C", 4)],
+)
+def test_sweep_on_built_bases_matches_the_pairwise_kernel(algebras, type_label, rank):
+    g = algebras(type_label, rank)
+    assert_sweep_matches_pairwise_kernel(g.basis, g.ambient_n)
 
 
 def test_structure_names_a_bracket_outside_the_span(algebras):
