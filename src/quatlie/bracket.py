@@ -56,8 +56,8 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from .errors import NotClosedError
 from .linalg import LinearSolver, SpanBasis, Vec
@@ -192,7 +192,6 @@ def left_unit_vec(u: int, x: Vec) -> Vec:
     return {idx ^ u: val if signs[idx & 3] > 0 else -val for idx, val in x.items()}
 
 
-@dataclass
 class StructureConstants:
     """Sparse bracket table over a fixed ordered basis.
 
@@ -200,8 +199,11 @@ class StructureConstants:
     antisymmetry and the diagonal vanishes.
     """
 
-    dim: int
-    table: dict = field(default_factory=dict)  # (i, j) -> ((k, int | Fraction), ...)
+    __slots__ = ("dim", "table")
+
+    def __init__(self, dim: int, table: dict | None = None):
+        self.dim = dim
+        self.table = {} if table is None else table  # (i, j) -> ((k, int | Fraction), ...)
 
     def get(self, i: int, j: int):
         """Bracket coefficients of [x_i, x_j] for arbitrary index order."""
@@ -237,8 +239,7 @@ class StructureConstants:
         return out
 
 
-@dataclass
-class ClosureResult:
+class ClosureResult(NamedTuple):
     span: SpanBasis
     n: int
 
@@ -273,12 +274,13 @@ def close_vecs(
     Accepted members are independent, so once the accepted members of the
     one weight w number 4 * (cells of weight w), they span every
     coordinate of weight w.  A later bracket of weight w then lies in the
-    span and would be rejected: it is skipped without being computed, and
-    a queued one, which carries its weight, is dropped uninserted.  A
-    row of two weights, a zero op and a sum that is no cell weight are
-    never skipped.  Since every skipped candidate is one the span would
-    reject, the members accepted, their order and the echelon basis are
-    those of the ungraded loop; only the bracket count falls.
+    span and would be rejected: it is skipped without being queued.  A
+    queued bracket is an operand pair with its weight, computed only when
+    it is dequeued, so one whose weight filled while it waited is dropped
+    uncomputed.  A row of two weights, a zero op and a sum that is no cell
+    weight are never skipped.  Since every skipped candidate is one the
+    span would reject, the members accepted, their order and the echelon
+    basis are those of the ungraded loop; only the bracket count falls.
 
     Dependent or zero generators are harmless; they reduce away during
     insertion.  Worst case the closure is all of gl(n, H).
@@ -299,11 +301,13 @@ def close_vecs(
         for x in (group_rows(v, n) for v in ops or ())
     ]
     weight_sum: dict = {}  # (a, b) -> a + b, by first use
-    pending = deque((v, None) for v in generators)  # (row, its weight or None)
+    # (op, grouped row, weight or None) of a bracket to take, or (None, row, None)
+    pending = deque((None, v, None) for v in generators)
     while pending:
-        candidate, w = pending.popleft()
-        if room.get(w) == 0:  # a weight filled since the candidate was queued
+        x, y, w = pending.popleft()
+        if room.get(w) == 0:  # a weight filled since the bracket was queued
             continue
+        candidate = y if x is None else bracket_grouped(x, y, n)
         if not span.insert(candidate):
             continue
         grouped = group_rows(candidate, n)
@@ -321,7 +325,7 @@ def close_vecs(
                     total = weight_sum[a, b] = tuple(map(operator.add, a, b))
                 if room.get(total) == 0:  # a filled weight: the span holds the bracket
                     continue
-            pending.append((bracket_grouped(x, grouped, n), total))
+            pending.append((x, grouped, total))
         if ops is None:
             partners.append((grouped, rows, cols, a))
     return span
@@ -356,8 +360,7 @@ def structure_constants(
     return StructureConstants(dim=len(vecs), table=dict(sorted(table.items())))
 
 
-@dataclass
-class JacobiReport:
+class JacobiReport(NamedTuple):
     dim: int
     triples_checked: int
     failures: list
@@ -390,8 +393,7 @@ def jacobi_check(sc: StructureConstants) -> JacobiReport:
     return JacobiReport(dim=dim, triples_checked=checked, failures=failures)
 
 
-@dataclass
-class EquivarianceReport:
+class EquivarianceReport(NamedTuple):
     pairs_checked: int
     failures: list
 

@@ -17,7 +17,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import serialize
 from .bracket import close_under_bracket
@@ -36,12 +35,14 @@ CHECK_ERROR = 1
 MANIFEST_DETAIL = ("dim_k", "dim_hr", "dim_hr_perp")
 
 
-@dataclass
 class Manifest:
-    command: str
-    inputs: dict
-    checks: list = field(default_factory=list)
-    timings_ms: dict = field(default_factory=dict)
+    __slots__ = ("command", "inputs", "checks", "timings_ms")
+
+    def __init__(self, command: str, inputs: dict):
+        self.command = command
+        self.inputs = inputs
+        self.checks = []
+        self.timings_ms = {}
 
     def add(self, name: str, passed: bool, instances: int, failures=(), **extra):
         self.checks.append(

@@ -39,7 +39,6 @@ form one class, evaluated once per call.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CheckReport, TruncationOverflowError
@@ -316,8 +315,7 @@ def verify_ideal_kernel(cm: CartanMatrix, degree: int) -> list[CheckReport]:
     return reports
 
 
-@dataclass
-class IndependenceReport:
+class IndependenceReport(NamedTuple):
     rank_h: int
     rank_jh: int
     expected: int

@@ -77,7 +77,6 @@ from __future__ import annotations
 import functools
 import operator
 import time
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -101,32 +100,41 @@ from .realizations import ChevalleyGenerators, closure_realization
 from .rootsystem import CartanMatrix, positive_roots, positive_roots_with_tree, weight_of
 
 
-@dataclass
 class QuaternionLieAlgebra:
     """A built or loaded algebra.  ``type_label``, ``rank``, ``ambient_n``
     and ``cartan`` read ``generators``; ``pos_roots`` and ``root_vectors``
-    (plain, grown along the root tree) are derived on construction, also
-    of a ``dataclasses.replace`` copy, which raises StructuralFailureError
-    when a root vector vanishes in the realization."""
+    (plain, grown along the root tree) are derived by the constructor,
+    which raises StructuralFailureError when a root vector vanishes in the
+    realization.  ``reports`` starts empty."""
 
-    generators: ChevalleyGenerators
-    realization: str
-    basis: list  # Vec, flattened adapted basis rows
-    solver: LinearSolver
-    constants: StructureConstants
-    weight_indices: dict  # weight values tuple -> tuple of basis indices
-    k_indices: tuple
-    hr_indices: tuple
-    hr_perp_indices: tuple
-    timings_ms: dict = field(default_factory=dict)
-    reports: dict = field(default_factory=dict, init=False)  # report name -> CheckReport
-    pos_roots: list = field(init=False)  # Root
-    root_vectors: dict = field(init=False)  # signed root coeffs -> QuatMatrix, plain part
-
-    def __post_init__(self):
-        tree = positive_roots_with_tree(self.cartan)
+    def __init__(
+        self,
+        generators: ChevalleyGenerators,
+        realization: str,
+        basis: list,  # Vec, flattened adapted basis rows
+        solver: LinearSolver,
+        constants: StructureConstants,
+        weight_indices: dict,  # weight values tuple -> tuple of basis indices
+        k_indices: tuple,
+        hr_indices: tuple,
+        hr_perp_indices: tuple,
+        timings_ms: dict | None = None,
+    ):
+        self.generators = generators
+        self.realization = realization
+        self.basis = basis
+        self.solver = solver
+        self.constants = constants
+        self.weight_indices = weight_indices
+        self.k_indices = k_indices
+        self.hr_indices = hr_indices
+        self.hr_perp_indices = hr_perp_indices
+        self.timings_ms = {} if timings_ms is None else timings_ms
+        self.reports = {}  # report name -> CheckReport
+        tree = positive_roots_with_tree(generators.cartan)
         self.pos_roots = [node.root for node in tree]
-        self.root_vectors = _root_vector_table(self.generators, tree)
+        # signed root coeffs -> QuatMatrix, plain part
+        self.root_vectors = _root_vector_table(generators, tree)
 
     type_label = property(lambda self: self.generators.type_label)
     rank = property(lambda self: self.generators.rank)

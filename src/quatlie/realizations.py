@@ -36,7 +36,7 @@ label and, through the source's defining realization, its ambient n.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bracket import bracket_grouped, group_rows, left_unit_vec
 from .errors import CheckReport, StructuralFailureError
@@ -62,8 +62,7 @@ def _units(n, *entries):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NamedAlgebra:
+class NamedAlgebra(NamedTuple):
     name: str
     n: int
     basis: list[QuatMatrix]
@@ -239,29 +238,22 @@ def _plain_transpose_sum_zero(m: QuatMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ChevalleyGenerators:
     """Generator matrices, with ``rows`` (kind -> coordinate rows of h, e, f
     and their J images Jh, Je, Jf) and ``grouped`` (those rows grouped for
     ``bracket_grouped``) built once from them on construction."""
 
-    type_label: str
-    rank: int
-    ambient_n: int
-    h: list[QuatMatrix]
-    e: list[QuatMatrix]
-    f: list[QuatMatrix]
-    cartan: CartanMatrix
-    rows: dict = field(init=False, repr=False, compare=False)
-    grouped: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("type_label", "rank", "ambient_n", "h", "e", "f", "cartan", "rows", "grouped")
 
-    def __post_init__(self):
-        plain = {"h": self.h, "e": self.e, "f": self.f}
+    def __init__(self, type_label: str, rank: int, ambient_n: int, h, e, f, cartan: CartanMatrix):
+        self.type_label, self.rank, self.ambient_n = type_label, rank, ambient_n
+        self.h, self.e, self.f, self.cartan = h, e, f, cartan
+        plain = {"h": h, "e": e, "f": f}
         rows = {kind: [flatten(m) for m in mats] for kind, mats in plain.items()}
         for kind in plain:
             rows["J" + kind] = [left_unit_vec(2, v) for v in rows[kind]]
         self.rows = rows
-        n = self.ambient_n
+        n = ambient_n
         self.grouped = {kind: [group_rows(v, n) for v in vecs] for kind, vecs in rows.items()}
 
     def relations(self, families=FAMILIES) -> list[CheckReport]:

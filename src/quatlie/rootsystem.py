@@ -12,7 +12,7 @@ the relation above produce ``[[2, -1], [-2, 2]]`` at rank 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 CLASSICAL_TYPES = ("A", "B", "C", "D")
 
@@ -31,8 +31,7 @@ MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 MAX_POSITIVE_ROOTS = 1000
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
+class CartanMatrix(NamedTuple):
     type_label: str | None
     rank: int
     entries: tuple  # tuple of tuples of int
@@ -114,8 +113,7 @@ def cartan_matrix(type_label: str, rank: int) -> CartanMatrix:
     return CartanMatrix(type_label=type_label, rank=rank, entries=entries)
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """Integer coordinates in the simple-root basis, all >= 0 or all <= 0."""
 
     coeffs: tuple
@@ -127,8 +125,7 @@ class Root:
         return Root(tuple(-a for a in self.coeffs))
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     """Values on the coroots: ``values[j] = sum_k coeffs[k] * c[k][j]``."""
 
     values: tuple
@@ -151,8 +148,7 @@ def simple_root(cm: CartanMatrix, i: int) -> Root:
     return Root(tuple(1 if k == i else 0 for k in range(cm.rank)))
 
 
-@dataclass(frozen=True)
-class RootTreeNode:
+class RootTreeNode(NamedTuple):
     root: Root
     parent: int | None  # index of the root this one was grown from
     simple: int | None  # which simple root was added

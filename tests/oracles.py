@@ -22,10 +22,12 @@ they cannot drift into the code they judge.
   the whole augmented echelon basis and reads the coefficients off the
   tracking coordinates, as ``LinearSolver`` did before it read a
   vector's values at the pivots.
+* ``replace``, a copy of a record rebuilt through its constructor.
 """
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 
 from quatlie.bracket import bracket_grouped, group_rows
@@ -329,3 +331,12 @@ def interleave(mj: MJMatrix) -> ComplexMatrix:
             full[2 * i][2 * j + 1] = -b.conj()
             full[2 * i + 1][2 * j + 1] = a.conj()
     return _cmat(full)
+
+
+def replace(obj, **changes):
+    """A copy of ``obj`` built by its class's constructor from ``changes``
+    and, for every other parameter, the attribute of ``obj`` of that name,
+    so that whatever the constructor derives or checks it does again."""
+    kwargs = {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
+    kwargs.update(changes)  # a name the constructor lacks raises TypeError there
+    return type(obj)(**kwargs)

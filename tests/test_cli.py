@@ -570,9 +570,10 @@ def test_verify_solves_only_for_conjugations(a2_file, monkeypatch, capsys):
 def test_build_closes_by_ad_of_the_ef_lines(tmp_path, monkeypatch, capsys):
     # A2: each of the 35 accepted rows meets the support of 368 of the 560
     # (e/f line, row) pairs; closing pairwise takes C(35, 2) = 595.  Of the
-    # 368, 128 are bracketed, in order: the other 240 pair rows of one
+    # 368, 72 are bracketed, in order: the other 296 pair rows of one
     # weight each whose weights sum to a weight that the accepted rows of
-    # that weight already fill, so their brackets lie in the span
+    # that weight fill before the pair is queued or dequeued, so their
+    # brackets lie in the span
     grouped_rows = []  # the rows closing groups: the 16 lines, then each accepted row
     index = {}  # id of a grouped row -> its place in grouped_rows
     calls = []
@@ -611,11 +612,11 @@ def test_build_closes_by_ad_of_the_ef_lines(tmp_path, monkeypatch, capsys):
     assert len(every) == 368
     bracketed = set(calls)
     assert calls == [pair for pair in every if pair in bracketed]
-    assert len(calls) == 128
+    assert len(calls) == 72
     closed = span_of(grouped_rows[16:], 4 * 3 * 3)
     assert closed.rank == 35
     skipped = [pair for pair in every if pair not in bracketed]
-    assert len(skipped) == 368 - 128
+    assert len(skipped) == 368 - 72
     for k, m in skipped:
         assert closed.contains(bracket_vec(grouped_rows[k], grouped_rows[m], 3)), (k, m)
 

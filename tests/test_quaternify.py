@@ -1,6 +1,6 @@
-import dataclasses
 import importlib
 import json
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -55,6 +55,7 @@ from oracles import (
     closure_matrices,
     constants_by_express,
     meeting_pairs,
+    replace,
 )
 from test_bracket import assert_sweep_matches_pairwise_kernel
 
@@ -358,28 +359,32 @@ def test_graded_closure_with_an_inhomogeneous_generator(ops, monkeypatch):
 @pytest.mark.parametrize("type_label,rank,drops", [("A", 2, 56), ("B", 2, 172)])
 def test_closure_drops_queued_brackets_of_a_filled_weight(type_label, rank, drops, monkeypatch):
     # a bracket queued before the accepted rows fill its weight is dropped
-    # uninserted when it is dequeued (A2: 56 of 128 brackets, B2: 172 of
-    # 448); each such bracket lies in the span
+    # uncomputed when it is dequeued (A2: 56 of 128 queued, B2: 172 of
+    # 448); each such bracket lies in the span, and every other queued
+    # bracket is computed once
     gens, _ = closure_realization(type_label, rank)
-    queued = []
-    inserted = {}  # id -> the vector, held so that no id is reused
-    bracket_grouped, insert = bracket_module.bracket_grouped, SpanBasis.insert
+    queued = []  # (op, grouped row, weight) of every queued bracket
+    computed = []
+    bracket_grouped = bracket_module.bracket_grouped
+
+    class RecordedQueue(deque):
+        def append(self, item):
+            queued.append(item)
+            super().append(item)
 
     def recorded(x, y, n):
-        queued.append(bracket_grouped(x, y, n))
-        return queued[-1]
+        computed.append((x, y))
+        return bracket_grouped(x, y, n)
 
-    def recorded_insert(self, vec):
-        inserted[id(vec)] = vec
-        return insert(self, vec)
-
+    monkeypatch.setattr(bracket_module, "deque", RecordedQueue)
     monkeypatch.setattr(bracket_module, "bracket_grouped", recorded)
-    monkeypatch.setattr(SpanBasis, "insert", recorded_insert)
     span = close_generators(gens)
-    dropped = [vec for vec in queued if id(vec) not in inserted]
+    taken = {(id(x), id(y)) for x, y in computed}
+    dropped = [(x, y) for x, y, _ in queued if (id(x), id(y)) not in taken]
     assert len(dropped) == drops
-    for vec in dropped:
-        assert span.contains(vec)
+    assert len(computed) == len(taken) == len(queued) - drops
+    for x, y in dropped:
+        assert span.contains(bracket_grouped(x, y, gens.ambient_n))
 
 
 def test_graded_closure_with_a_zero_op(monkeypatch):
@@ -493,7 +498,7 @@ def test_k_structure_read_off_the_table_agrees_with_brackets(algebras, type_labe
     for h in (g, _loaded(g)):
         assert k_structure(h) == _k_structure_by_brackets(h)
     for name, variant in K_SPLIT_VARIANTS.items():
-        cut = dataclasses.replace(g, **variant(g))
+        cut = replace(g, **variant(g))
         report = k_structure(cut)
         assert report == _k_structure_by_brackets(cut), name
         assert not report.ok, name
@@ -655,7 +660,7 @@ def test_hr_is_abelian_and_central_in_k(algebras):
 
 def _line_algebra(g, row):
     """``g`` cut down to the span of one row, which is bracket-closed."""
-    return dataclasses.replace(
+    return replace(
         g,
         basis=[row],
         solver=LinearSolver([row], 4 * g.ambient_n ** 2),
@@ -705,7 +710,7 @@ def _with_table(g, edit):
     """``g`` with a copy of its table that ``edit(table, g)`` has changed."""
     table = dict(g.constants.table)
     edit(table, g)
-    return dataclasses.replace(g, constants=StructureConstants(dim=g.dim, table=table))
+    return replace(g, constants=StructureConstants(dim=g.dim, table=table))
 
 
 def _negate_a_coefficient(table, g):
@@ -827,7 +832,7 @@ def test_structure_names_a_bracket_outside_the_span(algebras):
     # the span; the table claims one bracket that is 0 in fact
     g = algebras("A", 1)
     rows = [g.basis[i] for i in range(g.dim) if i not in g.k_indices]
-    cut = dataclasses.replace(
+    cut = replace(
         _line_algebra(g, rows[0]),
         basis=rows,
         solver=LinearSolver(rows, 4 * g.ambient_n**2),
@@ -895,3 +900,45 @@ def test_weight_accessors(algebras):
     assert len(space) == 4
     assert all(m in g.basis for m in space)
 
+
+# ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+
+def test_check_report_is_equal_by_type_and_fields():
+    report = CheckReport("structure", 3, [(0, 1)])
+    assert report == CheckReport("structure", 3, [(0, 1)], {})
+    assert report != CheckReport("structure", 3, [])
+    assert report != CheckReport("structure", 3, [(0, 1)], {"dim_k": 1})
+    assert report != ("structure", 3, [(0, 1)], {})
+
+    class Named(CheckReport):
+        __slots__ = ()
+
+    assert report != Named("structure", 3, [(0, 1)])
+    assert repr(report) == (
+        "CheckReport(name='structure', instances_checked=3, failures=[(0, 1)], detail={})"
+    )
+    # each report holds its own default detail
+    other = CheckReport("structure", 3, [(0, 1)])
+    other.detail["dim_k"] = 1
+    assert report.detail == {}
+
+
+def test_replace_rebuilds_the_root_data(algebras):
+    g = algebras("A", 2)
+    rebuilt = replace(g)
+    assert rebuilt.pos_roots == g.pos_roots
+    assert rebuilt.root_vectors == g.root_vectors
+    assert rebuilt.root_vectors is not g.root_vectors and rebuilt.reports == {}
+    wider = replace(g, generators=algebras("A", 3).generators)
+    assert wider.pos_roots == algebras("A", 3).pos_roots
+    assert len(wider.root_vectors) == 2 * 6
+    # e_1 set to zero: its rows are derived again, and the root vector of
+    # (1, 1) vanishes
+    gens = g.generators
+    cut = replace(gens, e=[gens.e[0], gens.e[1].scale_rational(0)])
+    assert cut.rows["e"][1] == {} and gens.rows["e"][1] != {}
+    with pytest.raises(StructuralFailureError, match=r"root vector for \(1, 1\) vanished"):
+        replace(g, generators=cut)

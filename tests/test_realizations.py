@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import warnings
@@ -18,7 +17,7 @@ from quatlie.realizations import (
 from quatlie.rootsystem import require_type_rank
 from quatlie.scalars import Q_I, Q_J, Q_ONE
 
-from oracles import is_J_submodule, mj_embed
+from oracles import is_J_submodule, mj_embed, replace
 
 DIMS = {
     "gl_n_H": lambda n: 4 * n * n,
@@ -205,11 +204,11 @@ def test_type_a1_explicit():
 
 def test_validate_names_the_failed_relation():
     gens = chevalley_generators("A", 2)
-    flipped = dataclasses.replace(gens, e=[gens.e[0], gens.e[1].scale_rational(-1)])
+    flipped = replace(gens, e=[gens.e[0], gens.e[1].scale_rational(-1)])
     with pytest.raises(StructuralFailureError, match=r"relations\.e\.f failed at \[\(1, 1\)\]"):
         flipped.validate()
     # J e_0 breaks [e_0, f_0] = h_0 too; the coordinate test runs first
-    tagged = dataclasses.replace(gens, e=[apply_J(gens.e[0]), gens.e[1]])
+    tagged = replace(gens, e=[apply_J(gens.e[0]), gens.e[1]])
     with pytest.raises(StructuralFailureError, match="generator e0 has a J component"):
         tagged.validate()
 

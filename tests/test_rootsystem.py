@@ -2,6 +2,7 @@ import pytest
 
 from quatlie.rootsystem import (
     Root,
+    Weight,
     cartan_matrix,
     custom_cartan,
     positive_roots,
@@ -176,3 +177,17 @@ def test_weight_linearity_on_roots():
             if total in roots:
                 ws = weight_of(Root(r), cm) + weight_of(Root(s), cm)
                 assert ws == weight_of(Root(total), cm)
+
+
+def test_roots_weights_and_cartan_matrices_are_values():
+    cm = cartan_matrix("B", 2)
+    assert cm == cartan_matrix("B", 2) and hash(cm) == hash(cartan_matrix("B", 2))
+    assert cm != cartan_matrix("C", 2)
+    a, b = simple_root(cm, 0), simple_root(cm, 1)
+    assert a == Root((1, 0)) and hash(a) == hash(Root((1, 0))) and a != b
+    assert type(a + b) is Root and a + b == Root((1, 1))
+    assert type(-a) is Root and -a == Root((-1, 0))
+    assert {a: "short", b: "long"}[Root((0, 1))] == "long"
+    w = weight_of(a, cm)
+    assert w == Weight((2, -1)) and hash(w) == hash(Weight((2, -1)))
+    assert -w == Weight((-2, 1)) and (w + -w).is_zero()

@@ -35,6 +35,8 @@ KEEP_GROUPS = {
     },
     # the methods a value type is expected to have; the tests use them
     "value-type methods": {
+        "errors.CheckReport.__eq__",
+        "errors.CheckReport.__repr__",
         "matrices.QuatMatrix.__eq__",
         "matrices.QuatMatrix.__hash__",
         "matrices.QuatMatrix.__neg__",
