@@ -15,19 +15,17 @@ picture among them, live beside the tests in ``tests/oracles.py``.
 from .bracket import (
     StructureConstants,
     bracket,
+    bracket_grouped,
     check_conjugation_equivariance,
     close_under_bracket,
+    group_rows,
     jacobi_check,
+    left_unit_vec,
+    sigma_vec,
     structure_constants,
+    tau_vec,
 )
-from .matrices import (
-    QuatMatrix,
-    apply_J,
-    apply_sigma,
-    apply_tau,
-    is_sigma_submodule,
-    quat_transpose_mj,
-)
+from .matrices import QuatMatrix
 from .quaternify import (
     QuaternionLieAlgebra,
     k_structure,

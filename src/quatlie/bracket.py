@@ -61,7 +61,7 @@ from typing import NamedTuple
 
 from .errors import NotClosedError
 from .linalg import LinearSolver, SpanBasis, Vec
-from .matrices import QuatMatrix, flatten
+from .matrices import QuatMatrix
 
 # e_s * e_t = _SIGN[s][t] * e_(s ^ t) for the coordinate units (1, i, j, -k)
 _SIGN = ((1, 1, 1, 1), (1, -1, -1, 1), (1, 1, -1, -1), (1, -1, 1, -1))
@@ -331,12 +331,11 @@ def close_vecs(
     return span
 
 
-def close_under_bracket(generators: list[QuatMatrix]) -> ClosureResult:
-    """:func:`close_vecs` of quaternion matrices, with their size."""
+def close_under_bracket(generators: list[Vec], n: int) -> ClosureResult:
+    """:func:`close_vecs` of flattened n x n matrices, with their size."""
     if not generators:
         raise ValueError("need at least one generator")
-    n = generators[0].n
-    return ClosureResult(span=close_vecs([flatten(m) for m in generators], n), n=n)
+    return ClosureResult(span=close_vecs(generators, n), n=n)
 
 
 def structure_constants(

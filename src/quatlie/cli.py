@@ -19,10 +19,9 @@ import sys
 import time
 
 from . import serialize
-from .bracket import close_under_bracket
+from .bracket import close_under_bracket, left_unit_vec, sigma_vec, tau_vec
 from .errors import StructuralFailureError
-from .linalg import span_of
-from .matrices import apply_J, flatten, is_sigma_submodule
+from .linalg import independent_span, span_of
 from .quaternify import CHECKS, quaternify, run_checks
 from .realizations import build_named
 from .rootsystem import cartan_matrix, positive_roots, require_root_count
@@ -187,7 +186,11 @@ def cmd_roots(args) -> int:
 
 
 def cmd_rho_check(args) -> int:
-    require_word_space(args.rank, args.degree)  # before the Cartan matrix
+    # verify_ideal_kernel's own refusal and the word cap, before the
+    # rank x rank Cartan matrix
+    if args.degree < 2:
+        raise ValueError("degree must be at least 2")
+    require_word_space(args.rank, args.degree)
     cm = cartan_matrix(args.type, args.rank)
     manifest = Manifest(
         command="rho-check",
@@ -214,27 +217,26 @@ def cmd_rho_check(args) -> int:
 
 def cmd_closure(args) -> int:
     n = args.n
+    ambient = 4 * n * n
     manifest = Manifest(command="closure", inputs={"preset": args.preset, "n": n})
     if args.preset == "sl":
         seed = build_named("sl_n_C", n).basis
-        generators = list(seed) + [apply_J(m) for m in seed]
-        result = close_under_bracket(generators)
+        generators = seed + [left_unit_vec(2, v) for v in seed]  # and their J images
+        result = close_under_bracket(generators, n)
         expected = 4 * n * n - 1
         manifest.add("closure-dim", result.dim == expected, result.dim)
         target = build_named("sl_n_H", n)
-        same = result.span.same_span(
-            span_of([flatten(m) for m in target.basis], 4 * n * n)
-        )
+        same = result.span.same_span(span_of(target.basis, ambient))
         manifest.add("equals-sl-n-H", same, target.dim)
     else:  # argparse admits only "so-star" and "sp" besides "sl"
         name = "so_star_2n" if args.preset == "so-star" else "sp_n"
         algebra = build_named(name, n)
         generators = algebra.basis
-        result = close_under_bracket(generators)
+        result = close_under_bracket(generators, n)
         manifest.add("bracket-closed", result.dim == algebra.dim, algebra.dim)
-        manifest.add(
-            "sigma-tau-invariant", is_sigma_submodule(generators), len(generators)
-        )
+        span = independent_span(generators, ambient)
+        stable = all(span.contains(conj(v)) for v in generators for conj in (sigma_vec, tau_vec))
+        manifest.add("sigma-tau-invariant", stable, len(generators))
     extra = {"dim": result.dim}
     if args.preset == "sl":
         extra["summary"] = (

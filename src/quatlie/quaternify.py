@@ -20,8 +20,8 @@ the whole generator set; when any h line is missing, the whole set is
 closed pairwise instead, under the same grading, so h in <e, f> is
 checked, never assumed.  The
 algebra is kept as flattened coordinate rows (``Vec``, see
-``quatlie.bracket``) from the closure to the stored basis; quaternion
-matrices appear only for the generators and the root vectors.  The
+``quatlie.bracket``) from the generators to the stored basis; quaternion
+matrices appear only for the root vectors.  The
 pipeline then
 
   1. splits the closure into weight spaces with respect to {h_1..h_l}
@@ -133,7 +133,7 @@ class QuaternionLieAlgebra:
         self.reports = {}  # report name -> CheckReport
         tree = positive_roots_with_tree(generators.cartan)
         self.pos_roots = [node.root for node in tree]
-        # signed root coeffs -> QuatMatrix, plain part
+        # signed root coeffs -> its plain root vector, a quaternion matrix
         self.root_vectors = _root_vector_table(generators, tree)
 
     type_label = property(lambda self: self.generators.type_label)
@@ -259,18 +259,21 @@ def _derived_span(grouped: list, n: int) -> SpanBasis:
 def _root_vector_table(
     gens: ChevalleyGenerators, tree: list
 ) -> dict:
-    """Plain root vectors for all signed roots, grown along the root tree."""
+    """Plain root vectors for all signed roots, grown along the root tree
+    from the simple-root leaves, the e and f rows unflattened."""
+    n = gens.ambient_n
+    e, f = ([QuatMatrix.unflatten(n, v) for v in gens.rows[kind]] for kind in ("e", "f"))
     table: dict[tuple, QuatMatrix] = {}
     for node in tree:
         coeffs = node.root.coeffs
         if node.parent is None:
             simple = coeffs.index(1)
-            table[coeffs] = gens.e[simple]
-            table[tuple(-c for c in coeffs)] = gens.f[simple]
+            table[coeffs] = e[simple]
+            table[tuple(-c for c in coeffs)] = f[simple]
             continue
         parent = tree[node.parent].root.coeffs
-        pos = bracket(gens.e[node.simple], table[parent])
-        neg = bracket(gens.f[node.simple], table[tuple(-c for c in parent)])
+        pos = bracket(e[node.simple], table[parent])
+        neg = bracket(f[node.simple], table[tuple(-c for c in parent)])
         if pos.is_zero() or neg.is_zero():
             raise StructuralFailureError(
                 f"root vector for {coeffs} vanished in the realization"

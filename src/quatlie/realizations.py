@@ -1,8 +1,11 @@
 """Named matrix algebras and Chevalley generators for the classical types.
 
-Named algebras come with an explicit real basis of rational-coordinate
-matrices and an exact membership predicate; every builder double-checks
-the basis against its closed-form dimension.
+Named algebras and generators are born as coordinate rows (``Vec``,
+the layout of ``quatlie.bracket``), each set cell by cell through
+``_row``.  A named algebra comes with an explicit real basis and an
+exact membership predicate, one table on coordinates (``_MEMBERSHIP``);
+every builder double-checks the basis against its closed-form dimension
+and the predicate.
 
 Chevalley generators use the defining matrix realizations:
 
@@ -18,11 +21,11 @@ B, C and D share one chain of eps_p - eps_(p+1) generators (``_chain``);
 only B's short root, C's long root and D's eps_(l-1) + eps_l are their
 own.  ``chevalley_generators`` and ``closure_realization`` construct
 through one function: type, rank and ``MAX_AMBIENT_N`` checked from
-type and rank alone (before any matrix exists, the Cartan matrix
+type and rank alone (before any row exists, the Cartan matrix
 included), then the Cartan matrix and the generators, validated before
 returning: no generator row has a J coordinate, and the four plain
-relation families hold exactly against the stored Cartan matrix.  Every family of ``freerep.FAMILIES`` is
-evaluated by one method, ``ChevalleyGenerators.relations``, with
+relation families hold exactly against the stored Cartan matrix.  Every
+family of ``freerep.FAMILIES`` is evaluated by one method, ``ChevalleyGenerators.relations``, with
 ``bracket_grouped`` on the generators' coordinate rows, which the object
 builds once; the ``relations`` check of ``quaternify`` runs all sixteen
 through it.
@@ -41,20 +44,17 @@ from typing import NamedTuple
 from .bracket import bracket_grouped, group_rows, left_unit_vec
 from .errors import CheckReport, StructuralFailureError
 from .freerep import FAMILIES, family_target
-from .matrices import QuatMatrix, flatten, quat_transpose_mj
+from .linalg import Vec
 from .rootsystem import CartanMatrix, cartan_matrix, require_type_rank
-from .scalars import GR_ONE, Q_I, Q_J, Q_K, Q_ONE, Quaternion
 
 MAX_NAMED_N = 8
 MAX_AMBIENT_N = 10  # keeps every flattened span at 4*n*n <= 400 coordinates
 
 
-def _unit(n, p, q, coeff=Q_ONE):
-    return QuatMatrix.unit(n, p, q, coeff)
-
-
-def _units(n, *entries):
-    return QuatMatrix.unit_sum(n, [(p, q, c) for p, q, c in entries])
+def _row(n: int, *entries) -> Vec:
+    """Coordinate row of the n x n matrix with value v at cell (p, q),
+    unit offset s (1, i, j, -k), for each (p, q, s, v) of ``entries``."""
+    return {4 * (p * n + q) + s: v for p, q, s, v in entries}
 
 
 # ---------------------------------------------------------------------------
@@ -65,105 +65,73 @@ def _units(n, *entries):
 class NamedAlgebra(NamedTuple):
     name: str
     n: int
-    basis: list[QuatMatrix]
+    basis: list[Vec]
     dim: int
 
 
+# the units 1, i, j and k as (offset, value): k is -1 at the -k offset
+_UNITS = ((0, 1), (1, 1), (2, 1), (3, -1))
+
+
+def _off_diagonal(n, units):
+    return [_row(n, (p, q, s, v)) for p in range(n) for q in range(n) if p != q for s, v in units]
+
+
 def _basis_gl_h(n):
-    out = []
-    for p in range(n):
-        for q in range(n):
-            for coeff in (Q_ONE, Q_I, Q_J, Q_K):
-                out.append(_unit(n, p, q, coeff))
-    return out
+    return [_row(n, (p, q, s, v)) for p in range(n) for q in range(n) for s, v in _UNITS]
 
 
 def _basis_sl_h(n):
-    out = []
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            for coeff in (Q_ONE, Q_I, Q_J, Q_K):
-                out.append(_unit(n, p, q, coeff))
-    for p in range(n - 1):
-        out.append(_units(n, (p, p, Q_ONE), (n - 1, n - 1, -Q_ONE)))
-    for p in range(n):
-        for coeff in (Q_I, Q_J, Q_K):
-            out.append(_unit(n, p, p, coeff))
+    out = _off_diagonal(n, _UNITS)
+    out += [_row(n, (p, p, 0, 1), (n - 1, n - 1, 0, -1)) for p in range(n - 1)]
+    out += [_row(n, (p, p, s, v)) for p in range(n) for s, v in _UNITS[1:]]
     return out
 
 
 def _basis_sk_c(n):
-    out = []
-    for p in range(n):
-        for q in range(n):
-            if p != q:
-                out.append(_unit(n, p, q, Q_ONE))
-                out.append(_unit(n, p, q, Q_I))
-    for p in range(n - 1):
-        out.append(_units(n, (p, p, Q_ONE), (n - 1, n - 1, -Q_ONE)))
-    for p in range(n):
-        out.append(_unit(n, p, p, Q_I))
+    out = _off_diagonal(n, _UNITS[:2])
+    out += [_row(n, (p, p, 0, 1), (n - 1, n - 1, 0, -1)) for p in range(n - 1)]
+    out += [_row(n, (p, p, 1, 1)) for p in range(n)]
     return out
 
 
 def _basis_sl_c(n):
-    out = []
-    for p in range(n):
-        for q in range(n):
-            if p != q:
-                out.append(_unit(n, p, q, Q_ONE))
-                out.append(_unit(n, p, q, Q_I))
-    for p in range(n - 1):
-        for coeff in (Q_ONE, Q_I):
-            out.append(
-                _units(n, (p, p, coeff), (p + 1, p + 1, -coeff))
-            )
+    out = _off_diagonal(n, _UNITS[:2])
+    out += [_row(n, (p, p, s, 1), (p + 1, p + 1, s, -1)) for p in range(n - 1) for s in (0, 1)]
     return out
+
+
+def _pairs(n, *signed):
+    """For each p < q and each (s, v, w) of ``signed``, the row with v at
+    (p, q) and w at (q, p), unit offset s."""
+    return [
+        _row(n, (p, q, s, v), (q, p, s, w))
+        for p in range(n)
+        for q in range(p + 1, n)
+        for s, v, w in signed
+    ]
 
 
 def _basis_u(n):
-    out = [_unit(n, p, p, Q_I) for p in range(n)]
-    for p in range(n):
-        for q in range(p + 1, n):
-            out.append(_units(n, (p, q, Q_ONE), (q, p, -Q_ONE)))
-            out.append(_units(n, (p, q, Q_I), (q, p, Q_I)))
-    return out
+    return [_row(n, (p, p, 1, 1)) for p in range(n)] + _pairs(n, (0, 1, -1), (1, 1, 1))
 
 
 def _basis_so_c(n):
-    out = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            out.append(_units(n, (p, q, Q_ONE), (q, p, -Q_ONE)))
-            out.append(_units(n, (p, q, Q_I), (q, p, -Q_I)))
-    return out
+    return _pairs(n, (0, 1, -1), (1, 1, -1))
 
 
 def _basis_so_star(n):
     # A antisymmetric complex, B Hermitian
     out = _basis_so_c(n)
-    for p in range(n):
-        out.append(_unit(n, p, p, Q_J))
-    for p in range(n):
-        for q in range(p + 1, n):
-            out.append(_units(n, (p, q, Q_J), (q, p, Q_J)))
-            out.append(_units(n, (p, q, Q_K), (q, p, -Q_K)))
-    return out
+    out += [_row(n, (p, p, 2, 1)) for p in range(n)]
+    return out + _pairs(n, (2, 1, 1), (3, -1, 1))
 
 
 def _basis_sp(n):
     # A skew-Hermitian, B symmetric
     out = _basis_u(n)
-    for p in range(n):
-        out.append(_unit(n, p, p, Q_J))
-        out.append(_unit(n, p, p, Q_K))
-    for p in range(n):
-        for q in range(p + 1, n):
-            out.append(_units(n, (p, q, Q_J), (q, p, Q_J)))
-            out.append(_units(n, (p, q, Q_K), (q, p, Q_K)))
-    return out
+    out += [_row(n, (p, p, s, v)) for p in range(n) for s, v in _UNITS[2:]]
+    return out + _pairs(n, (2, 1, 1), (3, -1, -1))
 
 
 _BUILDERS = {
@@ -191,46 +159,48 @@ def build_named(name: str, n: int) -> NamedAlgebra:
         raise StructuralFailureError(
             f"{name} basis has {len(basis)} elements, expected {dim_formula(n)}"
         )
-    for m in basis:
-        if not membership(name, n, m):
+    for row in basis:
+        if not membership(name, n, row):
             raise StructuralFailureError(f"{name} basis element fails its predicate")
     return NamedAlgebra(name=name, n=n, basis=basis, dim=len(basis))
 
 
-def membership(name: str, n: int, m: QuatMatrix) -> bool:
-    """Exact defining predicate of the named algebra."""
-    if m.n != n:
-        raise ValueError(f"dimension mismatch: matrix is {m.n}x{m.n}, algebra has n={n}")
-    if name == "gl_n_H":
+# name -> (plain: no j coordinate, the offsets whose diagonal sum must
+# vanish, and the sign t_s with X_pq + t_s X_qp = 0 at each offset s, or
+# None): t = (1, -1, -1, -1) is X* = -X; t = (1, 1, -1, 1) is X^t = -X for
+# the transpose A + J B -> tA - J conj(tB) of the complex picture, which
+# on plain matrices is the entrywise one of so_n_C
+_MEMBERSHIP = {
+    "gl_n_H": (False, (), None),
+    "sl_n_H": (False, (0,), None),
+    "sk_n_C": (True, (0,), None),
+    "sl_n_C": (True, (0, 1), None),
+    "u_n": (True, (), (1, -1, -1, -1)),
+    "so_n_C": (True, (), (1, 1, 1, 1)),
+    "so_star_2n": (False, (), (1, 1, -1, 1)),
+    "sp_n": (False, (), (1, -1, -1, -1)),
+}
+
+
+def membership(name: str, n: int, row: Vec) -> bool:
+    """Exact defining predicate of the named algebra on a flattened n x n matrix."""
+    if name not in _MEMBERSHIP:
+        raise ValueError(f"unknown algebra name {name!r}")
+    if any(not 0 <= idx < 4 * n * n for idx in row):
+        raise ValueError(f"dimension mismatch: row has a coordinate outside {n}x{n}")
+    plain, traced, signs = _MEMBERSHIP[name]
+    if plain and any(val for idx, val in row.items() if idx & 2):
+        return False
+    if any(sum(row.get(4 * p * (n + 1) + s, 0) for p in range(n)) for s in traced):
+        return False
+    if signs is None:
         return True
-    if name == "sl_n_H":
-        return m.re_trace() == 0
-    if name == "sk_n_C":
-        return _is_plain(m) and m.trace().z1.re == 0
-    if name == "sl_n_C":
-        return _is_plain(m) and m.trace().is_zero()
-    if name == "u_n":
-        return _is_plain(m) and (m.conj_transpose() + m).is_zero()
-    if name == "so_n_C":
-        return _is_plain(m) and _plain_transpose_sum_zero(m)
-    if name == "so_star_2n":
-        return (quat_transpose_mj(m) + m).is_zero()
-    if name == "sp_n":
-        return (m.conj_transpose() + m).is_zero()
-    raise ValueError(f"unknown algebra name {name!r}")
-
-
-def _is_plain(m: QuatMatrix) -> bool:
-    return all(a.z2.is_zero() for row in m.rows for a in row)
-
-
-def _plain_transpose_sum_zero(m: QuatMatrix) -> bool:
-    n = m.n
-    return all(
-        (m.rows[p][q].z1 + m.rows[q][p].z1).is_zero()
-        for p in range(n)
-        for q in range(n)
-    )
+    for idx, val in row.items():
+        cell, s = divmod(idx, 4)
+        p, q = divmod(cell, n)
+        if val + signs[s] * row.get(4 * (q * n + p) + s, 0):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -239,22 +209,21 @@ def _plain_transpose_sum_zero(m: QuatMatrix) -> bool:
 
 
 class ChevalleyGenerators:
-    """Generator matrices, with ``rows`` (kind -> coordinate rows of h, e, f
-    and their J images Jh, Je, Jf) and ``grouped`` (those rows grouped for
-    ``bracket_grouped``) built once from them on construction."""
+    """Generators as coordinate rows: ``rows`` (kind -> rows of h, e, f
+    and of their J images Jh, Je, Jf) and ``grouped`` (those rows grouped
+    for ``bracket_grouped``), both built on construction from the h, e
+    and f rows of the ``rows`` passed in; any J kinds there are rebuilt."""
 
-    __slots__ = ("type_label", "rank", "ambient_n", "h", "e", "f", "cartan", "rows", "grouped")
+    __slots__ = ("type_label", "rank", "ambient_n", "cartan", "rows", "grouped")
 
-    def __init__(self, type_label: str, rank: int, ambient_n: int, h, e, f, cartan: CartanMatrix):
+    def __init__(self, type_label: str, rank: int, ambient_n: int, cartan: CartanMatrix, rows):
         self.type_label, self.rank, self.ambient_n = type_label, rank, ambient_n
-        self.h, self.e, self.f, self.cartan = h, e, f, cartan
-        plain = {"h": h, "e": e, "f": f}
-        rows = {kind: [flatten(m) for m in mats] for kind, mats in plain.items()}
-        for kind in plain:
-            rows["J" + kind] = [left_unit_vec(2, v) for v in rows[kind]]
-        self.rows = rows
+        self.cartan = cartan
+        self.rows = {kind: list(rows[kind]) for kind in ("h", "e", "f")}
+        for kind in ("h", "e", "f"):
+            self.rows["J" + kind] = [left_unit_vec(2, v) for v in self.rows[kind]]
         n = ambient_n
-        self.grouped = {kind: [group_rows(v, n) for v in vecs] for kind, vecs in rows.items()}
+        self.grouped = {kind: [group_rows(v, n) for v in vecs] for kind, vecs in self.rows.items()}
 
     def relations(self, families=FAMILIES) -> list[CheckReport]:
         """One report per relation family, failures the (i, j) where it fails.
@@ -301,16 +270,20 @@ def _chain(n: int, l: int, plus) -> list:
     out = []
     for p in plus:
         m = l + p
-        h = [(p, p, Q_ONE), (p + 1, p + 1, -Q_ONE), (m, m, -Q_ONE), (m + 1, m + 1, Q_ONE)]
-        e = [(p, p + 1, Q_ONE), (m + 1, m, -Q_ONE)]
-        f = [(p + 1, p, Q_ONE), (m, m + 1, -Q_ONE)]
-        out.append(tuple(QuatMatrix.unit_sum(n, entries) for entries in (h, e, f)))
+        h = _row(n, (p, p, 0, 1), (p + 1, p + 1, 0, -1), (m, m, 0, -1), (m + 1, m + 1, 0, 1))
+        e = _row(n, (p, p + 1, 0, 1), (m + 1, m, 0, -1))
+        f = _row(n, (p + 1, p, 0, 1), (m, m + 1, 0, -1))
+        out.append((h, e, f))
     return out
 
 
 def _gens_type_a(n: int, l: int) -> list:
     return [
-        (_units(n, (i, i, Q_ONE), (i + 1, i + 1, -Q_ONE)), _unit(n, i, i + 1), _unit(n, i + 1, i))
+        (
+            _row(n, (i, i, 0, 1), (i + 1, i + 1, 0, -1)),
+            _row(n, (i, i + 1, 0, 1)),
+            _row(n, (i + 1, i, 0, 1)),
+        )
         for i in range(l)
     ]
 
@@ -318,11 +291,10 @@ def _gens_type_a(n: int, l: int) -> list:
 def _gens_type_b(n: int, l: int) -> list:
     # coordinates (0 | plus 1..l | minus l+1..2l); short root first, then
     # beta_k = eps_p - eps_(p+1) with p = l - k + 1 for k = 2..l
-    two = Quaternion(GR_ONE * 2)
     short = (
-        _units(n, (l, l, two), (2 * l, 2 * l, -two)),
-        _units(n, (l, 0, Q_ONE), (0, 2 * l, -Q_ONE)),
-        _units(n, (0, l, two), (2 * l, 0, -two)),
+        _row(n, (l, l, 0, 2), (2 * l, 2 * l, 0, -2)),
+        _row(n, (l, 0, 0, 1), (0, 2 * l, 0, -1)),
+        _row(n, (0, l, 0, 2), (2 * l, 0, 0, -2)),
     )
     return [short, *_chain(n, l, range(l - 1, 0, -1))]
 
@@ -330,9 +302,9 @@ def _gens_type_b(n: int, l: int) -> list:
 def _gens_type_c(n: int, l: int) -> list:
     # long root 2 eps_l last
     long = (
-        _units(n, (l - 1, l - 1, Q_ONE), (2 * l - 1, 2 * l - 1, -Q_ONE)),
-        _unit(n, l - 1, 2 * l - 1),
-        _unit(n, 2 * l - 1, l - 1),
+        _row(n, (l - 1, l - 1, 0, 1), (2 * l - 1, 2 * l - 1, 0, -1)),
+        _row(n, (l - 1, 2 * l - 1, 0, 1)),
+        _row(n, (2 * l - 1, l - 1, 0, 1)),
     )
     return [*_chain(n, l, range(l - 1)), long]
 
@@ -340,9 +312,9 @@ def _gens_type_c(n: int, l: int) -> list:
 def _gens_type_d(n: int, l: int) -> list:
     a, b = l - 2, l - 1  # last root eps_(l-1) + eps_l
     last = (
-        _units(n, (a, a, Q_ONE), (b, b, Q_ONE), (l + a, l + a, -Q_ONE), (l + b, l + b, -Q_ONE)),
-        _units(n, (b, l + a, Q_ONE), (a, l + b, -Q_ONE)),
-        _units(n, (l + a, b, Q_ONE), (l + b, a, -Q_ONE)),
+        _row(n, (a, a, 0, 1), (b, b, 0, 1), (l + a, l + a, 0, -1), (l + b, l + b, 0, -1)),
+        _row(n, (b, l + a, 0, 1), (a, l + b, 0, -1)),
+        _row(n, (l + a, b, 0, 1), (l + b, a, 0, -1)),
     )
     return [*_chain(n, l, range(l - 1)), last]
 
@@ -374,10 +346,8 @@ def _generators(type_label: str, rank: int, source: str, order=None) -> Chevalle
     simple = _DEFINING[source][1](n, rank)
     if order is not None:
         simple = [simple[p] for p in order]
-    h, e, f = (list(mats) for mats in zip(*simple))
-    gens = ChevalleyGenerators(
-        type_label=type_label, rank=rank, ambient_n=n, h=h, e=e, f=f, cartan=cm
-    )
+    rows = dict(zip(("h", "e", "f"), zip(*simple)))
+    gens = ChevalleyGenerators(type_label=type_label, rank=rank, ambient_n=n, cartan=cm, rows=rows)
     gens.validate()
     return gens
 

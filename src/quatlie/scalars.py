@@ -192,11 +192,6 @@ def quat_mul(x: Quaternion, y: Quaternion) -> Quaternion:
     )
 
 
-def quat_J(x: Quaternion) -> Quaternion:
-    """Left multiplication by j: ``z1 + j*z2 -> -z2 + j*z1``."""
-    return Quaternion(-x.z2, x.z1)
-
-
 Q_ZERO = Quaternion(GR_ZERO, GR_ZERO)
 Q_ONE = Quaternion(GR_ONE, GR_ZERO)
 Q_I = Quaternion(GR_I, GR_ZERO)

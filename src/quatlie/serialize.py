@@ -18,7 +18,6 @@ import operator
 from .bracket import StructureConstants
 from .errors import DegenerateInputError, MalformedInputError, StructuralFailureError
 from .linalg import LinearSolver, Vec
-from .matrices import QuatMatrix
 from .quaternify import QuaternionLieAlgebra
 from .realizations import ChevalleyGenerators, realization_spec
 from .rootsystem import CLASSICAL_TYPES, cartan_matrix, custom_cartan
@@ -223,16 +222,13 @@ def _algebra_from_json(data) -> QuaternionLieAlgebra:
     except DegenerateInputError as exc:
         raise MalformedInputError("declared basis is linearly dependent") from exc
     generators = {
-        kind: [
-            QuatMatrix.unflatten(n, matrix_from_json(m, n, "generator"))
-            for m in data["generators"][kind]
-        ]
+        kind: [matrix_from_json(m, n, "generator") for m in data["generators"][kind]]
         for kind in ("h", "e", "f")
     }
-    if any(len(mats) != rank for mats in generators.values()):
+    if any(len(rows) != rank for rows in generators.values()):
         raise MalformedInputError(f"expected {rank} generators of each kind")
     gens = ChevalleyGenerators(
-        type_label=type_label, rank=rank, ambient_n=n, cartan=cartan, **generators
+        type_label=type_label, rank=rank, ambient_n=n, cartan=cartan, rows=generators
     )
     constants = constants_from_json(data["structure_constants"])
     if constants.dim != dim:

@@ -23,6 +23,14 @@ they cannot drift into the code they judge.
   tracking coordinates, as ``LinearSolver`` did before it read a
   vector's values at the pivots.
 * ``replace``, a copy of a record rebuilt through its constructor.
+* The quaternion-matrix side of the coordinate code: the constructors
+  ``unit``, ``unit_sum``, ``zeros`` and ``identity``; ``trace``,
+  ``re_trace`` and ``conj_transpose``; the entrywise maps ``quat_J``,
+  ``apply_J``, ``apply_sigma``, ``apply_tau`` and ``quat_transpose_mj``;
+  ``is_sigma_submodule`` and ``matrix_membership``, the named algebras'
+  predicates on matrices; and ``generator_matrices``, ``named_matrices``
+  and ``close_matrices``, which unflatten generator and named-algebra
+  rows and close quaternion matrices.
 """
 
 from __future__ import annotations
@@ -30,11 +38,12 @@ from __future__ import annotations
 import inspect
 from fractions import Fraction
 
-from quatlie.bracket import bracket_grouped, group_rows
+from quatlie.bracket import bracket_grouped, close_under_bracket, group_rows
 from quatlie.errors import DegenerateInputError, MalformedInputError
-from quatlie.linalg import SpanBasis, Vec
-from quatlie.matrices import QuatMatrix, _checked_span, apply_J, flatten
-from quatlie.scalars import GR_ZERO, Quaternion, integral
+from quatlie.linalg import SpanBasis, Vec, independent_span
+from quatlie.matrices import QuatMatrix, flatten
+from quatlie.realizations import build_named
+from quatlie.scalars import GR_ZERO, Q_ONE, Q_ZERO, Quaternion, integral
 
 
 def quat_conj_sigma(x: Quaternion) -> Quaternion:
@@ -137,6 +146,164 @@ def is_J_submodule(basis: list[QuatMatrix]) -> bool:
     """True when the real span of the basis is invariant under J."""
     span = _checked_span(basis)
     return all(span.contains(flatten(apply_J(m))) for m in basis)
+
+
+# ---------------------------------------------------------------------------
+# Quaternion matrices: constructors, maps and predicates
+# ---------------------------------------------------------------------------
+
+
+def unit_sum(n: int, entries) -> QuatMatrix:
+    """The n x n matrix with the sum of the quaternions ``c`` of the
+    ``(p, q, c)`` in ``entries`` at each (p, q)."""
+    rows = [[Q_ZERO] * n for _ in range(n)]
+    for p, q, coeff in entries:
+        rows[p][q] = rows[p][q] + coeff
+    return QuatMatrix(rows)
+
+
+def unit(n: int, p: int, q: int, coeff: Quaternion = Q_ONE) -> QuatMatrix:
+    """Matrix with a single quaternion entry at (p, q)."""
+    return unit_sum(n, [(p, q, coeff)])
+
+
+def zeros(n: int) -> QuatMatrix:
+    return QuatMatrix([[Q_ZERO] * n for _ in range(n)])
+
+
+def identity(n: int) -> QuatMatrix:
+    return unit_sum(n, [(p, p, Q_ONE) for p in range(n)])
+
+
+def trace(m: QuatMatrix) -> Quaternion:
+    acc = Q_ZERO
+    for p in range(m.n):
+        acc = acc + m.rows[p][p]
+    return acc
+
+
+def re_trace(m: QuatMatrix):
+    return trace(m).real
+
+
+def conj_transpose(m: QuatMatrix) -> QuatMatrix:
+    """Quaternionic conjugate transpose ``(X*)_{pq} = conj(X_{qp})``."""
+    n = m.n
+    return QuatMatrix([[m.rows[q][p].conj() for q in range(n)] for p in range(n)])
+
+
+def quat_J(x: Quaternion) -> Quaternion:
+    """Left multiplication by j: ``z1 + j*z2 -> -z2 + j*z1``."""
+    return Quaternion(-x.z2, x.z1)
+
+
+def apply_sigma(m: QuatMatrix) -> QuatMatrix:
+    """Entrywise ``z1 + j*z2 -> z1 - j*z2``; fixes A, negates B."""
+    return QuatMatrix([[Quaternion(a.z1, -a.z2) for a in row] for row in m.rows])
+
+
+def apply_tau(m: QuatMatrix) -> QuatMatrix:
+    """Entrywise complex conjugation of both components."""
+    return QuatMatrix(
+        [[Quaternion(a.z1.conj(), a.z2.conj()) for a in row] for row in m.rows]
+    )
+
+
+def apply_J(m: QuatMatrix) -> QuatMatrix:
+    """Entrywise left multiplication by j; satisfies ``J(J(m)) == -m``."""
+    return QuatMatrix([[quat_J(a) for a in row] for row in m.rows])
+
+
+def quat_transpose_mj(m: QuatMatrix) -> QuatMatrix:
+    """Transpose through the complex picture: ``A + J*B -> tA - J*conj(tB)``.
+
+    Plain 2n x 2n transposition pulled back along the embedding; the
+    naive entrywise transpose would give the wrong block characterization
+    (and the wrong dimension count) for the antisymmetric algebras.
+    """
+    n = m.n
+    return QuatMatrix(
+        [
+            [
+                Quaternion(m.rows[q][p].z1, -m.rows[q][p].z2.conj())
+                for q in range(n)
+            ]
+            for p in range(n)
+        ]
+    )
+
+
+def _checked_span(basis: list[QuatMatrix]) -> SpanBasis:
+    if not basis:
+        raise DegenerateInputError("empty basis")
+    ambient = 4 * basis[0].n * basis[0].n
+    return independent_span([flatten(m) for m in basis], ambient)
+
+
+def is_sigma_submodule(basis: list[QuatMatrix]) -> bool:
+    """True when the real span is invariant under both sigma and tau."""
+    span = _checked_span(basis)
+    return all(
+        span.contains(flatten(apply_sigma(m)))
+        and span.contains(flatten(apply_tau(m)))
+        for m in basis
+    )
+
+
+def _is_plain(m: QuatMatrix) -> bool:
+    return all(a.z2.is_zero() for row in m.rows for a in row)
+
+
+def _plain_transpose_sum_zero(m: QuatMatrix) -> bool:
+    n = m.n
+    return all(
+        (m.rows[p][q].z1 + m.rows[q][p].z1).is_zero()
+        for p in range(n)
+        for q in range(n)
+    )
+
+
+def matrix_membership(name: str, n: int, m: QuatMatrix) -> bool:
+    """The defining predicate of the named algebra, on a quaternion matrix."""
+    if m.n != n:
+        raise ValueError(f"dimension mismatch: matrix is {m.n}x{m.n}, algebra has n={n}")
+    if name == "gl_n_H":
+        return True
+    if name == "sl_n_H":
+        return re_trace(m) == 0
+    if name == "sk_n_C":
+        return _is_plain(m) and trace(m).z1.re == 0
+    if name == "sl_n_C":
+        return _is_plain(m) and trace(m).is_zero()
+    if name == "u_n":
+        return _is_plain(m) and (conj_transpose(m) + m).is_zero()
+    if name == "so_n_C":
+        return _is_plain(m) and _plain_transpose_sum_zero(m)
+    if name == "so_star_2n":
+        return (quat_transpose_mj(m) + m).is_zero()
+    if name == "sp_n":
+        return (conj_transpose(m) + m).is_zero()
+    raise ValueError(f"unknown algebra name {name!r}")
+
+
+def generator_matrices(gens, kinds=("h", "e", "f")) -> list[QuatMatrix]:
+    """The generator rows of each kind in ``kinds``, in order, unflattened
+    into quaternion matrices; a single kind may be passed as its name."""
+    if isinstance(kinds, str):
+        kinds = (kinds,)
+    return [QuatMatrix.unflatten(gens.ambient_n, v) for kind in kinds for v in gens.rows[kind]]
+
+
+def named_matrices(name: str, n: int) -> list[QuatMatrix]:
+    """The basis rows of ``build_named(name, n)`` as quaternion matrices."""
+    return [QuatMatrix.unflatten(n, v) for v in build_named(name, n).basis]
+
+
+def close_matrices(generators: list[QuatMatrix]):
+    """``close_under_bracket`` of quaternion matrices, flattened."""
+    if not generators:
+        raise ValueError("need at least one generator")
+    return close_under_bracket([flatten(m) for m in generators], generators[0].n)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from quatlie.bracket import (
 from quatlie.cli import main as cli_main
 from quatlie.freerep import verify_h_independence, verify_ideal_kernel
 from quatlie.linalg import span_of
-from quatlie.matrices import QuatMatrix, apply_J, flatten, is_sigma_submodule
+from quatlie.matrices import flatten
 from quatlie.quaternify import (
     check_root_spaces,
     check_weight_additivity,
@@ -53,7 +53,18 @@ from quatlie.rootsystem import cartan_matrix, custom_cartan
 from quatlie.scalars import Q_I, Q_J, Q_K, Q_ONE, quat_mul
 
 from conftest import ACCEPTANCE_TYPES, BUILD_SECONDS, rand_quat, rand_qmatrix
-from oracles import closure_matrices, mj_embed, mj_extract
+from oracles import (
+    apply_J,
+    close_matrices,
+    closure_matrices,
+    generator_matrices,
+    is_sigma_submodule,
+    mj_embed,
+    mj_extract,
+    named_matrices,
+    unit,
+    unit_sum,
+)
 from test_scalars import BASIS, oracle_mul
 
 
@@ -103,8 +114,8 @@ def test_criterion_3_named_algebras():
         for n in (2, 3, 4):
             algebra = build_named(name, n)
             assert algebra.dim == formula(n)
-            assert close_under_bracket(algebra.basis).dim == algebra.dim
-            assert is_sigma_submodule(algebra.basis)
+            assert close_under_bracket(algebra.basis, n).dim == algebra.dim
+            assert is_sigma_submodule(named_matrices(name, n))
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"took {elapsed:.2f}s, budget 30s"
     report(3, "named algebra dims, closure, conjugation invariance", detail=f"{elapsed:.2f}s")
@@ -114,18 +125,18 @@ def test_criterion_4_sl_closure_reproduction():
     start = time.monotonic()
     expected = {2: 15, 3: 35, 4: 63}
     for n, dim in expected.items():
-        seed = build_named("sl_n_C", n).basis
+        seed = named_matrices("sl_n_C", n)
         generators = list(seed) + [apply_J(m) for m in seed]
-        result = close_under_bracket(generators)
+        result = close_matrices(generators)
         assert result.dim == dim
-        assert all(membership("sl_n_H", n, m) for m in closure_matrices(result))
+        assert all(membership("sl_n_H", n, row) for row in result.span.rows)
         target = build_named("sl_n_H", n)
-        assert all(result.span.contains(flatten(m)) for m in target.basis)
+        assert all(result.span.contains(row) for row in target.basis)
         # added directions beyond sl + J sl, sign-agnostic span membership
-        assert result.span.contains(flatten(QuatMatrix.unit(n, 1, 1, Q_I)))
+        assert result.span.contains(flatten(unit(n, 1, 1, Q_I)))
         for p in range(n - 1):
             for coeff in (Q_J, Q_K):  # J and i*J copies of E_pp + E_nn
-                grown = QuatMatrix.unit_sum(
+                grown = unit_sum(
                     n, [(p, p, coeff), (n - 1, n - 1, coeff)]
                 )
                 assert result.span.contains(flatten(grown))
@@ -193,10 +204,10 @@ def test_criterion_8_k_lemma(algebras, type_label, rank):
     n = g.ambient_n
     diagonals = K_COMPLETIONS.get((type_label, rank), [])
     for diag in diagonals:
-        for h in g.generators.h:
+        for h in generator_matrices(g.generators, "h"):
             assert sum(h.entry(p, p).real * c for p, c in enumerate(diag)) == 0
     completions = [
-        QuatMatrix.unit_sum(
+        unit_sum(
             n, [(p, p, Q_ONE.scale(Fraction(c))) for p, c in enumerate(diag)]
         )
         for diag in diagonals
@@ -251,15 +262,15 @@ def test_criterion_10_property_suites(algebras):
         grading = sigma_grading_check(g)
         assert grading.ok and grading.detail["homogeneous"]
     # closure idempotence and generator-order independence over 5 shuffles
-    seed = build_named("sl_n_C", 2).basis
+    seed = named_matrices("sl_n_C", 2)
     generators = list(seed) + [apply_J(m) for m in seed]
-    reference = close_under_bracket(generators)
-    assert close_under_bracket(closure_matrices(reference)).span.same_span(reference.span)
+    reference = close_matrices(generators)
+    assert close_matrices(closure_matrices(reference)).span.same_span(reference.span)
     rng = random.Random(555)
     for _ in range(5):
         shuffled = list(generators)
         rng.shuffle(shuffled)
-        assert close_under_bracket(shuffled).dim == reference.dim
+        assert close_matrices(shuffled).dim == reference.dim
     report(10, "Jacobi, equivariance, grading, closure properties")
 
 

@@ -20,36 +20,41 @@ from quatlie.bracket import (
     sweep_brackets,
     tau_vec,
 )
-from quatlie.matrices import (
-    QuatMatrix,
-    apply_J,
-    apply_sigma,
-    apply_tau,
-    flatten,
-)
+from quatlie.matrices import QuatMatrix, flatten
 from quatlie.quaternify import quaternion_line
 from quatlie.realizations import build_named, membership
 from quatlie.scalars import Q_I, Q_J, Q_ONE
 
 from conftest import rand_qmatrix, rand_quat
-from oracles import bracket_vec, closure_matrices, meeting_pairs, mj_embed, mj_extract
-
-
-def unit(n, p, q, coeff=Q_ONE):
-    return QuatMatrix.unit(n, p, q, coeff)
+from oracles import (
+    apply_J,
+    apply_sigma,
+    apply_tau,
+    bracket_vec,
+    close_matrices,
+    closure_matrices,
+    is_sigma_submodule,
+    meeting_pairs,
+    mj_embed,
+    mj_extract,
+    named_matrices,
+    unit,
+    unit_sum,
+    zeros,
+)
 
 
 def test_bracket_je12_je21():
     je12 = unit(2, 0, 1, Q_J)
     je21 = unit(2, 1, 0, Q_J)
-    h1 = QuatMatrix.unit_sum(2, [(0, 0, Q_ONE), (1, 1, -Q_ONE)])
+    h1 = unit_sum(2, [(0, 0, Q_ONE), (1, 1, -Q_ONE)])
     assert bracket(je12, je21) == -h1
 
 
 def test_bracket_e12_e21():
     e12 = unit(2, 0, 1)
     e21 = unit(2, 1, 0)
-    h1 = QuatMatrix.unit_sum(2, [(0, 0, Q_ONE), (1, 1, -Q_ONE)])
+    h1 = unit_sum(2, [(0, 0, Q_ONE), (1, 1, -Q_ONE)])
     assert bracket(e12, e21) == h1
 
 
@@ -60,7 +65,7 @@ def test_bracket_on_elementary_tensors(rng):
         z1, z2 = rand_quat(rng), rand_quat(rng)
         i, j, k, l = (rng.randrange(n) for _ in range(4))
         got = bracket(unit(n, i, j, z1), unit(n, k, l, z2))
-        expected = QuatMatrix.zeros(n)
+        expected = zeros(n)
         if j == k:
             expected = expected + unit(n, i, l, z1 * z2)
         if i == l:
@@ -71,7 +76,7 @@ def test_bracket_on_elementary_tensors(rng):
 def test_bracket_antisymmetry(rng):
     for _ in range(30):
         x, y = rand_qmatrix(rng, 3), rand_qmatrix(rng, 3)
-        assert bracket(x, y) + bracket(y, x) == QuatMatrix.zeros(3)
+        assert bracket(x, y) + bracket(y, x) == zeros(3)
 
 
 def test_bracket_two_path_consistency(rng):
@@ -83,11 +88,11 @@ def test_bracket_two_path_consistency(rng):
 
 def test_bracket_dimension_mismatch():
     with pytest.raises(ValueError):
-        bracket(QuatMatrix.zeros(2), QuatMatrix.zeros(3))
+        bracket(zeros(2), zeros(3))
 
 
 def test_bracket_jacobi_identity_on_matrices(rng):
-    zero = QuatMatrix.zeros(2)
+    zero = zeros(2)
     for _ in range(20):
         x, y, z = (rand_qmatrix(rng, 2) for _ in range(3))
         total = (
@@ -216,14 +221,14 @@ def test_quaternion_line_coordinate_maps(drawn):
 
 
 def test_bracket_vec_of_zero_matrices():
-    x = flatten(QuatMatrix.unit(3, 0, 1, Q_J))
+    x = flatten(unit(3, 0, 1, Q_J))
     assert bracket_vec({}, {}, 3) == {}
     assert bracket_vec(x, {}, 3) == {} and bracket_vec({}, x, 3) == {}
 
 
 def test_closure_requires_a_generator():
     with pytest.raises(ValueError):
-        close_under_bracket([])
+        close_under_bracket([], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -232,53 +237,53 @@ def test_closure_requires_a_generator():
 
 
 def sl_with_j_generators(n):
-    basis = build_named("sl_n_C", n).basis
+    basis = named_matrices("sl_n_C", n)
     return list(basis) + [apply_J(m) for m in basis]
 
 
 def test_closure_of_single_h_is_abelian():
-    h1 = QuatMatrix.unit_sum(2, [(0, 0, Q_ONE), (1, 1, -Q_ONE)])
-    result = close_under_bracket([h1])
+    h1 = unit_sum(2, [(0, 0, Q_ONE), (1, 1, -Q_ONE)])
+    result = close_matrices([h1])
     assert result.dim == 1
     assert structure_constants(result.span.rows, result.n).table == {}
 
 
 def test_closure_sl2_gives_sl2H():
-    result = close_under_bracket(sl_with_j_generators(2))
+    result = close_matrices(sl_with_j_generators(2))
     assert result.dim == 15
-    assert all(membership("sl_n_H", 2, m) for m in closure_matrices(result))
+    assert all(membership("sl_n_H", 2, row) for row in result.span.rows)
     target = build_named("sl_n_H", 2)
-    assert all(result.span.contains(flatten(m)) for m in target.basis)
+    assert all(result.span.contains(row) for row in target.basis)
 
 
 def test_closure_sl3_dimension():
-    result = close_under_bracket(sl_with_j_generators(3))
+    result = close_matrices(sl_with_j_generators(3))
     assert result.dim == 35
-    assert all(membership("sl_n_H", 3, m) for m in closure_matrices(result))
+    assert all(membership("sl_n_H", 3, row) for row in result.span.rows)
 
 
 def test_closure_idempotent():
-    result = close_under_bracket(sl_with_j_generators(2))
-    again = close_under_bracket(closure_matrices(result))
+    result = close_matrices(sl_with_j_generators(2))
+    again = close_matrices(closure_matrices(result))
     assert again.dim == result.dim
     assert again.span.same_span(result.span)
 
 
 def test_closure_generator_order_independent():
     generators = sl_with_j_generators(2)
-    reference = close_under_bracket(generators)
+    reference = close_matrices(generators)
     rng = random.Random(42)
     for _ in range(5):
         shuffled = list(generators)
         rng.shuffle(shuffled)
-        result = close_under_bracket(shuffled)
+        result = close_matrices(shuffled)
         assert result.dim == reference.dim
         assert result.span.same_span(reference.span)
 
 
 def test_closure_handles_dependent_generators():
-    h1 = QuatMatrix.unit_sum(2, [(0, 0, Q_ONE), (1, 1, -Q_ONE)])
-    result = close_under_bracket([h1, h1, h1.scale_rational(Fraction(2)), QuatMatrix.zeros(2)])
+    h1 = unit_sum(2, [(0, 0, Q_ONE), (1, 1, -Q_ONE)])
+    result = close_matrices([h1, h1, h1.scale_rational(Fraction(2)), zeros(2)])
     assert result.dim == 1
 
 
@@ -313,7 +318,7 @@ def test_closure_under_ad_of_generating_ops_is_the_bracket_closure(case):
 
 
 def test_structure_constants_round_trip_bracket():
-    result = close_under_bracket(sl_with_j_generators(2))
+    result = close_matrices(sl_with_j_generators(2))
     sc = structure_constants(result.span.rows, result.n)
     assert sc.dim == 15
     # antisymmetry of accessors
@@ -324,20 +329,20 @@ def test_structure_constants_round_trip_bracket():
 
 
 def test_jacobi_on_sl2H():
-    result = close_under_bracket(sl_with_j_generators(2))
+    result = close_matrices(sl_with_j_generators(2))
     report = jacobi_check(structure_constants(result.span.rows, result.n))
     assert report.ok and report.exhaustive
 
 
 def test_jacobi_on_gl2H():
     basis = build_named("gl_n_H", 2).basis
-    sc = structure_constants([flatten(m) for m in basis], 2)
+    sc = structure_constants(basis, 2)
     report = jacobi_check(sc)
     assert report.ok
 
 
 def test_jacobi_detects_sign_flip():
-    result = close_under_bracket(sl_with_j_generators(2))
+    result = close_matrices(sl_with_j_generators(2))
     sc = structure_constants(result.span.rows, result.n)
     (i, j), terms = next(iter(sorted(sc.table.items())))
     corrupted = StructureConstants(dim=sc.dim, table=dict(sc.table))
@@ -348,7 +353,7 @@ def test_jacobi_detects_sign_flip():
 
 
 def test_jacobi_checks_every_triple():
-    result = close_under_bracket(sl_with_j_generators(2))
+    result = close_matrices(sl_with_j_generators(2))
     report = jacobi_check(structure_constants(result.span.rows, result.n))
     assert report.exhaustive
     assert report.triples_checked == 15 * 14 * 13 // 6
@@ -362,21 +367,19 @@ def test_jacobi_checks_every_triple():
 
 def test_equivariance_gl2H():
     basis = build_named("gl_n_H", 2).basis
-    report = check_conjugation_equivariance([flatten(m) for m in basis], 2)
+    report = check_conjugation_equivariance(basis, 2)
     assert report.ok
     assert report.pairs_checked == 16 * 15 // 2
 
 
 def test_equivariance_sl3H():
     basis = build_named("sl_n_H", 3).basis
-    report = check_conjugation_equivariance([flatten(m) for m in basis], 3)
+    report = check_conjugation_equivariance(basis, 3)
     assert report.ok
 
 
 def test_non_sigma_invariant_span():
-    from quatlie.matrices import is_sigma_submodule
-
-    spanner = QuatMatrix.unit(2, 0, 0, Q_ONE + Q_J)
+    spanner = unit(2, 0, 0, Q_ONE + Q_J)
     assert not is_sigma_submodule([spanner])
 
 

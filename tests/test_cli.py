@@ -621,9 +621,9 @@ def test_build_closes_by_ad_of_the_ef_lines(tmp_path, monkeypatch, capsys):
         assert closed.contains(bracket_vec(grouped_rows[k], grouped_rows[m], 3)), (k, m)
 
 
-def test_build_flattens_each_generator_once(tmp_path, monkeypatch, capsys):
-    # A2: the six generators are flattened once, when their rows are
-    # built, and check_root_spaces flattens the six root vectors
+def test_build_flattens_only_the_root_vectors(tmp_path, monkeypatch, capsys):
+    # A2: the generators are built as rows and never flattened;
+    # check_root_spaces flattens the six root vectors
     calls = []
     flatten = QuatMatrix.flatten
 
@@ -635,7 +635,7 @@ def test_build_flattens_each_generator_once(tmp_path, monkeypatch, capsys):
     path = tmp_path / "a2.json"
     code, _ = run_json(capsys, "build", "--type", "A", "--rank", "2", "--out", str(path))
     assert code == 0
-    assert len(calls) == 12
+    assert len(calls) == 6
 
 
 def test_build_derives_k_once(tmp_path, monkeypatch, capsys):
@@ -835,6 +835,21 @@ def test_rho_check_beyond_the_word_cap_builds_no_word(type_label, rank, degree, 
         f"error: more than {freerep.MAX_WORDS} words up to degree {degree} at rank {rank}, "
         "beyond the supported cap\n"
     )
+
+
+@pytest.mark.parametrize("degree", [1, 0])
+def test_rho_check_refuses_a_low_degree_before_the_cartan_matrix(degree, monkeypatch, capsys):
+    # rank 99,999 at degree 1 is 100,000 words, within the word cap, and
+    # its Cartan matrix would hold about 10^10 entries
+    def refuse(*args):
+        raise AssertionError("a Cartan matrix was built")
+
+    monkeypatch.setattr(cli, "cartan_matrix", refuse)
+    argv = ["rho-check", "--type", "A", "--rank", "99999", "--degree", str(degree)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: degree must be at least 2\n"
 
 
 def _outcome(capsys, argv):

@@ -9,7 +9,6 @@ import pytest
 from quatlie.bracket import (
     StructureConstants,
     bracket,
-    close_under_bracket,
     close_vecs,
     group_rows,
     left_unit_vec,
@@ -19,12 +18,7 @@ from quatlie.bracket import (
 )
 from quatlie.errors import CheckReport, StructuralFailureError
 from quatlie.linalg import LinearSolver, SpanBasis, span_of
-from quatlie.matrices import (
-    QuatMatrix,
-    apply_J,
-    flatten,
-    quat_transpose_mj,
-)
+from quatlie.matrices import QuatMatrix, flatten
 from quatlie.quaternify import (
     check_jacobi,
     check_root_spaces,
@@ -51,11 +45,18 @@ from quatlie.serialize import algebra_from_json, algebra_to_json, dumps
 
 from oracles import (
     ReductionSolver,
+    apply_J,
     bracket_vec,
+    close_matrices,
     closure_matrices,
     constants_by_express,
+    generator_matrices,
     meeting_pairs,
+    named_matrices,
+    quat_transpose_mj,
     replace,
+    unit,
+    unit_sum,
 )
 from test_bracket import assert_sweep_matches_pairwise_kernel
 
@@ -90,7 +91,7 @@ def _weight_blocks(matrices, hs, n):
     blocks = {}
     for values, positions in _positions_by_weight(hs, n).items():
         projected = [
-            QuatMatrix.unit_sum(n, [(p, q, m.entry(p, q)) for p, q in positions])
+            unit_sum(n, [(p, q, m.entry(p, q)) for p, q in positions])
             for m in matrices
         ]
         block = _span(projected, n)
@@ -146,23 +147,23 @@ def test_serre_vanishing(algebras, type_label, rank):
 
 def test_specific_relation_values(algebras):
     g = algebras("A", 2)
-    gens = g.generators
-    jh, je, jf = ([apply_J(m) for m in mats] for mats in (gens.h, gens.e, gens.f))
+    h, e, f = (generator_matrices(g.generators, kind) for kind in "hef")
+    jh, je, jf = ([apply_J(m) for m in mats] for mats in (h, e, f))
     # [Je_1, Jf_1] = -h_1
-    assert bracket(je[0], jf[0]) == -gens.h[0]
+    assert bracket(je[0], jf[0]) == -h[0]
     # [Jh_1, Je_2] = -c_21 e_2 = e_2
-    assert bracket(jh[0], je[1]) == gens.e[1]
+    assert bracket(jh[0], je[1]) == e[1]
     # [h_1, Jh_1] = 0
-    assert bracket(gens.h[0], jh[0]).is_zero()
+    assert bracket(h[0], jh[0]).is_zero()
 
 
 def test_serre_example_a2(algebras):
     g = algebras("A", 2)
-    gens = g.generators
-    je = [apply_J(m) for m in gens.e]
+    e = generator_matrices(g.generators, "e")
+    je = [apply_J(m) for m in e]
     # (ad e_1)^2 (e_2) = 0 and (ad Je_1)^2 (e_2) = 0
-    assert bracket(gens.e[0], bracket(gens.e[0], gens.e[1])).is_zero()
-    assert bracket(je[0], bracket(je[0], gens.e[1])).is_zero()
+    assert bracket(e[0], bracket(e[0], e[1])).is_zero()
+    assert bracket(je[0], bracket(je[0], e[1])).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,7 @@ def test_a2_weights(algebras):
 
 def test_a1_root_space_is_quaternion_line(algebras):
     g = algebras("A", 1)
-    e1 = g.generators.e[0]
+    e1 = generator_matrices(g.generators, "e")[0]
     ambient = 4 * g.ambient_n**2
     expected = SpanBasis(ambient)
     for m in (e1, e1.scale(Q_I), apply_J(e1), apply_J(e1.scale(Q_I))):
@@ -212,16 +213,16 @@ def test_root_spaces_inflate_for_bc(algebras, type_label):
     short = [(1, 0), (1, 1), (-1, 0), (-1, -1)]
     assert report.failures == [(coeffs, "dim", 8) for coeffs in short]
     assert g.reports["weights.spaces"].failures == report.failures
-    assert span_of(g.basis, 4 * n * n).same_span(_span(build_named("sl_n_H", n).basis, n))
+    assert span_of(g.basis, 4 * n * n).same_span(_span(named_matrices("sl_n_H", n), n))
     doubled = {
         values: positions
-        for values, positions in _positions_by_weight(g.generators.h, n).items()
+        for values, positions in _positions_by_weight(generator_matrices(g.generators, "h"), n).items()
         if len(positions) == 2
     }
     assert sorted(doubled) == sorted(weight_of(Root(c), g.cartan).values for c in short)
     for values, positions in doubled.items():
         units = [
-            QuatMatrix.unit(n, p, q, u)
+            unit(n, p, q, u)
             for p, q in positions
             for u in (Q_ONE, Q_I, Q_J, Q_K)
         ]
@@ -265,11 +266,11 @@ def test_ad_closure_of_the_ef_lines_is_the_closure(type_label, rank):
 
 def test_closure_takes_the_whole_set_when_an_h_line_is_missing(monkeypatch):
     # e = f = E_12: the e/f lines bracket to zero, so h is not in <e, f>
-    plain = QuatMatrix.unit(2, 0, 1, Q_ONE)
-    h = QuatMatrix.unit_sum(2, [(0, 0, Q_ONE), (1, 1, -Q_ONE)])
+    plain = unit(2, 0, 1, Q_ONE)
+    h = unit_sum(2, [(0, 0, Q_ONE), (1, 1, -Q_ONE)])
     gens = ChevalleyGenerators(
-        type_label="A", rank=1, ambient_n=2, h=[h], e=[plain], f=[plain],
-        cartan=cartan_matrix("A", 1),
+        type_label="A", rank=1, ambient_n=2, cartan=cartan_matrix("A", 1),
+        rows={"h": [flatten(h)], "e": [flatten(plain)], "f": [flatten(plain)]},
     )
     calls = []
     original = quaternify_module.close_vecs
@@ -509,9 +510,9 @@ def _b2_defining_closure():
     {x, i x, J(i x)} over them."""
     gens = chevalley_generators("B", 2)
     seeds = []
-    for m in (*gens.h, *gens.e, *gens.f):
+    for m in generator_matrices(gens):
         seeds.extend([m, m.scale(Q_I), apply_J(m.scale(Q_I))])
-    return gens, close_under_bracket(seeds)
+    return gens, close_matrices(seeds)
 
 
 def test_b2_defining_realization_closes_to_so_star_10():
@@ -525,15 +526,16 @@ def test_b2_defining_realization_closes_to_so_star_10():
     n = gens.ambient_n
     assert closure.dim == build_named("so_star_2n", 5).dim == 45
     pairs = [(0, 0), (1, 3), (3, 1), (2, 4), (4, 2)]
-    form = QuatMatrix.unit_sum(n, [(p, q, Q_ONE) for p, q in pairs])
+    form = unit_sum(n, [(p, q, Q_ONE) for p, q in pairs])
     for m in closure_matrices(closure):
         assert (quat_transpose_mj(m) @ form + form @ m).is_zero()
-    blocks = _weight_blocks(closure_matrices(closure), gens.h, n)
+    hs = generator_matrices(gens, "h")
+    blocks = _weight_blocks(closure_matrices(closure), hs, n)
     roots = _signed_root_weights(gens.cartan)
     dims = {values: block.rank for values, block in blocks.items() if any(values)}
     assert {values: dims[values] for values in roots} == dict.fromkeys(roots, 4)
     assert sorted(d for values, d in dims.items() if values not in roots) == [1] * 4
-    assert _k_split(blocks[(0, 0)], gens.h, n) == (9, 6, 8)
+    assert _k_split(blocks[(0, 0)], hs, n) == (9, 6, 8)
 
 
 def test_weight_spaces_name_the_non_root_weights_of_so_star_10():
@@ -542,7 +544,7 @@ def test_weight_spaces_name_the_non_root_weights_of_so_star_10():
     gens, closure = _b2_defining_closure()
     roots = sorted(_signed_root_weights(gens.cartan))
     with pytest.raises(StructuralFailureError) as info:
-        weight_spaces(closure.span, [flatten(h) for h in gens.h], roots, gens.ambient_n)
+        weight_spaces(closure.span, gens.rows["h"], roots, gens.ambient_n)
     assert "[(-4, 2), (0, -2), (0, 2), (4, -2)]" in str(info.value)
 
 
@@ -551,7 +553,7 @@ def test_weight_spaces_name_the_non_root_weights_of_so_star_10():
 )
 def test_weight_spaces_reject_an_h_that_is_not_real_diagonal(h):
     gens, _ = closure_realization("A", 1)
-    span = close_under_bracket([*gens.h, *gens.e, *gens.f]).span
+    span = close_matrices(generator_matrices(gens)).span
     with pytest.raises(StructuralFailureError, match="real diagonal"):
         weight_spaces(span, [h], [(-2,), (2,)], gens.ambient_n)
 
@@ -562,7 +564,7 @@ def test_weight_spaces_reject_a_span_that_ad_h_leaves():
     gens, _ = closure_realization("A", 1)
     span = span_of([{4: 1, 8: 1}], 16)
     with pytest.raises(StructuralFailureError, match="left the span"):
-        weight_spaces(span, [flatten(gens.h[0])], [(-2,), (2,)], gens.ambient_n)
+        weight_spaces(span, [gens.rows["h"][0]], [(-2,), (2,)], gens.ambient_n)
 
 
 @pytest.mark.parametrize(
@@ -580,15 +582,16 @@ def test_closure_without_j_of_i_images(type_label, rank, dim, root_dims, k_split
     gens, _ = closure_realization(type_label, rank)
     n = gens.ambient_n
     seeds = []
-    for m in (*gens.h, *gens.e, *gens.f):
+    for m in generator_matrices(gens):
         seeds.extend([m, m.scale(Q_I), apply_J(m)])
-    closure = close_under_bracket(seeds)
+    closure = close_matrices(seeds)
     assert closure.dim == dim
-    blocks = _weight_blocks(closure_matrices(closure), gens.h, n)
+    hs = generator_matrices(gens, "h")
+    blocks = _weight_blocks(closure_matrices(closure), hs, n)
     roots = _signed_root_weights(gens.cartan)
     assert set(blocks) == roots | {(0,) * rank}
     assert sorted(blocks[values].rank for values in roots) == root_dims
-    assert _k_split(blocks[(0,) * rank], gens.h, n) == k_split
+    assert _k_split(blocks[(0,) * rank], hs, n) == k_split
 
 
 def test_a2_hr_perp_matches_matrix_description(algebras):
@@ -597,12 +600,12 @@ def test_a2_hr_perp_matches_matrix_description(algebras):
     g = algebras("A", 2)
     n = g.ambient_n
     ambient = 4 * n * n
-    blocks = [QuatMatrix.unit(n, p, p, Q_I) for p in range(n)]
-    for m in g.generators.h:
+    blocks = [unit(n, p, p, Q_I) for p in range(n)]
+    for m in generator_matrices(g.generators, "h"):
         blocks.append(apply_J(m))
         blocks.append(apply_J(m.scale(Q_I)))
-    blocks.append(apply_J(QuatMatrix.unit(n, 0, 0, Q_ONE)))
-    blocks.append(apply_J(QuatMatrix.unit(n, 0, 0, Q_I)))
+    blocks.append(apply_J(unit(n, 0, 0, Q_ONE)))
+    blocks.append(apply_J(unit(n, 0, 0, Q_I)))
     expected = SpanBasis(ambient)
     for m in blocks:
         expected.insert(flatten(m))
@@ -617,10 +620,10 @@ def test_generating_bracket_hits_new_diagonal_direction(algebras):
     # [i*Jh_1, Jh_2] lies on the line through i*E_22; only span membership
     # is asserted, the sign is convention-dependent
     g = algebras("A", 2)
-    h1, h2 = g.generators.h
+    h1, h2 = generator_matrices(g.generators, "h")
     result = bracket(apply_J(h1).scale(Q_I), apply_J(h2))
     assert not result.is_zero()
-    target = QuatMatrix.unit(3, 1, 1, Q_I)
+    target = unit(3, 1, 1, Q_I)
     from quatlie.linalg import SpanBasis
 
     line = SpanBasis(36)
@@ -634,10 +637,10 @@ def test_generating_bracket_hits_new_diagonal_direction(algebras):
 def test_type_a_k_is_generated_by_cartan_part(algebras, rank):
     g = algebras("A", rank)
     seeds = []
-    for h in g.generators.h:
+    for h in generator_matrices(g.generators, "h"):
         hi = h.scale(Q_I)
         seeds.extend([h, hi, apply_J(h), apply_J(hi)])
-    generated = close_under_bracket(seeds)
+    generated = close_matrices(seeds)
     k_span = SpanBasis(4 * g.ambient_n**2)
     for idx in g.k_indices:
         k_span.insert(g.basis[idx])
@@ -676,7 +679,7 @@ def _line_algebra(g, row):
 @pytest.mark.parametrize("unit,leaving", [(2, "sigma"), (1, "tau")])
 def test_conjugations_reject_a_span_that_leaves(algebras, unit, leaving):
     g = algebras("A", 1)
-    e = flatten(g.generators.e[0])
+    e = g.generators.rows["e"][0]
     row = {**e, **left_unit_vec(unit, e)}  # e is real, so the offsets are disjoint
     reports, _ = run_checks(_line_algebra(g, row), ["conjugations", "structure", "jacobi"])
     assert [(r.name, r.instances_checked, r.failures) for r in reports] == [
@@ -854,11 +857,11 @@ def test_sigma_grading(algebras, type_label, rank):
 
 def test_grading_examples(algebras):
     g = algebras("A", 2)
-    gens = g.generators
-    assert sigma_parity(flatten(apply_J(gens.e[0]))) == -1
-    odd = bracket(gens.e[0], apply_J(gens.e[1]))
+    e = generator_matrices(g.generators, "e")
+    assert sigma_parity(flatten(apply_J(e[0]))) == -1
+    odd = bracket(e[0], apply_J(e[1]))
     assert not odd.is_zero() and sigma_parity(flatten(odd)) == -1
-    even = bracket(apply_J(gens.e[0]), apply_J(gens.e[1]))
+    even = bracket(apply_J(e[0]), apply_J(e[1]))
     assert not even.is_zero() and sigma_parity(flatten(even)) == 1
 
 
@@ -890,7 +893,7 @@ def test_weight_blocks_are_ad_h_eigenspaces(algebras, type_label, rank):
     for values, indices in g.weight_indices.items():
         for i in indices:
             b = QuatMatrix.unflatten(g.ambient_n, g.basis[i])
-            for h, w in zip(g.generators.h, values):
+            for h, w in zip(generator_matrices(g.generators, "h"), values):
                 assert bracket(h, b) == b.scale_rational(Fraction(w)), (values, i)
 
 
@@ -938,7 +941,7 @@ def test_replace_rebuilds_the_root_data(algebras):
     # e_1 set to zero: its rows are derived again, and the root vector of
     # (1, 1) vanishes
     gens = g.generators
-    cut = replace(gens, e=[gens.e[0], gens.e[1].scale_rational(0)])
+    cut = replace(gens, rows={**gens.rows, "e": [gens.rows["e"][0], {}]})
     assert cut.rows["e"][1] == {} and gens.rows["e"][1] != {}
     with pytest.raises(StructuralFailureError, match=r"root vector for \(1, 1\) vanished"):
         replace(g, generators=cut)

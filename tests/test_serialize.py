@@ -43,7 +43,7 @@ def test_quat_matrix_round_trip(rng):
 
 
 def test_constants_round_trip():
-    sc = structure_constants([flatten(m) for m in build_named("u_n", 2).basis], 2)
+    sc = structure_constants(build_named("u_n", 2).basis, 2)
     doc = serialize.constants_to_json(sc)
     for entry in doc["entries"]:
         i, j, k, coeff = entry
@@ -71,7 +71,7 @@ def test_algebra_file_round_trip(algebras, type_label, rank, tmp_path):
     assert loaded.weight_indices == g.weight_indices
     assert loaded.k_indices == g.k_indices
     assert loaded.cartan.entries == g.cartan.entries
-    assert loaded.generators.h == g.generators.h
+    assert loaded.generators.rows["h"] == g.generators.rows["h"]
     for name in ("type_label", "rank", "ambient_n", "realization", "pos_roots", "root_vectors"):
         assert getattr(loaded, name) == getattr(g, name), name
 

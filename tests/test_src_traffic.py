@@ -37,24 +37,28 @@ KEEP_GROUPS = {
     "value-type methods": {
         "errors.CheckReport.__eq__",
         "errors.CheckReport.__repr__",
+        "matrices.QuatMatrix.__add__",
         "matrices.QuatMatrix.__eq__",
         "matrices.QuatMatrix.__hash__",
         "matrices.QuatMatrix.__neg__",
         "matrices.QuatMatrix.entry",
-        "matrices.QuatMatrix.identity",
         "matrices.QuatMatrix.scale",
         "matrices.QuatMatrix.scale_rational",
-        "matrices.QuatMatrix.zeros",
         "rootsystem.Root.__add__",
         "rootsystem.Weight.__add__",
         "rootsystem.Weight.__neg__",
         "rootsystem.Weight.is_zero",
+        "scalars.GaussianRational.__add__",
         "scalars.GaussianRational.__eq__",
         "scalars.GaussianRational.__hash__",
         "scalars.GaussianRational.__repr__",
+        "scalars.GaussianRational.conj",
+        "scalars.Quaternion.__add__",
         "scalars.Quaternion.__eq__",
         "scalars.Quaternion.__hash__",
         "scalars.Quaternion.__repr__",
+        "scalars.Quaternion.conj",
+        "scalars.Quaternion.real",
         "scalars.Quaternion.scale",
     },
     # the console script's entry point; the pass calls cli.main
@@ -70,7 +74,6 @@ KEEP_GROUPS = {
         "realizations._basis_sk_c",
         "realizations._gens_type_b",
         "realizations._gens_type_d",
-        "realizations._plain_transpose_sum_zero",
         "realizations.chevalley_generators",
     },
 }
