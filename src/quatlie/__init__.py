@@ -44,8 +44,6 @@ from .realizations import (
 )
 from .rootsystem import (
     CartanMatrix,
-    Root,
-    Weight,
     cartan_matrix,
     custom_cartan,
     positive_roots,

@@ -19,9 +19,11 @@ grouped rows into a fresh dict, zero sums kept; :func:`bracket_grouped`
 drops them.  Every sweep over pairs groups each of its rows once.
 [X, Y] has no term unless a column of X is a row of Y or a column of Y
 a row of X; the closure tests that on :func:`support_masks`.  The
-structure constants and check read a row's brackets off an index of the
-later rows (:func:`sweep_brackets`) and take each fresh dict as it is:
-the constants solve it, the check subtracts the table's entry from it.
+structure constants and check, and a build's [k, k], read a row's
+brackets off an index of the later rows (:func:`sweep_brackets`) and
+take each fresh dict as it is: the constants solve it, the check
+subtracts the table's entry from it, and [k, k] inserts its nonzero
+values.
 
 The conjugations are sign flips: sigma (z1 + j*z2 -> z1 - j*z2) negates
 offsets 2 and 3 of every entry, tau (complex conjugation of z1 and z2)
@@ -239,15 +241,6 @@ class StructureConstants:
         return out
 
 
-class ClosureResult(NamedTuple):
-    span: SpanBasis
-    n: int
-
-    @property
-    def dim(self) -> int:
-        return self.span.rank
-
-
 def _grade(grouped: dict, cell_weight: list, n: int):
     """The one cell weight of every coordinate of a grouped row, or None
     when the row is zero or spreads over cells of two weights."""
@@ -331,11 +324,11 @@ def close_vecs(
     return span
 
 
-def close_under_bracket(generators: list[Vec], n: int) -> ClosureResult:
-    """:func:`close_vecs` of flattened n x n matrices, with their size."""
+def close_under_bracket(generators: list[Vec], n: int) -> SpanBasis:
+    """:func:`close_vecs` of at least one flattened n x n matrix."""
     if not generators:
         raise ValueError("need at least one generator")
-    return ClosureResult(span=close_vecs(generators, n), n=n)
+    return close_vecs(generators, n)
 
 
 def structure_constants(

@@ -180,7 +180,7 @@ def cmd_roots(args) -> int:
         manifest,
         {
             "cartan": [list(row) for row in cm.entries],
-            "positive_roots": [list(r.coeffs) for r in roots],
+            "positive_roots": [list(r) for r in roots],
         },
     )
 
@@ -224,23 +224,23 @@ def cmd_closure(args) -> int:
         generators = seed + [left_unit_vec(2, v) for v in seed]  # and their J images
         result = close_under_bracket(generators, n)
         expected = 4 * n * n - 1
-        manifest.add("closure-dim", result.dim == expected, result.dim)
+        manifest.add("closure-dim", result.rank == expected, result.rank)
         target = build_named("sl_n_H", n)
-        same = result.span.same_span(span_of(target.basis, ambient))
+        same = result.same_span(span_of(target.basis, ambient))
         manifest.add("equals-sl-n-H", same, target.dim)
     else:  # argparse admits only "so-star" and "sp" besides "sl"
         name = "so_star_2n" if args.preset == "so-star" else "sp_n"
         algebra = build_named(name, n)
         generators = algebra.basis
         result = close_under_bracket(generators, n)
-        manifest.add("bracket-closed", result.dim == algebra.dim, algebra.dim)
+        manifest.add("bracket-closed", result.rank == algebra.dim, algebra.dim)
         span = independent_span(generators, ambient)
         stable = all(span.contains(conj(v)) for v in generators for conj in (sigma_vec, tau_vec))
         manifest.add("sigma-tau-invariant", stable, len(generators))
-    extra = {"dim": result.dim}
+    extra = {"dim": result.rank}
     if args.preset == "sl":
         extra["summary"] = (
-            f"closure dim {result.dim}, equals sl({n},H): {manifest.ok}"
+            f"closure dim {result.rank}, equals sl({n},H): {manifest.ok}"
         )
     return _emit(manifest, extra)
 

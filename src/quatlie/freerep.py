@@ -49,6 +49,10 @@ GENERATOR_KINDS = ("h", "e", "f", "Jh", "Je", "Jf")
 # plain words up to the degree that a check may span: E8 at degree 5 has
 # 37,449, and A8 at degree 12 (about 8e10) would exhaust memory
 MAX_WORDS = 100_000
+# letters of those words, sum t * rank^t over lengths t: rank 2 at degree
+# 15 has 917,506 and E8 at degree 5 181,896; rank 1 at degree 99,999
+# would have about 5e9
+MAX_LETTERS = 1_000_000
 
 
 class FreeWord(NamedTuple):
@@ -148,25 +152,35 @@ def plain_images(cm: CartanMatrix, degree_cap: int):
 
 
 def require_word_space(rank: int, degree: int) -> None:
-    """ValueError when the plain words up to ``degree`` number more than ``MAX_WORDS``.
+    """ValueError when the plain words up to ``degree`` number more than
+    ``MAX_WORDS``, or their letters more than ``MAX_LETTERS``.
 
-    Counted one length at a time and stopped at the cap, so no word and
-    no large power is built.  Below rank 2 there are at most degree + 1
-    words, read off directly: counting them would take degree steps.
+    Counted one length at a time and stopped at a cap, so no word and no
+    large power is built.  Below rank 2 both counts are read off
+    directly (at rank 1, degree + 1 words of degree * (degree + 1) / 2
+    letters): counting them would take degree steps.
     """
     if rank < 2:
         total = degree + 1 if rank == 1 else 1
+        letters = degree * (degree + 1) // 2 if rank == 1 else 0
     else:
-        total, level = 0, 1
-        for _ in range(degree + 1):
+        total = letters = 0
+        level = 1
+        for length in range(degree + 1):
             total += level
-            if total > MAX_WORDS:
+            letters += length * level
+            if total > MAX_WORDS or letters > MAX_LETTERS:
                 break
             level *= rank
     if total > MAX_WORDS:
         raise ValueError(
             f"more than {MAX_WORDS} words up to degree {degree} at rank {rank}, "
             "beyond the supported cap"
+        )
+    if letters > MAX_LETTERS:
+        raise ValueError(
+            f"more than {MAX_LETTERS} letters in the words up to degree {degree} "
+            f"at rank {rank}, beyond the supported cap"
         )
 
 

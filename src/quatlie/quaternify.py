@@ -15,13 +15,13 @@ whose supports meet, ``bracket.support_masks``) instead of C(dim, 2),
 and fewer still: every one of those rows, and every bracket of them, is
 homogeneous for the grading of the cells by ad(h) (``cell_weights``),
 which lets ``bracket.close_vecs`` skip the brackets that its span would
-reject.  When that subalgebra contains every h line it is the closure of
-the whole generator set; when any h line is missing, the whole set is
-closed pairwise instead, under the same grading, so h in <e, f> is
-checked, never assumed.  The
-algebra is kept as flattened coordinate rows (``Vec``, see
-``quatlie.bracket``) from the generators to the stored basis; quaternion
-matrices appear only for the root vectors.  The
+reject.  That subalgebra is the closure of the whole generator set
+exactly when it contains every h line, as it does for every supported
+type: the generators are real, so [q e_k, f_k] = q h_k for each unit q.
+That is checked, never assumed: a closure that misses an h line raises
+StructuralFailureError.  The algebra is kept as flattened coordinate
+rows (``Vec``, see ``quatlie.bracket``) from the generators to the
+stored basis; quaternion matrices appear only for the root vectors.  The
 pipeline then
 
   1. splits the closure into weight spaces with respect to {h_1..h_l}
@@ -167,15 +167,18 @@ def generating_set(gens: ChevalleyGenerators) -> list:
 
 def close_generators(gens: ChevalleyGenerators) -> SpanBasis:
     """The bracket closure of :func:`generating_set`, as the closure of
-    the e and f lines under their own ad when it contains the h lines,
-    else by bracketing the whole set pairwise (module docstring)."""
+    the e and f lines under their own ad; StructuralFailureError names
+    the first h-line row it misses (module docstring)."""
     n = gens.ambient_n
-    weights = cell_weights(gens.rows["h"], n)
     ef = _lines(gens, ("e", "f"))
-    span = close_vecs(ef, n, ef, weights)
-    if all(span.contains(v) for v in _lines(gens, ("h",))):
-        return span
-    return close_vecs(generating_set(gens), n, cell_weight=weights)
+    span = close_vecs(ef, n, ef, cell_weights(gens.rows["h"], n))
+    for index, v in enumerate(_lines(gens, ("h",))):
+        if not span.contains(v):
+            raise StructuralFailureError(
+                f"h-line row {index} (of h_{index // 4 + 1}) is not in the closure "
+                "of the e and f lines"
+            )
+    return span
 
 
 def cell_weights(hs: list, n: int) -> list:
@@ -189,7 +192,8 @@ def cell_weights(hs: list, n: int) -> list:
 
 def signed_root_weights(roots: list, cm: CartanMatrix) -> dict:
     """Signed root -> its weight values, the given positive roots first."""
-    return {r: weight_of(r, cm).values for r in (*roots, *(-r for r in roots))}
+    negatives = [tuple(-c for c in r) for r in roots]
+    return {r: weight_of(r, cm) for r in (*roots, *negatives)}
 
 
 def weight_spaces(span: SpanBasis, hs: list, weights, n: int) -> dict:
@@ -245,12 +249,13 @@ def weight_spaces(span: SpanBasis, hs: list, weights, n: int) -> dict:
     return spaces
 
 
-def _derived_span(grouped: list, n: int) -> SpanBasis:
-    """Echelon span of the brackets of all pairs of matrices given by ``group_rows``."""
+def _derived_span(rows: list, n: int) -> SpanBasis:
+    """Echelon span of the brackets of all pairs of the flattened ``rows``,
+    read off ``sweep_brackets`` (zero sums dropped)."""
     derived = SpanBasis(4 * n * n)
-    for a in range(len(grouped)):
-        for b in range(a + 1, len(grouped)):
-            prod = bracket_grouped(grouped[a], grouped[b], n)
+    for _, brackets in sweep_brackets(rows, n):
+        for terms in brackets.values():
+            prod = {idx: val for idx, val in terms.items() if val}
             if prod:
                 derived.insert(prod)
     return derived
@@ -265,13 +270,13 @@ def _root_vector_table(
     e, f = ([QuatMatrix.unflatten(n, v) for v in gens.rows[kind]] for kind in ("e", "f"))
     table: dict[tuple, QuatMatrix] = {}
     for node in tree:
-        coeffs = node.root.coeffs
+        coeffs = node.root
         if node.parent is None:
             simple = coeffs.index(1)
             table[coeffs] = e[simple]
             table[tuple(-c for c in coeffs)] = f[simple]
             continue
-        parent = tree[node.parent].root.coeffs
+        parent = tree[node.parent].root
         pos = bracket(e[node.simple], table[parent])
         neg = bracket(f[node.simple], table[tuple(-c for c in parent)])
         if pos.is_zero() or neg.is_zero():
@@ -309,7 +314,7 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
     t0 = clock()
     zero = tuple(0 for _ in range(rank))
     k_rows = spaces[zero]
-    derived = _derived_span([group_rows(row, n) for row in k_rows], n)
+    derived = _derived_span(k_rows, n)
     # h_r + [k, k] spans k for type A and D3; for B2/C2 it misses real
     # diagonal directions and rows of k complete the block
     split = span_of([*hr_flats, *derived.rows], ambient)
@@ -463,12 +468,12 @@ def check_root_spaces(g: QuaternionLieAlgebra) -> CheckReport:
     for root, values in weights.items():
         indices = g.weight_indices.get(values, ())
         if len(indices) != 4:
-            failures.append((root.coeffs, "dim", len(indices)))
+            failures.append((root, "dim", len(indices)))
             continue
-        quarter = span_of(quaternion_line(flatten(g.root_vectors[root.coeffs])), ambient)
+        quarter = span_of(quaternion_line(flatten(g.root_vectors[root])), ambient)
         block = span_of([g.basis[i] for i in indices], ambient)
         if quarter.rank != 4 or not block.same_span(quarter):
-            failures.append((root.coeffs, "span-mismatch"))
+            failures.append((root, "span-mismatch"))
     return CheckReport("weights.spaces", len(weights), failures)
 
 

@@ -6,6 +6,9 @@ the i-th simple root on the j-th coroot.  Conventions in the literature
 differ from this one by a transpose; every formula in this package
 pairs a root with coroots by summing ``coeffs[k] * c[k][j]`` over k.
 
+A root is the int tuple of its simple-root coefficients, all >= 0 or all
+<= 0, and a weight (``weight_of``) the int tuple of its coroot values.
+
 For type B the short simple root is listed first, which is what makes
 the relation above produce ``[[2, -1], [-2, 2]]`` at rank 2.
 """
@@ -113,43 +116,17 @@ def cartan_matrix(type_label: str, rank: int) -> CartanMatrix:
     return CartanMatrix(type_label=type_label, rank=rank, entries=entries)
 
 
-class Root(NamedTuple):
-    """Integer coordinates in the simple-root basis, all >= 0 or all <= 0."""
-
-    coeffs: tuple
-
-    def __add__(self, other: "Root") -> "Root":
-        return Root(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Root":
-        return Root(tuple(-a for a in self.coeffs))
+def weight_of(root: tuple, cm: CartanMatrix) -> tuple:
+    """The values ``sum_k root[k] * c[k][j]`` of ``root`` on the coroots j."""
+    return tuple(cm.pairing(root, j) for j in range(cm.rank))
 
 
-class Weight(NamedTuple):
-    """Values on the coroots: ``values[j] = sum_k coeffs[k] * c[k][j]``."""
-
-    values: tuple
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.values))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
-
-
-def weight_of(root: Root, cm: CartanMatrix) -> Weight:
-    return Weight(tuple(cm.pairing(root.coeffs, j) for j in range(cm.rank)))
-
-
-def simple_root(cm: CartanMatrix, i: int) -> Root:
-    return Root(tuple(1 if k == i else 0 for k in range(cm.rank)))
+def simple_root(cm: CartanMatrix, i: int) -> tuple:
+    return tuple(1 if k == i else 0 for k in range(cm.rank))
 
 
 class RootTreeNode(NamedTuple):
-    root: Root
+    root: tuple  # coefficients in the simple roots
     parent: int | None  # index of the root this one was grown from
     simple: int | None  # which simple root was added
 
@@ -165,7 +142,7 @@ def positive_roots_with_tree(cm: CartanMatrix) -> list[RootTreeNode]:
     l = cm.rank
     cap = 10 * l * l
     nodes = [RootTreeNode(simple_root(cm, i), None, None) for i in range(l)]
-    index: dict[tuple, int] = {node.root.coeffs: k for k, node in enumerate(nodes)}
+    index: dict[tuple, int] = {node.root: k for k, node in enumerate(nodes)}
     frontier = list(range(l))
     while frontier:
         next_frontier: list[int] = []
@@ -173,22 +150,22 @@ def positive_roots_with_tree(cm: CartanMatrix) -> list[RootTreeNode]:
             beta = nodes[node_idx].root
             for i in range(l):
                 down = 0
-                probe = list(beta.coeffs)
+                probe = list(beta)
                 while True:
                     probe[i] -= 1
                     if tuple(probe) in index:
                         down += 1
                     else:
                         break
-                if down - cm.pairing(beta.coeffs, i) <= 0:
+                if down - cm.pairing(beta, i) <= 0:
                     continue
-                grown = list(beta.coeffs)
+                grown = list(beta)
                 grown[i] += 1
                 key = tuple(grown)
                 if key in index:
                     continue
                 index[key] = len(nodes)
-                nodes.append(RootTreeNode(Root(key), node_idx, i))
+                nodes.append(RootTreeNode(key, node_idx, i))
                 next_frontier.append(index[key])
                 if len(nodes) > cap:
                     raise ValueError(
@@ -205,5 +182,5 @@ def positive_roots_with_tree(cm: CartanMatrix) -> list[RootTreeNode]:
     return nodes
 
 
-def positive_roots(cm: CartanMatrix) -> list[Root]:
+def positive_roots(cm: CartanMatrix) -> list[tuple]:
     return [node.root for node in positive_roots_with_tree(cm)]

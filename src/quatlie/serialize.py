@@ -111,7 +111,7 @@ def constants_from_json(data) -> StructureConstants:
 
 
 def roots_to_json(roots) -> list:
-    return [list(r.coeffs) for r in roots]
+    return [list(r) for r in roots]
 
 
 def algebra_to_json(g: QuaternionLieAlgebra, manifest: dict | None = None) -> dict:

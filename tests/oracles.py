@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import inspect
 from fractions import Fraction
+from math import isqrt
 
 from quatlie.bracket import bracket_grouped, close_under_bracket, group_rows
 from quatlie.errors import DegenerateInputError, MalformedInputError
@@ -137,9 +138,11 @@ def meeting_pairs(rows: list[Vec], n: int) -> list[tuple[int, int]]:
     ]
 
 
-def closure_matrices(result) -> list[QuatMatrix]:
-    """The echelon rows of a ``ClosureResult`` as quaternion matrices."""
-    return [QuatMatrix.unflatten(result.n, row) for row in result.span.rows]
+def closure_matrices(span: SpanBasis) -> list[QuatMatrix]:
+    """The echelon rows of a closure of n x n matrices (ambient 4n²) as
+    quaternion matrices."""
+    n = isqrt(span.ambient_dim // 4)
+    return [QuatMatrix.unflatten(n, row) for row in span.rows]
 
 
 def is_J_submodule(basis: list[QuatMatrix]) -> bool:

@@ -114,7 +114,7 @@ def test_criterion_3_named_algebras():
         for n in (2, 3, 4):
             algebra = build_named(name, n)
             assert algebra.dim == formula(n)
-            assert close_under_bracket(algebra.basis, n).dim == algebra.dim
+            assert close_under_bracket(algebra.basis, n).rank == algebra.dim
             assert is_sigma_submodule(named_matrices(name, n))
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"took {elapsed:.2f}s, budget 30s"
@@ -128,18 +128,18 @@ def test_criterion_4_sl_closure_reproduction():
         seed = named_matrices("sl_n_C", n)
         generators = list(seed) + [apply_J(m) for m in seed]
         result = close_matrices(generators)
-        assert result.dim == dim
-        assert all(membership("sl_n_H", n, row) for row in result.span.rows)
+        assert result.rank == dim
+        assert all(membership("sl_n_H", n, row) for row in result.rows)
         target = build_named("sl_n_H", n)
-        assert all(result.span.contains(row) for row in target.basis)
+        assert all(result.contains(row) for row in target.basis)
         # added directions beyond sl + J sl, sign-agnostic span membership
-        assert result.span.contains(flatten(unit(n, 1, 1, Q_I)))
+        assert result.contains(flatten(unit(n, 1, 1, Q_I)))
         for p in range(n - 1):
             for coeff in (Q_J, Q_K):  # J and i*J copies of E_pp + E_nn
                 grown = unit_sum(
                     n, [(p, p, coeff), (n - 1, n - 1, coeff)]
                 )
-                assert result.span.contains(flatten(grown))
+                assert result.contains(flatten(grown))
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"took {elapsed:.2f}s, budget 120s"
     report(4, "closure(sl + J sl) equals sl(n,H), n=2,3,4", detail=f"{elapsed:.2f}s")
@@ -265,12 +265,12 @@ def test_criterion_10_property_suites(algebras):
     seed = named_matrices("sl_n_C", 2)
     generators = list(seed) + [apply_J(m) for m in seed]
     reference = close_matrices(generators)
-    assert close_matrices(closure_matrices(reference)).span.same_span(reference.span)
+    assert close_matrices(closure_matrices(reference)).same_span(reference)
     rng = random.Random(555)
     for _ in range(5):
         shuffled = list(generators)
         rng.shuffle(shuffled)
-        assert close_matrices(shuffled).dim == reference.dim
+        assert close_matrices(shuffled).rank == reference.rank
     report(10, "Jacobi, equivariance, grading, closure properties")
 
 

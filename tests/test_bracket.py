@@ -244,29 +244,29 @@ def sl_with_j_generators(n):
 def test_closure_of_single_h_is_abelian():
     h1 = unit_sum(2, [(0, 0, Q_ONE), (1, 1, -Q_ONE)])
     result = close_matrices([h1])
-    assert result.dim == 1
-    assert structure_constants(result.span.rows, result.n).table == {}
+    assert result.rank == 1
+    assert structure_constants(result.rows, 2).table == {}
 
 
 def test_closure_sl2_gives_sl2H():
     result = close_matrices(sl_with_j_generators(2))
-    assert result.dim == 15
-    assert all(membership("sl_n_H", 2, row) for row in result.span.rows)
+    assert result.rank == 15
+    assert all(membership("sl_n_H", 2, row) for row in result.rows)
     target = build_named("sl_n_H", 2)
-    assert all(result.span.contains(row) for row in target.basis)
+    assert all(result.contains(row) for row in target.basis)
 
 
 def test_closure_sl3_dimension():
     result = close_matrices(sl_with_j_generators(3))
-    assert result.dim == 35
-    assert all(membership("sl_n_H", 3, row) for row in result.span.rows)
+    assert result.rank == 35
+    assert all(membership("sl_n_H", 3, row) for row in result.rows)
 
 
 def test_closure_idempotent():
     result = close_matrices(sl_with_j_generators(2))
     again = close_matrices(closure_matrices(result))
-    assert again.dim == result.dim
-    assert again.span.same_span(result.span)
+    assert again.rank == result.rank
+    assert again.same_span(result)
 
 
 def test_closure_generator_order_independent():
@@ -277,14 +277,14 @@ def test_closure_generator_order_independent():
         shuffled = list(generators)
         rng.shuffle(shuffled)
         result = close_matrices(shuffled)
-        assert result.dim == reference.dim
-        assert result.span.same_span(reference.span)
+        assert result.rank == reference.rank
+        assert result.same_span(reference)
 
 
 def test_closure_handles_dependent_generators():
     h1 = unit_sum(2, [(0, 0, Q_ONE), (1, 1, -Q_ONE)])
     result = close_matrices([h1, h1, h1.scale_rational(Fraction(2)), zeros(2)])
-    assert result.dim == 1
+    assert result.rank == 1
 
 
 def _ops_generated_sets():
@@ -319,7 +319,7 @@ def test_closure_under_ad_of_generating_ops_is_the_bracket_closure(case):
 
 def test_structure_constants_round_trip_bracket():
     result = close_matrices(sl_with_j_generators(2))
-    sc = structure_constants(result.span.rows, result.n)
+    sc = structure_constants(result.rows, 2)
     assert sc.dim == 15
     # antisymmetry of accessors
     for (i, j) in list(sc.table)[:10]:
@@ -330,7 +330,7 @@ def test_structure_constants_round_trip_bracket():
 
 def test_jacobi_on_sl2H():
     result = close_matrices(sl_with_j_generators(2))
-    report = jacobi_check(structure_constants(result.span.rows, result.n))
+    report = jacobi_check(structure_constants(result.rows, 2))
     assert report.ok and report.exhaustive
 
 
@@ -343,7 +343,7 @@ def test_jacobi_on_gl2H():
 
 def test_jacobi_detects_sign_flip():
     result = close_matrices(sl_with_j_generators(2))
-    sc = structure_constants(result.span.rows, result.n)
+    sc = structure_constants(result.rows, 2)
     (i, j), terms = next(iter(sorted(sc.table.items())))
     corrupted = StructureConstants(dim=sc.dim, table=dict(sc.table))
     corrupted.table[(i, j)] = tuple((k, -c) for k, c in terms)
@@ -354,7 +354,7 @@ def test_jacobi_detects_sign_flip():
 
 def test_jacobi_checks_every_triple():
     result = close_matrices(sl_with_j_generators(2))
-    report = jacobi_check(structure_constants(result.span.rows, result.n))
+    report = jacobi_check(structure_constants(result.rows, 2))
     assert report.exhaustive
     assert report.triples_checked == 15 * 14 * 13 // 6
     assert report.ok

@@ -643,9 +643,9 @@ def test_build_derives_k_once(tmp_path, monkeypatch, capsys):
     calls = []
     derived_span = quaternify._derived_span
 
-    def counted(grouped, n):
-        calls.append(len(grouped))
-        return derived_span(grouped, n)
+    def counted(rows, n):
+        calls.append(len(rows))
+        return derived_span(rows, n)
 
     monkeypatch.setattr(quaternify, "_derived_span", counted)
     path = tmp_path / "a2.json"
@@ -689,8 +689,8 @@ def test_build_reports_a_failed_zero_block_split(tmp_path, monkeypatch, capsys):
     # and `build` reports a red `build` check, with no traceback and no file
     derived_span = quaternify._derived_span
 
-    def with_h0(grouped, n):
-        span = derived_span(grouped, n)
+    def with_h0(rows, n):
+        span = derived_span(rows, n)
         span.insert(quaternify.closure_realization("A", 2)[0].rows["h"][0])
         return span
 
@@ -850,6 +850,25 @@ def test_rho_check_refuses_a_low_degree_before_the_cartan_matrix(degree, monkeyp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: degree must be at least 2\n"
+
+
+def test_rho_check_refuses_rank_one_past_the_letter_cap_before_the_cartan_matrix(
+    monkeypatch, capsys
+):
+    # rank 1 at degree 1,414: 1,415 words within the word cap, but
+    # 1,000,405 letters; the refusal comes before any matrix or word
+    def refuse(*args):
+        raise AssertionError("a Cartan matrix or a word list was built")
+
+    monkeypatch.setattr(cli, "cartan_matrix", refuse)
+    monkeypatch.setattr(freerep, "all_words", refuse)
+    assert main(["rho-check", "--type", "A", "--rank", "1", "--degree", "1414"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: more than {freerep.MAX_LETTERS} letters in the words up to degree 1414 "
+        "at rank 1, beyond the supported cap\n"
+    )
 
 
 def _outcome(capsys, argv):

@@ -163,11 +163,40 @@ def test_word_cap_admits_e8_at_degree_five_and_stops_counting():
 
 
 def test_word_cap_reads_ranks_below_two_off_directly():
-    # counting one length at a time would take 10**12 steps here
+    # counting one length at a time would take 10**12 steps here; rank 1
+    # has degree * (degree + 1) / 2 letters, 998,991 at degree 1,413 and
+    # 1,000,405 at 1,414
     freerep.require_word_space(0, 10**12)
-    freerep.require_word_space(1, freerep.MAX_WORDS - 1)
-    with pytest.raises(ValueError, match="beyond the supported cap"):
+    freerep.require_word_space(1, 1413)
+    with pytest.raises(ValueError, match="more than 1000000 letters .* beyond the supported cap"):
+        freerep.require_word_space(1, 1414)
+    # past both caps the word count is named
+    with pytest.raises(ValueError, match="more than 100000 words"):
         freerep.require_word_space(1, freerep.MAX_WORDS)
+
+
+def _letters(rank, degree):
+    return sum(t * rank**t for t in range(degree + 1))
+
+
+def test_letter_cap_changes_no_admission_from_rank_two():
+    # the letter cap refuses only rank 1 words the word cap admits: from
+    # rank 2 on, every word space within MAX_WORDS has at most 917,506
+    # letters (rank 2 at degree 15), E8 at degree 5 181,896
+    assert freerep.MAX_LETTERS == 1_000_000
+    admitted = []
+    for rank in range(2, 40):
+        for degree in range(40):
+            words = sum(rank**t for t in range(degree + 1))
+            try:
+                freerep.require_word_space(rank, degree)
+            except ValueError:
+                assert words > freerep.MAX_WORDS, (rank, degree)
+            else:
+                assert words <= freerep.MAX_WORDS, (rank, degree)
+                admitted.append(_letters(rank, degree))
+    assert max(admitted) == _letters(2, 15) == 917_506 < freerep.MAX_LETTERS
+    assert _letters(8, 5) == 181_896
 
 
 def test_combo_apply_keeps_the_degree_cap():

@@ -39,7 +39,7 @@ from quatlie.quaternify import (
     weight_spaces,
 )
 from quatlie.realizations import ChevalleyGenerators, build_named, chevalley_generators
-from quatlie.rootsystem import Root, cartan_matrix, positive_roots, weight_of
+from quatlie.rootsystem import cartan_matrix, positive_roots, weight_of
 from quatlie.scalars import Q_I, Q_J, Q_K, Q_ONE
 from quatlie.serialize import algebra_from_json, algebra_to_json, dumps
 
@@ -109,7 +109,7 @@ def _k_split(k_block, hs, n):
 
 def _signed_root_weights(cartan):
     roots = positive_roots(cartan)
-    return {weight_of(r, cartan).values for r in (*roots, *(-r for r in roots))}
+    return {weight_of(r, cartan) for r in (*roots, *(tuple(-c for c in r) for r in roots))}
 
 
 @pytest.mark.parametrize("rank,expected", [(1, 15), (2, 35), (3, 63)])
@@ -219,7 +219,7 @@ def test_root_spaces_inflate_for_bc(algebras, type_label):
         for values, positions in _positions_by_weight(generator_matrices(g.generators, "h"), n).items()
         if len(positions) == 2
     }
-    assert sorted(doubled) == sorted(weight_of(Root(c), g.cartan).values for c in short)
+    assert sorted(doubled) == sorted(weight_of(c, g.cartan) for c in short)
     for values, positions in doubled.items():
         units = [
             unit(n, p, q, u)
@@ -250,28 +250,9 @@ def test_weight_blocks_cover_algebra(algebras, type_label, rank):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "type_label,rank",
-    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("C", 2), ("C", 3), ("C", 4), ("D", 3)],
-)
-def test_ad_closure_of_the_ef_lines_is_the_closure(type_label, rank):
-    gens, _ = closure_realization(type_label, rank)
-    n = gens.ambient_n
-    ef = generating_set(gens)[4 * rank :]  # the h lines come first
-    by_ad = close_vecs(ef, n, ef)
-    pairwise = close_vecs(generating_set(gens), n)
-    assert by_ad.rows == pairwise.rows and by_ad.pivots == pairwise.pivots
-    assert close_generators(gens).rows == pairwise.rows
-
-
-def test_closure_takes_the_whole_set_when_an_h_line_is_missing(monkeypatch):
-    # e = f = E_12: the e/f lines bracket to zero, so h is not in <e, f>
-    plain = unit(2, 0, 1, Q_ONE)
-    h = unit_sum(2, [(0, 0, Q_ONE), (1, 1, -Q_ONE)])
-    gens = ChevalleyGenerators(
-        type_label="A", rank=1, ambient_n=2, cartan=cartan_matrix("A", 1),
-        rows={"h": [flatten(h)], "e": [flatten(plain)], "f": [flatten(plain)]},
-    )
+def _record_close_vecs(monkeypatch):
+    """``(ops given, grading given, rank)`` of every ``close_vecs`` call that
+    ``close_generators`` makes."""
     calls = []
     original = quaternify_module.close_vecs
 
@@ -281,11 +262,54 @@ def test_closure_takes_the_whole_set_when_an_h_line_is_missing(monkeypatch):
         return span
 
     monkeypatch.setattr(quaternify_module, "close_vecs", recorded)
-    span = close_generators(gens)
-    full = original(generating_set(gens), 2)  # ungraded
-    # both closures are graded, by the h rows' d_p - d_q
-    assert calls == [(True, True, 4), (False, True, full.rank)]
-    assert span.rows == full.rows and span.pivots == full.pivots
+    return calls
+
+
+# the defining B3 and D4 realizations, which no build closes in
+DEFINING = {("B", 3), ("D", 4)}
+
+
+@pytest.mark.parametrize(
+    "type_label,rank",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("C", 2), ("C", 3), ("C", 4), ("D", 3),
+     ("B", 3), ("D", 4)],
+)
+def test_ad_closure_of_the_ef_lines_is_the_closure(type_label, rank, monkeypatch):
+    if (type_label, rank) in DEFINING:
+        gens = chevalley_generators(type_label, rank)
+    else:
+        gens, _ = closure_realization(type_label, rank)
+    n = gens.ambient_n
+    ef = generating_set(gens)[4 * rank :]  # the h lines come first
+    by_ad = close_vecs(ef, n, ef)
+    pairwise = close_vecs(generating_set(gens), n)
+    assert by_ad.rows == pairwise.rows and by_ad.pivots == pairwise.pivots
+    calls = _record_close_vecs(monkeypatch)
+    assert close_generators(gens).rows == pairwise.rows
+    # one graded closure under ad of the e/f lines, and no other
+    assert calls == [(True, True, pairwise.rank)]
+
+
+def test_closure_refuses_when_an_h_line_is_missing(monkeypatch):
+    # e = f = E_12: the e/f lines bracket to zero, so h is not in <e, f>
+    plain = unit(2, 0, 1, Q_ONE)
+    h = unit_sum(2, [(0, 0, Q_ONE), (1, 1, -Q_ONE)])
+    gens = ChevalleyGenerators(
+        type_label="A", rank=1, ambient_n=2, cartan=cartan_matrix("A", 1),
+        rows={"h": [flatten(h)], "e": [flatten(plain)], "f": [flatten(plain)]},
+    )
+    calls = _record_close_vecs(monkeypatch)
+    with pytest.raises(StructuralFailureError, match=r"^h-line row 0 \(of h_1\) is not in the closure"):
+        close_generators(gens)
+    # A2 with h_2 = diag(1, 1, -1): the e/f lines close to sl(3, H), whose
+    # matrices have real trace 0, so of the eight h-line rows only h_2
+    # itself, row 4, is outside; i h_2, J h_2 and J(i h_2) are inside
+    a2, _ = closure_realization("A", 2)
+    h1, h2 = a2.rows["h"]
+    a2 = replace(a2, rows={**a2.rows, "h": [h1, {**h2, 0: h2.get(0, 0) + 1}]})
+    with pytest.raises(StructuralFailureError, match=r"^h-line row 4 \(of h_2\)"):
+        close_generators(a2)
+    assert calls == [(True, True, 4), (True, True, 35)]
 
 
 def _graded_and_ungraded(seeds, n, ops, hs, monkeypatch):
@@ -417,6 +441,25 @@ def test_weight_blocks_are_reduced_echelon(type_label, rank):
     assert sum(map(len, spaces.values())) == span.rank
 
 
+@pytest.mark.parametrize(
+    "type_label,rank",
+    [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("D", 3), ("A", 4), ("C", 3)],
+)
+def test_derived_span_is_the_span_of_every_pair_bracket(type_label, rank):
+    # [k, k] read off the row sweep equals the span of the brackets of
+    # every pair of the zero-weight closure rows, taken one pair at a time
+    gens, _ = closure_realization(type_label, rank)
+    n = gens.ambient_n
+    spaces = weight_spaces(
+        close_generators(gens), gens.rows["h"], sorted(_signed_root_weights(gens.cartan)), n
+    )
+    k_rows = spaces[(0,) * rank]
+    derived = quaternify_module._derived_span(k_rows, n)
+    pairs = span_of((bracket_vec(a, b, n) for a, b in combinations(k_rows, 2)), 4 * n * n)
+    assert derived.rows == pairs.rows and derived.pivots == pairs.pivots
+    assert 0 < derived.rank < len(k_rows)
+
+
 @pytest.mark.parametrize("type_label,rank", [("A", 4), ("C", 3), ("A", 6)])
 def test_constants_sweep_agrees_with_express_oracle(algebras, type_label, rank):
     # solving each bracket's unfiltered sums gives the table of filtered
@@ -524,7 +567,7 @@ def test_b2_defining_realization_closes_to_so_star_10():
     # zero-weight part k is one dimension larger than h_r + [k, k].
     gens, closure = _b2_defining_closure()
     n = gens.ambient_n
-    assert closure.dim == build_named("so_star_2n", 5).dim == 45
+    assert closure.rank == build_named("so_star_2n", 5).dim == 45
     pairs = [(0, 0), (1, 3), (3, 1), (2, 4), (4, 2)]
     form = unit_sum(n, [(p, q, Q_ONE) for p, q in pairs])
     for m in closure_matrices(closure):
@@ -544,7 +587,7 @@ def test_weight_spaces_name_the_non_root_weights_of_so_star_10():
     gens, closure = _b2_defining_closure()
     roots = sorted(_signed_root_weights(gens.cartan))
     with pytest.raises(StructuralFailureError) as info:
-        weight_spaces(closure.span, gens.rows["h"], roots, gens.ambient_n)
+        weight_spaces(closure, gens.rows["h"], roots, gens.ambient_n)
     assert "[(-4, 2), (0, -2), (0, 2), (4, -2)]" in str(info.value)
 
 
@@ -553,7 +596,7 @@ def test_weight_spaces_name_the_non_root_weights_of_so_star_10():
 )
 def test_weight_spaces_reject_an_h_that_is_not_real_diagonal(h):
     gens, _ = closure_realization("A", 1)
-    span = close_matrices(generator_matrices(gens)).span
+    span = close_matrices(generator_matrices(gens))
     with pytest.raises(StructuralFailureError, match="real diagonal"):
         weight_spaces(span, [h], [(-2,), (2,)], gens.ambient_n)
 
@@ -585,7 +628,7 @@ def test_closure_without_j_of_i_images(type_label, rank, dim, root_dims, k_split
     for m in generator_matrices(gens):
         seeds.extend([m, m.scale(Q_I), apply_J(m)])
     closure = close_matrices(seeds)
-    assert closure.dim == dim
+    assert closure.rank == dim
     hs = generator_matrices(gens, "h")
     blocks = _weight_blocks(closure_matrices(closure), hs, n)
     roots = _signed_root_weights(gens.cartan)
@@ -644,7 +687,7 @@ def test_type_a_k_is_generated_by_cartan_part(algebras, rank):
     k_span = SpanBasis(4 * g.ambient_n**2)
     for idx in g.k_indices:
         k_span.insert(g.basis[idx])
-    assert generated.span.same_span(k_span)
+    assert generated.same_span(k_span)
 
 
 def test_hr_is_abelian_and_central_in_k(algebras):

@@ -62,7 +62,7 @@ def test_named_sigma_tau_invariant(name):
 @pytest.mark.parametrize("name", sorted(DIMS))
 def test_named_bracket_closed(name):
     algebra = build_named(name, 2)
-    assert close_under_bracket(algebra.basis, 2).dim == algebra.dim
+    assert close_under_bracket(algebra.basis, 2).rank == algebra.dim
 
 
 def test_gl_is_J_submodule_sl_is_not():

@@ -1,8 +1,8 @@
+import operator
+
 import pytest
 
 from quatlie.rootsystem import (
-    Root,
-    Weight,
     cartan_matrix,
     custom_cartan,
     positive_roots,
@@ -13,7 +13,7 @@ from quatlie.rootsystem import (
 
 
 def coeff_set(roots):
-    return {r.coeffs for r in roots}
+    return set(roots)
 
 
 def test_cartan_a1():
@@ -115,19 +115,19 @@ def test_roots_contain_simples_and_are_positive():
     for i in range(3):
         assert simple_root(cm, i) in roots
     for root in roots:
-        assert all(c >= 0 for c in root.coeffs)
+        assert all(c >= 0 for c in root)
 
 
 def test_root_tree_parents_consistent():
     cm = cartan_matrix("A", 3)
     for node in positive_roots_with_tree(cm):
         if node.parent is None:
-            assert sum(node.root.coeffs) == 1
+            assert sum(node.root) == 1
         else:
             parent = positive_roots_with_tree(cm)[node.parent].root
-            grown = list(parent.coeffs)
+            grown = list(parent)
             grown[node.simple] += 1
-            assert tuple(grown) == node.root.coeffs
+            assert tuple(grown) == node.root
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
@@ -163,9 +163,9 @@ def test_divergence_guard_on_affine_matrix():
 
 def test_weight_of_simple_roots_a2():
     cm = cartan_matrix("A", 2)
-    assert weight_of(Root((1, 0)), cm).values == (2, -1)
-    assert weight_of(Root((-1, 0)), cm).values == (-2, 1)
-    assert weight_of(Root((1, 1)), cm).values == (1, 1)
+    assert weight_of((1, 0), cm) == (2, -1)
+    assert weight_of((-1, 0), cm) == (-2, 1)
+    assert weight_of((1, 1), cm) == (1, 1)
 
 
 def test_weight_linearity_on_roots():
@@ -175,19 +175,16 @@ def test_weight_linearity_on_roots():
         for s in roots:
             total = tuple(a + b for a, b in zip(r, s))
             if total in roots:
-                ws = weight_of(Root(r), cm) + weight_of(Root(s), cm)
-                assert ws == weight_of(Root(total), cm)
+                ws = tuple(map(operator.add, weight_of(r, cm), weight_of(s, cm)))
+                assert ws == weight_of(total, cm)
 
 
 def test_roots_weights_and_cartan_matrices_are_values():
     cm = cartan_matrix("B", 2)
     assert cm == cartan_matrix("B", 2) and hash(cm) == hash(cartan_matrix("B", 2))
     assert cm != cartan_matrix("C", 2)
+    # roots and weights are plain int tuples, the keys an algebra stores them under
     a, b = simple_root(cm, 0), simple_root(cm, 1)
-    assert a == Root((1, 0)) and hash(a) == hash(Root((1, 0))) and a != b
-    assert type(a + b) is Root and a + b == Root((1, 1))
-    assert type(-a) is Root and -a == Root((-1, 0))
-    assert {a: "short", b: "long"}[Root((0, 1))] == "long"
-    w = weight_of(a, cm)
-    assert w == Weight((2, -1)) and hash(w) == hash(Weight((2, -1)))
-    assert -w == Weight((-2, 1)) and (w + -w).is_zero()
+    assert type(a) is tuple and a == (1, 0) and a != b
+    assert {a: "short", b: "long"}[(0, 1)] == "long"
+    assert type(weight_of(a, cm)) is tuple and weight_of(a, cm) == (2, -1)

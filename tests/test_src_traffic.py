@@ -44,10 +44,6 @@ KEEP_GROUPS = {
         "matrices.QuatMatrix.entry",
         "matrices.QuatMatrix.scale",
         "matrices.QuatMatrix.scale_rational",
-        "rootsystem.Root.__add__",
-        "rootsystem.Weight.__add__",
-        "rootsystem.Weight.__neg__",
-        "rootsystem.Weight.is_zero",
         "scalars.GaussianRational.__add__",
         "scalars.GaussianRational.__eq__",
         "scalars.GaussianRational.__hash__",
