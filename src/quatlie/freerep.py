@@ -88,11 +88,15 @@ def _plain_action(base: str, j: int, idx: tuple, c) -> dict:
         return {idx: total} if total else {}
     if base == "f":
         return {(j,) + idx: 1}
+    # suffix[k] = sum of c[h][j] over idx[k:], in one right-to-left pass
+    suffix = [0] * (len(idx) + 1)
+    for k in range(len(idx) - 1, -1, -1):
+        suffix[k] = suffix[k + 1] + c[idx[k]][j]
     out: dict = {}
-    for k in range(len(idx)):
-        if idx[k] == j:
+    for k, letter in enumerate(idx):
+        if letter == j:
             lowered = idx[:k] + idx[k + 1 :]
-            out[lowered] = out.get(lowered, 0) - sum(c[h][j] for h in idx[k + 1 :])
+            out[lowered] = out.get(lowered, 0) - suffix[k + 1]
     return {lowered: coeff for lowered, coeff in out.items() if coeff}
 
 

@@ -28,8 +28,9 @@ pipeline then
      (``weight_spaces``): every h_k is real diagonal, so each flattened
      coordinate is a joint ad(h) eigenvector, and a weight space is the
      span of the closure rows cut down to that weight's coordinates; it
-     checks that every closure row has one weight and that the weights
-     are exactly zero and the roots,
+     checks that every closure row has one weight, and the weights it
+     finds are the blocks, whether or not they are zero and the roots
+     (``weights.spaces`` reports that comparison),
   2. splits the zero-weight part k into the Cartan real form h_r, the
      derived part [k, k], and the rows of k that those do not span; the
      block must have exactly dim k rows,
@@ -97,7 +98,7 @@ from .errors import CheckReport, NotClosedError, StructuralFailureError
 from .linalg import LinearSolver, SpanBasis, Vec, span_of, vec_iadd_scaled
 from .matrices import QuatMatrix, flatten
 from .realizations import ChevalleyGenerators, closure_realization
-from .rootsystem import CartanMatrix, positive_roots, positive_roots_with_tree, weight_of
+from .rootsystem import positive_roots_with_tree, weight_of
 
 
 class QuaternionLieAlgebra:
@@ -190,13 +191,7 @@ def cell_weights(hs: list, n: int) -> list:
     return [tuple(d[p] - d[q] for d in diagonals) for p in range(n) for q in range(n)]
 
 
-def signed_root_weights(roots: list, cm: CartanMatrix) -> dict:
-    """Signed root -> its weight values, the given positive roots first."""
-    negatives = [tuple(-c for c in r) for r in roots]
-    return {r: weight_of(r, cm) for r in (*roots, *negatives)}
-
-
-def weight_spaces(span: SpanBasis, hs: list, weights, n: int) -> dict:
+def weight_spaces(span: SpanBasis, hs: list, n: int) -> dict:
     """Weight -> echelon rows of its block, for a span that ad(hs) preserves.
 
     Each h in ``hs`` must be a flattened real diagonal matrix diag(d).  Then
@@ -207,46 +202,27 @@ def weight_spaces(span: SpanBasis, hs: list, weights, n: int) -> dict:
     Those cut rows lie in ``span`` exactly when each row has one weight.
     A graded span is the sum of its blocks, and the reduced echelon rows
     of the blocks together are reduced echelon for the sum, so they are
-    the rows of ``span``; if every part of every row lay in ``span``, it
-    would be spanned by one-weight parts and so graded.  A row of two
-    weights therefore means that some part of some such row leaves
-    ``span``, which is solved for and reported; each block is the rows of
-    its weight as they are.  Each weight must be zero or in ``weights``
-    (the nonzero root weights), and each of ``weights`` must occur.  The
-    zero block comes first, then the others in sorted order.
+    the rows of ``span``.  A row of two weights therefore means that ad(hs)
+    leaves ``span``, and StructuralFailureError names the first such row;
+    otherwise each block is the rows of its weight as they are.  The zero
+    block comes first, present even when empty, then the others in sorted
+    order.  Which weights occur is measured, not judged: comparing them
+    with the roots is ``check_root_spaces``'s report.
     """
     if any(idx % 4 or idx // 4 % (n + 1) for h in hs for idx in h):
         raise StructuralFailureError("an h_i is not a real diagonal matrix")
     cell_weight = cell_weights(hs, n)
-    parts: dict[tuple, list] = {}
-    for row in span.rows:
-        cut: dict[tuple, Vec] = {}
-        for idx, val in row.items():
-            cut.setdefault(cell_weight[idx // 4], {})[idx] = val
-        if len(cut) == 1:
-            (values,) = cut
-            parts.setdefault(values, []).append(row)
-            continue
-        for values, part in cut.items():
-            if not span.contains(part):
-                raise StructuralFailureError(f"a row cut to weight {values} left the span")
-
     zero = tuple(0 for _ in hs)
-    if zero in weights:
-        raise StructuralFailureError("zero weight appeared among the roots")
-    unexpected = sorted(set(parts) - set(weights) - {zero})
-    if unexpected:
-        raise StructuralFailureError(f"weights outside the roots: {unexpected}")
-    if zero not in parts:
-        raise StructuralFailureError("empty zero-weight space")
-    missing = [w for w in weights if w not in parts]
-    if missing:
-        raise StructuralFailureError(f"weights without vectors: {missing}")
-    spaces = {w: parts[w] for w in [zero, *sorted(set(parts) - {zero})]}
-    total = sum(map(len, spaces.values()))
-    if total != span.rank:
-        raise StructuralFailureError(f"weight spaces cover {total} of {span.rank} dimensions")
-    return spaces
+    parts: dict[tuple, list] = {zero: []}
+    for r, row in enumerate(span.rows):
+        values = {cell_weight[idx // 4] for idx in row}
+        if len(values) != 1:
+            raise StructuralFailureError(
+                f"echelon row {r} has weights {sorted(values)}, so ad(h) leaves the span"
+            )
+        (weight,) = values
+        parts.setdefault(weight, []).append(row)
+    return {zero: parts.pop(zero), **dict(sorted(parts.items()))}
 
 
 def _derived_span(rows: list, n: int) -> SpanBasis:
@@ -296,7 +272,6 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
     t0 = clock()
     gens, realization = closure_realization(type_label, rank)
     timings["realization"] = (clock() - t0) * 1000.0
-    cm = gens.cartan
     n = gens.ambient_n
     ambient = 4 * n * n
 
@@ -307,8 +282,7 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
 
     t0 = clock()
     hr_flats = gens.rows["h"]
-    nonzero_weights = sorted(set(signed_root_weights(positive_roots(cm), cm).values()))
-    spaces = weight_spaces(span, hr_flats, nonzero_weights, n)
+    spaces = weight_spaces(span, hr_flats, n)
     timings["decomposition"] = (clock() - t0) * 1000.0
 
     t0 = clock()
@@ -327,9 +301,11 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
         )
     k_indices = tuple(range(len(k_rows)))
     weight_indices: dict[tuple, tuple] = {zero: k_indices}
-    for values in nonzero_weights:
+    for values, rows in spaces.items():
+        if values == zero:
+            continue
         start = len(basis)
-        basis.extend(spaces[values])
+        basis.extend(rows)
         weight_indices[values] = tuple(range(start, len(basis)))
 
     solver = LinearSolver(basis, ambient)
@@ -454,13 +430,16 @@ def weight_decomposition(g: QuaternionLieAlgebra) -> dict:
 def check_root_spaces(g: QuaternionLieAlgebra) -> CheckReport:
     """Nonzero weight spaces are four dimensional and equal H x (root vector).
 
-    Also checks that the weight set is exactly the signed root system and
-    that the whole algebra is the direct sum of the weight blocks (the
-    block sizes add up to the dimension by construction of the basis).
+    Also the one check that the weight set is exactly the signed root
+    system (a build keeps every measured weight as a block, a non-root
+    one included), and that the whole algebra is the direct sum of the
+    weight blocks (the block sizes add up to the dimension by
+    construction of the basis).
     """
     ambient = 4 * g.ambient_n * g.ambient_n
     failures = []
-    weights = signed_root_weights(g.pos_roots, g.cartan)
+    signed = [*g.pos_roots, *(tuple(-c for c in r) for r in g.pos_roots)]
+    weights = {r: weight_of(r, g.cartan) for r in signed}
     root_weights = set(weights.values())
     nonzero = {w for w in g.weight_indices if any(w)}
     if nonzero != root_weights:

@@ -23,6 +23,9 @@ they cannot drift into the code they judge.
   tracking coordinates, as ``LinearSolver`` did before it read a
   vector's values at the pivots.
 * ``replace``, a copy of a record rebuilt through its constructor.
+* ``plain_e_action``, the image of a plain word under e_j with each
+  lowering's coefficient summed afresh over the letters after it, as
+  ``freerep._plain_action`` computed it before it kept a running sum.
 * The quaternion-matrix side of the coordinate code: the constructors
   ``unit``, ``unit_sum``, ``zeros`` and ``identity``; ``trace``,
   ``re_trace`` and ``conj_transpose``; the entrywise maps ``quat_J``,
@@ -510,3 +513,15 @@ def replace(obj, **changes):
     kwargs = {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
     kwargs.update(changes)  # a name the constructor lacks raises TypeError there
     return type(obj)(**kwargs)
+
+
+def plain_e_action(j: int, idx: tuple, c) -> dict:
+    """{index tuple: nonzero int} image of the plain word ``idx`` under e_j:
+    each letter j removed, with coefficient minus the sum of c[h][j] over
+    the letters h after it."""
+    out: dict = {}
+    for k in range(len(idx)):
+        if idx[k] == j:
+            lowered = idx[:k] + idx[k + 1 :]
+            out[lowered] = out.get(lowered, 0) - sum(c[h][j] for h in idx[k + 1 :])
+    return {lowered: coeff for lowered, coeff in out.items() if coeff}

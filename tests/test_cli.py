@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import operator
+import os
 import subprocess
 import sys
 
@@ -339,6 +340,27 @@ def _counted_root_trees(monkeypatch) -> list:
         if getattr(module, "positive_roots_with_tree", None) is original:
             monkeypatch.setattr(module, "positive_roots_with_tree", counted)
     return calls
+
+
+def test_build_grows_one_positive_root_tree(tmp_path, monkeypatch):
+    calls = _counted_root_trees(monkeypatch)
+    assert main(["build", "--type", "A", "--rank", "2", "--out", str(tmp_path / "a2.json")]) == 0
+    assert calls == [2]
+
+
+def test_verify_reports_a_non_root_weight_in_weights_spaces(a2_file, tmp_path, capsys):
+    # the loader keeps the declared weight labels as they are; weights.spaces
+    # is what compares them with the signed roots
+    doc = json.loads(a2_file.read_text())
+    (block,) = [item for item in doc["weights"] if item["weight"] == [1, 1]]
+    block["weight"] = [3, 3]
+    path = tmp_path / "a2_non_root.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "verify", "--in", str(path))
+    assert code == 1
+    red = {c["name"]: c["failures"] for c in out["checks"] if not c["passed"]}
+    assert set(red) == {"weights.spaces", "weights.additivity"}
+    assert red["weights.spaces"][0] == "('weight-set', [(1, 1), (3, 3)])"
 
 
 def test_verify_rejects_a_rank_beyond_the_cap_first(a2_file, tmp_path, monkeypatch, capsys):
@@ -1135,10 +1157,14 @@ def test_reports_contain_no_floats(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the fresh interpreter imports the same quatlie sources as this one
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-m", "quatlie", "roots", "--type", "A", "--rank", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
@@ -1147,6 +1173,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "quatlie", "roots", "--type", "Q", "--rank", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 2
 

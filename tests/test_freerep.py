@@ -21,6 +21,8 @@ from quatlie.freerep import (
 )
 from quatlie.rootsystem import cartan_matrix, custom_cartan
 
+from oracles import plain_e_action
+
 A2 = cartan_matrix("A", 2)
 A1 = cartan_matrix("A", 1)
 
@@ -240,6 +242,21 @@ def test_wrong_twist_turns_families_red(monkeypatch):
     )
     red = _red_families(A2, 3)
     assert {"e.f", "h.e", "h.f"} <= red
+
+
+@pytest.mark.parametrize(
+    "type_label,rank,max_length",
+    [("A", 3, 5), ("B", 2, 5), ("C", 3, 5), ("D", 4, 5), ("A", 1, 30)],
+)
+def test_e_action_agrees_with_the_quadratic_formula(type_label, rank, max_length):
+    # the running suffix sum gives each lowering the coefficient that
+    # summing the letters after it afresh gives, in the same order
+    c = cartan_matrix(type_label, rank).entries
+    for length in range(max_length + 1):
+        for idx in itertools.product(range(rank), repeat=length):
+            for j in range(rank):
+                got = list(freerep._plain_action("e", j, idx, c).items())
+                assert got == list(plain_e_action(j, idx, c).items()), (j, idx)
 
 
 def test_wrong_plain_image_turns_families_red(monkeypatch):

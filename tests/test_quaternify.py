@@ -20,6 +20,7 @@ from quatlie.errors import CheckReport, StructuralFailureError
 from quatlie.linalg import LinearSolver, SpanBasis, span_of
 from quatlie.matrices import QuatMatrix, flatten
 from quatlie.quaternify import (
+    MEASURED,
     check_jacobi,
     check_root_spaces,
     check_structure,
@@ -435,7 +436,7 @@ def test_weight_blocks_are_reduced_echelon(type_label, rank):
     gens, _ = closure_realization(type_label, rank)
     n = gens.ambient_n
     span = close_generators(gens)
-    spaces = weight_spaces(span, gens.rows["h"], sorted(_signed_root_weights(gens.cartan)), n)
+    spaces = weight_spaces(span, gens.rows["h"], n)
     for values, rows in spaces.items():
         assert rows == span_of(rows, 4 * n * n).rows, values
     assert sum(map(len, spaces.values())) == span.rank
@@ -450,9 +451,7 @@ def test_derived_span_is_the_span_of_every_pair_bracket(type_label, rank):
     # every pair of the zero-weight closure rows, taken one pair at a time
     gens, _ = closure_realization(type_label, rank)
     n = gens.ambient_n
-    spaces = weight_spaces(
-        close_generators(gens), gens.rows["h"], sorted(_signed_root_weights(gens.cartan)), n
-    )
+    spaces = weight_spaces(close_generators(gens), gens.rows["h"], n)
     k_rows = spaces[(0,) * rank]
     derived = quaternify_module._derived_span(k_rows, n)
     pairs = span_of((bracket_vec(a, b, n) for a, b in combinations(k_rows, 2)), 4 * n * n)
@@ -583,12 +582,31 @@ def test_b2_defining_realization_closes_to_so_star_10():
 
 def test_weight_spaces_name_the_non_root_weights_of_so_star_10():
     # The so*(10) closure above is ad(h)-stable, but four of its weights are
-    # not roots of B2, so it has no root space decomposition over them.
+    # not roots of B2: weight_spaces returns them as blocks of one row
+    # each, and judging them against the roots is left to weights.spaces.
     gens, closure = _b2_defining_closure()
-    roots = sorted(_signed_root_weights(gens.cartan))
-    with pytest.raises(StructuralFailureError) as info:
-        weight_spaces(closure, gens.rows["h"], roots, gens.ambient_n)
-    assert "[(-4, 2), (0, -2), (0, 2), (4, -2)]" in str(info.value)
+    roots = _signed_root_weights(gens.cartan)
+    spaces = weight_spaces(closure, gens.rows["h"], gens.ambient_n)
+    non_roots = {w: rows for w, rows in spaces.items() if any(w) and w not in roots}
+    assert list(spaces)[0] == (0, 0) and len(spaces[(0, 0)]) == 9
+    assert sorted(non_roots) == [(-4, 2), (0, -2), (0, 2), (4, -2)]
+    assert [len(rows) for rows in non_roots.values()] == [1] * 4
+
+
+def test_b2_built_from_its_defining_realization_reports_the_non_root_weights(monkeypatch):
+    # All four quaternion lines of so(5, C) in its defining realization
+    # close to sl(5, H).  The build does not raise on the four weights that
+    # are not roots of B2: weights.spaces names them, a measured red fact.
+    monkeypatch.setattr(
+        quaternify_module,
+        "closure_realization",
+        lambda type_label, rank: (chevalley_generators(type_label, rank), "defining"),
+    )
+    g = quaternify("B", 2)
+    assert g.dim == 99
+    spaces = g.reports["weights.spaces"]
+    assert spaces.failures[0] == ("weight-set", [(-4, 2), (0, -2), (0, 2), (4, -2)])
+    assert [name for name, r in g.reports.items() if not r.ok and name not in MEASURED] == []
 
 
 @pytest.mark.parametrize(
@@ -598,16 +616,17 @@ def test_weight_spaces_reject_an_h_that_is_not_real_diagonal(h):
     gens, _ = closure_realization("A", 1)
     span = close_matrices(generator_matrices(gens))
     with pytest.raises(StructuralFailureError, match="real diagonal"):
-        weight_spaces(span, [h], [(-2,), (2,)], gens.ambient_n)
+        weight_spaces(span, [h], gens.ambient_n)
 
 
 def test_weight_spaces_reject_a_span_that_ad_h_leaves():
-    # E_01 + E_10 has weights 2 and -2 under diag(1, -1); its cut rows E_01
-    # and E_10 are not in its span
+    # E_01 + E_10 has weights 2 and -2 under diag(1, -1): its one echelon
+    # row has two weights, so its span is not ad(h)-stable
     gens, _ = closure_realization("A", 1)
     span = span_of([{4: 1, 8: 1}], 16)
-    with pytest.raises(StructuralFailureError, match="left the span"):
-        weight_spaces(span, [gens.rows["h"][0]], [(-2,), (2,)], gens.ambient_n)
+    two_weights = r"echelon row 0 has weights \[\(-2,\), \(2,\)\]"
+    with pytest.raises(StructuralFailureError, match=two_weights):
+        weight_spaces(span, [gens.rows["h"][0]], gens.ambient_n)
 
 
 @pytest.mark.parametrize(
