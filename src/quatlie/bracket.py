@@ -61,7 +61,7 @@ from collections import deque
 from math import comb
 from typing import NamedTuple
 
-from .errors import NotClosedError
+from .errors import StructuralFailureError
 from .linalg import LinearSolver, SpanBasis, Vec
 from .matrices import QuatMatrix
 
@@ -278,7 +278,7 @@ def close_vecs(
     Dependent or zero generators are harmless; they reduce away during
     insertion.  Worst case the closure is all of gl(n, H).
     """
-    span = SpanBasis(4 * n * n)
+    span = SpanBasis()
     if cell_weight is None:
         cell_weight = [()] * (n * n)
     # weight -> its coordinates that the accepted rows of that one weight
@@ -331,22 +331,21 @@ def close_under_bracket(generators: list[Vec], n: int) -> SpanBasis:
     return close_vecs(generators, n)
 
 
-def structure_constants(
-    vecs: list[Vec], n: int, solver: LinearSolver | None = None
-) -> StructureConstants:
+def structure_constants(vecs: list[Vec], n: int) -> StructureConstants:
     """Bracket table of a bracket-closed list of independent flattened matrices.
 
-    ``solver``, when given, must express vectors over ``vecs`` in this
-    order; otherwise one is built.
+    Each pair's bracket is solved over ``vecs`` by a ``LinearSolver``
+    built here; StructuralFailureError names the first pair whose bracket
+    leaves the span.
     """
-    if solver is None:
-        solver = LinearSolver(vecs, 4 * n * n)
+    solver = LinearSolver(vecs)
     table = {}
     for i, brackets in sweep_brackets(vecs, n):
         for j, terms in brackets.items():
             coeffs = solver.express(terms)  # zero values and all
             if coeffs is None:
-                raise NotClosedError(f"bracket of basis elements {i}, {j} leaves the span")
+                msg = f"bracket of basis elements {i}, {j} leaves the span"
+                raise StructuralFailureError(f"adapted basis is not bracket-closed: {msg}")
             if coeffs:
                 table[i, j] = tuple(sorted(coeffs.items()))
     return StructureConstants(dim=len(vecs), table=dict(sorted(table.items())))

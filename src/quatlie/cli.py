@@ -217,7 +217,6 @@ def cmd_rho_check(args) -> int:
 
 def cmd_closure(args) -> int:
     n = args.n
-    ambient = 4 * n * n
     manifest = Manifest(command="closure", inputs={"preset": args.preset, "n": n})
     if args.preset == "sl":
         seed = build_named("sl_n_C", n).basis
@@ -226,7 +225,7 @@ def cmd_closure(args) -> int:
         expected = 4 * n * n - 1
         manifest.add("closure-dim", result.rank == expected, result.rank)
         target = build_named("sl_n_H", n)
-        same = result.same_span(span_of(target.basis, ambient))
+        same = result.same_span(span_of(target.basis))
         manifest.add("equals-sl-n-H", same, target.dim)
     else:  # argparse admits only "so-star" and "sp" besides "sl"
         name = "so_star_2n" if args.preset == "so-star" else "sp_n"
@@ -234,7 +233,7 @@ def cmd_closure(args) -> int:
         generators = algebra.basis
         result = close_under_bracket(generators, n)
         manifest.add("bracket-closed", result.rank == algebra.dim, algebra.dim)
-        span = independent_span(generators, ambient)
+        span = independent_span(generators)
         stable = all(span.contains(conj(v)) for v in generators for conj in (sigma_vec, tau_vec))
         manifest.add("sigma-tau-invariant", stable, len(generators))
     extra = {"dim": result.rank}

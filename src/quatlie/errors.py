@@ -9,10 +9,6 @@ class DegenerateInputError(ValueError):
     """A basis argument is linearly dependent where independence is required."""
 
 
-class NotClosedError(ValueError):
-    """A bracket left the span it was supposed to stay in."""
-
-
 class TruncationOverflowError(RuntimeError):
     """A raising operator tried to leave the truncated word space."""
 

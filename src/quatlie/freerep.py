@@ -92,12 +92,19 @@ def _plain_action(base: str, j: int, idx: tuple, c) -> dict:
     suffix = [0] * (len(idx) + 1)
     for k in range(len(idx) - 1, -1, -1):
         suffix[k] = suffix[k + 1] + c[idx[k]][j]
+    # each letter of a run of j's lowers idx to one tuple, built at the run's
+    # end with the run's suffix sums added; a non-j letter parts two runs' tuples
     out: dict = {}
+    run = 0
+    last = len(idx) - 1
     for k, letter in enumerate(idx):
         if letter == j:
-            lowered = idx[:k] + idx[k + 1 :]
-            out[lowered] = out.get(lowered, 0) - suffix[k + 1]
-    return {lowered: coeff for lowered, coeff in out.items() if coeff}
+            run += suffix[k + 1]
+            if k == last or idx[k + 1] != j:
+                if run:
+                    out[idx[:k] + idx[k + 1 :]] = -run
+                run = 0
+    return out
 
 
 def _require_room(base: str, flag: bool, idx: tuple, degree_cap: int) -> None:
@@ -377,9 +384,9 @@ def verify_h_independence(cm: CartanMatrix, degree: int) -> IndependenceReport:
                 row_jh[j] = coeff
         rows_h.setdefault(tuple(row_h.items()), row_h)
         rows_jh.setdefault(tuple(row_jh.items()), row_jh)
-    span_h = SpanBasis(l)
+    span_h = SpanBasis()
     span_h.extend(rows_h.values())
-    span_jh = SpanBasis(l)
+    span_jh = SpanBasis()
     span_jh.extend(rows_jh.values())
     return IndependenceReport(
         rank_h=span_h.rank,

@@ -57,8 +57,7 @@ class SpanBasis:
     pass over the pivot columns present in it.
     """
 
-    def __init__(self, ambient_dim: int):
-        self.ambient_dim = ambient_dim
+    def __init__(self):
         self.rows: list[Vec] = []
         self.pivots: list[int] = []
         self._by_pivot: dict[int, Vec] = {}
@@ -100,27 +99,24 @@ class SpanBasis:
         self._by_pivot[piv] = row
         return True
 
-    def extend(self, vectors) -> int:
-        added = 0
+    def extend(self, vectors) -> None:
         for vec in vectors:
-            if self.insert(vec):
-                added += 1
-        return added
+            self.insert(vec)
 
     def same_span(self, other: "SpanBasis") -> bool:
         """Exact subspace equality; reduced echelon form is canonical."""
         return self.pivots == other.pivots and self.rows == other.rows
 
 
-def span_of(vectors, ambient_dim: int) -> SpanBasis:
-    basis = SpanBasis(ambient_dim)
+def span_of(vectors) -> SpanBasis:
+    basis = SpanBasis()
     basis.extend(vectors)
     return basis
 
 
-def independent_span(vectors, ambient_dim: int) -> SpanBasis:
+def independent_span(vectors) -> SpanBasis:
     """Span of vectors required to be independent; raises otherwise."""
-    basis = SpanBasis(ambient_dim)
+    basis = SpanBasis()
     for vec in vectors:
         if not basis.insert(vec):
             raise DegenerateInputError("vectors are linearly dependent over Q")
@@ -130,15 +126,16 @@ def independent_span(vectors, ambient_dim: int) -> SpanBasis:
 class LinearSolver:
     """Expresses vectors over a fixed independent (not necessarily echelon) basis.
 
-    Each basis vector is augmented with a tracking coordinate beyond the
-    ambient dimension, and the augmented rows are brought to reduced
-    echelon form.  Each row has an ambient pivot, and its tracking terms
-    are its coefficients over the input rows.  A vector in the span is
-    the sum of its value at each pivot times that row.
+    Each basis vector is augmented with a tracking coordinate past the rows'
+    largest coordinate, and the augmented rows are brought to reduced
+    echelon form.  Each row has a pivot below the tracking coordinates, and
+    its tracking terms are its coefficients over the input rows.  A vector
+    in the span is the sum of its value at each pivot times that row.
     """
 
-    def __init__(self, rows: list[Vec], ambient_dim: int):
-        basis = SpanBasis(ambient_dim + len(rows))
+    def __init__(self, rows: list[Vec]):
+        ambient_dim = 1 + max((idx for row in rows for idx in row), default=-1)
+        basis = SpanBasis()
         for offset, row in enumerate(rows):
             augmented = dict(row)
             augmented[ambient_dim + offset] = 1
@@ -163,7 +160,7 @@ class LinearSolver:
         Sparse: ``{i: c[i]}`` over the nonzero c[i], in no set order.
         Zero values in ``vec`` are ignored, so a bracket's sums can be
         passed as they are.  ``vec`` is outside the span when a non-pivot
-        coordinate is left nonzero.
+        coordinate is left nonzero, as one past every row's coordinates is.
         """
         by_pivot = self._by_pivot
         rest: dict = {}
@@ -186,8 +183,7 @@ def kernel_basis(equations: list[Vec], nvars: int) -> list[Vec]:
     one free variable to 1 and back-substitutes through the reduced
     echelon form of the equations.
     """
-    echelon = SpanBasis(nvars)
-    echelon.extend(equations)
+    echelon = span_of(equations)
     pivot_set = set(echelon.pivots)
     kernel = []
     for free in range(nvars):

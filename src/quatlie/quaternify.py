@@ -94,8 +94,8 @@ from .bracket import (
     sweep_brackets,
     tau_vec,
 )
-from .errors import CheckReport, NotClosedError, StructuralFailureError
-from .linalg import LinearSolver, SpanBasis, Vec, span_of, vec_iadd_scaled
+from .errors import CheckReport, StructuralFailureError
+from .linalg import SpanBasis, Vec, span_of, vec_iadd_scaled
 from .matrices import QuatMatrix, flatten
 from .realizations import ChevalleyGenerators, closure_realization
 from .rootsystem import positive_roots_with_tree, weight_of
@@ -106,14 +106,16 @@ class QuaternionLieAlgebra:
     and ``cartan`` read ``generators``; ``pos_roots`` and ``root_vectors``
     (plain, grown along the root tree) are derived by the constructor,
     which raises StructuralFailureError when a root vector vanishes in the
-    realization.  ``reports`` starts empty."""
+    realization.  ``span`` is the echelon span of ``basis``, for
+    membership tests only: a build's shares rows with ``basis``, so
+    nothing may insert into it.  ``reports`` starts empty."""
 
     def __init__(
         self,
         generators: ChevalleyGenerators,
         realization: str,
         basis: list,  # Vec, flattened adapted basis rows
-        solver: LinearSolver,
+        span: SpanBasis,
         constants: StructureConstants,
         weight_indices: dict,  # weight values tuple -> tuple of basis indices
         k_indices: tuple,
@@ -124,7 +126,7 @@ class QuaternionLieAlgebra:
         self.generators = generators
         self.realization = realization
         self.basis = basis
-        self.solver = solver
+        self.span = span
         self.constants = constants
         self.weight_indices = weight_indices
         self.k_indices = k_indices
@@ -228,7 +230,7 @@ def weight_spaces(span: SpanBasis, hs: list, n: int) -> dict:
 def _derived_span(rows: list, n: int) -> SpanBasis:
     """Echelon span of the brackets of all pairs of the flattened ``rows``,
     read off ``sweep_brackets`` (zero sums dropped)."""
-    derived = SpanBasis(4 * n * n)
+    derived = SpanBasis()
     for _, brackets in sweep_brackets(rows, n):
         for terms in brackets.values():
             prod = {idx: val for idx, val in terms.items() if val}
@@ -273,7 +275,6 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
     gens, realization = closure_realization(type_label, rank)
     timings["realization"] = (clock() - t0) * 1000.0
     n = gens.ambient_n
-    ambient = 4 * n * n
 
     t0 = clock()
     span = close_generators(gens)
@@ -291,7 +292,7 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
     derived = _derived_span(k_rows, n)
     # h_r + [k, k] spans k for type A and D3; for B2/C2 it misses real
     # diagonal directions and rows of k complete the block
-    split = span_of([*hr_flats, *derived.rows], ambient)
+    split = span_of([*hr_flats, *derived.rows])
     completion_rows = [row for row in k_rows if split.insert(row)]
     basis: list[Vec] = [*hr_flats, *derived.rows, *completion_rows]
     # more rows than dim k exactly when h_r leaves k or meets [k, k]
@@ -308,18 +309,14 @@ def quaternify(type_label: str, rank: int) -> QuaternionLieAlgebra:
         basis.extend(rows)
         weight_indices[values] = tuple(range(start, len(basis)))
 
-    solver = LinearSolver(basis, ambient)
-    try:
-        constants = structure_constants(basis, n, solver)
-    except NotClosedError as exc:
-        raise StructuralFailureError("adapted basis is not bracket-closed") from exc
+    constants = structure_constants(basis, n)
     timings["constants"] = (clock() - t0) * 1000.0
 
     algebra = QuaternionLieAlgebra(
         generators=gens,
         realization=realization,
         basis=basis,
-        solver=solver,
+        span=span,  # the nonzero blocks are its rows; the guard makes the rest k
         constants=constants,
         weight_indices=weight_indices,
         k_indices=k_indices,
@@ -389,17 +386,17 @@ def check_structure(g: QuaternionLieAlgebra) -> CheckReport:
 
     Each pair's bracket [x_i, x_j] is compared with the table's
     combination sum_k c_k x_k of basis rows.  The basis is independent
-    (``LinearSolver`` refuses a dependent one, the loader's included), so
-    the two are equal exactly when the bracket's coefficients are the
-    stored ones, and no solve is needed to confirm a pair: the table's
-    combination is subtracted in place from the pair's fresh bracket
-    dict, and the pair fails when any value is left nonzero.
-    ``sweep_brackets`` yields only the pairs with a term, the others'
-    brackets being zero, so row i walks those and the table's pairs
-    (i, j).  A solve runs only on a mismatch, to name it: the residual
-    lies in the span exactly when the bracket does (the combination is
-    in it), so ``outside-span`` when the residual leaves the span, else
-    ``table-mismatch``.
+    (a build's ``structure_constants`` and the loader's
+    ``independent_span`` refuse a dependent one), so the two are equal
+    exactly when the bracket's coefficients are the stored ones, and no
+    solve is needed to confirm a pair: the table's combination is
+    subtracted in place from the pair's fresh bracket dict, and the pair
+    fails when any value is left nonzero.  ``sweep_brackets`` yields only
+    the pairs with a term, the others' brackets being zero, so row i
+    walks those and the table's pairs (i, j).  A mismatch is named by one
+    membership test: the residual, its zero sums dropped, lies in
+    ``g.span`` exactly when the bracket does (the combination is in it),
+    so ``table-mismatch`` when it does, else ``outside-span``.
     """
     basis = g.basis
     entries: dict = {}  # i -> [(j, terms)] of the table
@@ -413,8 +410,8 @@ def check_structure(g: QuaternionLieAlgebra) -> CheckReport:
                 vec_iadd_scaled(residual, basis[k], -c)
         for j, residual in brackets.items():
             if any(residual.values()):
-                kind = "outside-span" if g.solver.express(residual) is None else "table-mismatch"
-                failures.append((i, j, kind))
+                inside = g.span.contains({idx: val for idx, val in residual.items() if val})
+                failures.append((i, j, "table-mismatch" if inside else "outside-span"))
     failures.sort()
     return CheckReport("structure", comb(g.dim, 2), failures)
 
@@ -436,7 +433,6 @@ def check_root_spaces(g: QuaternionLieAlgebra) -> CheckReport:
     weight blocks (the block sizes add up to the dimension by
     construction of the basis).
     """
-    ambient = 4 * g.ambient_n * g.ambient_n
     failures = []
     signed = [*g.pos_roots, *(tuple(-c for c in r) for r in g.pos_roots)]
     weights = {r: weight_of(r, g.cartan) for r in signed}
@@ -449,8 +445,8 @@ def check_root_spaces(g: QuaternionLieAlgebra) -> CheckReport:
         if len(indices) != 4:
             failures.append((root, "dim", len(indices)))
             continue
-        quarter = span_of(quaternion_line(flatten(g.root_vectors[root])), ambient)
-        block = span_of([g.basis[i] for i in indices], ambient)
+        quarter = span_of(quaternion_line(flatten(g.root_vectors[root])))
+        block = span_of([g.basis[i] for i in indices])
         if quarter.rank != 4 or not block.same_span(quarter):
             failures.append((root, "span-mismatch"))
     return CheckReport("weights.spaces", len(weights), failures)
@@ -502,11 +498,11 @@ def k_structure(g: QuaternionLieAlgebra) -> CheckReport:
     if unverified:
         return CheckReport("k-structure", 4, unverified, detail)
 
-    derived = span_of((dict(sc.get(a, b)) for a, b in combinations(k, 2)), g.dim)
+    derived = span_of(dict(sc.get(a, b)) for a, b in combinations(k, 2))
     checks = [
         ("hr-central-in-k", not any(sc.get(h, m) for h in hr for m in k)),
         ("hr-abelian", not any(sc.get(a, b) for a in hr for b in hr)),
-        ("derived-k-equals-hr-perp", derived.same_span(span_of([{p: 1} for p in perp], g.dim))),
+        ("derived-k-equals-hr-perp", derived.same_span(span_of({p: 1} for p in perp))),
         ("k-direct-sum", len({*hr, *perp}) == len(hr) + len(perp) == len(k)),
     ]
     return CheckReport(
@@ -545,7 +541,7 @@ def sigma_grading_check(g: QuaternionLieAlgebra) -> CheckReport:
 
 def check_conjugations(g: QuaternionLieAlgebra) -> CheckReport:
     """The span is sigma- and tau-stable: sigma(b) and tau(b) lie in it
-    for every basis row b, 2 * dim solves.
+    for every basis row b, 2 * dim membership tests in ``g.span``.
 
     sigma = Ad(i 1) and tau = Ad(j 1) are automorphisms of gl(n, H), so
     they commute with the bracket on any matrices; what a closure can
@@ -555,7 +551,7 @@ def check_conjugations(g: QuaternionLieAlgebra) -> CheckReport:
         (i, name)
         for i, row in enumerate(g.basis)
         for name, conj in (("sigma", sigma_vec), ("tau", tau_vec))
-        if g.solver.express(conj(row)) is None
+        if not g.span.contains(conj(row))
     ]
     return CheckReport("conjugations", 2 * g.dim, failures)
 

@@ -17,7 +17,7 @@ import operator
 
 from .bracket import StructureConstants
 from .errors import DegenerateInputError, MalformedInputError, StructuralFailureError
-from .linalg import LinearSolver, Vec
+from .linalg import Vec, independent_span
 from .quaternify import QuaternionLieAlgebra
 from .realizations import ChevalleyGenerators, realization_spec
 from .rootsystem import CLASSICAL_TYPES, cartan_matrix, custom_cartan
@@ -218,7 +218,7 @@ def _algebra_from_json(data) -> QuaternionLieAlgebra:
     if _int(data["dim"], "dim") != dim:
         raise MalformedInputError(f"dim {data['dim']} differs from the {dim} basis matrices")
     try:
-        solver = LinearSolver(basis, 4 * n * n)
+        span = independent_span(basis)
     except DegenerateInputError as exc:
         raise MalformedInputError("declared basis is linearly dependent") from exc
     generators = {
@@ -255,7 +255,7 @@ def _algebra_from_json(data) -> QuaternionLieAlgebra:
             generators=gens,
             realization=realization,
             basis=basis,
-            solver=solver,
+            span=span,
             constants=constants,
             weight_indices=weight_indices,
             k_indices=k_indices,

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import inspect
 from fractions import Fraction
-from math import isqrt
 
 from quatlie.bracket import bracket_grouped, close_under_bracket, group_rows
 from quatlie.errors import DegenerateInputError, MalformedInputError
@@ -80,7 +79,7 @@ class ReductionSolver:
 
     def __init__(self, rows: list[Vec], ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self._basis = SpanBasis(ambient_dim + len(rows))
+        self._basis = SpanBasis()
         for offset, row in enumerate(rows):
             augmented = dict(row)
             augmented[ambient_dim + offset] = 1
@@ -141,10 +140,8 @@ def meeting_pairs(rows: list[Vec], n: int) -> list[tuple[int, int]]:
     ]
 
 
-def closure_matrices(span: SpanBasis) -> list[QuatMatrix]:
-    """The echelon rows of a closure of n x n matrices (ambient 4n²) as
-    quaternion matrices."""
-    n = isqrt(span.ambient_dim // 4)
+def closure_matrices(span: SpanBasis, n: int) -> list[QuatMatrix]:
+    """The echelon rows of a closure of n x n matrices as quaternion matrices."""
     return [QuatMatrix.unflatten(n, row) for row in span.rows]
 
 
@@ -242,8 +239,7 @@ def quat_transpose_mj(m: QuatMatrix) -> QuatMatrix:
 def _checked_span(basis: list[QuatMatrix]) -> SpanBasis:
     if not basis:
         raise DegenerateInputError("empty basis")
-    ambient = 4 * basis[0].n * basis[0].n
-    return independent_span([flatten(m) for m in basis], ambient)
+    return independent_span([flatten(m) for m in basis])
 
 
 def is_sigma_submodule(basis: list[QuatMatrix]) -> bool:

@@ -264,7 +264,7 @@ def test_closure_sl3_dimension():
 
 def test_closure_idempotent():
     result = close_matrices(sl_with_j_generators(2))
-    again = close_matrices(closure_matrices(result))
+    again = close_matrices(closure_matrices(result, 2))
     assert again.rank == result.rank
     assert again.same_span(result)
 
@@ -384,10 +384,10 @@ def test_non_sigma_invariant_span():
 
 
 def test_structure_constants_reject_open_span():
-    from quatlie.errors import NotClosedError
+    from quatlie.errors import StructuralFailureError
 
     e12 = unit(2, 0, 1)
     e21 = unit(2, 1, 0)
-    with pytest.raises(NotClosedError):
+    with pytest.raises(StructuralFailureError, match="elements 0, 1 leaves the span"):
         # bracket gives h1, outside the span
         structure_constants([flatten(e12), flatten(e21)], 2)

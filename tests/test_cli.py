@@ -571,22 +571,31 @@ def test_verify_groups_each_basis_row_once(a2_file, monkeypatch, capsys):
     assert counts == {"group_rows": 35, "bracket_terms": 0, "bracket_grouped": 0}
 
 
-def test_verify_solves_only_for_conjugations(a2_file, monkeypatch, capsys):
-    # the structure sweep confirms each of the 595 pairs by expanding its
-    # table entry, with no solve; conjugations solves sigma(b) and tau(b)
-    # for each of the 35 basis rows (665 solves when every pair was solved)
+def test_verify_and_decompose_build_no_solver(a2_file, monkeypatch, capsys):
+    # the loader keeps the echelon span of the basis; the structure sweep
+    # confirms each of the 595 pairs by expanding its table entry, and
+    # conjugations asks membership of sigma(b) and tau(b) in that span
     calls = []
-    express = LinearSolver.express
-
-    def counted(self, vec):
-        calls.append(len(vec))
-        return express(self, vec)
-
-    monkeypatch.setattr(LinearSolver, "express", counted)
-    checks = "structure,jacobi,conjugations"
-    code, _ = run_json(capsys, "verify", "--in", str(a2_file), "--checks", checks)
+    for name in ("__init__", "express"):
+        monkeypatch.setattr(LinearSolver, name, lambda self, *args, name=name: calls.append(name))
+    code, doc = run_json(capsys, "verify", "--in", str(a2_file))
+    assert code == 0 and doc["ok"]
+    code, _ = run_json(capsys, "decompose", "--in", str(a2_file))
     assert code == 0
-    assert len(calls) == 2 * 35
+    assert calls == []
+
+
+def test_verify_refuses_a_dependent_declared_basis(a2_file, tmp_path, capsys):
+    doc = json.loads(a2_file.read_text())
+    doc["basis"][1] = doc["basis"][0]
+    path = tmp_path / "dependent.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "declared basis is linearly dependent" in captured.err
 
 
 def test_build_closes_by_ad_of_the_ef_lines(tmp_path, monkeypatch, capsys):
@@ -635,7 +644,7 @@ def test_build_closes_by_ad_of_the_ef_lines(tmp_path, monkeypatch, capsys):
     bracketed = set(calls)
     assert calls == [pair for pair in every if pair in bracketed]
     assert len(calls) == 72
-    closed = span_of(grouped_rows[16:], 4 * 3 * 3)
+    closed = span_of(grouped_rows[16:])
     assert closed.rank == 35
     skipped = [pair for pair in every if pair not in bracketed]
     assert len(skipped) == 368 - 72

@@ -216,8 +216,8 @@ def test_rho_apply_values_are_ints_and_spans_stay_exact(monkeypatch):
     spans = []
 
     class RecordingSpan(freerep.SpanBasis):
-        def __init__(self, ambient_dim):
-            super().__init__(ambient_dim)
+        def __init__(self):
+            super().__init__()
             spans.append(self)
 
     monkeypatch.setattr(freerep, "SpanBasis", RecordingSpan)
@@ -246,11 +246,12 @@ def test_wrong_twist_turns_families_red(monkeypatch):
 
 @pytest.mark.parametrize(
     "type_label,rank,max_length",
-    [("A", 3, 5), ("B", 2, 5), ("C", 3, 5), ("D", 4, 5), ("A", 1, 30)],
+    [("A", 3, 5), ("B", 2, 5), ("C", 3, 5), ("D", 4, 5), ("A", 1, 30), ("A", 2, 8)],
 )
 def test_e_action_agrees_with_the_quadratic_formula(type_label, rank, max_length):
-    # the running suffix sum gives each lowering the coefficient that
-    # summing the letters after it afresh gives, in the same order
+    # the running suffix sum, one lowered tuple per run of j's, gives each
+    # lowering the coefficient that summing the letters after it afresh
+    # gives, in the same order
     c = cartan_matrix(type_label, rank).entries
     for length in range(max_length + 1):
         for idx in itertools.product(range(rank), repeat=length):
@@ -384,8 +385,8 @@ def test_h_independence_reads_each_jh_image_once_and_distinct_rows(monkeypatch):
     inserted = []
 
     class RecordingSpan(freerep.SpanBasis):
-        def __init__(self, ambient_dim):
-            super().__init__(ambient_dim)
+        def __init__(self):
+            super().__init__()
             inserted.append([])
 
         def insert(self, vec):

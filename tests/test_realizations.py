@@ -175,11 +175,10 @@ def test_sl_h_is_sk_plus_j_gl(n):
     # sl(n,H) = sk(n,C) + J gl(n,C) as spans, 2n^2-1 + 2n^2 = 4n^2-1
     from quatlie.linalg import SpanBasis
 
-    ambient = 4 * n * n
-    left = SpanBasis(ambient)
+    left = SpanBasis()
     for m in named_matrices("sl_n_H", n):
         left.insert(flatten(m))
-    right = SpanBasis(ambient)
+    right = SpanBasis()
     for m in named_matrices("sk_n_C", n):
         right.insert(flatten(m))
     count_j = 0

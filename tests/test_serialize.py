@@ -7,6 +7,7 @@ from quatlie import serialize
 from quatlie.cli import main
 from quatlie.bracket import StructureConstants, structure_constants
 from quatlie.errors import MalformedInputError
+from quatlie.linalg import LinearSolver, span_of
 from quatlie.matrices import QuatMatrix, flatten
 from quatlie.realizations import build_named
 from quatlie.scalars import format_rational, parse_rational
@@ -76,13 +77,27 @@ def test_algebra_file_round_trip(algebras, type_label, rank, tmp_path):
         assert getattr(loaded, name) == getattr(g, name), name
 
 
+@pytest.mark.parametrize(
+    "type_label, rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("D", 3)]
+)
+def test_built_and_loaded_spans_are_the_basis_span(algebras, type_label, rank):
+    # a build keeps its closure span, a load the echelon span of the file's
+    # basis; both must be the span of the adapted basis rows
+    g = algebras(type_label, rank)
+    loaded = serialize.algebra_from_json(json.loads(serialize.dumps(serialize.algebra_to_json(g))))
+    for algebra in (g, loaded):
+        assert algebra.span.same_span(span_of(algebra.basis))
+        assert algebra.span.rank == algebra.dim
+
+
 def _value_types(g):
     """Types of every basis value, constant and coefficient of a few brackets."""
     types = {type(v) for row in g.basis for v in row.values()}
     types |= {type(c) for terms in g.constants.table.values() for _, c in terms}
     last = g.dim - 1
+    solver = LinearSolver(g.basis)
     for i, j in ((0, last), (1, last // 2), (last // 3, last)):
-        coeffs = g.solver.express(bracket_vec(g.basis[i], g.basis[j], g.ambient_n))
+        coeffs = solver.express(bracket_vec(g.basis[i], g.basis[j], g.ambient_n))
         assert coeffs is not None
         types |= {type(c) for c in coeffs.values()}
     return types
