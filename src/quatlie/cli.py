@@ -209,7 +209,7 @@ def cmd_rho_check(args) -> int:
         "h-independence",
         indep.ok,
         indep.words_used,
-        [] if indep.ok else [f"rank_h={indep.rank_h}", f"rank_jh={indep.rank_jh}"],
+        [] if indep.ok else [f"rank_h={indep.rank_h}", *indep.failures],
     )
     manifest.timings_ms["total"] = (time.perf_counter() - t0) * 1000.0
     return _emit(manifest)

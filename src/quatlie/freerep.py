@@ -22,22 +22,26 @@ and lowering operators annihilate it.  Raising beyond the degree cap
 raises.
 
 ``rho_apply`` is the action on one word as a word combination.  The
-relation check ``verify_ideal_kernel`` reads per-generator image columns
+independence check ``verify_h_independence`` takes the rank of the h
+action on the plain words and checks through ``rho_apply`` that each Jh
+acts by the same coefficient onto the flagged word.  The relation check
+``verify_ideal_kernel`` reads per-generator image columns
 (``plain_images``), filled straight from the plain action under the same
-degree cap, and builds no word combination.  The sixteen
-families use four plain base pairs (h.h, e.f, h.e, h.f), and an
-instance's defect is three plain products AB, BA and T, each put on a
-flag with a sign by ``_twist``.  The twist is still evaluated for every
-(family, i, j, flag); what is shared is the evaluation over the plain
-words.  A failure records only the count of nonzero entries of the
-defect, and that count does not change when the whole defect is
-multiplied by a unit or the two flags are renamed.  So instances whose
-plain columns, coefficient, and flags and signs relative to AB agree
-form one class, evaluated once per call.
+degree cap, and builds no word combination.  The sixteen families use
+four plain base pairs (h.h, e.f, h.e, h.f), and an instance's defect is
+three plain products AB, BA and T, each put on a flag with a sign by
+``_twist``.  The twist is still evaluated for every (family, i, j,
+flag); what is shared is the evaluation over the plain words.  A failure
+records only the count of nonzero entries of the defect, and that count
+does not change when the whole defect is multiplied by a unit or the two
+flags are renamed.  So instances whose plain columns, coefficient, and
+flags and signs relative to AB agree form one class, evaluated once per
+call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import NamedTuple
 
@@ -58,10 +62,6 @@ MAX_LETTERS = 1_000_000
 class FreeWord(NamedTuple):
     j_flag: bool
     indices: tuple
-
-    @property
-    def length(self) -> int:
-        return len(self.indices)
 
     def label(self) -> str:
         body = "".join(f"f{i + 1}" for i in self.indices) or "1"
@@ -152,14 +152,7 @@ def plain_images(cm: CartanMatrix, degree_cap: int):
     ``_plain_action`` on first use.  The columns live as long as the
     returned function.
     """
-    table: dict = {}
-
-    def column(base: str, j: int) -> _Column:
-        if (base, j) not in table:
-            table[base, j] = _Column(base, j, cm, degree_cap)
-        return table[base, j]
-
-    return column
+    return functools.cache(lambda base, j: _Column(base, j, cm, degree_cap))
 
 
 def require_word_space(rank: int, degree: int) -> None:
@@ -195,14 +188,14 @@ def require_word_space(rank: int, degree: int) -> None:
         )
 
 
-def all_words(rank: int, max_length: int) -> list[FreeWord]:
-    """Every word up to the given length, both flags, in a fixed order."""
-    out = []
-    for flag in (False, True):
-        for length in range(max_length + 1):
-            for idx in itertools.product(range(rank), repeat=length):
-                out.append(FreeWord(flag, idx))
-    return out
+def plain_words(rank: int, max_length: int) -> list[tuple]:
+    """Index tuple of every plain word up to the given length: shortest
+    first, each length in ``itertools.product`` order, the empty word first."""
+    return [
+        idx
+        for length in range(max_length + 1)
+        for idx in itertools.product(range(rank), repeat=length)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +299,7 @@ def verify_ideal_kernel(cm: CartanMatrix, degree: int) -> list[CheckReport]:
     if degree < 2:
         raise ValueError("degree must be at least 2")
     require_word_space(cm.rank, degree)
-    plain = [w.indices for w in all_words(cm.rank, degree - 1) if not w.j_flag]
+    plain = plain_words(cm.rank, degree - 1)
     column = plain_images(cm, degree)
     c = cm.entries
     pairs = list(itertools.product(range(cm.rank), repeat=2))
@@ -318,7 +311,7 @@ def verify_ideal_kernel(cm: CartanMatrix, degree: int) -> list[CheckReport]:
         failures = []
         for i, j in pairs:
             kind_t, index, coeff = family_target(target, i, j, c)
-            # words in all_words order: every plain word, then every flagged one
+            # failures list every plain word, then every flagged one
             for flag in (False, True):
                 flag_b, sign_b = _twist(tag_b, flag)
                 flag_ab, sign_ab = _twist(tag_a, flag_b)
@@ -342,55 +335,48 @@ def verify_ideal_kernel(cm: CartanMatrix, degree: int) -> list[CheckReport]:
 
 class IndependenceReport(NamedTuple):
     rank_h: int
-    rank_jh: int
     expected: int
     words_used: int
+    failures: list  # (word label, j) where Jh_j breaks the J rule
 
     @property
     def ok(self) -> bool:
-        return self.rank_h == self.expected and self.rank_jh == self.expected
+        return self.rank_h == self.expected and not self.failures
 
 
 def verify_h_independence(cm: CartanMatrix, degree: int) -> IndependenceReport:
-    """Rank of the diagonal-action coefficient matrices of h and Jh.
+    """Rank of the h action on the plain words, and the J rule for Jh.
 
-    The h generators act diagonally on words and the Jh generators act
-    by the matching coefficient on the flag-swapped word; independence
-    of each family is the rank of the coefficient matrix over all plain
-    words, which equals the rank of the Cartan matrix.  An h row is read
-    from the plain action, a Jh row from ``rho_apply``, which applies
-    the twist.  Each rank runs over the distinct rows in first-seen
-    order: reduced echelon form is canonical, so a repeated row never
-    changes it.
+    h_j multiplies a plain word w by a = -(sum of c[i][j] over its
+    letters i).  The rank of these coefficients over all nonempty plain
+    words up to the degree equals the rank of the Cartan matrix; it runs
+    over the distinct rows in first-seen order, since reduced echelon
+    form is canonical.  Jh_j must map w to a J.w (to nothing when a is
+    0), so the Jh family is independent exactly when the h family is.
+    That rule is checked through ``rho_apply``, and so through the
+    twist, for every nonempty plain word w and every j; a failure is
+    (label of w, j).
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
     require_word_space(cm.rank, degree)
     l = cm.rank
     c = cm.entries
-    plain = [w for w in all_words(l, degree) if not w.j_flag and w.length]
-    rows_h: dict = {}  # row items -> row, in first-seen order
-    rows_jh: dict = {}
-    for word in plain:
-        idx, flagged = word.indices, FreeWord(True, word.indices)
-        row_h: Vec = {}
-        row_jh: Vec = {}
+    words = plain_words(l, degree)[1:]  # the empty word comes first
+    rows: dict = {}  # row items -> row, in first-seen order
+    failures = []
+    for idx in words:
+        word, flagged = FreeWord(False, idx), FreeWord(True, idx)
+        row: Vec = {}
         for j in range(l):
             coeff = _plain_action("h", j, idx, c).get(idx)
             if coeff:
-                row_h[j] = coeff
-            coeff = rho_apply("Jh", j, word, cm, degree + 1).get(flagged)
-            if coeff:
-                row_jh[j] = coeff
-        rows_h.setdefault(tuple(row_h.items()), row_h)
-        rows_jh.setdefault(tuple(row_jh.items()), row_jh)
-    span_h = SpanBasis()
-    span_h.extend(rows_h.values())
-    span_jh = SpanBasis()
-    span_jh.extend(rows_jh.values())
+                row[j] = coeff
+            if rho_apply("Jh", j, word, cm, degree + 1) != ({flagged: coeff} if coeff else {}):
+                failures.append((word.label(), j))
+        rows.setdefault(tuple(row.items()), row)
+    span = SpanBasis()
+    span.extend(rows.values())
     return IndependenceReport(
-        rank_h=span_h.rank,
-        rank_jh=span_jh.rank,
-        expected=l,
-        words_used=len(plain),
+        rank_h=span.rank, expected=l, words_used=len(words), failures=failures
     )

@@ -15,6 +15,7 @@ it reduces to zero.
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 
 from .errors import DegenerateInputError
@@ -91,9 +92,7 @@ class SpanBasis:
             coeff = other.get(piv)
             if coeff:
                 vec_iadd_scaled(other, row, -coeff)
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < piv:
-            pos += 1
+        pos = bisect.bisect_left(self.pivots, piv)
         self.rows.insert(pos, row)
         self.pivots.insert(pos, piv)
         self._by_pivot[piv] = row

@@ -26,6 +26,9 @@ they cannot drift into the code they judge.
 * ``plain_e_action``, the image of a plain word under e_j with each
   lowering's coefficient summed afresh over the letters after it, as
   ``freerep._plain_action`` computed it before it kept a running sum.
+* ``all_words``, every word of the word space up to a length at both
+  flags, in the order the relation check lists its failures: every
+  plain word, then every flagged one.
 * The quaternion-matrix side of the coordinate code: the constructors
   ``unit``, ``unit_sum``, ``zeros`` and ``identity``; ``trace``,
   ``re_trace`` and ``conj_transpose``; the entrywise maps ``quat_J``,
@@ -39,10 +42,12 @@ they cannot drift into the code they judge.
 from __future__ import annotations
 
 import inspect
+import itertools
 from fractions import Fraction
 
 from quatlie.bracket import bracket_grouped, close_under_bracket, group_rows
 from quatlie.errors import DegenerateInputError, MalformedInputError
+from quatlie.freerep import FreeWord
 from quatlie.linalg import SpanBasis, Vec, independent_span
 from quatlie.matrices import QuatMatrix, flatten
 from quatlie.realizations import build_named
@@ -521,3 +526,13 @@ def plain_e_action(j: int, idx: tuple, c) -> dict:
             lowered = idx[:k] + idx[k + 1 :]
             out[lowered] = out.get(lowered, 0) - sum(c[h][j] for h in idx[k + 1 :])
     return {lowered: coeff for lowered, coeff in out.items() if coeff}
+
+
+def all_words(rank: int, max_length: int) -> list[FreeWord]:
+    """Every word up to the given length, both flags, in a fixed order."""
+    out = []
+    for flag in (False, True):
+        for length in range(max_length + 1):
+            for idx in itertools.product(range(rank), repeat=length):
+                out.append(FreeWord(flag, idx))
+    return out

@@ -239,7 +239,7 @@ def test_criterion_9_rho_verification():
         for rep in reports:
             assert rep.ok, (type_label, rank, rep.name, rep.failures[:2])
         indep = verify_h_independence(cm, 4)
-        assert indep.ok and indep.rank_h == rank and indep.rank_jh == rank
+        assert indep.ok and indep.rank_h == rank and indep.failures == []
     singular = custom_cartan([[2, -1], [-4, 2]])
     broken = verify_h_independence(singular, 2)
     assert not broken.ok and broken.rank_h == 1

@@ -850,6 +850,30 @@ def test_rho_check_command(capsys):
     assert main(["rho-check", "--type", "A", "--rank", "2", "--degree", "1"]) == 2
 
 
+def test_rho_check_names_the_words_that_break_the_j_rule(monkeypatch, capsys):
+    # with the flag kept, Jh maps f1 to f1 instead of J.f1; the entry
+    # gives the h rank, then the first nine (word, j) pairs
+    monkeypatch.setattr(
+        freerep, "_twist", lambda tagged, flag: (flag, -1 if tagged and flag else 1)
+    )
+    code, doc = run_json(capsys, "rho-check", "--type", "A", "--rank", "2", "--degree", "3")
+    assert code == 1
+    entry = next(c for c in doc["checks"] if c["name"] == "h-independence")
+    assert not entry["passed"] and entry["instances"] == 14
+    assert entry["failures"] == [
+        "rank_h=2",
+        "('f1', 0)",
+        "('f1', 1)",
+        "('f2', 0)",
+        "('f2', 1)",
+        "('f1f1', 0)",
+        "('f1f1', 1)",
+        "('f1f2', 0)",
+        "('f1f2', 1)",
+        "('f2f1', 0)",
+    ]
+
+
 @pytest.mark.parametrize("type_label,rank,degree", [("A", 8, 12), ("A", 1, 10**9), ("D", 4, 9)])
 def test_rho_check_beyond_the_word_cap_builds_no_word(type_label, rank, degree, monkeypatch, capsys):
     # A8 at degree 12 would list about 8e10 words; the cap is read off
@@ -857,7 +881,7 @@ def test_rho_check_beyond_the_word_cap_builds_no_word(type_label, rank, degree, 
     def refuse(*args):
         raise AssertionError("a word list was built")
 
-    monkeypatch.setattr(freerep, "all_words", refuse)
+    monkeypatch.setattr(freerep, "plain_words", refuse)
     argv = ["rho-check", "--type", type_label, "--rank", str(rank), "--degree", str(degree)]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -892,7 +916,7 @@ def test_rho_check_refuses_rank_one_past_the_letter_cap_before_the_cartan_matrix
         raise AssertionError("a Cartan matrix or a word list was built")
 
     monkeypatch.setattr(cli, "cartan_matrix", refuse)
-    monkeypatch.setattr(freerep, "all_words", refuse)
+    monkeypatch.setattr(freerep, "plain_words", refuse)
     assert main(["rho-check", "--type", "A", "--rank", "1", "--degree", "1414"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

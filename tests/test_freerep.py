@@ -13,7 +13,6 @@ from quatlie.freerep import (
     FAMILIES,
     GENERATOR_KINDS,
     FreeWord,
-    all_words,
     plain_images,
     rho_apply,
     verify_h_independence,
@@ -21,7 +20,7 @@ from quatlie.freerep import (
 )
 from quatlie.rootsystem import cartan_matrix, custom_cartan
 
-from oracles import plain_e_action
+from oracles import all_words, plain_e_action
 
 A2 = cartan_matrix("A", 2)
 A1 = cartan_matrix("A", 1)
@@ -82,14 +81,14 @@ def test_word_length_grading():
         for kind, delta in (("h", 0), ("Jh", 0), ("f", 1), ("Jf", 1), ("e", -1), ("Je", -1)):
             for j in range(2):
                 for out in rho_apply(kind, j, w, A2, 4):
-                    assert out.length == w.length + delta
+                    assert len(out.indices) == len(w.indices) + delta
 
 
 def test_dual_reading_consistency():
     # rho(h_j) on a flagged word agrees with rho(Jh_j) on the plain word,
     # read through the shared right-hand side
     for w in all_words(2, 3):
-        if w.j_flag or w.length == 0:
+        if w.j_flag or not w.indices:
             continue
         for j in range(2):
             via_h = rho_apply("h", j, FreeWord(True, w.indices), A2, 5)
@@ -128,7 +127,7 @@ def test_specific_family_examples_at_degree_four():
 def test_h_independence_a2():
     report = verify_h_independence(A2, 2)
     assert report.ok
-    assert report.rank_h == 2 and report.rank_jh == 2
+    assert report.rank_h == 2 and report.failures == []
 
 
 def test_h_independence_a1():
@@ -141,7 +140,7 @@ def test_h_independence_singular_cartan_fails():
     singular = custom_cartan([[2, -1], [-4, 2]])
     report = verify_h_independence(singular, 2)
     assert not report.ok
-    assert report.rank_h == 1 and report.rank_jh == 1
+    assert report.rank_h == 1 and report.failures == []
 
 
 def test_rho_apply_jh_clears_flag():
@@ -223,7 +222,7 @@ def test_rho_apply_values_are_ints_and_spans_stay_exact(monkeypatch):
     monkeypatch.setattr(freerep, "SpanBasis", RecordingSpan)
     for cm in (A2, cartan_matrix("B", 2)):
         assert verify_h_independence(cm, 3).ok
-    assert len(spans) == 4
+    assert len(spans) == 2
     for span in spans:
         assert span.rows
         for row in span.rows:
@@ -401,18 +400,54 @@ def test_h_independence_reads_each_jh_image_once_and_distinct_rows(monkeypatch):
     assert len(calls) == len(set(calls)) == 28
     assert {kind for kind, _, _ in calls} == {"Jh"}
     # one row per letter count (a, b) with 1 <= a + b <= 3, none repeated
-    assert [len(rows) for rows in inserted] == [9, 9]
+    assert [len(rows) for rows in inserted] == [9]
     assert all(len(set(rows)) == 9 for rows in inserted)
 
 
+def _nonzero_h(cm, lengths):
+    """(label, j) of every plain word of the given lengths on which h_j
+    has a nonzero coefficient, in word order."""
+    return [
+        (FreeWord(False, idx).label(), j)
+        for length in lengths
+        for idx in itertools.product(range(cm.rank), repeat=length)
+        for j in range(cm.rank)
+        if sum(cm.entries[i][j] for i in idx)
+    ]
+
+
 def test_h_independence_jh_half_goes_through_the_twist(monkeypatch):
-    # with the flag kept, Jh maps a plain word to a plain word, so no Jh
-    # row finds its flagged coefficient; the h half reads no twist
+    # with the flag kept, Jh maps a plain word to a plain word, so every
+    # Jh image with a nonzero coefficient misses the flagged word; the h
+    # rank reads no twist.  A2 at degree 3: 28 (word, j) pairs, 6 of them
+    # with coefficient 0 (one letter j and two of the other)
     monkeypatch.setattr(
         freerep, "_twist", lambda tagged, flag: (flag, -1 if tagged and flag else 1)
     )
     report = verify_h_independence(A2, 3)
-    assert (report.rank_h, report.rank_jh, report.ok) == (2, 0, False)
+    assert (report.rank_h, report.ok, len(report.failures)) == (2, False, 22)
+    assert report.failures[0] == ("f1", 0)
+    assert report.failures == _nonzero_h(A2, range(1, 4))
+
+
+def test_h_independence_names_a_wrong_jh_image_on_long_words(monkeypatch):
+    # Jh images doubled on the words of length 3 only: each Jh row is still
+    # a multiple of its h row, so a rank of the Jh rows stays 2; the J rule
+    # names exactly the doubled images with a nonzero coefficient
+    honest = freerep.rho_apply
+
+    def doubled(kind, j, word, cm, degree_cap):
+        out = honest(kind, j, word, cm, degree_cap)
+        if kind == "Jh" and len(word.indices) == 3:
+            out = {image: 2 * val for image, val in out.items()}
+        return out
+
+    monkeypatch.setattr(freerep, "rho_apply", doubled)
+    report = verify_h_independence(A2, 3)
+    assert (report.rank_h, report.ok) == (2, False)
+    long_words = _nonzero_h(A2, [3])
+    assert len(long_words) == 10
+    assert report.failures == long_words
 
 
 def test_ideal_kernel_evaluates_each_class_once(monkeypatch):
