@@ -108,9 +108,11 @@ def cmd_build(args) -> int:
         command="build", inputs={"type": args.type, "rank": args.rank}
     )
     embedded.checks = manifest.checks
+    t_write = time.perf_counter()
     serialize.write_json(
         args.out, serialize.algebra_to_json(algebra, embedded.to_json(with_timings=False))
     )
+    manifest.timings_ms["write"] = (time.perf_counter() - t_write) * 1000.0
     return _emit(manifest, {"dim": algebra.dim, "dim_k": len(algebra.k_indices)})
 
 

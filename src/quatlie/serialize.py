@@ -5,13 +5,16 @@ dropped for integers); nothing is ever rendered through floating point.
 A matrix, a flattened coordinate row in the program, is written as
 ``n`` and ``entries``: n rows of n entries, each the list of its four
 coordinates (re z1, im z1, re z2, im z2), zeros included.
-Serialization is deterministic: dictionaries are dumped with sorted
-keys and fixed separators, so rebuilding an algebra from the same
-parameters reproduces the file byte for byte.
+Serialization is deterministic: the file's text is rendered directly,
+each matrix from one template for its size and each structure constant
+from one format string, and is byte-identical to ``json.dumps`` of the
+document with sorted keys and fixed separators, so rebuilding an algebra
+from the same parameters reproduces the file byte for byte.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 
@@ -26,17 +29,22 @@ from .scalars import format_rational, parse_rational
 ARTIFACT_VERSION = "1"
 
 
-def matrix_to_json(vec: Vec, n: int) -> dict:
-    """A flattened n x n matrix in the layout of the module docstring."""
-    coords = ["0"] * (4 * n * n)
-    for idx, val in vec.items():
-        coords[idx] = format_rational(val)
-    cells = [coords[c : c + 4] for c in range(0, 4 * n * n, 4)]
-    return {"n": n, "entries": [cells[p * n : p * n + n] for p in range(n)]}
+def _matrices_text(vecs, n: int, template: str) -> str:
+    """The JSON list of the flattened n x n matrices ``vecs``, each filled
+    into ``template``, which has a ``%s`` per coordinate string."""
+    zeros = ["0"] * (4 * n * n)
+    texts = []
+    for vec in vecs:
+        coords = zeros.copy()
+        for idx, val in vec.items():
+            coords[idx] = format_rational(val)
+        texts.append(template % tuple(coords))
+    return "[" + ",".join(texts) + "]"
 
 
 def matrix_from_json(data, n: int, what: str) -> Vec:
-    """Inverse of :func:`matrix_to_json` for a matrix that must be n x n."""
+    """One matrix of the rendered text, read back: the inverse of the
+    rendering for a matrix that must be n x n."""
     entries = data["entries"]
     size = _int(data["n"], "matrix size")
     if size != n or len(entries) != n or any(len(row) != n for row in entries):
@@ -55,16 +63,9 @@ def matrix_from_json(data, n: int, what: str) -> Vec:
     return vec
 
 
-def constants_to_json(sc: StructureConstants) -> dict:
-    entries = []
-    for (i, j), terms in sorted(sc.table.items()):
-        for k, coeff in terms:
-            entries.append([i, j, k, format_rational(coeff)])
-    return {"dim": sc.dim, "entries": entries}
-
-
 def constants_from_json(data) -> StructureConstants:
-    """The table of a ``constants_to_json`` document, checked column by column.
+    """The table of the rendered ``structure_constants`` field, read back
+    (the inverse of the rendering), checked column by column.
 
     The entries are checked in this order, each check over all of them
     before the next: every entry is a list of four; every index is an int
@@ -114,34 +115,47 @@ def roots_to_json(roots) -> list:
     return [list(r) for r in roots]
 
 
-def algebra_to_json(g: QuaternionLieAlgebra, manifest: dict | None = None) -> dict:
-    doc = {
+def algebra_to_json(g: QuaternionLieAlgebra, manifest: dict | None = None) -> str:
+    """The text of ``g``'s algebra file, with ``manifest`` embedded when given."""
+    dump = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    n = g.ambient_n
+    # one n x n matrix in the layout of the module docstring, a %s per coordinate
+    row = "[" + ",".join(['["%s","%s","%s","%s"]'] * n) + "]"
+    template = '{"entries":[' + ",".join([row] * n) + '],"n":' + str(n) + "}"
+    entries = ",".join(
+        f'[{i},{j},{k},"{format_rational(coeff)}"]'
+        for (i, j), terms in sorted(g.constants.table.items())
+        for k, coeff in terms
+    )
+    gens = ",".join(
+        f'"{kind}":{_matrices_text(g.generators.rows[kind], n, template)}'
+        for kind in ("e", "f", "h")
+    )
+    small = {
         "artifact_version": ARTIFACT_VERSION,
         "kind": "quaternion-lie-algebra",
         "type": g.type_label,
         "rank": g.rank,
         "realization": g.realization,
-        "ambient_n": g.ambient_n,
+        "ambient_n": n,
         "dim": g.dim,
-        "cartan": [list(row) for row in g.cartan.entries],
-        "basis": [matrix_to_json(vec, g.ambient_n) for vec in g.basis],
-        "structure_constants": constants_to_json(g.constants),
-        "generators": {
-            kind: [matrix_to_json(vec, g.ambient_n) for vec in g.generators.rows[kind]]
-            for kind in ("h", "e", "f")
-        },
-        "positive_roots": roots_to_json(g.pos_roots),
+        "cartan": g.cartan.entries,
+        "positive_roots": g.pos_roots,
         "weights": [
-            {"weight": list(values), "indices": list(indices)}
+            {"weight": values, "indices": indices}
             for values, indices in sorted(g.weight_indices.items())
         ],
-        "k_indices": list(g.k_indices),
-        "hr_indices": list(g.hr_indices),
-        "hr_perp_indices": list(g.hr_perp_indices),
+        "k_indices": g.k_indices,
+        "hr_indices": g.hr_indices,
+        "hr_perp_indices": g.hr_perp_indices,
     }
     if manifest is not None:
-        doc["manifest"] = manifest
-    return doc
+        small["manifest"] = manifest
+    fields = {key: dump(value) for key, value in small.items()}
+    fields["basis"] = _matrices_text(g.basis, n, template)
+    fields["structure_constants"] = f'{{"dim":{g.constants.dim},"entries":[{entries}]}}'
+    fields["generators"] = "{" + gens + "}"
+    return "{" + ",".join(f'"{key}":{fields[key]}' for key in sorted(fields)) + "}\n"
 
 
 def _int(value, what: str) -> int:
@@ -272,13 +286,9 @@ def _algebra_from_json(data) -> QuaternionLieAlgebra:
     return algebra
 
 
-def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def write_json(path: str, doc: dict) -> None:
+def write_json(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(doc))
+        handle.write(text)
 
 
 def read_json(path: str) -> dict:

@@ -29,6 +29,10 @@ they cannot drift into the code they judge.
 * ``all_words``, every word of the word space up to a length at both
   flags, in the order the relation check lists its failures: every
   plain word, then every flagged one.
+* The reference encoder of an algebra file: ``matrix_to_json``,
+  ``constants_to_json`` and ``algebra_doc`` build the file as nested
+  dicts and lists, and ``dumps`` encodes it with ``json.dumps``, as
+  ``quatlie.serialize`` wrote it before it rendered the text directly.
 * The quaternion-matrix side of the coordinate code: the constructors
   ``unit``, ``unit_sum``, ``zeros`` and ``identity``; ``trace``,
   ``re_trace`` and ``conj_transpose``; the entrywise maps ``quat_J``,
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import json
 from fractions import Fraction
 
 from quatlie.bracket import bracket_grouped, close_under_bracket, group_rows
@@ -51,7 +56,8 @@ from quatlie.freerep import FreeWord
 from quatlie.linalg import SpanBasis, Vec, independent_span
 from quatlie.matrices import QuatMatrix, flatten
 from quatlie.realizations import build_named
-from quatlie.scalars import GR_ZERO, Q_ONE, Q_ZERO, Quaternion, integral
+from quatlie.scalars import GR_ZERO, Q_ONE, Q_ZERO, Quaternion, format_rational, integral
+from quatlie.serialize import ARTIFACT_VERSION, roots_to_json
 
 
 def quat_conj_sigma(x: Quaternion) -> Quaternion:
@@ -536,3 +542,59 @@ def all_words(rank: int, max_length: int) -> list[FreeWord]:
             for idx in itertools.product(range(rank), repeat=length):
                 out.append(FreeWord(flag, idx))
     return out
+
+
+def matrix_to_json(vec: Vec, n: int) -> dict:
+    """A flattened n x n matrix as ``{"n", "entries"}``: n rows of n cells,
+    each the list of its four coordinate strings, zeros included."""
+    coords = ["0"] * (4 * n * n)
+    for idx, val in vec.items():
+        coords[idx] = format_rational(val)
+    cells = [coords[c : c + 4] for c in range(0, 4 * n * n, 4)]
+    return {"n": n, "entries": [cells[p * n : p * n + n] for p in range(n)]}
+
+
+def constants_to_json(sc) -> dict:
+    """The table as ``{"dim", "entries"}``, one [i, j, k, coeff] per term,
+    in sorted key order."""
+    entries = []
+    for (i, j), terms in sorted(sc.table.items()):
+        for k, coeff in terms:
+            entries.append([i, j, k, format_rational(coeff)])
+    return {"dim": sc.dim, "entries": entries}
+
+
+def algebra_doc(g, manifest: dict | None = None) -> dict:
+    """The document of ``g``'s algebra file, with ``manifest`` embedded when given."""
+    doc = {
+        "artifact_version": ARTIFACT_VERSION,
+        "kind": "quaternion-lie-algebra",
+        "type": g.type_label,
+        "rank": g.rank,
+        "realization": g.realization,
+        "ambient_n": g.ambient_n,
+        "dim": g.dim,
+        "cartan": [list(row) for row in g.cartan.entries],
+        "basis": [matrix_to_json(vec, g.ambient_n) for vec in g.basis],
+        "structure_constants": constants_to_json(g.constants),
+        "generators": {
+            kind: [matrix_to_json(vec, g.ambient_n) for vec in g.generators.rows[kind]]
+            for kind in ("h", "e", "f")
+        },
+        "positive_roots": roots_to_json(g.pos_roots),
+        "weights": [
+            {"weight": list(values), "indices": list(indices)}
+            for values, indices in sorted(g.weight_indices.items())
+        ],
+        "k_indices": list(g.k_indices),
+        "hr_indices": list(g.hr_indices),
+        "hr_perp_indices": list(g.hr_perp_indices),
+    }
+    if manifest is not None:
+        doc["manifest"] = manifest
+    return doc
+
+
+def dumps(doc: dict) -> str:
+    """The file's text: ``doc`` with sorted keys and fixed separators."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

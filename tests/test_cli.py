@@ -741,7 +741,9 @@ def test_build_times_each_phase_and_check(tmp_path, capsys):
     path = tmp_path / "a1.json"
     code, doc = run_json(capsys, "build", "--type", "A", "--rank", "1", "--out", str(path))
     assert code == 0
-    phases = {"realization", "closure", "decomposition", "constants", "verification", "total"}
+    phases = {
+        "realization", "closure", "decomposition", "constants", "verification", "write", "total"
+    }
     assert set(doc["timings_ms"]) == phases | set(quaternify.CHECKS) - {"structure"}
 
 

@@ -42,7 +42,7 @@ from quatlie.quaternify import (
 from quatlie.realizations import ChevalleyGenerators, build_named, chevalley_generators
 from quatlie.rootsystem import cartan_matrix, positive_roots, weight_of
 from quatlie.scalars import Q_I, Q_J, Q_K, Q_ONE
-from quatlie.serialize import algebra_from_json, algebra_to_json, dumps
+from quatlie.serialize import algebra_from_json, algebra_to_json
 
 from oracles import (
     ReductionSolver,
@@ -521,7 +521,7 @@ def _k_structure_by_brackets(g):
 
 
 def _loaded(g):
-    return algebra_from_json(json.loads(dumps(algebra_to_json(g))))
+    return algebra_from_json(json.loads(algebra_to_json(g)))
 
 
 # index sets a file could declare: a [k, k] short of one row, one that

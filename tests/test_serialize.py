@@ -1,5 +1,7 @@
 import json
 import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +14,7 @@ from quatlie.matrices import QuatMatrix, flatten
 from quatlie.realizations import build_named
 from quatlie.scalars import format_rational, parse_rational
 
+import oracles
 from conftest import rand_qmatrix, rand_quat
 from oracles import bracket_vec
 
@@ -20,7 +23,7 @@ def test_quaternion_round_trip(rng):
     # a matrix entry is the quaternion's four coordinates as rational strings
     for _ in range(30):
         q = rand_quat(rng)
-        doc = serialize.matrix_to_json(flatten(QuatMatrix([[q]])), 1)
+        doc = oracles.matrix_to_json(flatten(QuatMatrix([[q]])), 1)
         assert doc["entries"] == [[[format_rational(v) for v in q.to_coords()]]]
         back = serialize.matrix_from_json(doc, 1, "test")
         assert QuatMatrix.unflatten(1, back) == QuatMatrix([[q]])
@@ -34,7 +37,7 @@ def test_quaternion_bad_length():
 def test_quat_matrix_round_trip(rng):
     for _ in range(10):
         m = rand_qmatrix(rng, 3)
-        doc = serialize.matrix_to_json(flatten(m), 3)
+        doc = oracles.matrix_to_json(flatten(m), 3)
         assert doc["n"] == 3
         back = serialize.matrix_from_json(doc, 3, "test")
         assert back == flatten(m)
@@ -45,7 +48,7 @@ def test_quat_matrix_round_trip(rng):
 
 def test_constants_round_trip():
     sc = structure_constants(build_named("u_n", 2).basis, 2)
-    doc = serialize.constants_to_json(sc)
+    doc = oracles.constants_to_json(sc)
     for entry in doc["entries"]:
         i, j, k, coeff = entry
         assert i < j and isinstance(coeff, str)
@@ -84,7 +87,7 @@ def test_built_and_loaded_spans_are_the_basis_span(algebras, type_label, rank):
     # a build keeps its closure span, a load the echelon span of the file's
     # basis; both must be the span of the adapted basis rows
     g = algebras(type_label, rank)
-    loaded = serialize.algebra_from_json(json.loads(serialize.dumps(serialize.algebra_to_json(g))))
+    loaded = serialize.algebra_from_json(json.loads(serialize.algebra_to_json(g)))
     for algebra in (g, loaded):
         assert algebra.span.same_span(span_of(algebra.basis))
         assert algebra.span.rank == algebra.dim
@@ -111,7 +114,7 @@ def test_values_are_ints_built_and_loaded(algebras, type_label, rank):
     # integral, so none of them may be a Fraction, let alone a float
     g = algebras(type_label, rank)
     assert _value_types(g) == {int}
-    doc = json.loads(serialize.dumps(serialize.algebra_to_json(g)))
+    doc = json.loads(serialize.algebra_to_json(g))
     assert _value_types(serialize.algebra_from_json(doc)) == {int}
 
 
@@ -120,7 +123,7 @@ def test_values_are_ints_built_and_loaded(algebras, type_label, rank):
 )
 def test_loader_requires_the_realization_ambient_n(algebras, type_label, rank):
     g = algebras(type_label, rank)
-    doc = serialize.algebra_to_json(g)
+    doc = json.loads(serialize.algebra_to_json(g))
     assert serialize.algebra_from_json(doc).ambient_n == g.ambient_n
     doc["ambient_n"] = g.ambient_n + 1  # checked before any matrix is parsed
     with pytest.raises(MalformedInputError, match=f"ambient_n must be {g.ambient_n}"):
@@ -128,7 +131,7 @@ def test_loader_requires_the_realization_ambient_n(algebras, type_label, rank):
 
 
 def test_loader_rejects_a_coefficient_past_the_digit_limit(algebras):
-    doc = serialize.algebra_to_json(algebras("A", 1))
+    doc = json.loads(serialize.algebra_to_json(algebras("A", 1)))
     doc["structure_constants"]["entries"][0][3] = "1" * 5000
     with pytest.raises(MalformedInputError, match="not a rational string"):
         serialize.algebra_from_json(doc)
@@ -145,7 +148,7 @@ WRONG_SHAPES = {
 
 @pytest.mark.parametrize("field, value", WRONG_SHAPES.values(), ids=WRONG_SHAPES)
 def test_loader_refuses_a_field_of_the_wrong_shape(algebras, field, value, tmp_path, capsys):
-    doc = serialize.algebra_to_json(algebras("A", 1))
+    doc = json.loads(serialize.algebra_to_json(algebras("A", 1)))
     if value is None:
         del doc[field]
     else:
@@ -153,7 +156,7 @@ def test_loader_refuses_a_field_of_the_wrong_shape(algebras, field, value, tmp_p
     with pytest.raises(MalformedInputError):
         serialize.algebra_from_json(doc)
     path = tmp_path / "bad.json"
-    serialize.write_json(str(path), doc)
+    serialize.write_json(str(path), oracles.dumps(doc))
     assert main(["verify", "--in", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -162,11 +165,61 @@ def test_loader_refuses_a_field_of_the_wrong_shape(algebras, field, value, tmp_p
 
 def test_algebra_dump_is_deterministic(algebras):
     g = algebras("A", 1)
-    first = serialize.dumps(serialize.algebra_to_json(g))
-    second = serialize.dumps(serialize.algebra_to_json(g))
+    first = serialize.algebra_to_json(g)
+    second = serialize.algebra_to_json(g)
     assert first == second
     assert first.endswith("\n")
     json.loads(first)  # valid JSON
+
+
+RENDERED_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("C", 2), ("C", 3), ("D", 3)]
+
+
+@pytest.mark.parametrize("type_label, rank", RENDERED_TYPES)
+def test_rendered_file_is_the_reference_encoding(algebras, type_label, rank, tmp_path, capsys):
+    # with the manifest `build` embeds, whose red failures (B2, C2, C3)
+    # carry quotes and parentheses, and without one
+    path = tmp_path / "algebra.json"
+    main(["build", "--type", type_label, "--rank", str(rank), "--out", str(path)])
+    capsys.readouterr()
+    text = path.read_text()
+    manifest = json.loads(text)["manifest"]
+    g = algebras(type_label, rank)
+    assert serialize.algebra_to_json(g, manifest) == oracles.dumps(oracles.algebra_doc(g, manifest))
+    assert text == serialize.algebra_to_json(g, manifest)
+    assert serialize.algebra_to_json(g) == oracles.dumps(oracles.algebra_doc(g))
+
+
+def _fields_around(n, rows, constants):
+    """What the renderer reads of an algebra, around given rows and table."""
+    return SimpleNamespace(
+        type_label="A",
+        rank=1,
+        realization="sl_n_H",
+        ambient_n=n,
+        dim=len(rows),
+        cartan=SimpleNamespace(entries=((2,),)),
+        basis=rows,
+        constants=constants,
+        generators=SimpleNamespace(rows={"h": rows[:1], "e": rows[1:2], "f": rows[2:3]}),
+        pos_roots=[(1,)],
+        weight_indices={(0,): tuple(range(len(rows)))},
+        k_indices=tuple(range(len(rows))),
+        hr_indices=(0,),
+        hr_perp_indices=(),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exact_matrices_and_table_render_as_the_reference_encodes(rng, n):
+    rows = [flatten(rand_qmatrix(rng, n)) for _ in range(8)] + [{}]
+    values = [v for row in rows for v in row.values()]
+    assert min(values) < 0 and any(type(v) is Fraction and v.denominator > 1 for v in values)
+    assert any(0 < len(row) < 4 * n * n for row in rows)  # zeros beside nonzero coordinates
+    # keys out of sorted order, and a Fraction coefficient among ints
+    table = {(2, 5): ((0, Fraction(-3, 7)), (4, 2)), (0, 1): ((3, -1),), (0, 8): ((8, 1),)}
+    g = _fields_around(n, rows, StructureConstants(dim=len(rows), table=table))
+    assert serialize.algebra_to_json(g) == oracles.dumps(oracles.algebra_doc(g))
 
 
 def test_algebra_from_json_rejects_wrong_kind():
@@ -225,7 +278,7 @@ def _same_table(loaded, reference):
 @pytest.mark.parametrize("type_label, rank", LOADED_TYPES)
 def test_loader_gives_the_reference_table(algebras, type_label, rank):
     built = algebras(type_label, rank).constants
-    doc = serialize.constants_to_json(built)
+    doc = oracles.constants_to_json(built)
     loaded = serialize.constants_from_json(doc)
     _same_table(loaded, reference_constants_from_json(doc))
     assert loaded.table == built.table
@@ -235,7 +288,7 @@ def test_loader_gives_the_reference_table(algebras, type_label, rank):
 
 
 def _a2_doc(algebras):
-    doc = serialize.algebra_to_json(algebras("A", 2))
+    doc = json.loads(serialize.algebra_to_json(algebras("A", 2)))
     assert doc["structure_constants"]["dim"] == 35
     return doc
 
