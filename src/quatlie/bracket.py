@@ -198,7 +198,9 @@ class StructureConstants:
     """Sparse bracket table over a fixed ordered basis.
 
     Only keys with i < j are stored; the i > j values follow by
-    antisymmetry and the diagonal vanishes.
+    antisymmetry and the diagonal vanishes.  :func:`structure_constants`
+    builds the table in key order (i ascending, then j) with every term
+    tuple ascending in k; a loaded table keeps the order of its file.
     """
 
     __slots__ = ("dim", "table")
@@ -336,19 +338,24 @@ def structure_constants(vecs: list[Vec], n: int) -> StructureConstants:
 
     Each pair's bracket is solved over ``vecs`` by a ``LinearSolver``
     built here; StructuralFailureError names the first pair whose bracket
-    leaves the span.
+    leaves the span, sweeping i from the last row and j upwards.  The
+    table is built in key order: i ascending, then j ascending.
     """
     solver = LinearSolver(vecs)
-    table = {}
+    swept = []  # (i, [(j, terms), ...] by j), i descending as swept
     for i, brackets in sweep_brackets(vecs, n):
-        for j, terms in brackets.items():
-            coeffs = solver.express(terms)  # zero values and all
+        pairs = []
+        for j in sorted(brackets):
+            coeffs = solver.express(brackets[j])  # zero values and all
             if coeffs is None:
                 msg = f"bracket of basis elements {i}, {j} leaves the span"
                 raise StructuralFailureError(f"adapted basis is not bracket-closed: {msg}")
             if coeffs:
-                table[i, j] = tuple(sorted(coeffs.items()))
-    return StructureConstants(dim=len(vecs), table=dict(sorted(table.items())))
+                items = coeffs.items()
+                pairs.append((j, tuple(sorted(items)) if len(coeffs) > 1 else tuple(items)))
+        swept.append((i, pairs))
+    table = {(i, j): terms for i, pairs in reversed(swept) for j, terms in pairs}
+    return StructureConstants(dim=len(vecs), table=table)
 
 
 class JacobiReport(NamedTuple):

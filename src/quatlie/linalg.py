@@ -125,17 +125,45 @@ def independent_span(vectors) -> SpanBasis:
 class LinearSolver:
     """Expresses vectors over a fixed independent (not necessarily echelon) basis.
 
-    Each basis vector is augmented with a tracking coordinate past the rows'
-    largest coordinate, and the augmented rows are brought to reduced
-    echelon form.  Each row has a pivot below the tracking coordinates, and
-    its tracking terms are its coefficients over the input rows.  A vector
-    in the span is the sum of its value at each pivot times that row.
+    A row with a *private column*, a coordinate where it is nonzero and
+    every other row is zero, is read off there: the coefficient of any
+    vector in the span is its value at that column over the row's value
+    (de Graaf, *Lie Algebras: Theory and Algorithms*, 2000).  Such a row is
+    independent of all the others, so only the rows without one are
+    eliminated.  Each of those is augmented with a tracking coordinate past
+    the rows' largest coordinate, and the augmented rows are brought to
+    reduced echelon form.  Each such row has a pivot below the tracking
+    coordinates, and its tracking terms are its coefficients over the input
+    rows.  What is left of a vector once the read-off rows are taken out is
+    the sum of its value at each pivot times that row.
+
+    On the adapted bases of A1, A2, A3, B2, C2 and D3 only 0, 0, 1, 2, 2
+    and 1 rows have no private column.  Zero values stored in a row are
+    ignored, so they never become a divisor.
     """
 
     def __init__(self, rows: list[Vec]):
-        ambient_dim = 1 + max((idx for row in rows for idx in row), default=-1)
+        rows = [{idx: val for idx, val in row.items() if val} for row in rows]
+        touching: dict = {}  # coordinate -> the rows nonzero there
+        for r, row in enumerate(rows):
+            for idx in row:
+                touching.setdefault(idx, []).append(r)
+        # the smallest private column of each row that has one
+        column: dict = {}
+        for idx in sorted(touching):
+            hits = touching[idx]
+            if len(hits) == 1:
+                column.setdefault(hits[0], idx)
+        # private column -> (its row, the row's value there, the row's other terms)
+        self._private: dict = {
+            col: (r, rows[r][col], [(idx, val) for idx, val in rows[r].items() if idx != col])
+            for r, col in column.items()
+        }
+        ambient_dim = 1 + max(touching, default=-1)
         basis = SpanBasis()
         for offset, row in enumerate(rows):
+            if offset in column:
+                continue
             augmented = dict(row)
             augmented[ambient_dim + offset] = 1
             residual = basis.reduce(augmented)
@@ -158,13 +186,29 @@ class LinearSolver:
 
         Sparse: ``{i: c[i]}`` over the nonzero c[i], in no set order.
         Zero values in ``vec`` are ignored, so a bracket's sums can be
-        passed as they are.  ``vec`` is outside the span when a non-pivot
-        coordinate is left nonzero, as one past every row's coordinates is.
+        passed as they are.  ``vec`` is outside the span when a coordinate
+        that is neither a private column nor a pivot is left nonzero, as
+        one past every row's coordinates is.
         """
+        private = self._private
+        coeffs: dict = {}
+        residual: dict = {}  # vec less the read-off rows
+        for idx, val in vec.items():
+            if val:
+                hit = private.get(idx)
+                if hit is None:
+                    residual[idx] = residual.get(idx, 0) + val
+                else:
+                    r, lead, others = hit
+                    # most leads are pivots, 1, and most values ints
+                    c = coeffs[r] = val if lead == 1 and type(val) is int else exact_div(val, lead)
+                    for col, a in others:
+                        residual[col] = residual.get(col, 0) - c * a
+        if not residual:  # read off the private columns alone, each coefficient nonzero
+            return coeffs
         by_pivot = self._by_pivot
         rest: dict = {}
-        coeffs: dict = {}
-        for idx, val in vec.items():
+        for idx, val in residual.items():
             if val:
                 # a non-pivot coordinate goes to the rest as it is
                 others, combination = by_pivot.get(idx) or (((idx, -1),), ())

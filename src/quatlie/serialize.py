@@ -122,10 +122,11 @@ def algebra_to_json(g: QuaternionLieAlgebra, manifest: dict | None = None) -> st
     # one n x n matrix in the layout of the module docstring, a %s per coordinate
     row = "[" + ",".join(['["%s","%s","%s","%s"]'] * n) + "]"
     template = '{"entries":[' + ",".join([row] * n) + '],"n":' + str(n) + "}"
+    text: dict = {}  # coefficient -> its text, formatted once per distinct value
     entries = ",".join(
-        f'[{i},{j},{k},"{format_rational(coeff)}"]'
+        f'[{i},{j},{k},"{text.get(c) or text.setdefault(c, format_rational(c))}"]'
         for (i, j), terms in sorted(g.constants.table.items())
-        for k, coeff in terms
+        for k, c in terms
     )
     gens = ",".join(
         f'"{kind}":{_matrices_text(g.generators.rows[kind], n, template)}'

@@ -22,6 +22,9 @@ they cannot drift into the code they judge.
   the whole augmented echelon basis and reads the coefficients off the
   tracking coordinates, as ``LinearSolver`` did before it read a
   vector's values at the pivots.
+* ``AugmentedSolver``, the solver that reads the augmented reduced
+  echelon basis of every row at its pivots, as ``LinearSolver`` did
+  before it read the rows with a private column off that column.
 * ``replace``, a copy of a record rebuilt through its constructor.
 * ``plain_e_action``, the image of a plain word under e_j with each
   lowering's coefficient summed afresh over the letters after it, as
@@ -110,6 +113,53 @@ class ReductionSolver:
             elif val:
                 return None
         return coeffs
+
+
+class AugmentedSolver:
+    """Expresses vectors over independent rows by reading the augmented
+    reduced echelon basis of all of them at its pivots, as ``LinearSolver``
+    did before it read the rows with a private column off that column.
+
+    Each row is augmented with a tracking coordinate past the rows' largest
+    coordinate; the tracking terms of an echelon row are its coefficients
+    over the input rows.  The rows must store no zero values."""
+
+    def __init__(self, rows: list[Vec]):
+        ambient_dim = 1 + max((idx for row in rows for idx in row), default=-1)
+        basis = SpanBasis()
+        for offset, row in enumerate(rows):
+            augmented = dict(row)
+            augmented[ambient_dim + offset] = 1
+            residual = basis.reduce(augmented)
+            # a dependent row leaves only tracking coordinates behind
+            if not residual or min(residual) >= ambient_dim:
+                raise DegenerateInputError("solver rows are linearly dependent")
+            basis.insert(residual)
+        # pivot -> (the row's other ambient terms, its coefficients over the rows)
+        self._by_pivot: dict = {}
+        for piv, row in zip(basis.pivots, basis.rows):
+            others, combination = self._by_pivot[piv] = [], []
+            for idx, val in row.items():
+                if idx >= ambient_dim:
+                    combination.append((idx - ambient_dim, val))
+                elif idx != piv:
+                    others.append((idx, val))
+
+    def express(self, vec: Vec):
+        """Coefficients c with ``vec == sum c[i] * rows[i]``, or None;
+        zero values in ``vec`` are ignored."""
+        by_pivot = self._by_pivot
+        rest: dict = {}
+        coeffs: dict = {}
+        for idx, val in vec.items():
+            if val:
+                # a non-pivot coordinate goes to the rest as it is
+                others, combination = by_pivot.get(idx) or (((idx, -1),), ())
+                for col, a in others:
+                    rest[col] = rest.get(col, 0) - val * a
+                for k, m in combination:
+                    coeffs[k] = coeffs.get(k, 0) + val * m
+        return None if any(rest.values()) else {k: c for k, c in coeffs.items() if c}
 
 
 def constants_by_express(vecs: list[Vec], n: int, solver) -> dict:

@@ -13,8 +13,9 @@ from quatlie.linalg import (
     span_of,
     vec_iadd_scaled,
 )
+from quatlie.scalars import integral
 
-from oracles import ReductionSolver, vec_from_dense
+from oracles import AugmentedSolver, ReductionSolver, vec_from_dense
 
 
 def dense(vec, length):
@@ -202,3 +203,63 @@ def test_pivot_read_express_agrees_with_reduction(case, other):
     for k, c in coeffs.items():
         vec_iadd_scaled(rebuilt, rows[k], c)
     assert rebuilt == inside
+
+
+exact_coeff = st.one_of(st.integers(-3, 3), small_coeff)
+nonzero_coeff = exact_coeff.filter(bool)
+
+
+@st.composite
+def private_column_cases(draw):
+    """Rows over coordinates 0..9, in a drawn order: up to four with a
+    private column at a drawn coordinate with a drawn lead there, and up
+    to four more over the same four shared coordinates only, each with
+    zero values stored at drawn coordinates.  Now and then a zero row or a
+    combination of two rows is added, which makes the set dependent."""
+    columns = draw(st.permutations(range(10)))
+    n_private = draw(st.integers(0, 4))
+    private, shared = columns[:n_private], columns[n_private : n_private + 4]
+
+    def shared_row(min_size):
+        support = draw(st.sets(st.sampled_from(shared), min_size=min_size, max_size=3))
+        return {idx: integral(draw(nonzero_coeff)) for idx in sorted(support)}
+
+    rows = [{col: integral(draw(nonzero_coeff)), **shared_row(0)} for col in private]
+    rows += [shared_row(1) for _ in range(draw(st.integers(0, 4)))]
+    extra = draw(st.integers(0, 5))  # 4: a zero row, 5: a combination
+    if extra == 4:
+        rows.append({})
+    elif extra == 5 and rows:
+        row = {}
+        for _ in range(2):
+            vec_iadd_scaled(row, draw(st.sampled_from(rows)), draw(nonzero_coeff))
+        rows.append(row)
+    rows = draw(st.permutations(rows))
+    stored_zeros = [draw(st.sets(st.integers(0, 9), max_size=3)) for _ in rows]
+    padded = [{**dict.fromkeys(zeros, 0), **row} for zeros, row in zip(stored_zeros, rows)]
+    coeffs = draw(st.lists(exact_coeff, min_size=len(rows), max_size=len(rows)))
+    inside: dict = {}
+    for c, row in zip(coeffs, rows):
+        vec_iadd_scaled(inside, row, c)
+    return rows, padded, {idx: integral(val) for idx, val in inside.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(private_column_cases(), small_vec, st.sets(st.integers(0, 11)))
+def test_private_column_solver_agrees_with_the_augmented_one(case, other, zeros):
+    # the rows as drawn, stored zeros and all, against the global augmented
+    # solve of the same rows without them
+    rows, padded, inside = case
+    try:
+        reference = AugmentedSolver(rows)
+    except DegenerateInputError:
+        with pytest.raises(DegenerateInputError):
+            LinearSolver(padded)
+        return
+    solver = LinearSolver(padded)
+    # coordinate 10 is past every row: a term there is outside the span
+    for vec in (inside, other, {**inside, 10: 1}, {**other, 10: Fraction(1, 2)}):
+        padded_vec = {**dict.fromkeys(zeros, 0), **vec}
+        assert solver.express(padded_vec) == reference.express(vec)
+    assert solver.express(inside) is not None
+    assert solver.express({**inside, 10: 1}) is None

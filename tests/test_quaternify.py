@@ -45,6 +45,7 @@ from quatlie.scalars import Q_I, Q_J, Q_K, Q_ONE
 from quatlie.serialize import algebra_from_json, algebra_to_json
 
 from oracles import (
+    AugmentedSolver,
     ReductionSolver,
     apply_J,
     bracket_vec,
@@ -880,6 +881,46 @@ def test_constants_sweep_agrees_with_one_that_skips_nothing(algebras, type_label
     reference = constants_by_express(g.basis, n, ReductionSolver(g.basis, 4 * n * n))
     assert list(table.items()) == list(reference.items())
     assert list(table.items()) == list(g.constants.table.items())
+
+
+# rows of each built basis that have no private column, the only ones the
+# solver row-reduces; the others are read off their private column
+ELIMINATED_ROWS = {
+    ("A", 1): 0,
+    ("A", 2): 0,
+    ("A", 3): 1,
+    ("B", 2): 2,
+    ("C", 2): 2,
+    ("D", 3): 1,
+    ("A", 4): 2,
+    ("C", 3): 4,
+}
+
+
+@pytest.mark.parametrize("type_label,rank", sorted(ELIMINATED_ROWS))
+def test_solver_eliminates_only_rows_without_a_private_column(
+    algebras, monkeypatch, type_label, rank
+):
+    g = algebras(type_label, rank)
+    inserts = []
+    insert = SpanBasis.insert
+    monkeypatch.setattr(
+        SpanBasis, "insert", lambda self, vec: inserts.append(vec) or insert(self, vec)
+    )
+    LinearSolver(g.basis)
+    assert len(inserts) == ELIMINATED_ROWS[type_label, rank]
+
+
+@pytest.mark.parametrize("type_label,rank", sorted(ELIMINATED_ROWS))
+def test_constants_table_is_built_in_key_order(algebras, type_label, rank):
+    g = algebras(type_label, rank)
+    table = structure_constants(g.basis, g.ambient_n).table
+    assert list(table) == sorted(table)
+    for terms in table.values():
+        ks = [k for k, _ in terms]
+        assert ks == sorted(ks) and len(set(ks)) == len(ks)
+    reference = constants_by_express(g.basis, g.ambient_n, AugmentedSolver(g.basis))
+    assert table == reference
 
 
 @pytest.mark.parametrize(
