@@ -229,14 +229,10 @@ def weight_spaces(span: SpanBasis, hs: list, n: int) -> dict:
 
 def _derived_span(rows: list, n: int) -> SpanBasis:
     """Echelon span of the brackets of all pairs of the flattened ``rows``,
-    read off ``sweep_brackets`` (zero sums dropped)."""
-    derived = SpanBasis()
-    for _, brackets in sweep_brackets(rows, n):
-        for terms in brackets.values():
-            prod = {idx: val for idx, val in terms.items() if val}
-            if prod:
-                derived.insert(prod)
-    return derived
+    read off ``sweep_brackets`` with their zero sums."""
+    return span_of(
+        terms for _, brackets in sweep_brackets(rows, n) for terms in brackets.values()
+    )
 
 
 def _root_vector_table(
@@ -394,9 +390,9 @@ def check_structure(g: QuaternionLieAlgebra) -> CheckReport:
     fails when any value is left nonzero.  ``sweep_brackets`` yields only
     the pairs with a term, the others' brackets being zero, so row i
     walks those and the table's pairs (i, j).  A mismatch is named by one
-    membership test: the residual, its zero sums dropped, lies in
-    ``g.span`` exactly when the bracket does (the combination is in it),
-    so ``table-mismatch`` when it does, else ``outside-span``.
+    membership test: the residual lies in ``g.span`` exactly when the
+    bracket does (the combination is in it), so ``table-mismatch`` when
+    it does, else ``outside-span``.
     """
     basis = g.basis
     entries: dict = {}  # i -> [(j, terms)] of the table
@@ -410,7 +406,7 @@ def check_structure(g: QuaternionLieAlgebra) -> CheckReport:
                 vec_iadd_scaled(residual, basis[k], -c)
         for j, residual in brackets.items():
             if any(residual.values()):
-                inside = g.span.contains({idx: val for idx, val in residual.items() if val})
+                inside = g.span.contains(residual)
                 failures.append((i, j, "table-mismatch" if inside else "outside-span"))
     failures.sort()
     return CheckReport("structure", comb(g.dim, 2), failures)

@@ -46,9 +46,9 @@ class CartanMatrix(NamedTuple):
 
 def _validate_gcm(entries) -> None:
     size = len(entries)
+    if any(len(row) != size for row in entries):
+        raise ValueError("Cartan matrix must be square")
     for i in range(size):
-        if len(entries[i]) != size:
-            raise ValueError("Cartan matrix must be square")
         if entries[i][i] != 2:
             raise ValueError("diagonal Cartan entries must equal 2")
         for j in range(size):

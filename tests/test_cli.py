@@ -443,6 +443,54 @@ def test_verify_never_raises_on_a_mutated_leaf(a2_file, data):
         assert err.count("\n") == 1, err
 
 
+RETYPED_VALUES = (None, True, 1.5, "x", [], {}, [[]])
+DELETED = object()
+
+
+def _retyped_fields(doc):
+    """(path of the container, key) of every field the retyping sweep edits:
+    each top-level field, each Cartan row, and the first element of each
+    short list, of the table's entries, of the basis and of the e
+    generators, and of the first basis and e generator matrix."""
+    yield from (((), key) for key in doc)
+    yield from ((("cartan",), r) for r in range(len(doc["cartan"])))
+    firsts = [
+        ("weights",),
+        ("positive_roots",),
+        ("k_indices",),
+        ("hr_indices",),
+        ("hr_perp_indices",),
+        ("structure_constants", "entries"),
+        ("basis",),
+        ("basis", 0, "entries"),
+        ("generators", "e"),
+        ("generators", "e", 0, "entries"),
+    ]
+    yield from ((where, 0) for where in firsts)
+
+
+def test_verify_never_raises_on_a_retyped_field(a2_file, tmp_path):
+    # a Cartan row of [] or {} once escaped the loader as an IndexError
+    text = a2_file.read_text()
+    path = tmp_path / "retyped.json"
+    edits = 0
+    for where, key in _retyped_fields(json.loads(text)):
+        for value in (*RETYPED_VALUES, DELETED):
+            doc = json.loads(text)
+            container = _lookup(doc, where)
+            if value is DELETED:
+                del container[key]
+            else:
+                container[key] = value
+            path.write_text(json.dumps(doc))
+            code, _, err = _verify_quietly(path)
+            assert code in (0, 1, 2), (where, key, value)
+            if code == 2:
+                assert err.count("\n") == 1, err
+            edits += 1
+    assert edits == (17 + 2 + 10) * 8
+
+
 def _other_rational(text):
     old = serialize.parse_rational(text)
     new = st.fractions(-4, 4, max_denominator=5).filter(lambda x: x != old)
@@ -1064,6 +1112,19 @@ def test_input_errors_that_once_raised_exit_two_with_one_line(case, a1_text, tmp
     path.write_text(text)
     code = main(["verify", "--in", str(path)])
     _assert_one_error_line(code, capsys, f"error: cannot load algebra from {path}: ")
+
+
+@pytest.mark.parametrize("row", [[], {}])
+def test_verify_refuses_a_short_cartan_row_with_one_line(row, a2_file, tmp_path, capsys):
+    # the Cartan check read row 1 across before its length: an IndexError
+    doc = json.loads(a2_file.read_text())
+    doc["cartan"][1] = row
+    path = tmp_path / "short-row.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "--in", str(path)])
+    _assert_one_error_line(
+        code, capsys, f"error: cannot load algebra from {path}: bad Cartan matrix: "
+    )
 
 
 def test_verify_refuses_a_repeated_structure_constant_entry(a2_file, tmp_path, capsys):

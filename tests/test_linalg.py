@@ -9,6 +9,7 @@ from quatlie.linalg import (
     LinearSolver,
     SpanBasis,
     exact_div,
+    independent_span,
     kernel_basis,
     span_of,
     vec_iadd_scaled,
@@ -76,6 +77,9 @@ def test_pivots_strictly_increasing():
         assert row[piv] == 1
         # no other pivot column appears in any row
         assert all(other == piv or other not in row for other in basis.pivots)
+    # a zero value is no term: never a pivot, a lead or a stored entry
+    assert span_of([{0: 0, 1: 1}]).rows == [{1: 1}]
+    assert SpanBasis().contains({3: 0})
 
 
 def test_linear_solver_express():
@@ -90,12 +94,20 @@ def test_linear_solver_express():
     # coordinates start: a vector with a term there is outside the span
     for outside in ([1, 0, 0], [2, 5, 3, 1], [0, 0, 0, 0, 1]):
         assert solver.express(vec_from_dense(outside)) is None, outside
+    # no private column: both rows are reduced, with tracking coordinates
+    # 2 and 3, and a term at or past them is no coefficient
+    solver = LinearSolver([{0: 1, 1: 1}, {0: 1, 1: 2}])
+    assert solver.express({0: 2, 1: 3}) == {0: 1, 1: 1}
+    for outside in ({2: -1}, {3: -1}, {4: 1}, {0: 2, 1: 3, 2: -1}, {0: 1, 1: 1, 3: -1}):
+        assert solver.express(outside) is None, outside
 
 
 def test_linear_solver_rejects_dependent_rows():
     rows = [vec_from_dense([1, 2]), vec_from_dense([2, 4])]
     with pytest.raises(DegenerateInputError):
         LinearSolver(rows)
+    with pytest.raises(DegenerateInputError):
+        independent_span([{3: 0}])  # a vector of zeros is the zero vector
 
 
 def test_kernel_basis_simple():

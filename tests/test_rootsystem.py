@@ -64,6 +64,8 @@ def test_custom_cartan_validation():
         custom_cartan([[2, 1], [-1, 2]])  # off-diagonal must be <= 0
     with pytest.raises(ValueError):
         custom_cartan([[2, 0], [-1, 2]])  # zero pattern must be symmetric
+    with pytest.raises(ValueError, match="^Cartan matrix must be square$"):
+        custom_cartan([[2, -1], []])  # every row's length before any cross index
 
 
 # ---------------------------------------------------------------------------
