@@ -199,14 +199,18 @@ def cmd_rho_check(args) -> int:
         inputs={"type": args.type, "rank": args.rank, "degree": args.degree},
     )
     t0 = time.perf_counter()
-    for report in verify_ideal_kernel(cm, args.degree):
+    reports = verify_ideal_kernel(cm, args.degree)
+    t1 = time.perf_counter()
+    indep = verify_h_independence(cm, args.degree)
+    manifest.timings_ms["ideal-kernel"] = (t1 - t0) * 1000.0
+    manifest.timings_ms["h-independence"] = (time.perf_counter() - t1) * 1000.0
+    for report in reports:
         manifest.add(
             f"family.{report.name}",
             report.ok,
             report.instances_checked,
             report.failures,
         )
-    indep = verify_h_independence(cm, args.degree)
     manifest.add(
         "h-independence",
         indep.ok,

@@ -26,10 +26,11 @@ independence check ``verify_h_independence`` takes the rank of the h
 action on the plain words and checks through ``rho_apply`` that each Jh
 acts by the same coefficient onto the flagged word.  The relation check
 ``verify_ideal_kernel`` reads per-generator image columns
-(``plain_images``), filled straight from the plain action under the same
-degree cap, and builds no word combination.  The sixteen families use
-four plain base pairs (h.h, e.f, h.e, h.f), and an instance's defect is
-three plain products AB, BA and T, each put on a flag with a sign by
+(``plain_images``), each entry filled once from the plain action, and
+builds no word combination.  Only the f columns check the degree cap:
+f is the one generator that lengthens a word.  The sixteen families
+use four plain base pairs (h.h, e.f, h.e, h.f), and an instance's defect
+is three plain products AB, BA and T, each put on a flag with a sign by
 ``_twist``.  The twist is still evaluated for every (family, i, j,
 flag); what is shared is the evaluation over the plain words.  A failure
 records only the count of nonzero entries of the defect, and that count
@@ -84,7 +85,9 @@ def _twist(tagged: bool, flag: bool) -> tuple:
 def _plain_action(base: str, j: int, idx: tuple, c) -> dict:
     """{index tuple: nonzero int} image of ``idx`` under the plain generator base_j."""
     if base == "h":
-        total = -sum(c[i][j] for i in idx)
+        total = 0
+        for i in idx:
+            total -= c[i][j]
         return {idx: total} if total else {}
     if base == "f":
         return {(j,) + idx: 1}
@@ -130,17 +133,19 @@ def rho_apply(kind: str, j: int, word: FreeWord, cm: CartanMatrix, degree_cap: i
 class _Column(dict):
     """Image column of one plain generator: index tuple -> ((index tuple, int), ...).
 
-    A missing entry is filled from ``_plain_action`` on its first lookup,
-    under the same degree cap as ``rho_apply``.
+    A missing entry is filled from ``_plain_action`` on its first lookup.
+    An f column refuses a word at the degree cap, as ``rho_apply`` does;
+    h and e never lengthen a word, so their columns check no cap.
     """
 
-    def __init__(self, *generator):  # base, j, cm, degree_cap
-        self.generator = generator
+    def __init__(self, base: str, j: int, cm: CartanMatrix, degree_cap: int):
+        self.generator = base, j, cm.entries, degree_cap
 
     def __missing__(self, idx: tuple) -> tuple:
-        base, j, cm, degree_cap = self.generator
-        _require_room(base, False, idx, degree_cap)
-        terms = self[idx] = tuple(_plain_action(base, j, idx, cm.entries).items())
+        base, j, c, degree_cap = self.generator
+        if base == "f":  # the one base that lengthens a word
+            _require_room(base, False, idx, degree_cap)
+        terms = self[idx] = tuple(_plain_action(base, j, idx, c).items())
         return terms
 
 
@@ -362,6 +367,7 @@ def verify_h_independence(cm: CartanMatrix, degree: int) -> IndependenceReport:
     require_word_space(cm.rank, degree)
     l = cm.rank
     c = cm.entries
+    cap = degree + 1
     words = plain_words(l, degree)[1:]  # the empty word comes first
     rows: dict = {}  # row items -> row, in first-seen order
     failures = []
@@ -369,10 +375,11 @@ def verify_h_independence(cm: CartanMatrix, degree: int) -> IndependenceReport:
         word, flagged = FreeWord(False, idx), FreeWord(True, idx)
         row: Vec = {}
         for j in range(l):
-            coeff = _plain_action("h", j, idx, c).get(idx)
-            if coeff:
-                row[j] = coeff
-            if rho_apply("Jh", j, word, cm, degree + 1) != ({flagged: coeff} if coeff else {}):
+            expected = _plain_action("h", j, idx, c)  # {idx: a}, or {} when a is 0
+            if expected:
+                row[j] = coeff = expected[idx]
+                expected = {flagged: coeff}
+            if rho_apply("Jh", j, word, cm, cap) != expected:
                 failures.append((word.label(), j))
         rows.setdefault(tuple(row.items()), row)
     span = SpanBasis()

@@ -29,6 +29,8 @@ they cannot drift into the code they judge.
 * ``plain_e_action``, the image of a plain word under e_j with each
   lowering's coefficient summed afresh over the letters after it, as
   ``freerep._plain_action`` computed it before it kept a running sum.
+* ``plain_h_action``, the image of a plain word under h_j read off the
+  word's letter counts, each count times its letter's Cartan entry.
 * ``all_words``, every word of the word space up to a length at both
   flags, in the order the relation check lists its failures: every
   plain word, then every flagged one.
@@ -582,6 +584,14 @@ def plain_e_action(j: int, idx: tuple, c) -> dict:
             lowered = idx[:k] + idx[k + 1 :]
             out[lowered] = out.get(lowered, 0) - sum(c[h][j] for h in idx[k + 1 :])
     return {lowered: coeff for lowered, coeff in out.items() if coeff}
+
+
+def plain_h_action(j: int, idx: tuple, c) -> dict:
+    """{index tuple: nonzero int} image of the plain word ``idx`` under h_j:
+    the word itself, with coefficient minus the sum over the distinct
+    letters i of (number of i's) * c[i][j]."""
+    coeff = -sum(idx.count(i) * c[i][j] for i in set(idx))
+    return {idx: coeff} if coeff else {}
 
 
 def all_words(rank: int, max_length: int) -> list[FreeWord]:

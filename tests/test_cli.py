@@ -900,6 +900,13 @@ def test_rho_check_command(capsys):
     assert main(["rho-check", "--type", "A", "--rank", "2", "--degree", "1"]) == 2
 
 
+def test_rho_check_times_each_check(capsys):
+    code, doc = run_json(capsys, "rho-check", "--type", "A", "--rank", "2", "--degree", "3")
+    assert code == 0
+    assert set(doc["timings_ms"]) == {"ideal-kernel", "h-independence", "total"}
+    assert all(isinstance(ms, int) for ms in doc["timings_ms"].values())
+
+
 def test_rho_check_names_the_words_that_break_the_j_rule(monkeypatch, capsys):
     # with the flag kept, Jh maps f1 to f1 instead of J.f1; the entry
     # gives the h rank, then the first nine (word, j) pairs

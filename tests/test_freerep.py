@@ -20,7 +20,7 @@ from quatlie.freerep import (
 )
 from quatlie.rootsystem import cartan_matrix, custom_cartan
 
-from oracles import all_words, plain_e_action
+from oracles import all_words, plain_e_action, plain_h_action
 
 A2 = cartan_matrix("A", 2)
 A1 = cartan_matrix("A", 1)
@@ -259,6 +259,26 @@ def test_e_action_agrees_with_the_quadratic_formula(type_label, rank, max_length
                 assert got == list(plain_e_action(j, idx, c).items()), (j, idx)
 
 
+@pytest.mark.parametrize(
+    "entries,max_length",
+    [
+        pytest.param(cartan_matrix("A", 3).entries, 5, id="A3"),
+        pytest.param(cartan_matrix("B", 2).entries, 5, id="B2"),
+        pytest.param(cartan_matrix("C", 3).entries, 5, id="C3"),
+        pytest.param(cartan_matrix("D", 4).entries, 5, id="D4"),
+        pytest.param(((2, -3), (-1, 2)), 8, id="G2-like"),
+    ],
+)
+def test_h_action_agrees_with_the_letter_count_formula(entries, max_length):
+    # the running sum over the letters gives the coefficient that the
+    # word's letter counts give, and the image keeps the word itself
+    for length in range(max_length + 1):
+        for idx in itertools.product(range(len(entries)), repeat=length):
+            for j in range(len(entries)):
+                got = list(freerep._plain_action("h", j, idx, entries).items())
+                assert got == list(plain_h_action(j, idx, entries).items()), (j, idx)
+
+
 def test_wrong_plain_image_turns_families_red(monkeypatch):
     # h_1 on the plain word f2 gets coefficient c[1][0] + 1 instead of c[1][0]
     honest = freerep._plain_action
@@ -448,6 +468,54 @@ def test_h_independence_names_a_wrong_jh_image_on_long_words(monkeypatch):
     long_words = _nonzero_h(A2, [3])
     assert len(long_words) == 10
     assert report.failures == long_words
+
+
+def test_h_independence_names_a_jh_image_where_h_has_coefficient_zero(monkeypatch):
+    # on the A2 word f1f2f2, h_1 has coefficient -(2 - 1 - 1) = 0, so the
+    # J rule wants no image at all; a stray J.f1f2f2 is named alone
+    honest = freerep.rho_apply
+    word = FreeWord(False, (0, 1, 1))
+
+    def stray(kind, j, w, cm, degree_cap):
+        if (kind, j, w) == ("Jh", 0, word):
+            return {FreeWord(True, word.indices): 1}
+        return honest(kind, j, w, cm, degree_cap)
+
+    monkeypatch.setattr(freerep, "rho_apply", stray)
+    report = verify_h_independence(A2, 3)
+    assert report.rank_h == 2
+    assert report.failures == [("f1f2f2", 0)]
+
+
+def _e8_entries():
+    """E8 in Bourbaki numbering: the chain 1-3-4-5-6-7-8 with 2 on 4."""
+    entries = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
+    for a, b in ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)):
+        entries[a - 1][b - 1] = entries[b - 1][a - 1] = -1
+    return entries
+
+
+# exceptional Cartan matrices in Bourbaki numbering (Humphreys, 1972,
+# section 11.4), entry (i, j) = <alpha_i, alpha_j>, with the degree, the
+# instances of the sixteen families and the nonempty plain words used
+EXCEPTIONAL = [
+    pytest.param(((2, -1), (-3, 2)), 5, 3968, 62, id="G2-d5"),
+    pytest.param(
+        ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)), 3, 10752, 84, id="F4-d3"
+    ),
+    pytest.param(_e8_entries(), 3, 149504, 584, id="E8-d3"),
+]
+
+
+@pytest.mark.parametrize("entries,degree,instances,words", EXCEPTIONAL)
+def test_exceptional_cartan_matrices_pass_the_word_space_checks(entries, degree, instances, words):
+    cm = custom_cartan(entries)
+    reports = verify_ideal_kernel(cm, degree)
+    assert [r.name for r in reports if not r.ok] == []
+    assert sum(r.instances_checked for r in reports) == instances
+    indep = verify_h_independence(cm, degree)
+    assert indep.ok and indep.rank_h == cm.rank
+    assert indep.words_used == words
 
 
 def test_ideal_kernel_evaluates_each_class_once(monkeypatch):
