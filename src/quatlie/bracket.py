@@ -34,7 +34,7 @@ and its checks read them as they are.
 
 :func:`bracket` stays the ``QuatMatrix`` commutator ``x @ y - y @ x``.
 It serves the realization boundary (the root vectors; generators are
-validated on coordinate rows) and is the independent oracle that the
+checked on coordinate rows) and is the independent oracle that the
 tests hold the kernel against.
 
 Closure (:func:`close_vecs`) works over a worklist of coordinate rows:
@@ -71,9 +71,7 @@ _NEG_SIGN_T = tuple(tuple(-_SIGN[t][s] for t in range(4)) for s in range(4))
 
 
 def bracket(x: QuatMatrix, y: QuatMatrix) -> QuatMatrix:
-    """Commutator ``x @ y - y @ x``; raises on dimension mismatch."""
-    if x.n != y.n:
-        raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
+    """Commutator ``x @ y - y @ x``; the product raises on dimension mismatch."""
     return (x @ y) - (y @ x)
 
 

@@ -229,10 +229,9 @@ def weight_spaces(span: SpanBasis, hs: list, n: int) -> dict:
 
 def _derived_span(rows: list, n: int) -> SpanBasis:
     """Echelon span of the brackets of all pairs of the flattened ``rows``,
-    read off ``sweep_brackets`` with their zero sums."""
-    return span_of(
-        terms for _, brackets in sweep_brackets(rows, n) for terms in brackets.values()
-    )
+    read off ``sweep_brackets``; a bracket whose sums all cancel adds nothing."""
+    sums = (terms for _, brackets in sweep_brackets(rows, n) for terms in brackets.values())
+    return span_of(terms for terms in sums if any(terms.values()))
 
 
 def _root_vector_table(
@@ -427,7 +426,10 @@ def check_root_spaces(g: QuaternionLieAlgebra) -> CheckReport:
     system (a build keeps every measured weight as a block, a non-root
     one included), and that the whole algebra is the direct sum of the
     weight blocks (the block sizes add up to the dimension by
-    construction of the basis).
+    construction of the basis).  A block's rows are independent (a
+    build's are echelon rows, and the loader's ``independent_span``
+    refuses a dependent basis), so four of them that lie in the rank-4
+    span of H x are that span.
     """
     failures = []
     signed = [*g.pos_roots, *(tuple(-c for c in r) for r in g.pos_roots)]
@@ -442,8 +444,7 @@ def check_root_spaces(g: QuaternionLieAlgebra) -> CheckReport:
             failures.append((root, "dim", len(indices)))
             continue
         quarter = span_of(quaternion_line(flatten(g.root_vectors[root])))
-        block = span_of([g.basis[i] for i in indices])
-        if quarter.rank != 4 or not block.same_span(quarter):
+        if quarter.rank != 4 or not all(quarter.contains(g.basis[i]) for i in indices):
             failures.append((root, "span-mismatch"))
     return CheckReport("weights.spaces", len(weights), failures)
 

@@ -22,13 +22,13 @@ only B's short root, C's long root and D's eps_(l-1) + eps_l are their
 own.  ``chevalley_generators`` and ``closure_realization`` construct
 through one function: type, rank and ``MAX_AMBIENT_N`` checked from
 type and rank alone (before any row exists, the Cartan matrix
-included), then the Cartan matrix and the generators, validated before
-returning: no generator row has a J coordinate, and the four plain
-relation families hold exactly against the stored Cartan matrix.  Every
-family of ``freerep.FAMILIES`` is evaluated by one method, ``ChevalleyGenerators.relations``, with
-``bracket_grouped`` on the generators' coordinate rows, which the object
-builds once; the ``relations`` check of ``quaternify`` runs all sixteen
-through it.
+included), then the Cartan matrix and the generators, returned as
+built.  They are judged by the ``relations`` and ``grading`` checks of
+``quaternify.CHECKS``, in ``build`` as in ``verify``: every family of
+``freerep.FAMILIES`` is evaluated by one method,
+``ChevalleyGenerators.relations``, with ``bracket_grouped`` on the
+generators' coordinate rows, which the object builds once, and
+``grading`` names each generator row with a J coordinate.
 
 ``closure_realization`` picks, per type, the realization that
 ``quaternify`` closes in (its module docstring gives the reason);
@@ -225,7 +225,7 @@ class ChevalleyGenerators:
         n = ambient_n
         self.grouped = {kind: [group_rows(v, n) for v in vecs] for kind, vecs in self.rows.items()}
 
-    def relations(self, families=FAMILIES) -> list[CheckReport]:
+    def relations(self) -> list[CheckReport]:
         """One report per relation family, failures the (i, j) where it fails.
 
         Family (name, a, b, t) of ``freerep.FAMILIES`` states
@@ -235,7 +235,7 @@ class ChevalleyGenerators:
         n = self.ambient_n
         l = self.rank
         reports = []
-        for name, kind_a, kind_b, target in families:
+        for name, kind_a, kind_b, target in FAMILIES:
             failures = []
             for i in range(l):
                 for j in range(l):
@@ -247,21 +247,6 @@ class ChevalleyGenerators:
                         failures.append((i, j))
             reports.append(CheckReport(f"relations.{name}", l * l, failures))
         return reports
-
-    def validate(self) -> None:
-        """No J coordinate, then the four plain families, exactly.
-
-        Raises StructuralFailureError naming the first generator with a
-        J coordinate or the first family that fails and its (i, j).
-        """
-        for kind in ("h", "e", "f"):
-            for i, row in enumerate(self.rows[kind]):
-                if any(idx & 2 for idx in row):
-                    raise StructuralFailureError(f"generator {kind}{i} has a J component")
-        plain = [family for family in FAMILIES if "J" not in family[1] + family[2]]
-        for report in self.relations(plain):
-            if not report.ok:
-                raise StructuralFailureError(f"{report.name} failed at {report.failures}")
 
 
 def _chain(n: int, l: int, plus) -> list:
@@ -338,7 +323,7 @@ def _ambient_n(type_label: str, rank: int, source: str) -> int:
 
 
 def _generators(type_label: str, rank: int, source: str, order=None) -> ChevalleyGenerators:
-    """Validated generators of ``type_label`` from ``source``'s defining
+    """Generators of ``type_label`` from ``source``'s defining
     realization at the same rank, its simple roots taken in ``order``."""
     require_type_rank(type_label, rank)
     n = _ambient_n(type_label, rank, source)  # before the rank x rank Cartan matrix
@@ -347,9 +332,7 @@ def _generators(type_label: str, rank: int, source: str, order=None) -> Chevalle
     if order is not None:
         simple = [simple[p] for p in order]
     rows = dict(zip(("h", "e", "f"), zip(*simple)))
-    gens = ChevalleyGenerators(type_label=type_label, rank=rank, ambient_n=n, cartan=cm, rows=rows)
-    gens.validate()
-    return gens
+    return ChevalleyGenerators(type_label=type_label, rank=rank, ambient_n=n, cartan=cm, rows=rows)
 
 
 def chevalley_generators(type_label: str, rank: int) -> ChevalleyGenerators:

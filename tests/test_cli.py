@@ -363,6 +363,22 @@ def test_verify_reports_a_non_root_weight_in_weights_spaces(a2_file, tmp_path, c
     assert red["weights.spaces"][0] == "('weight-set', [(1, 1), (3, 3)])"
 
 
+def test_verify_names_swapped_root_blocks_in_weights_spaces(a2_file, tmp_path, capsys):
+    # alpha_1 = (1, 0) has the weight (2, -1) and alpha_2 = (0, 1) the weight
+    # (-1, 2); with their index tuples swapped each block is four
+    # dimensional and lies in the other root's quaternion line
+    doc = json.loads(a2_file.read_text())
+    blocks = {tuple(item["weight"]): item for item in doc["weights"]}
+    first, second = blocks[(2, -1)], blocks[(-1, 2)]
+    first["indices"], second["indices"] = second["indices"], first["indices"]
+    path = tmp_path / "a2_swapped.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "verify", "--in", str(path), "--checks", "weights")
+    assert code == 1
+    red = {c["name"]: c["failures"] for c in out["checks"] if not c["passed"]}
+    assert red["weights.spaces"] == ["((1, 0), 'span-mismatch')", "((0, 1), 'span-mismatch')"]
+
+
 def test_verify_rejects_a_rank_beyond_the_cap_first(a2_file, tmp_path, monkeypatch, capsys):
     # an A2 file that declares A120 with A120's Cartan matrix and label:
     # generating A120's 7,260 positive roots first took 12.6 s

@@ -1,7 +1,9 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
+import sys
 import warnings
 from collections import Counter
 
@@ -12,6 +14,7 @@ from quatlie import cli
 from quatlie.bracket import bracket, close_under_bracket
 from quatlie.errors import StructuralFailureError
 from quatlie.matrices import QuatMatrix, flatten
+from quatlie.quaternify import sigma_grading_check
 from quatlie.realizations import (
     build_named,
     chevalley_generators,
@@ -30,10 +33,13 @@ from oracles import (
     matrix_membership,
     mj_embed,
     named_matrices,
-    replace,
     unit,
     unit_sum,
 )
+
+quaternify_module = importlib.import_module("quatlie.quaternify")
+bracket_module = importlib.import_module("quatlie.bracket")
+realizations_module = importlib.import_module("quatlie.realizations")
 
 DIMS = {
     "gl_n_H": lambda n: 4 * n * n,
@@ -206,9 +212,11 @@ SUPPORTED = (
 
 @pytest.mark.parametrize("type_label,rank", SUPPORTED)
 def test_generator_relations_hold(type_label, rank):
-    # the constructor re-validates (S1); run it explicitly as well
+    # the claims the `relations` and `grading` checks make of the generators
     gens = chevalley_generators(type_label, rank)
-    gens.validate()
+    reports = gens.relations()
+    assert len(reports) == 16 and all(report.ok for report in reports)
+    assert not any(idx & 2 for kind in "hef" for row in gens.rows[kind] for idx in row)
     assert len(gens.rows["h"]) == len(gens.rows["e"]) == len(gens.rows["f"]) == rank
 
 
@@ -255,17 +263,34 @@ def test_type_a1_explicit():
     assert bracket(e, f) == h
 
 
-def test_validate_names_the_failed_relation():
-    gens = chevalley_generators("A", 2)
-    e = gens.rows["e"]
-    flipped = replace(gens, rows={**gens.rows, "e": [e[0], {k: -v for k, v in e[1].items()}]})
-    with pytest.raises(StructuralFailureError, match=r"relations\.e\.f failed at \[\(1, 1\)\]"):
-        flipped.validate()
-    # J e_0 breaks [e_0, f_0] = h_0 too; the coordinate test runs first
-    je0 = flatten(apply_J(generator_matrices(gens, "e")[0]))
-    tagged = replace(gens, rows={**gens.rows, "e": [je0, e[1]]})
-    with pytest.raises(StructuralFailureError, match="generator e0 has a J component"):
-        tagged.validate()
+def test_build_names_the_failed_relation(monkeypatch):
+    # A2 generators born faulty in the defining realization: a build judges
+    # them by the check registry alone, as verify does, and raises the
+    # first red report outside MEASURED
+    ambient, simple_roots = realizations_module._DEFINING["A"]
+
+    def negated_e1(n, l):
+        first, (h1, e1, f1) = simple_roots(n, l)
+        return [first, (h1, {k: -v for k, v in e1.items()}, f1)]
+
+    def j_e0(n, l):
+        (h0, e0, f0), second = simple_roots(n, l)
+        return [(h0, flatten(apply_J(QuatMatrix.unflatten(n, e0))), f0), second]
+
+    grading = []
+
+    def recorded(g):
+        grading.append(sigma_grading_check(g))
+        return grading[-1]
+
+    monkeypatch.setattr(quaternify_module, "sigma_grading_check", recorded)
+    for faulty, pair in ((negated_e1, r"\(1, 1\)"), (j_e0, r"\(0, 0\)")):
+        monkeypatch.setitem(realizations_module._DEFINING, "A", (ambient, faulty))
+        with pytest.raises(StructuralFailureError, match=rf"^relations\.e\.f failed: \[{pair}\]$"):
+            quaternify_module.quaternify("A", 2)
+    # the grading check of the same run names the J e_0 line, rows 8 to 11
+    # of the generating set (the h lines come first)
+    assert [report.failures for report in grading] == [[], [("parity", i) for i in range(8, 12)]]
 
 
 def _count_matrix_traffic(monkeypatch) -> Counter:
@@ -326,6 +351,23 @@ def test_closure_realization_makes_no_matrix_products(monkeypatch, tmp_path):
         # root spaces of B2 and of C2
         traffic = {key: counts[key] for key in ("__matmul__", "unflatten", "flatten")}
         assert traffic == {"__matmul__": 44, "unflatten": 26, "flatten": 40}, command
+
+
+def test_closure_realization_makes_no_relation_brackets(monkeypatch):
+    # the relation families are evaluated once, by the `relations` check
+    calls = []
+    original = bracket_module.bracket_grouped
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quatlie" and getattr(module, "bracket_grouped", None) is original:
+            monkeypatch.setattr(module, "bracket_grouped", counted)
+    for type_label, rank in SIX_TYPES:
+        closure_realization(type_label, rank)
+    assert calls == []
 
 
 def test_type_a2_cartan_action():
