@@ -1,11 +1,14 @@
 """Named matrix algebras and Chevalley generators for the classical types.
 
-Named algebras and generators are born as coordinate rows (``Vec``,
-the layout of ``quatlie.bracket``), each set cell by cell through
-``_row``.  A named algebra comes with an explicit real basis and an
-exact membership predicate, one table on coordinates (``_MEMBERSHIP``);
-every builder double-checks the basis against its closed-form dimension
-and the predicate.
+Named algebras and generators are coordinate rows (``Vec``, the layout
+of ``quatlie.bracket``).  A named algebra is one row of the table
+``_MEMBERSHIP``: whether it is plain (no j coordinate), the unit offsets
+whose diagonal sum vanishes, the transpose sign per offset, and its
+closed-form dimension.  ``_equations`` turns the row into sparse linear
+equations on coordinates.  ``build_named`` returns their canonical
+kernel basis (``linalg.kernel_basis``), refused unless it has the
+closed-form count, and ``membership`` asks whether every equation
+vanishes on a row.  Generators are set cell by cell through ``_row``.
 
 Chevalley generators use the defining matrix realizations:
 
@@ -44,7 +47,7 @@ from typing import NamedTuple
 from .bracket import bracket_grouped, group_rows, left_unit_vec
 from .errors import CheckReport, StructuralFailureError
 from .freerep import FAMILIES, family_target
-from .linalg import Vec
+from .linalg import Vec, kernel_basis
 from .rootsystem import CartanMatrix, cartan_matrix, require_type_rank
 
 MAX_NAMED_N = 8
@@ -69,117 +72,55 @@ class NamedAlgebra(NamedTuple):
     dim: int
 
 
-# the units 1, i, j and k as (offset, value): k is -1 at the -k offset
-_UNITS = ((0, 1), (1, 1), (2, 1), (3, -1))
-
-
-def _off_diagonal(n, units):
-    return [_row(n, (p, q, s, v)) for p in range(n) for q in range(n) if p != q for s, v in units]
-
-
-def _basis_gl_h(n):
-    return [_row(n, (p, q, s, v)) for p in range(n) for q in range(n) for s, v in _UNITS]
-
-
-def _basis_sl_h(n):
-    out = _off_diagonal(n, _UNITS)
-    out += [_row(n, (p, p, 0, 1), (n - 1, n - 1, 0, -1)) for p in range(n - 1)]
-    out += [_row(n, (p, p, s, v)) for p in range(n) for s, v in _UNITS[1:]]
-    return out
-
-
-def _basis_sk_c(n):
-    out = _off_diagonal(n, _UNITS[:2])
-    out += [_row(n, (p, p, 0, 1), (n - 1, n - 1, 0, -1)) for p in range(n - 1)]
-    out += [_row(n, (p, p, 1, 1)) for p in range(n)]
-    return out
-
-
-def _basis_sl_c(n):
-    out = _off_diagonal(n, _UNITS[:2])
-    out += [_row(n, (p, p, s, 1), (p + 1, p + 1, s, -1)) for p in range(n - 1) for s in (0, 1)]
-    return out
-
-
-def _pairs(n, *signed):
-    """For each p < q and each (s, v, w) of ``signed``, the row with v at
-    (p, q) and w at (q, p), unit offset s."""
-    return [
-        _row(n, (p, q, s, v), (q, p, s, w))
-        for p in range(n)
-        for q in range(p + 1, n)
-        for s, v, w in signed
-    ]
-
-
-def _basis_u(n):
-    return [_row(n, (p, p, 1, 1)) for p in range(n)] + _pairs(n, (0, 1, -1), (1, 1, 1))
-
-
-def _basis_so_c(n):
-    return _pairs(n, (0, 1, -1), (1, 1, -1))
-
-
-def _basis_so_star(n):
-    # A antisymmetric complex, B Hermitian
-    out = _basis_so_c(n)
-    out += [_row(n, (p, p, 2, 1)) for p in range(n)]
-    return out + _pairs(n, (2, 1, 1), (3, -1, 1))
-
-
-def _basis_sp(n):
-    # A skew-Hermitian, B symmetric
-    out = _basis_u(n)
-    out += [_row(n, (p, p, s, v)) for p in range(n) for s, v in _UNITS[2:]]
-    return out + _pairs(n, (2, 1, 1), (3, -1, -1))
-
-
-_BUILDERS = {
-    "gl_n_H": (_basis_gl_h, lambda n: 4 * n * n),
-    "sl_n_H": (_basis_sl_h, lambda n: 4 * n * n - 1),
-    "sk_n_C": (_basis_sk_c, lambda n: 2 * n * n - 1),
-    "sl_n_C": (_basis_sl_c, lambda n: 2 * (n * n - 1)),
-    "u_n": (_basis_u, lambda n: n * n),
-    "so_n_C": (_basis_so_c, lambda n: n * (n - 1)),
-    "so_star_2n": (_basis_so_star, lambda n: n * (2 * n - 1)),
-    "sp_n": (_basis_sp, lambda n: n * (2 * n + 1)),
+# name -> (plain: no j coordinate, the offsets whose diagonal sum must
+# vanish, the sign t_s with X_pq + t_s X_qp = 0 at each offset s or None,
+# and the closed-form dimension): t = (1, -1, -1, -1) is X* = -X;
+# t = (1, 1, -1, 1) is X^t = -X for the transpose A + J B -> tA - J conj(tB)
+# of the complex picture, which on plain matrices is the entrywise one of
+# so_n_C
+_MEMBERSHIP = {
+    "gl_n_H": (False, (), None, lambda n: 4 * n * n),
+    "sl_n_H": (False, (0,), None, lambda n: 4 * n * n - 1),
+    "sk_n_C": (True, (0,), None, lambda n: 2 * n * n - 1),
+    "sl_n_C": (True, (0, 1), None, lambda n: 2 * (n * n - 1)),
+    "u_n": (True, (), (1, -1, -1, -1), lambda n: n * n),
+    "so_n_C": (True, (), (1, 1, 1, 1), lambda n: n * (n - 1)),
+    "so_star_2n": (False, (), (1, 1, -1, 1), lambda n: n * (2 * n - 1)),
+    "sp_n": (False, (), (1, -1, -1, -1), lambda n: n * (2 * n + 1)),
 }
 
 
+def _equations(name: str, n: int) -> list[Vec]:
+    """The row of ``_MEMBERSHIP`` as linear equations on coordinate rows:
+    the algebra is the rows on which every equation sums to zero."""
+    plain, traced, signs, _ = _MEMBERSHIP[name]
+    out = []
+    if plain:
+        out += [_row(n, (p, q, s, 1)) for p in range(n) for q in range(n) for s in (2, 3)]
+    out += [_row(n, *((p, p, s, 1) for p in range(n))) for s in traced]
+    if signs is not None:
+        out += [
+            _row(n, (p, q, s, 1), (q, p, s, t)) if p < q else _row(n, (p, p, s, 1 + t))
+            for s, t in enumerate(signs)
+            for p in range(n)
+            for q in range(p, n)
+        ]
+    return out
+
+
 def build_named(name: str, n: int) -> NamedAlgebra:
-    if name not in _BUILDERS:
+    """The canonical kernel basis of the named algebra's equations."""
+    if name not in _MEMBERSHIP:
         raise ValueError(f"unknown algebra name {name!r}")
     if not 2 <= n <= MAX_NAMED_N:
         raise ValueError(f"n={n} out of range [2, {MAX_NAMED_N}]")
     if name == "so_n_C" and n == 2:
         warnings.warn("so(2, C) is abelian, not semisimple", stacklevel=2)
-    builder, dim_formula = _BUILDERS[name]
-    basis = builder(n)
-    if len(basis) != dim_formula(n):
-        raise StructuralFailureError(
-            f"{name} basis has {len(basis)} elements, expected {dim_formula(n)}"
-        )
-    for row in basis:
-        if not membership(name, n, row):
-            raise StructuralFailureError(f"{name} basis element fails its predicate")
-    return NamedAlgebra(name=name, n=n, basis=basis, dim=len(basis))
-
-
-# name -> (plain: no j coordinate, the offsets whose diagonal sum must
-# vanish, and the sign t_s with X_pq + t_s X_qp = 0 at each offset s, or
-# None): t = (1, -1, -1, -1) is X* = -X; t = (1, 1, -1, 1) is X^t = -X for
-# the transpose A + J B -> tA - J conj(tB) of the complex picture, which
-# on plain matrices is the entrywise one of so_n_C
-_MEMBERSHIP = {
-    "gl_n_H": (False, (), None),
-    "sl_n_H": (False, (0,), None),
-    "sk_n_C": (True, (0,), None),
-    "sl_n_C": (True, (0, 1), None),
-    "u_n": (True, (), (1, -1, -1, -1)),
-    "so_n_C": (True, (), (1, 1, 1, 1)),
-    "so_star_2n": (False, (), (1, 1, -1, 1)),
-    "sp_n": (False, (), (1, -1, -1, -1)),
-}
+    basis = kernel_basis(_equations(name, n), 4 * n * n)
+    dim = _MEMBERSHIP[name][3](n)
+    if len(basis) != dim:
+        raise StructuralFailureError(f"{name} basis has {len(basis)} elements, expected {dim}")
+    return NamedAlgebra(name=name, n=n, basis=basis, dim=dim)
 
 
 def membership(name: str, n: int, row: Vec) -> bool:
@@ -188,19 +129,9 @@ def membership(name: str, n: int, row: Vec) -> bool:
         raise ValueError(f"unknown algebra name {name!r}")
     if any(not 0 <= idx < 4 * n * n for idx in row):
         raise ValueError(f"dimension mismatch: row has a coordinate outside {n}x{n}")
-    plain, traced, signs = _MEMBERSHIP[name]
-    if plain and any(val for idx, val in row.items() if idx & 2):
-        return False
-    if any(sum(row.get(4 * p * (n + 1) + s, 0) for p in range(n)) for s in traced):
-        return False
-    if signs is None:
-        return True
-    for idx, val in row.items():
-        cell, s = divmod(idx, 4)
-        p, q = divmod(cell, n)
-        if val + signs[s] * row.get(4 * (q * n + p) + s, 0):
-            return False
-    return True
+    return not any(
+        sum(c * row.get(idx, 0) for idx, c in eq.items()) for eq in _equations(name, n)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1026,18 +1026,34 @@ def test_parser_is_built_once_and_carries_nothing_between_calls(capsys):
     assert shared[0][2].startswith("usage:") and shared[1][1]["ok"] and shared[2][1]["ok"]
 
 
+# preset -> the names of its two checks and its dimension, in closed form
+CLOSURE_PRESETS = {
+    "sl": (("closure-dim", "equals-sl-n-H"), lambda n: 4 * n * n - 1),
+    "so-star": (("bracket-closed", "sigma-tau-invariant"), lambda n: n * (2 * n - 1)),
+    "sp": (("bracket-closed", "sigma-tau-invariant"), lambda n: n * (2 * n + 1)),
+}
+
+
 def test_closure_presets(capsys):
-    code, doc = run_json(capsys, "closure", "--preset", "sl", "--n", "3")
-    assert code == 0
-    assert doc["summary"] == "closure dim 35, equals sl(3,H): True"
-    assert [(c["name"], c["passed"], c["instances"]) for c in doc["checks"]] == [
-        ("closure-dim", True, 35),
-        ("equals-sl-n-H", True, 35),
-    ]
-    code, doc = run_json(capsys, "closure", "--preset", "so-star", "--n", "3")
-    assert code == 0 and doc["dim"] == 15
-    code, doc = run_json(capsys, "closure", "--preset", "sp", "--n", "2")
-    assert code == 0 and doc["dim"] == 10
+    # closure sets no timings, so its whole output is pinned
+    for preset, (names, dim_formula) in CLOSURE_PRESETS.items():
+        for n in range(2, realizations.MAX_NAMED_N + 1):
+            dim = dim_formula(n)
+            expected = {
+                "artifact_version": "1",
+                "checks": [
+                    {"failures": [], "instances": dim, "name": name, "passed": True}
+                    for name in names
+                ],
+                "command": "closure",
+                "dim": dim,
+                "inputs": {"n": n, "preset": preset},
+                "ok": True,
+                "timings_ms": {},
+            }
+            if preset == "sl":
+                expected["summary"] = f"closure dim {dim}, equals sl({n},H): True"
+            assert run_json(capsys, "closure", "--preset", preset, "--n", str(n)) == (0, expected)
 
 
 def test_missing_subcommand_is_usage_error(capsys):

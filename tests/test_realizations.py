@@ -13,9 +13,11 @@ from hypothesis import given, settings, strategies as st
 from quatlie import cli
 from quatlie.bracket import bracket, close_under_bracket
 from quatlie.errors import StructuralFailureError
+from quatlie.linalg import independent_span
 from quatlie.matrices import QuatMatrix, flatten
 from quatlie.quaternify import sigma_grading_check
 from quatlie.realizations import (
+    MAX_NAMED_N,
     build_named,
     chevalley_generators,
     closure_realization,
@@ -54,10 +56,14 @@ DIMS = {
 
 
 @pytest.mark.parametrize("name", sorted(DIMS))
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", range(2, MAX_NAMED_N + 1))
 def test_named_dimensions(name, n):
+    # independent int rows of the matrix algebra, as many as its dimension
     algebra = build_named(name, n)
-    assert algebra.dim == DIMS[name](n)
+    assert algebra.dim == len(algebra.basis) == DIMS[name](n)
+    assert all(type(val) is int for row in algebra.basis for val in row.values())
+    independent_span(algebra.basis)
+    assert all(matrix_membership(name, n, QuatMatrix.unflatten(n, row)) for row in algebra.basis)
 
 
 @pytest.mark.parametrize("name", sorted(DIMS))
@@ -170,7 +176,7 @@ def test_u_n_basis_choice():
     expected = [
         unit(2, 0, 0, Q_I),
         unit(2, 1, 1, Q_I),
-        unit_sum(2, [(0, 1, Q_ONE), (1, 0, -Q_ONE)]),
+        unit_sum(2, [(1, 0, Q_ONE), (0, 1, -Q_ONE)]),
         unit_sum(2, [(0, 1, Q_I), (1, 0, Q_I)]),
     ]
     assert sorted(map(hash, basis)) == sorted(map(hash, expected))
