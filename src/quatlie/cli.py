@@ -233,21 +233,18 @@ def cmd_closure(args) -> int:
         target = build_named("sl_n_H", n)
         same = result.same_span(span_of(target.basis))
         manifest.add("equals-sl-n-H", same, target.dim)
-    else:  # argparse admits only "so-star" and "sp" besides "sl"
-        name = "so_star_2n" if args.preset == "so-star" else "sp_n"
-        algebra = build_named(name, n)
-        generators = algebra.basis
-        result = close_under_bracket(generators, n)
-        manifest.add("bracket-closed", result.rank == algebra.dim, algebra.dim)
-        span = independent_span(generators)
-        stable = all(span.contains(conj(v)) for v in generators for conj in (sigma_vec, tau_vec))
-        manifest.add("sigma-tau-invariant", stable, len(generators))
-    extra = {"dim": result.rank}
-    if args.preset == "sl":
-        extra["summary"] = (
-            f"closure dim {result.rank}, equals sl({n},H): {manifest.ok}"
-        )
-    return _emit(manifest, extra)
+        summary = f"closure dim {result.rank}, equals sl({n},H): {manifest.ok}"
+        return _emit(manifest, {"dim": result.rank, "summary": summary})
+    # argparse admits only "so-star" and "sp" besides "sl"
+    name = "so_star_2n" if args.preset == "so-star" else "sp_n"
+    algebra = build_named(name, n)
+    generators = algebra.basis
+    result = close_under_bracket(generators, n)
+    manifest.add("bracket-closed", result.rank == algebra.dim, algebra.dim)
+    span = independent_span(generators)
+    stable = all(span.contains(conj(v)) for v in generators for conj in (sigma_vec, tau_vec))
+    manifest.add("sigma-tau-invariant", stable, len(generators))
+    return _emit(manifest, {"dim": result.rank})
 
 
 @functools.cache

@@ -110,9 +110,9 @@ def _plain_action(base: str, j: int, idx: tuple, c) -> dict:
     return out
 
 
-def _require_room(base: str, flag: bool, idx: tuple, degree_cap: int) -> None:
+def _require_room(flag: bool, idx: tuple, degree_cap: int) -> None:
     """TruncationOverflowError where an f generator would lengthen a word past the cap."""
-    if base == "f" and len(idx) >= degree_cap:
+    if len(idx) >= degree_cap:
         word = FreeWord(flag, idx)
         raise TruncationOverflowError(f"raising past degree {degree_cap} on {word.label()}")
 
@@ -122,7 +122,8 @@ def rho_apply(kind: str, j: int, word: FreeWord, cm: CartanMatrix, degree_cap: i
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
     base = kind[-1]
-    _require_room(base, word.j_flag, word.indices, degree_cap)
+    if base == "f":  # the one base that lengthens a word
+        _require_room(word.j_flag, word.indices, degree_cap)
     flag, sign = _twist(kind.startswith("J"), word.j_flag)
     return {
         FreeWord(flag, idx): sign * coeff
@@ -144,7 +145,7 @@ class _Column(dict):
     def __missing__(self, idx: tuple) -> tuple:
         base, j, c, degree_cap = self.generator
         if base == "f":  # the one base that lengthens a word
-            _require_room(base, False, idx, degree_cap)
+            _require_room(False, idx, degree_cap)
         terms = self[idx] = tuple(_plain_action(base, j, idx, c).items())
         return terms
 

@@ -1,5 +1,10 @@
 """Cartan matrices of the classical finite types, positive roots, weights.
 
+Each type is one row of ``CLASSICAL_TYPES``: its minimum rank, and its
+number of positive roots and nonzero off-diagonal Cartan entries as
+functions of the rank.  The type and rank checks, the matrix and the
+cross-check of a generated root list all read that row.
+
 Index convention: the stored matrix satisfies ``[h_i, e_j] = c_ji e_j``
 for the matching generator realization, i.e. ``c_ij`` is the value of
 the i-th simple root on the j-th coroot.  Conventions in the literature
@@ -17,17 +22,28 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-CLASSICAL_TYPES = ("A", "B", "C", "D")
 
-# rank -> count of positive roots, used as a cross-check after generation
-POSITIVE_COUNTS = {
-    "A": lambda l: l * (l + 1) // 2,
-    "B": lambda l: l * l,
-    "C": lambda l: l * l,
-    "D": lambda l: l * (l - 1),
+def _chain(m: int) -> dict:
+    """The -1 entries that join simple roots 0, 1, ..., m-1 in a path."""
+    return {pair: -1 for i in range(m - 1) for pair in ((i, i + 1), (i + 1, i))}
+
+
+# type -> (minimum rank, positive-root count at rank l, the nonzero
+# off-diagonal entries {(i, j): c_ij} at rank l)
+CLASSICAL_TYPES = {
+    "A": (1, lambda l: l * (l + 1) // 2, _chain),
+    # short root first: the chain pairs -1 except the short root's
+    # doubled coroot, giving c[1][0] = -2
+    "B": (2, lambda l: l * l, lambda l: {**_chain(l), (1, 0): -2}),
+    # long root last: its coroot is halved, giving c[l-1][l-2] = -2
+    "C": (2, lambda l: l * l, lambda l: {**_chain(l), (l - 1, l - 2): -2}),
+    # the fork: root l-1 joins root l-3, beside the chain of roots 0..l-2
+    "D": (
+        3,
+        lambda l: l * (l - 1),
+        lambda l: {**_chain(l - 1), (l - 1, l - 3): -1, (l - 3, l - 1): -1},
+    ),
 }
-
-MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 # positive roots a root listing may generate: A44 has 990 (0.22 s with
 # Python 3.11 on a 2-vCPU VM), A120 has 7,260 (10 s); E8's 120 are inside
@@ -69,18 +85,21 @@ def custom_cartan(entries) -> CartanMatrix:
 
 
 def require_type_rank(type_label: str, rank: int) -> None:
-    """ValueError for a type outside A-D or a rank below its minimum."""
+    """ValueError for a type outside ``CLASSICAL_TYPES`` or a rank below its minimum."""
     if type_label not in CLASSICAL_TYPES:
-        raise ValueError(f"unknown type {type_label!r}; expected one of A, B, C, D")
-    if rank < MIN_RANK[type_label]:
-        raise ValueError(f"type {type_label} needs rank >= {MIN_RANK[type_label]}")
+        raise ValueError(
+            f"unknown type {type_label!r}; expected one of {', '.join(CLASSICAL_TYPES)}"
+        )
+    min_rank = CLASSICAL_TYPES[type_label][0]
+    if rank < min_rank:
+        raise ValueError(f"type {type_label} needs rank >= {min_rank}")
 
 
 def require_root_count(type_label: str, rank: int) -> None:
     """ValueError, before any matrix is built, when the type and rank are
     invalid or have more than ``MAX_POSITIVE_ROOTS`` positive roots."""
     require_type_rank(type_label, rank)
-    count = POSITIVE_COUNTS[type_label](rank)
+    count = CLASSICAL_TYPES[type_label][1](rank)
     if count > MAX_POSITIVE_ROOTS:
         raise ValueError(
             f"{type_label}{rank} has {count} positive roots, "
@@ -90,28 +109,11 @@ def require_root_count(type_label: str, rank: int) -> None:
 
 def cartan_matrix(type_label: str, rank: int) -> CartanMatrix:
     require_type_rank(type_label, rank)
-    c = [[0] * rank for _ in range(rank)]
-    for i in range(rank):
-        c[i][i] = 2
-    if type_label == "A":
-        for i in range(rank - 1):
-            c[i][i + 1] = c[i + 1][i] = -1
-    elif type_label == "B":
-        # short root first: the chain pairs -1 except the short root's
-        # doubled coroot, giving c[1][0] = -2
-        for i in range(rank - 1):
-            c[i][i + 1] = c[i + 1][i] = -1
-        c[1][0] = -2
-    elif type_label == "C":
-        # long root last: its coroot is halved, giving c[rank-1][rank-2] = -2
-        for i in range(rank - 1):
-            c[i][i + 1] = c[i + 1][i] = -1
-        c[rank - 1][rank - 2] = -2
-    elif type_label == "D":
-        for i in range(rank - 2):
-            c[i][i + 1] = c[i + 1][i] = -1
-        c[rank - 1][rank - 3] = c[rank - 3][rank - 1] = -1
-    entries = tuple(tuple(row) for row in c)
+    off_diagonal = CLASSICAL_TYPES[type_label][2](rank)
+    entries = tuple(
+        tuple(2 if i == j else off_diagonal.get((i, j), 0) for j in range(rank))
+        for i in range(rank)
+    )
     _validate_gcm(entries)
     return CartanMatrix(type_label=type_label, rank=rank, entries=entries)
 
@@ -136,48 +138,41 @@ def positive_roots_with_tree(cm: CartanMatrix) -> list[RootTreeNode]:
 
     A candidate ``beta + alpha_i`` is a root exactly when ``p -
     <beta, alpha_i^vee> > 0`` where p is the length of the alpha_i-string
-    below beta.  Generation proceeds by height, so the full down-string
-    is always known.  Non-finite-type matrices trip a divergence guard.
+    below beta.  ``nodes`` is read in the order it grows, which is height
+    order, so the full down-string is known when it is probed.
+    Non-finite-type matrices trip a divergence guard.
     """
     l = cm.rank
     cap = 10 * l * l
     nodes = [RootTreeNode(simple_root(cm, i), None, None) for i in range(l)]
     index: dict[tuple, int] = {node.root: k for k, node in enumerate(nodes)}
-    frontier = list(range(l))
-    while frontier:
-        next_frontier: list[int] = []
-        for node_idx in frontier:
-            beta = nodes[node_idx].root
-            for i in range(l):
-                down = 0
-                probe = list(beta)
-                while True:
-                    probe[i] -= 1
-                    if tuple(probe) in index:
-                        down += 1
-                    else:
-                        break
-                if down - cm.pairing(beta, i) <= 0:
-                    continue
-                grown = list(beta)
-                grown[i] += 1
-                key = tuple(grown)
-                if key in index:
-                    continue
-                index[key] = len(nodes)
-                nodes.append(RootTreeNode(key, node_idx, i))
-                next_frontier.append(index[key])
-                if len(nodes) > cap:
-                    raise ValueError(
-                        "root generation exceeded the finite-type bound; "
-                        "the matrix is not of finite type"
-                    )
-        frontier = next_frontier
-    expected = POSITIVE_COUNTS.get(cm.type_label)
-    if expected is not None and len(nodes) != expected(l):
+    for node_idx, node in enumerate(nodes):  # visits the nodes appended below too
+        beta = node.root
+        for i in range(l):
+            probe = list(beta)
+            probe[i] -= 1
+            down = 0
+            while tuple(probe) in index:
+                down += 1
+                probe[i] -= 1
+            if down - cm.pairing(beta, i) <= 0:
+                continue
+            probe[i] = beta[i] + 1  # the probe becomes beta + alpha_i
+            key = tuple(probe)
+            if key in index:
+                continue
+            index[key] = len(nodes)
+            nodes.append(RootTreeNode(key, node_idx, i))
+            if len(nodes) > cap:
+                raise ValueError(
+                    "root generation exceeded the finite-type bound; "
+                    "the matrix is not of finite type"
+                )
+    row = CLASSICAL_TYPES.get(cm.type_label)
+    if row is not None and len(nodes) != row[1](l):
         raise ValueError(
             f"generated {len(nodes)} positive roots for {cm.type_label}{l}, "
-            f"expected {expected(l)}"
+            f"expected {row[1](l)}"
         )
     return nodes
 

@@ -34,6 +34,10 @@ they cannot drift into the code they judge.
 * ``all_words``, every word of the word space up to a length at both
   flags, in the order the relation check lists its failures: every
   plain word, then every flagged one.
+* ``weyl_orbit_roots``, the positive roots of a finite-type Cartan
+  matrix as the positive part of the Weyl orbit of the simple roots, not
+  grown by root strings as ``rootsystem.positive_roots`` grows them, and
+  ``EXCEPTIONAL_CARTAN``, the five exceptional Cartan matrices.
 * The reference encoder of an algebra file: ``matrix_to_json``,
   ``constants_to_json`` and ``algebra_doc`` build the file as nested
   dicts and lists, and ``dumps`` encodes it with ``json.dumps``, as
@@ -602,6 +606,43 @@ def all_words(rank: int, max_length: int) -> list[FreeWord]:
             for idx in itertools.product(range(rank), repeat=length):
                 out.append(FreeWord(flag, idx))
     return out
+
+
+def weyl_orbit_roots(cm) -> set:
+    """The positive part of the orbit of the simple roots under the simple
+    reflections s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, with the
+    pairing ``sum_k beta_k c[k][i]``; in finite type every root lies in
+    that orbit (Humphreys, 1972, section 10.3)."""
+    c = cm.entries
+    rank = len(c)
+    todo = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+    orbit = set(todo)
+    while todo:
+        beta = todo.pop()
+        for i in range(rank):
+            pairing = sum(beta[k] * c[k][i] for k in range(rank))
+            image = tuple(b - pairing if k == i else b for k, b in enumerate(beta))
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return {root for root in orbit if min(root) >= 0}
+
+
+def _e_entries(rank: int) -> tuple:
+    """E6, E7 or E8 in Bourbaki numbering: the chain 1-3-4-...-rank with 2 on 4."""
+    entries = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for a, b in ((1, 3), (2, 4), *((k, k + 1) for k in range(3, rank))):
+        entries[a - 1][b - 1] = entries[b - 1][a - 1] = -1
+    return tuple(map(tuple, entries))
+
+
+# the exceptional Cartan matrices in Bourbaki numbering (Humphreys, 1972,
+# section 11.4), entry (i, j) = <alpha_i, alpha_j>
+EXCEPTIONAL_CARTAN = {
+    "G2": ((2, -1), (-3, 2)),
+    "F4": ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
+    **{f"E{rank}": _e_entries(rank) for rank in (6, 7, 8)},
+}
 
 
 def matrix_to_json(vec: Vec, n: int) -> dict:

@@ -20,7 +20,7 @@ from quatlie.freerep import (
 )
 from quatlie.rootsystem import cartan_matrix, custom_cartan
 
-from oracles import all_words, plain_e_action, plain_h_action
+from oracles import EXCEPTIONAL_CARTAN, all_words, plain_e_action, plain_h_action
 
 A2 = cartan_matrix("A", 2)
 A1 = cartan_matrix("A", 1)
@@ -487,23 +487,12 @@ def test_h_independence_names_a_jh_image_where_h_has_coefficient_zero(monkeypatc
     assert report.failures == [("f1f2f2", 0)]
 
 
-def _e8_entries():
-    """E8 in Bourbaki numbering: the chain 1-3-4-5-6-7-8 with 2 on 4."""
-    entries = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
-    for a, b in ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)):
-        entries[a - 1][b - 1] = entries[b - 1][a - 1] = -1
-    return entries
-
-
-# exceptional Cartan matrices in Bourbaki numbering (Humphreys, 1972,
-# section 11.4), entry (i, j) = <alpha_i, alpha_j>, with the degree, the
-# instances of the sixteen families and the nonempty plain words used
+# the exceptional Cartan matrices with the degree, the instances of the
+# sixteen families and the nonempty plain words used
 EXCEPTIONAL = [
-    pytest.param(((2, -1), (-3, 2)), 5, 3968, 62, id="G2-d5"),
-    pytest.param(
-        ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)), 3, 10752, 84, id="F4-d3"
-    ),
-    pytest.param(_e8_entries(), 3, 149504, 584, id="E8-d3"),
+    pytest.param(EXCEPTIONAL_CARTAN["G2"], 5, 3968, 62, id="G2-d5"),
+    pytest.param(EXCEPTIONAL_CARTAN["F4"], 3, 10752, 84, id="F4-d3"),
+    pytest.param(EXCEPTIONAL_CARTAN["E8"], 3, 149504, 584, id="E8-d3"),
 ]
 
 

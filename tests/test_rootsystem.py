@@ -1,7 +1,11 @@
 import operator
+from fractions import Fraction
 
 import pytest
 
+from quatlie.bracket import bracket
+from quatlie.matrices import flatten
+from quatlie.realizations import chevalley_generators
 from quatlie.rootsystem import (
     cartan_matrix,
     custom_cartan,
@@ -10,6 +14,8 @@ from quatlie.rootsystem import (
     simple_root,
     weight_of,
 )
+
+from oracles import EXCEPTIONAL_CARTAN, generator_matrices, weyl_orbit_roots
 
 
 def coeff_set(roots):
@@ -66,6 +72,29 @@ def test_custom_cartan_validation():
         custom_cartan([[2, 0], [-1, 2]])  # zero pattern must be symmetric
     with pytest.raises(ValueError, match="^Cartan matrix must be square$"):
         custom_cartan([[2, -1], []])  # every row's length before any cross index
+
+
+# every defining realization within realizations.MAX_AMBIENT_N
+DEFINING = (
+    [("A", l) for l in range(1, 10)]
+    + [("B", l) for l in range(2, 5)]
+    + [("C", l) for l in range(2, 6)]
+    + [("D", l) for l in range(3, 6)]
+)
+
+
+@pytest.mark.parametrize("type_label,rank", DEFINING)
+def test_cartan_entries_are_read_off_the_defining_generators(type_label, rank):
+    # [h_i, e_j] = c_ji e_j with the matrix bracket, so each type's off-diagonal
+    # entries (D's fork above all) are held against its realization
+    gens = chevalley_generators(type_label, rank)
+    c = cartan_matrix(type_label, rank).entries
+    for i, h in enumerate(generator_matrices(gens, "h")):
+        for j, e in enumerate(generator_matrices(gens, "e")):
+            image, row = flatten(bracket(h, e)), flatten(e)
+            coeff = Fraction(image.get(min(row), 0), row[min(row)])
+            assert image == {k: coeff * v for k, v in row.items() if coeff}, (i, j)
+            assert coeff == c[j][i], (i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +179,27 @@ def test_output_closed_under_string_condition(type_label, rank):
             grown[i] += 1
             should_grow = down - cm.pairing(beta, i) > 0
             assert (tuple(grown) in roots) == should_grow
+
+
+@pytest.mark.parametrize(
+    "type_label,rank",
+    [("A", l) for l in range(1, 9)]
+    + [(t, l) for t in "BC" for l in range(2, 9)]
+    + [("D", l) for l in range(3, 9)],
+)
+def test_positive_roots_are_the_positive_weyl_orbit_of_the_simple_roots(type_label, rank):
+    cm = cartan_matrix(type_label, rank)
+    assert set(positive_roots(cm)) == weyl_orbit_roots(cm)
+
+
+@pytest.mark.parametrize(
+    "name,count", [("G2", 6), ("F4", 24), ("E6", 36), ("E7", 63), ("E8", 120)]
+)
+def test_exceptional_positive_roots_are_the_positive_weyl_orbit(name, count):
+    cm = custom_cartan(EXCEPTIONAL_CARTAN[name])
+    roots = positive_roots(cm)
+    assert len(roots) == len(set(roots)) == count
+    assert set(roots) == weyl_orbit_roots(cm)
 
 
 def test_divergence_guard_on_affine_matrix():
